@@ -37,6 +37,7 @@ MODULES = (
     "repro.graph.csr",
     "repro.api",
     "repro.api.query",
+    "repro.engine.query",
     "repro.api.response",
     "repro.api.planner",
     "repro.api.protocol",

@@ -56,14 +56,10 @@ def __getattr__(name: str):
             "ProfiledCommunity": ProfiledCommunity,
             "ProfiledGraph": ProfiledGraph,
         }[name]
-    if name in ("CommunityExplorer", "QuerySpec", "GraphUpdate"):
-        from repro.engine import CommunityExplorer, GraphUpdate, QuerySpec
+    if name in ("CommunityExplorer", "GraphUpdate"):
+        from repro.engine import CommunityExplorer, GraphUpdate
 
-        return {
-            "CommunityExplorer": CommunityExplorer,
-            "QuerySpec": QuerySpec,
-            "GraphUpdate": GraphUpdate,
-        }[name]
+        return {"CommunityExplorer": CommunityExplorer, "GraphUpdate": GraphUpdate}[name]
     if name in (
         "Query",
         "QueryBuilder",

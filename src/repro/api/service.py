@@ -14,27 +14,27 @@ pick an execution method when the caller didn't, and answers with
 Middleware hooks are ``(query) -> query`` / ``(query, response) -> response``
 transformations (see :class:`Middleware`). The built-ins cover validation,
 metrics and result-limit enforcement; sharding or auth layers slot in the
-same way. The hot path is deliberately thin — coerce, plan, one explorer
-call, one envelope build — so routing traffic through the service costs a
-few percent over the bare engine (checked by the facade-overhead benchmark).
+same way. The hot path is deliberately thin — coerce, resolve the session
+defaults, plan, one explorer call, one envelope build — so routing traffic
+through the service costs a few percent over the bare engine (checked by
+the facade-overhead benchmark). The request is resolved *once*, before
+planning: planner, envelope, cache key and kernel all see the same
+``(vertex, k, method, cohesion)``.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 from repro.api.planner import BatchPlan, PlanDecision, QueryPlanner
-from repro.api.query import Query, QueryBuilder
+from repro.api.query import DEFAULT_K, DEFAULT_METHOD, Query
 from repro.api.response import QueryResponse
 from repro.core.profiled_graph import ProfiledGraph
-from repro.engine.explorer import DEFAULT_K, DEFAULT_METHOD, CommunityExplorer, EngineStats
+from repro.engine.explorer import CommunityExplorer, EngineStats, QueryLike
 from repro.engine.updates import GraphUpdate, UpdateReceipt
 from repro.errors import IntegrityError, InvalidInputError, VertexNotFoundError
 from repro.storage import BootReport, GraphStore, SnapshotInfo, preview_updates
-
-Vertex = Hashable
-QueryLike = Union[Query, QueryBuilder, Vertex, tuple, dict]
 
 
 class Middleware:
@@ -152,7 +152,11 @@ class CommunityService:
         one process. Call :meth:`close` (or use the service as a context
         manager) to release the fleet.
     cache_size, max_workers, default_k, default_method, default_cohesion:
-        Forwarded to the explorer when ``pg`` is a graph.
+        Forwarded to the explorer when ``pg`` is a graph. ``default_k`` and
+        ``default_cohesion`` fill a request's ``None`` fields before it is
+        planned; ``default_method`` is what :meth:`cache_key` and the bare
+        engine resolve ``method=None`` to — on :meth:`query` / :meth:`batch`
+        the planner picks the method instead.
 
     Examples
     --------
@@ -244,23 +248,29 @@ class CommunityService:
         return self._explorer
 
     def cache_key(self, query: QueryLike) -> tuple:
-        """The engine's fully-resolved cache key for ``query``.
+        """:meth:`Query.cache_key` under *this session's* defaults.
 
-        Unlike :meth:`Query.cache_key` (which resolves against the paper
-        defaults), this resolves against *this session's* defaults — it is
-        exactly the key the underlying explorer caches and dedups on.
+        Exactly the key the underlying explorer caches and dedups on
+        (:meth:`CommunityExplorer.resolve_key`).
         """
-        return self._explorer.resolve_key(Query.coerce(query).to_spec())
+        return self._explorer.resolve_key(query)
 
     @property
     def parallel_workers(self) -> Optional[int]:
         """The worker-fleet width, or ``None`` for an in-process session."""
         return getattr(self._explorer, "processes", None)
 
+    def _resolve(self, query: Query) -> Query:
+        """``query`` with the session's ``k``/``cohesion`` defaults filled in
+        (the method is left to the planner)."""
+        return query.resolve(
+            self._explorer.default_k, None, self._explorer.default_cohesion
+        )
+
     def plan(self, query: QueryLike) -> PlanDecision:
         """The planner's verdict for ``query`` under current serving state."""
         return self.planner.plan(
-            Query.coerce(query),
+            self._resolve(Query.coerce(query)),
             index_ready=self._explorer.index_ready,
             one_shot=self.one_shot,
         )
@@ -288,12 +298,13 @@ class CommunityService:
         )
 
     def _prepare(self, item: QueryLike) -> tuple:
-        """Coerce + middleware-before + plan: ``(executable_query, plan)``."""
+        """Coerce + middleware-before + resolve + plan: ``(resolved_query, plan)``."""
         query = Query.coerce(item)
         for hook in self.middleware:
             replacement = hook.before(query, self)
             if replacement is not None:
                 query = replacement
+        query = self._resolve(query)
         plan = self.planner.plan(
             query, index_ready=self._explorer.index_ready, one_shot=self.one_shot
         )
@@ -327,7 +338,7 @@ class CommunityService:
         """Serve many requests; responses align with the input order.
 
         Execution goes through the engine's
-        :meth:`~repro.engine.explorer.CommunityExplorer.explore_many` —
+        :meth:`~repro.engine.explorer.CommunityExplorer.serve` —
         batch-level validation, in-batch dedup and optional thread fan-out
         are preserved; on a ``parallel=`` session, batches past the
         planner's threshold (:meth:`plan_batch`) shard across the worker
@@ -337,14 +348,11 @@ class CommunityService:
         reflects.
         """
         prepared = [self._prepare(item) for item in items]
-        specs = [query.to_spec() for query, _ in prepared]
-        results, hits, versions = self._explorer._serve_batch_full(
-            specs, workers=workers
+        served = self._explorer.serve(
+            [query for query, _ in prepared], workers=workers
         )
         responses = []
-        for (query, plan), hit, result, version in zip(
-            prepared, hits, results, versions
-        ):
+        for (query, plan), (result, hit, version) in zip(prepared, served):
             response = QueryResponse.from_result(
                 result,
                 query,

@@ -9,7 +9,6 @@ fastest method — is the default.
 
 from __future__ import annotations
 
-import warnings
 from typing import Hashable, Optional
 
 from repro.core.advanced import advanced_query
@@ -92,10 +91,9 @@ def pcs(
         query is served through the engine — its cached indexes and LRU
         result cache — instead of dispatching directly; the engine must
         wrap ``pg`` (checked). ``index`` is ignored on this path (the
-        engine owns index lifetime). Objects that merely duck-type the
-        protocol are still accepted for one release with a
-        ``DeprecationWarning``; objects that don't even expose ``explore``
-        are rejected outright.
+        engine owns index lifetime). An object that does not implement the
+        protocol (``pg``/``explore``/``explore_many``/``stats``) is
+        rejected with :class:`~repro.errors.InvalidInputError`.
 
     Returns
     -------
@@ -114,23 +112,13 @@ def pcs(
         raise InvalidInputError(f"k must be non-negative, got {k}")
     if engine is not None:
         # Engine-aware path: serve through the session's index + result
-        # cache. The structural Engine protocol replaces the old blind
-        # duck-typing; near-misses get a one-release deprecation shim.
+        # cache.
         if not isinstance(engine, Engine):
-            if not callable(getattr(engine, "explore", None)):
-                raise InvalidInputError(
-                    f"engine {engine!r} does not implement the repro.api.Engine "
-                    "protocol (no explore() method)"
-                )
-            warnings.warn(
-                "passing an object that does not implement the repro.api.Engine "
-                "protocol as pcs(engine=...) is deprecated and will become an "
-                "error; implement pg/explore/explore_many/stats "
-                f"(got {type(engine).__name__})",
-                DeprecationWarning,
-                stacklevel=2,
+            raise InvalidInputError(
+                f"engine {engine!r} does not implement the repro.api.Engine "
+                "protocol (pg/explore/explore_many/stats)"
             )
-        if getattr(engine, "pg", None) is not pg:
+        if engine.pg is not pg:
             raise InvalidInputError(
                 "engine serves a different ProfiledGraph than the one passed to pcs()"
             )

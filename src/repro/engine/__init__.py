@@ -1,22 +1,9 @@
 """Batched query engine with index reuse (the online-serving layer)."""
 
-from repro.engine.batchfile import (
-    coerce_query_vertices,
-    coerce_spec_vertices,
-    load_queries,
-    load_query_file,
-    parse_queries,
-    parse_query_text,
-    result_to_dict,
-)
+from repro.engine.batchfile import coerce_query_vertices, load_queries, parse_queries
 from repro.engine.cache import MISSING, CacheStats, LRUCache
-from repro.engine.explorer import (
-    DEFAULT_K,
-    DEFAULT_METHOD,
-    CommunityExplorer,
-    EngineStats,
-    QuerySpec,
-)
+from repro.engine.explorer import CommunityExplorer, EngineStats
+from repro.engine.query import DEFAULT_K, DEFAULT_METHOD, Query, QueryBuilder
 from repro.engine.updates import (
     UPDATE_OPS,
     GraphUpdate,
@@ -29,7 +16,8 @@ from repro.engine.updates import (
 __all__ = [
     "CommunityExplorer",
     "EngineStats",
-    "QuerySpec",
+    "Query",
+    "QueryBuilder",
     "DEFAULT_K",
     "DEFAULT_METHOD",
     "LRUCache",
@@ -44,8 +32,4 @@ __all__ = [
     "load_queries",
     "parse_queries",
     "coerce_query_vertices",
-    "load_query_file",
-    "parse_query_text",
-    "coerce_spec_vertices",
-    "result_to_dict",
 ]

@@ -16,41 +16,23 @@ whole-file list form — so a file whose entire content is ``["E", 3]`` means
 object line (``{"q": "E", "k": 3}``) for a single parametrised query;
 ``[q, k]``-style array lines are only distinguishable in multi-line files.
 
-Parsing targets :class:`repro.api.Query` (:func:`parse_queries` /
-:func:`load_queries`); the :class:`~repro.engine.explorer.QuerySpec`
-variants (:func:`parse_query_text` / :func:`load_query_file`) remain as
-thin conversions for pre-``repro.api`` callers but drop the ``limit`` /
-``min_size`` post-filter fields. Results serialise to plain dicts via the
-:class:`repro.api.QueryResponse` envelope (or the legacy
-:func:`result_to_dict`) — no custom JSON encoder needed downstream.
+Parsing yields :class:`~repro.engine.query.Query` items
+(:func:`parse_queries` / :func:`load_queries`); results serialise to plain
+dicts via the :class:`repro.api.QueryResponse` envelope — no custom JSON
+encoder needed downstream.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Hashable, List, Optional, Union
+from typing import Hashable, List, Optional, Union
 
-from repro.core.community import PCSResult
 from repro.core.profiled_graph import ProfiledGraph
-from repro.engine.explorer import QuerySpec
+from repro.engine.query import Query
 from repro.errors import InvalidInputError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.query import Query
-
 Vertex = Hashable
-
-
-def _coerce_item(item: object) -> "Query":
-    # Imported lazily (the explorer.explore_query idiom): the engine sits
-    # below the api package in the layer DAG, so the dependency must not
-    # be eager — see repro.lint.checkers.layers.
-    from repro.api.query import Query
-
-    if isinstance(item, list):
-        item = tuple(item)
-    return Query.coerce(item)
 
 
 def parse_queries(
@@ -60,8 +42,6 @@ def parse_queries(
     stripped = text.strip()
     if not stripped:
         return []
-    from repro.api.query import Query
-
     if stripped[0] == "[":
         # Whole-file JSON list — but a JSON-lines file may also start with
         # an ``[q, k]``-style array item, so fall through to per-line
@@ -73,9 +53,7 @@ def parse_queries(
         if items is not None:
             if not isinstance(items, list):
                 raise InvalidInputError("JSON query file must hold a list")
-            return [
-                _with_defaults(_coerce_item(i), default_k, default_method) for i in items
-            ]
+            return [Query.coerce(i).resolve(default_k, default_method) for i in items]
     queries: List[Query] = []
     for lineno, line in enumerate(stripped.splitlines(), start=1):
         line = line.strip()
@@ -88,20 +66,10 @@ def parse_queries(
                 raise InvalidInputError(
                     f"query file line {lineno} is not valid JSON: {exc}"
                 ) from exc
-            queries.append(_with_defaults(_coerce_item(item), default_k, default_method))
+            queries.append(Query.coerce(item).resolve(default_k, default_method))
         else:
             queries.append(Query(vertex=line, k=default_k, method=default_method))
     return queries
-
-
-def _with_defaults(query: Query, default_k: int, default_method: Optional[str]) -> Query:
-    """Fill CLI-level defaults into queries parsed from bare vertices."""
-    changes = {}
-    if query.k is None and default_k is not None:
-        changes["k"] = default_k
-    if query.method is None and default_method is not None:
-        changes["method"] = default_method
-    return query.replace(**changes) if changes else query
 
 
 def load_queries(
@@ -113,20 +81,6 @@ def load_queries(
         default_k=default_k,
         default_method=default_method,
     )
-
-
-def parse_query_text(
-    text: str, default_k: int = 6, default_method: Optional[str] = None
-) -> List[QuerySpec]:
-    """Legacy form of :func:`parse_queries` returning ``QuerySpec`` items."""
-    return [q.to_spec() for q in parse_queries(text, default_k, default_method)]
-
-
-def load_query_file(
-    path: Union[str, Path], default_k: int = 6, default_method: Optional[str] = None
-) -> List[QuerySpec]:
-    """Legacy form of :func:`load_queries` returning ``QuerySpec`` items."""
-    return [q.to_spec() for q in load_queries(path, default_k, default_method)]
 
 
 def _retype_vertex(pg: ProfiledGraph, q: Vertex) -> Vertex:
@@ -151,37 +105,3 @@ def coerce_query_vertices(pg: ProfiledGraph, queries: List[Query]) -> List[Query
         q = _retype_vertex(pg, query.vertex)
         out.append(query if q is query.vertex else query.replace(vertex=q))
     return out
-
-
-def coerce_spec_vertices(pg: ProfiledGraph, specs: List[QuerySpec]) -> List[QuerySpec]:
-    """:func:`coerce_query_vertices` for legacy ``QuerySpec`` batches."""
-    out: List[QuerySpec] = []
-    for spec in specs:
-        q = _retype_vertex(pg, spec.q)
-        out.append(spec if q is spec.q else QuerySpec(q, spec.k, spec.method, spec.cohesion))
-    return out
-
-
-def result_to_dict(result: PCSResult) -> dict:
-    """One PCS result as a JSON-ready dict."""
-    return {
-        "query": _json_vertex(result.query),
-        "k": result.k,
-        "method": result.method,
-        "num_communities": len(result),
-        "elapsed_ms": round(result.elapsed_seconds * 1000.0, 4),
-        "num_verifications": result.num_verifications,
-        "communities": [
-            {
-                "size": community.size,
-                "vertices": sorted(map(_json_vertex, community.vertices), key=str),
-                "theme": sorted(community.theme()),
-                "subtree_size": len(community.subtree),
-            }
-            for community in result
-        ],
-    }
-
-
-def _json_vertex(v: Vertex) -> object:
-    return v if isinstance(v, (str, int, float, bool)) or v is None else str(v)

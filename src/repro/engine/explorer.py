@@ -9,12 +9,19 @@ embodiment of that claim:
   its CP-tree (and, on demand, the whole-graph CL-tree) exactly once,
   lazily, then reuses them for every subsequent query;
 * it memoises complete :class:`~repro.core.community.PCSResult` objects in
-  an LRU cache keyed on ``(q, k, method, cohesion)``, so repeated
-  exploration of the same vertex — the common interactive pattern — is a
-  dictionary lookup;
-* it serves batches through :meth:`CommunityExplorer.explore_many`, with
-  intra-batch deduplication and optional thread-pool fan-out for the
-  independent cache misses;
+  an LRU cache keyed on :meth:`repro.engine.query.Query.cache_key` —
+  ``(vertex, k, method, cohesion)`` with this session's defaults filled
+  in — so repeated exploration of the same vertex — the common
+  interactive pattern — is a dictionary lookup;
+* it has **one serve path**: every request shape is coerced to a
+  :class:`~repro.engine.query.Query`, keyed once, and answered by
+  :meth:`CommunityExplorer._serve` (validate → version-checked cache
+  probe → version-stable compute → cache put), which reports
+  ``(result, cache_hit, graph_version)`` per request. ``explore``,
+  ``explore_query``, ``explore_many``, ``serve_batch`` and ``serve`` are
+  thin adapters over it, so batches get intra-batch deduplication and
+  optional thread-pool fan-out for the independent cache misses, and
+  single queries are batches of one;
 * it is **mutation-safe**: cached results are tagged with the graph
   :attr:`~repro.core.profiled_graph.ProfiledGraph.version` they were
   computed against, so edits applied through
@@ -41,12 +48,19 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, List, Optional, Tuple, Union
 
-from repro.core.cohesion import CohesionModel, get_cohesion
+from repro.core.cohesion import get_cohesion
 from repro.core.community import PCSResult
 from repro.core.profiled_graph import ProfiledGraph
 from repro.core.search import normalize_method, pcs
 from repro.dynamic.core_maintenance import DynamicCoreIndex
 from repro.engine.cache import MISSING, CacheStats, LRUCache
+from repro.engine.query import (
+    DEFAULT_K,
+    DEFAULT_METHOD,
+    Query,
+    QueryBuilder,
+    canonical_cohesion,
+)
 from repro.engine.updates import GraphUpdate, UpdateReceipt
 from repro.errors import InvalidInputError, VertexNotFoundError
 from repro.graph.csr import active_backend
@@ -59,104 +73,16 @@ Vertex = Hashable
 #: Methods whose per-query work never reads the CP-tree.
 _INDEX_FREE_METHODS = frozenset({"basic"})
 
-#: Paper default (§5.1).
-DEFAULT_K = 6
-DEFAULT_METHOD = "adv-P"
-
 #: Optimistic attempts of the version-stable execution loop before it
 #: falls back to computing under the index lock (which blocks
 #: :meth:`CommunityExplorer.apply_updates` for the duration).
 _OPTIMISTIC_ATTEMPTS = 3
 
+#: Every request shape the engine accepts (see :meth:`Query.coerce`).
+QueryLike = Union[Query, QueryBuilder, Vertex, Tuple, dict]
 
-#: Canonical method-name casing lives in core.search (one spelling table,
-#: one error message, shared with repro.api.Query).
-_normalize_method = normalize_method
-
-
-def _cohesion_token(cohesion):
-    """A hashable cache-key component that still resolves to the model.
-
-    ``None`` and registered names collapse to the canonical registry name
-    (so ``None``, ``"k-core"`` and ``KCoreCohesion`` share cache entries).
-    Model *instances* are kept as-is and keyed by identity: an unregistered
-    or parametrized model (e.g. ``FractionalKCoreCohesion(0.8)``) must run
-    with exactly the object the caller supplied — collapsing it to a name
-    would lose its parameters or fail registry lookup.
-    """
-    if cohesion is None:
-        return "k-core"
-    if isinstance(cohesion, str):
-        return get_cohesion(cohesion).name
-    if isinstance(cohesion, CohesionModel):
-        return cohesion
-    if isinstance(cohesion, type) and issubclass(cohesion, CohesionModel):
-        return get_cohesion(cohesion).name if _is_registered(cohesion) else cohesion()
-    raise InvalidInputError(f"cannot interpret {cohesion!r} as a cohesion model")
-
-
-def _is_registered(cls) -> bool:
-    try:
-        return type(get_cohesion(cls.name)) is cls
-    except InvalidInputError:
-        return False
-
-
-def _cohesion_from_token(token) -> Optional[CohesionModel]:
-    """Inverse of :func:`_cohesion_token` for query execution."""
-    if token == "k-core":
-        return None  # the paper default; lets pcs() use the index fast path
-    if isinstance(token, str):
-        return get_cohesion(token)
-    return token
-
-
-@dataclass(frozen=True)
-class QuerySpec:
-    """One PCS query in a batch: ``(q, k, method, cohesion)``.
-
-    ``k``/``method``/``cohesion`` of ``None`` inherit the explorer's defaults
-    at execution time; the cache key is always fully resolved, so a spec with
-    ``method=None`` and one with the explicit default method share an entry.
-    """
-
-    q: Vertex
-    k: Optional[int] = None
-    method: Optional[str] = None
-    #: A registered model name, a CohesionModel instance, or None.
-    cohesion: Optional[object] = None
-
-    @classmethod
-    def coerce(cls, item: Union["QuerySpec", Vertex, Tuple, dict]) -> "QuerySpec":
-        """Build a spec from a spec, :class:`repro.api.Query` (or its
-        builder), mapping, ``(q, k[, method[, cohesion]])`` tuple, or bare
-        vertex.
-
-        API objects are recognised structurally (``build``/``to_spec``
-        attributes) so this module never has to import :mod:`repro.api`;
-        their ``limit``/``min_size`` post-filters do not survive the
-        conversion — specs describe the computation only.
-        """
-        if isinstance(item, cls):
-            return item
-        if hasattr(item, "build") and not isinstance(item, (dict, tuple)):
-            item = item.build()  # repro.api.QueryBuilder
-        if hasattr(item, "to_spec") and not isinstance(item, (dict, tuple)):
-            return item.to_spec()  # repro.api.Query
-        if isinstance(item, dict):
-            unknown = set(item) - {"q", "k", "method", "cohesion"}
-            if unknown:
-                raise InvalidInputError(f"unknown QuerySpec fields: {sorted(unknown)}")
-            if "q" not in item:
-                raise InvalidInputError("QuerySpec mapping needs a 'q' field")
-            return cls(**item)
-        if isinstance(item, tuple):
-            if not 1 <= len(item) <= 4:
-                raise InvalidInputError(
-                    f"QuerySpec tuple needs 1-4 fields (q, k, method, cohesion), got {len(item)}"
-                )
-            return cls(*item)
-        return cls(q=item)
+#: One served request: ``(result, cache_hit, graph_version)``.
+Served = Tuple[PCSResult, bool, int]
 
 
 @dataclass(frozen=True)
@@ -223,7 +149,8 @@ class CommunityExplorer:
         Default thread-pool width for :meth:`explore_many` (``None`` =
         sequential unless a call overrides it).
     default_k, default_method, default_cohesion:
-        Fallbacks applied when a query/spec omits them.
+        The session defaults a request's ``None`` fields resolve to (see
+        :meth:`Query.resolve <repro.engine.query.Query.resolve>`).
 
     Examples
     --------
@@ -250,8 +177,10 @@ class CommunityExplorer:
             raise InvalidInputError(f"default_k must be non-negative, got {default_k}")
         self.pg = pg
         self.default_k = default_k
-        self.default_method = _normalize_method(default_method)
-        self.default_cohesion = default_cohesion
+        self.default_method = normalize_method(default_method)
+        self.default_cohesion = (
+            None if default_cohesion is None else canonical_cohesion(default_cohesion)
+        )
         self.max_workers = max_workers
         self._cache = LRUCache(maxsize=cache_size)
         self._counters = _Counters()
@@ -371,18 +300,26 @@ class CommunityExplorer:
     # ------------------------------------------------------------------
     # querying
     # ------------------------------------------------------------------
-    def _resolve(self, spec: QuerySpec) -> Tuple[Vertex, int, str, object]:
-        k = self.default_k if spec.k is None else spec.k
-        method = _normalize_method(spec.method or self.default_method)
-        cohesion = spec.cohesion if spec.cohesion is not None else self.default_cohesion
-        return spec.q, k, method, _cohesion_token(cohesion)
+    def resolve_key(self, item: QueryLike) -> Tuple:
+        """The fully-resolved ``(vertex, k, method, cohesion)`` cache key.
 
-    def _run(self, q: Vertex, k: int, method: str, cohesion_token: object) -> PCSResult:
+        :meth:`Query.cache_key <repro.engine.query.Query.cache_key>` under
+        this session's defaults — the canonical request key of the serving
+        session. Two requests that map to the same tuple share one cache
+        entry and one execution.
+        """
+        return Query.coerce(item).cache_key(
+            self.default_k, self.default_method, self.default_cohesion
+        )
+
+    def _run(self, q: Vertex, k: int, method: str, cohesion: object) -> PCSResult:
+        """Execute one resolved key (also the worker-process entry point)."""
         if q not in self.pg:
             raise VertexNotFoundError(q)
         index = None if method in _INDEX_FREE_METHODS else self.index()
-        cohesion = _cohesion_from_token(cohesion_token)
-        result = pcs(self.pg, q, k, method=method, index=index, cohesion=cohesion)
+        # None is the paper default; it lets pcs() use the index fast path.
+        model = None if cohesion == "k-core" else get_cohesion(cohesion)
+        result = pcs(self.pg, q, k, method=method, index=index, cohesion=model)
         with self._counters.lock:
             self._counters.queries_served += 1
         return result
@@ -418,6 +355,46 @@ class CommunityExplorer:
         with self._index_lock:
             return self._run(*key), self.pg.version
 
+    def _serve(self, keys: List[Tuple], workers: Optional[int] = None) -> List[Served]:
+        """Answer resolved ``keys``: the engine's one probe/compute/put path.
+
+        Returns one ``(result, cache_hit, graph_version)`` per key, aligned
+        with the input. Every query vertex is validated before any cache
+        traffic, so a request naming an unknown vertex raises without
+        executing anything, bumping a counter or touching the cache. A
+        cached entry is served only if it was computed at the current graph
+        version; entries stranded behind a mutation are dropped (counted as
+        an invalidation plus a miss) and recomputed.
+
+        There is one cache lookup per *incoming* key, so hit/miss
+        accounting matches the caller's view; duplicate misses execute once
+        (and all report ``cache_hit=False`` — nothing was cached for them
+        up front). Hits carry the version their entry was validated
+        against, misses the version their computation stabilised at (see
+        :meth:`_run_stable`).
+        """
+        pg = self.pg
+        for key in keys:
+            if key[0] not in pg:
+                raise VertexNotFoundError(key[0])
+        version = pg.version
+        served = [
+            (self._cache.get_versioned(key, version, MISSING), True, version)
+            for key in keys
+        ]
+        pending = [key for key, entry in zip(keys, served) if entry[0] is MISSING]
+        if pending:
+            computed = self._execute_pending(
+                list(dict.fromkeys(pending)), workers=workers
+            )
+            for key, (result, result_version) in computed.items():
+                self._cache.put_versioned(key, result_version, result)
+            for i, key in enumerate(keys):
+                if served[i][0] is MISSING:
+                    result, result_version = computed[key]
+                    served[i] = (result, False, result_version)
+        return served
+
     def explore(
         self,
         q: Vertex,
@@ -425,42 +402,14 @@ class CommunityExplorer:
         method: Optional[str] = None,
         cohesion: Optional[object] = None,
     ) -> PCSResult:
-        """One PCS query through the version-checked cache and shared index.
-
-        The vertex is validated before any cache traffic, so an unknown
-        vertex raises without perturbing hit/miss accounting. A cached
-        entry is served only if it was computed at the current graph
-        version; entries stranded behind a mutation are dropped (counted
-        as an invalidation plus a miss) and recomputed.
-        """
-        spec = QuerySpec(
-            q=q, k=self.default_k if k is None else k, method=method, cohesion=cohesion
-        )
-        key = self._resolve(spec)
-        if key[0] not in self.pg:
-            raise VertexNotFoundError(key[0])
-        cached = self._cache.get_versioned(key, self.pg.version, MISSING)
-        if cached is not MISSING:
-            return cached
-        result, version = self._run_stable(key)
-        self._cache.put_versioned(key, version, result)
-        return result
+        """One PCS query through the version-checked cache and shared index."""
+        return self._serve([self.resolve_key(Query(q, k, method, cohesion))])[0][0]
 
     def method_uses_index(self, method: str) -> bool:
         """Whether ``method``'s computation reads the CP-tree index."""
-        return _normalize_method(method) not in _INDEX_FREE_METHODS
+        return normalize_method(method) not in _INDEX_FREE_METHODS
 
-    def resolve_key(self, item: Union[QuerySpec, Vertex, Tuple, dict]) -> Tuple:
-        """The fully-resolved ``(q, k, method, cohesion)`` cache key.
-
-        *This* is the canonical request key of the serving session — the
-        explorer's defaults applied, spellings normalised, cohesion
-        collapsed to its token. Two requests that this method maps to the
-        same tuple share one cache entry and one execution.
-        """
-        return self._resolve(QuerySpec.coerce(item))
-
-    def is_cached(self, item: Union[QuerySpec, Vertex, Tuple, dict]) -> bool:
+    def is_cached(self, item: QueryLike) -> bool:
         """Whether ``item`` would be served from cache right now.
 
         Purely observational (no hit/miss accounting, no recency update) —
@@ -468,131 +417,66 @@ class CommunityExplorer:
         """
         return self._cache.peek_versioned(self.resolve_key(item), self.pg.version)
 
-    def explore_query(self, query, plan=None):
-        """Serve one :class:`repro.api.Query`, returning the full envelope.
+    def explore_query(self, query: QueryLike, plan=None):
+        """Serve one :class:`~repro.engine.query.Query`, returning the full envelope.
 
         The :class:`repro.api.QueryResponse` carries the communities (with
         the query's ``limit``/``min_size`` post-filters applied), timing,
         cache/index provenance, the graph version the answer reflects, and
         ``plan`` (a :class:`repro.api.PlanDecision`) when a planner chose
-        the method. The raw :class:`~repro.core.community.PCSResult` rides
-        along in ``response.result`` for in-process callers.
-
-        Mirrors :meth:`explore` exactly — one cache lookup decides both
-        the answer and the ``cache_hit`` provenance, so the two can never
-        disagree.
+        the method. The envelope's ``query`` is the *resolved* request —
+        this session's defaults filled in — so what it reports is what was
+        keyed and executed. The raw :class:`~repro.core.community.PCSResult`
+        rides along in ``response.result`` for in-process callers.
         """
-        from repro.api.query import Query
         from repro.api.response import QueryResponse
 
-        query = Query.coerce(query)
-        key = self._resolve(query.to_spec())
-        if key[0] not in self.pg:
-            raise VertexNotFoundError(key[0])
-        version = self.pg.version
-        cached = self._cache.get_versioned(key, version, MISSING)
-        if cached is not MISSING:
-            result, cache_hit = cached, True
-        else:
-            result, version = self._run_stable(key)
-            self._cache.put_versioned(key, version, result)
-            cache_hit = False
+        query = Query.coerce(query).resolve(
+            self.default_k, self.default_method, self.default_cohesion
+        )
+        result, cache_hit, version = self._serve([self.resolve_key(query)])[0]
         return QueryResponse.from_result(
             result,
             query,
             cache_hit=cache_hit,
-            index_used=self.method_uses_index(key[2]),
+            index_used=self.method_uses_index(query.method),
             graph_version=version,
             plan=plan,
         )
 
-    def explore_many(
-        self,
-        specs: Iterable[Union[QuerySpec, Vertex, Tuple, dict]],
-        workers: Optional[int] = None,
-    ) -> List[PCSResult]:
-        """Serve a batch of queries; results align with the input order.
+    def serve(
+        self, items: Iterable[QueryLike], workers: Optional[int] = None
+    ) -> List[Served]:
+        """Serve a batch: one ``(result, cache_hit, graph_version)`` per item.
 
-        The whole batch is validated up front — every spec's method and
-        query vertex — so a malformed batch fails *before* any query
+        The whole batch is validated up front — every item's shape, method
+        and query vertex — so a malformed batch fails *before* any query
         executes, bumps a counter or touches the cache (no partially
-        executed batches). Identical specs inside the batch are
-        deduplicated (executed once); specs already cached at the current
-        graph version are served from cache. Cache misses run either
-        sequentially or on a thread pool of ``workers`` threads
+        executed batches). Identical requests inside the batch are
+        deduplicated (executed once); requests already cached at the
+        current graph version are served from cache. Cache misses run
+        either sequentially or on a thread pool of ``workers`` threads
         (``workers=None`` falls back to the explorer's ``max_workers``).
         Results are deterministic regardless of thread scheduling: the same
         batch always yields the same results in the same order.
         """
-        return self.serve_batch(specs, workers=workers)[0]
-
-    def serve_batch(
-        self,
-        specs: Iterable[Union[QuerySpec, Vertex, Tuple, dict]],
-        workers: Optional[int] = None,
-    ) -> Tuple[List[PCSResult], List[bool]]:
-        """:meth:`explore_many` plus per-spec cache provenance.
-
-        Returns ``(results, cache_hits)``, both aligned with the input
-        order. ``cache_hits[i]`` records whether spec *i* was served from
-        an entry already cached when the batch started (in-batch duplicates
-        of a miss all report ``False`` — they share one execution, but
-        nothing was cached for them up front). The service layer feeds this
-        straight into :attr:`QueryResponse.cache_hit` without a second
-        cache probe.
-        """
-        results, hits, _ = self._serve_batch_full(specs, workers=workers)
-        return results, hits
-
-    def _serve_batch_full(
-        self,
-        specs: Iterable[Union[QuerySpec, Vertex, Tuple, dict]],
-        workers: Optional[int] = None,
-    ) -> Tuple[List[PCSResult], List[bool], List[int]]:
-        """:meth:`serve_batch` plus the graph version each answer reflects.
-
-        The third list aligns with the input order: cache hits carry the
-        version their entry was validated against (batch start), misses the
-        version their computation stabilised at (see :meth:`_run_stable`).
-        The service layer uses it for ``QueryResponse.graph_version``.
-        """
-        batch = [QuerySpec.coerce(item) for item in specs]
-        keys = [self._resolve(spec) for spec in batch]  # validates methods
-        for key in keys:
-            if key[0] not in self.pg:
-                raise VertexNotFoundError(key[0])
+        served = self._serve([self.resolve_key(item) for item in items], workers)
         with self._counters.lock:
             self._counters.batches += 1
+        return served
 
-        # One cache lookup per *incoming* spec so hit/miss accounting matches
-        # the caller's view of the batch; duplicate misses execute once.
-        version = self.pg.version
-        resolved: dict = {}
-        versions: dict = {}
-        hits: List[bool] = []
-        pending: List[Tuple] = []
-        queued = set()
-        for key in keys:
-            hit = self._cache.get_versioned(key, version, MISSING)
-            hits.append(hit is not MISSING)
-            if hit is not MISSING:
-                resolved[key] = hit
-                versions[key] = version
-            elif key not in resolved and key not in queued:
-                pending.append(key)
-                queued.add(key)
+    def serve_batch(
+        self, specs: Iterable[QueryLike], workers: Optional[int] = None
+    ) -> Tuple[List[PCSResult], List[bool]]:
+        """:meth:`serve` as ``(results, cache_hits)`` lists."""
+        served = self.serve(specs, workers=workers)
+        return [result for result, _, _ in served], [hit for _, hit, _ in served]
 
-        for key, (result, result_version) in self._execute_pending(
-            pending, workers=workers
-        ).items():
-            resolved[key] = result
-            versions[key] = result_version
-            self._cache.put_versioned(key, result_version, result)
-        return (
-            [resolved[key] for key in keys],
-            hits,
-            [versions[key] for key in keys],
-        )
+    def explore_many(
+        self, specs: Iterable[QueryLike], workers: Optional[int] = None
+    ) -> List[PCSResult]:
+        """:meth:`serve`, results only; aligned with the input order."""
+        return [result for result, _, _ in self.serve(specs, workers=workers)]
 
     def _execute_pending(
         self, pending: List[Tuple], workers: Optional[int] = None

@@ -25,8 +25,8 @@ rank  packages (a package may eagerly import only lower ranks)
 Only *eager* imports count: module-level ``import``/``from`` statements,
 including those inside module-level ``if``/``try`` blocks. Imports under
 ``if TYPE_CHECKING:`` and imports local to a function body are the
-sanctioned cycle-breaking idioms (e.g. the engine's lazy ``Query``
-import) and are exempt. Intra-package imports are likewise exempt —
+sanctioned cycle-breaking idioms (e.g. the engine's lazy
+``QueryResponse`` import) and are exempt. Intra-package imports are likewise exempt —
 which is why the CSR backend lives at ``graph/csr.py`` (rank 1 with the
 rest of ``graph``) instead of as a new top-level package: ``graph.core``
 dispatches to it eagerly and ``graph.graph`` reaches back lazily, a

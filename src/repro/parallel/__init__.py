@@ -9,7 +9,7 @@ how it uses a whole machine:
   results (and their cache entries) back, falling back to in-process
   execution whenever parallelism wouldn't pay;
 * :class:`~repro.parallel.pool.WorkerPool` — worker lifecycle: the
-  profiled graph is pickled to each worker once
+  profiled graph is snapshot-encoded to each worker once
   (:mod:`repro.parallel.ship`), engines and indexes live worker-locally,
   and mutation invalidates the fleet by version comparison;
 * :func:`~repro.parallel.build.build_cptree_parallel` — CP-tree

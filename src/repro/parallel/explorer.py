@@ -64,8 +64,8 @@ class ParallelExplorer(CommunityExplorer):
         Optional ``multiprocessing`` context forwarded to the pool.
     **kwargs:
         Everything :class:`CommunityExplorer` accepts (``cache_size``,
-        ``default_k`` …). The defaults are mirrored into each worker so
-        resolved query keys mean the same thing on both sides.
+        ``default_k`` …). Requests are resolved here, once; workers
+        receive resolved keys and need none of it.
     """
 
     def __init__(
@@ -88,16 +88,6 @@ class ParallelExplorer(CommunityExplorer):
         self._pool = WorkerPool(
             pg,
             processes=self.processes,
-            engine_kwargs={
-                # Workers resolve nothing (keys arrive resolved) and cache
-                # nothing (results merge into the parent LRU), but the
-                # defaults travel anyway so a worker engine used directly
-                # (debugging, future per-worker planning) behaves the same.
-                "cache_size": 0,
-                "default_k": self.default_k,
-                "default_method": self.default_method,
-                "default_cohesion": self.default_cohesion,
-            },
             mp_context=mp_context,
             # apply_updates holds this lock for its whole batch, so graph
             # snapshots can never capture a half-applied mutation.

@@ -125,7 +125,7 @@ def _registry_snapshot() -> dict:
     return snapshot
 
 
-def _bootstrap_worker(blob: bytes, engine_kwargs: dict, registry: dict) -> None:
+def _bootstrap_worker(blob: bytes, registry: dict) -> None:
     """Pool initializer: decode the graph once, build the worker engine.
 
     ``registry`` re-plays the parent's runtime cohesion registrations —
@@ -137,16 +137,17 @@ def _bootstrap_worker(blob: bytes, engine_kwargs: dict, registry: dict) -> None:
 
     for name, cls in registry.items():
         _REGISTRY.setdefault(name, cls)
-    _WORKER_ENGINE = CommunityExplorer(unship_graph(blob), **engine_kwargs)
+    _WORKER_ENGINE = CommunityExplorer(unship_graph(blob))
 
 
 def _serve_shard(keys: List[Tuple]) -> List[PCSResult]:
     """Execute one shard of resolved query keys on the worker's engine.
 
-    Keys arrive fully resolved (defaults applied, spellings normalised), so
-    the worker bypasses its own result cache and spec resolution — parent
-    and worker can never disagree on what a spec means, and result caching
-    stays the parent's job (results merge into the shared LRU there).
+    Keys arrive fully resolved (:meth:`Query.cache_key` under the parent
+    session's defaults), so the worker bypasses its own result cache and
+    request resolution — a request is resolved once, in the parent, and
+    result caching stays the parent's job (results merge into the shared
+    LRU there).
     """
     engine = _WORKER_ENGINE
     if engine is None:  # pragma: no cover - initializer always ran
@@ -172,10 +173,6 @@ class WorkerPool:
         when the pool starts; :meth:`ensure` re-snapshots after mutations.
     processes:
         Worker count (default: :func:`recommended_workers`).
-    engine_kwargs:
-        Forwarded to each worker's ``CommunityExplorer`` (defaults for
-        ``k``/``method``/``cohesion`` must match the parent engine so
-        resolved keys mean the same thing on both sides).
     mp_context:
         Optional ``multiprocessing`` context (e.g. a ``"spawn"`` context
         for fork-unsafe embedders); default is the platform default.
@@ -193,7 +190,6 @@ class WorkerPool:
         self,
         pg: ProfiledGraph,
         processes: Optional[int] = None,
-        engine_kwargs: Optional[dict] = None,
         mp_context=None,
         snapshot_lock=None,
     ) -> None:
@@ -201,7 +197,6 @@ class WorkerPool:
             raise InvalidInputError(f"processes must be >= 1, got {processes}")
         self.pg = pg
         self.processes = processes or recommended_workers()
-        self.engine_kwargs = dict(engine_kwargs or {})
         self._mp_context = mp_context
         self._executor: Optional[ProcessPoolExecutor] = None
         self._shipped_version: int = -1
@@ -258,11 +253,7 @@ class WorkerPool:
                     max_workers=self.processes,
                     mp_context=self._mp_context,
                     initializer=_bootstrap_worker,
-                    initargs=(
-                        ship_graph(self.pg),
-                        self.engine_kwargs,
-                        _registry_snapshot(),
-                    ),
+                    initargs=(ship_graph(self.pg), _registry_snapshot()),
                 )
                 self._shipped_version = version
                 self._restarts += 1

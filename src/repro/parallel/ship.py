@@ -21,23 +21,18 @@ The process-parallel layer ships three things:
 from __future__ import annotations
 
 import dataclasses
-import pickle
 
 from repro.core.community import PCSResult
 from repro.core.profiled_graph import ProfiledGraph
-from repro.index.maintenance import UpdateJournal
+from repro.errors import InvalidInputError
 from repro.ptree.ptree import PTree
 from repro.ptree.taxonomy import Taxonomy
 from repro.storage.snapshot import SnapshotError
 from repro.storage.snapshot import decode_payload as snapshot_decode
 from repro.storage.snapshot import encode_payload as snapshot_encode
 
-#: Wire protocol for worker bootstrap payloads.
-PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
-
-#: Blob tags: the interned snapshot encoding vs. the pickle fallback.
+#: Blob tag of the interned snapshot encoding (the only wire form).
 _TAG_SNAPSHOT = b"S"
-_TAG_PICKLE = b"P"
 
 
 def ship_graph(pg: ProfiledGraph) -> bytes:
@@ -49,44 +44,31 @@ def ship_graph(pg: ProfiledGraph) -> bytes:
     and an empty journal, so the worker starts cold and builds exactly what
     it needs.
 
-    Graphs with int/str vertices ship as the interned binary encoding of
+    The wire form is the interned binary encoding of
     :mod:`repro.storage.snapshot` (no header or digest — the pipe is
     trusted), so the wire form and the on-disk form can never disagree on
     graph semantics; decoding it in the worker also rebuilds the CSR view
     straight from the wire's sorted intern tables (see
     :mod:`repro.graph.csr`), so shard peels start on the flat backend
-    without re-interning. Exotic vertex types fall back to pickling a
-    stripped clone (the CSR cache is derived state and deliberately not
-    pickled); a one-byte tag tells the worker which decoder to run.
+    without re-interning. The codec encodes int and str vertices (every
+    bundled dataset); a graph it refuses raises
+    :class:`~repro.errors.InvalidInputError` naming the offending vertex
+    type when the fleet starts. A one-byte tag guards the decoder.
     """
     try:
         return _TAG_SNAPSHOT + snapshot_encode(pg)
-    except SnapshotError:
-        clone = ProfiledGraph.__new__(ProfiledGraph)
-        clone.graph = pg.graph
-        clone.taxonomy = pg.taxonomy
-        clone._labels = pg._labels
-        clone._index = None
-        clone._ptree_cache = {}
-        clone._version = pg.version
-        clone._journal = UpdateJournal()
-        clone._taps = []
-        clone._maintenance_seconds = 0.0
-        clone._repairs = 0
-        return _TAG_PICKLE + pickle.dumps(clone, protocol=PICKLE_PROTOCOL)
+    except SnapshotError as exc:
+        raise InvalidInputError(
+            f"cannot ship this graph to worker processes: {exc}"
+        ) from exc
 
 
 def unship_graph(blob: bytes) -> ProfiledGraph:
     """Inverse of :func:`ship_graph` (runs in the worker process)."""
     tag, payload = blob[:1], blob[1:]
-    if tag == _TAG_SNAPSHOT:
-        return snapshot_decode(payload, has_index=False)
-    if tag != _TAG_PICKLE:
+    if tag != _TAG_SNAPSHOT:
         raise TypeError(f"unknown worker bootstrap blob tag {tag!r}")
-    pg = pickle.loads(payload)
-    if not isinstance(pg, ProfiledGraph):
-        raise TypeError(f"worker bootstrap blob decoded to {type(pg).__name__}")
-    return pg
+    return snapshot_decode(payload, has_index=False)
 
 
 def reanchor_result(result: PCSResult, taxonomy: Taxonomy) -> PCSResult:

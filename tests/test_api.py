@@ -22,7 +22,7 @@ from repro.core.cohesion import KCoreCohesion
 from repro.core.search import ALL_METHODS
 from repro.datasets import fig1_profiled_graph, simple_profiled_graph
 from repro.datasets.taxonomies import synthetic_taxonomy
-from repro.engine import CommunityExplorer, QuerySpec
+from repro.engine import CommunityExplorer
 from repro.errors import InvalidInputError, VertexNotFoundError
 
 
@@ -118,12 +118,24 @@ class TestQueryCoercionAndWire:
         assert Query.coerce("D") == Query(vertex="D")
         assert Query.coerce(("D", 2)) == Query(vertex="D", k=2)
         assert Query.coerce(("D", 2, "basic")) == Query(vertex="D", k=2, method="basic")
-        spec = QuerySpec(q="D", k=2, method="incre")
-        assert Query.coerce(spec) == Query(vertex="D", k=2, method="incre")
+        assert Query.coerce(["D", 2]) == Query(vertex="D", k=2)
+        incre = Query(vertex="D", method="incre")
+        assert Query.coerce({"q": "D", "method": "incre"}) == incre
+        assert Query.coerce({"vertex": "D", "method": "incre"}) == incre
+        assert Query.coerce(Query.vertex("D").method("incre")) == incre  # builder
+        assert Query.coerce(incre) is incre
 
-    def test_coerce_rejects_oversized_tuple(self):
+    def test_coerce_rejects_bad_shapes(self):
         with pytest.raises(InvalidInputError):
             Query.coerce(("D", 2, "basic", None, "extra"))
+        with pytest.raises(InvalidInputError):
+            Query.coerce(())
+        with pytest.raises(InvalidInputError, match="methud"):
+            Query.coerce({"q": "D", "methud": "basic"})
+        with pytest.raises(InvalidInputError):
+            Query.coerce({"k": 2})
+        with pytest.raises(InvalidInputError):
+            Query.coerce(None)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(InvalidInputError, match="methud"):
@@ -167,7 +179,24 @@ class TestQueryCoercionAndWire:
         key = service.cache_key(Query(vertex="D"))
         assert key == service.explorer.resolve_key(("D",))
         assert key[1] == 2  # the session default, not the paper default
-        assert Query(vertex="D").cache_key(default_k=2, default_method="adv-P")[1:] == key
+        assert Query(vertex="D").cache_key(default_k=2, default_method="adv-P") == key
+
+    def test_session_defaults_resolve_before_planning(self, fig1):
+        """Planner, envelope and cache key all see the *resolved* request."""
+        service = CommunityService(fig1, default_k=2, default_cohesion="k-truss")
+        explicit_query = Query.vertex("D").cohesion("k-truss")
+        assert service.plan("D") == service.plan(explicit_query)
+        implicit = service.query("D")
+        explicit = service.query(explicit_query)
+        assert implicit.cohesion == explicit.cohesion == "k-truss"
+        assert (implicit.method, implicit.plan) == (explicit.method, explicit.plan)
+        assert implicit.plan.method != "adv-P"  # not planned "as k-core"
+        assert (implicit.k, implicit.query) == (2, explicit.query)
+        assert implicit.cache_hit is False and explicit.cache_hit is True
+        batched = service.batch(["D", explicit_query])
+        assert [r.cohesion for r in batched] == ["k-truss", "k-truss"]
+        assert [r.cache_hit for r in batched] == [True, True]
+        assert service.stats().cache.size == 1  # one entry, not two
 
     def test_cache_key_canonicalisation(self):
         default = Query(vertex="D")
@@ -437,7 +466,7 @@ class TestEngineProtocol:
         assert as_vertex_subtree_map(result) == as_vertex_subtree_map(pcs(fig1, "D", 2))
         assert explorer.stats().queries_served == 1
 
-    def test_duck_typed_engine_warns_but_still_works(self, fig1):
+    def test_duck_typed_engine_is_rejected(self, fig1):
         class LegacyEngine:  # explore only — pre-protocol duck typing
             def __init__(self, pg):
                 self.pg = pg
@@ -445,9 +474,8 @@ class TestEngineProtocol:
             def explore(self, q, k, method=None, cohesion=None):
                 return pcs(self.pg, q, k, method=method or "adv-P", cohesion=cohesion)
 
-        with pytest.warns(DeprecationWarning, match="Engine"):
-            result = pcs(fig1, "D", 2, engine=LegacyEngine(fig1))
-        assert len(result) == 2
+        with pytest.raises(InvalidInputError, match="Engine"):
+            pcs(fig1, "D", 2, engine=LegacyEngine(fig1))
 
     def test_non_engine_object_is_rejected(self, fig1):
         with pytest.raises(InvalidInputError, match="Engine"):
@@ -460,14 +488,45 @@ class TestEngineProtocol:
 
 
 # ----------------------------------------------------------------------
-# engine-side integration (QuerySpec/Query interop, explore_query)
+# engine-side integration (every request shape, explore_query)
 # ----------------------------------------------------------------------
+#: One request — D at k=2, defaults elsewhere — in every accepted shape.
+REQUEST_SHAPES = [
+    Query(vertex="D", k=2),
+    Query.vertex("D").k(2),
+    ("D", 2),
+    {"vertex": "D", "k": 2},
+    {"q": "D", "k": 2},
+    "D",  # bare vertex: k comes from the session default
+]
+
+
 class TestEngineIntegration:
-    def test_queryspec_coerce_rejects_unknown_dict_keys(self):
-        with pytest.raises(InvalidInputError, match="methud"):
-            QuerySpec.coerce({"q": "D", "methud": "basic"})
-        with pytest.raises(InvalidInputError):
-            QuerySpec.coerce({"k": 2})
+    @pytest.mark.parametrize("shape", REQUEST_SHAPES, ids=repr)
+    def test_one_request_one_entry_through_every_entry_point(self, fig1, shape):
+        service = CommunityService(fig1, default_k=2)
+        explorer = service.explorer
+        assert service.cache_key(shape) == explorer.resolve_key(shape)
+        assert explorer.resolve_key(shape) == Query.coerce(shape).cache_key(default_k=2)
+
+        query = Query.coerce(shape)
+        first = explorer.explore(query.vertex, query.k)
+        envelopes = [
+            explorer.explore_query(shape),
+            service.query(shape),
+            *service.batch([shape, shape]),
+        ]
+        (many,) = explorer.explore_many([shape])
+        results, hits = explorer.serve_batch([shape])
+
+        expected = as_vertex_subtree_map(first)
+        for result in [many, results[0], *(e.result for e in envelopes)]:
+            assert as_vertex_subtree_map(result) == expected
+        assert [e.cache_hit for e in envelopes] + hits == [True] * 5
+        assert {e.graph_version for e in envelopes} == {fig1.version}
+        cache = explorer.stats().cache
+        assert (cache.misses, cache.hits, cache.size) == (1, 6, 1)
+        assert explorer.stats().queries_served == 1
 
     def test_explore_many_accepts_query_objects(self, fig1):
         explorer = CommunityExplorer(fig1, default_k=2)

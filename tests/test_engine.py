@@ -1,7 +1,5 @@
 """Tests for the batched query engine (repro.engine)."""
 
-import json
-
 import pytest
 
 from repro.core import as_vertex_subtree_map, pcs
@@ -11,11 +9,10 @@ from repro.datasets.taxonomies import synthetic_taxonomy
 from repro.engine import (
     CommunityExplorer,
     LRUCache,
-    QuerySpec,
-    coerce_spec_vertices,
-    load_query_file,
-    parse_query_text,
-    result_to_dict,
+    Query,
+    coerce_query_vertices,
+    load_queries,
+    parse_queries,
 )
 from repro.errors import InvalidInputError, VertexNotFoundError
 
@@ -258,71 +255,64 @@ class TestThreadPoolFanOut:
         assert ex.stats().index_builds == 1
 
 
-class TestQuerySpec:
-    def test_coerce_forms(self):
-        assert QuerySpec.coerce("D") == QuerySpec(q="D")
-        assert QuerySpec.coerce(("D", 3)) == QuerySpec(q="D", k=3)
-        assert QuerySpec.coerce({"q": "D", "method": "incre"}) == QuerySpec(
-            q="D", method="incre"
-        )
-        spec = QuerySpec("D", 2)
-        assert QuerySpec.coerce(spec) is spec
-
-    def test_coerce_rejects_bad_shapes(self):
-        with pytest.raises(InvalidInputError):
-            QuerySpec.coerce({"vertex": "D"})
-        with pytest.raises(InvalidInputError):
-            QuerySpec.coerce(("D", 2, "adv-P", "k-core", "extra"))
-
-
 class TestBatchFile:
     def test_plain_text(self):
-        specs = parse_query_text("# comment\nD\nE\n", default_k=2)
-        assert specs == [QuerySpec("D", 2), QuerySpec("E", 2)]
+        queries = parse_queries("# comment\nD\nE\n", default_k=2)
+        assert queries == [Query("D", 2), Query("E", 2)]
 
     def test_json_list(self):
-        specs = parse_query_text('["D", ["E", 3], {"q": "A", "method": "incre"}]', default_k=2)
-        assert specs[0] == QuerySpec("D", 2)
-        assert specs[1] == QuerySpec("E", 3)
-        assert specs[2].method == "incre" and specs[2].k == 2
+        queries = parse_queries(
+            '["D", ["E", 3], {"q": "A", "method": "incre"}, {"vertex": "B", "limit": 1}]',
+            default_k=2,
+        )
+        assert queries[:2] == [Query("D", 2), Query("E", 3)]
+        assert queries[2] == Query("A", 2, method="incre")
+        assert queries[3] == Query("B", 2, limit=1)  # post-filters survive
+
+    def test_default_method_fills_unpinned_queries_only(self):
+        queries = parse_queries(
+            'D\n{"q": "E", "method": "incre"}\n', default_k=2, default_method="basic"
+        )
+        assert queries == [Query("D", 2, "basic"), Query("E", 2, "incre")]
 
     def test_json_lines(self):
-        specs = parse_query_text('{"q": "D", "k": 4}\n{"q": "E"}\n', default_k=2)
-        assert specs == [QuerySpec("D", 4), QuerySpec("E", 2)]
+        queries = parse_queries('{"q": "D", "k": 4}\n{"q": "E"}\n', default_k=2)
+        assert queries == [Query("D", 4), Query("E", 2)]
 
     def test_json_lines_starting_with_array_item(self):
         # A leading [q, k] line must not be mistaken for a whole-file list.
-        specs = parse_query_text('["E", 3]\n{"q": "D"}\n', default_k=2)
-        assert specs == [QuerySpec("E", 3), QuerySpec("D", 2)]
+        queries = parse_queries('["E", 3]\n{"q": "D"}\n', default_k=2)
+        assert queries == [Query("E", 3), Query("D", 2)]
 
     def test_single_array_file_is_whole_file_list(self):
         # Documented precedence: one parseable JSON document == list form,
         # so this is two queries, not one (q, k) pair.
-        specs = parse_query_text('["E", 3]', default_k=2)
-        assert specs == [QuerySpec("E", 2), QuerySpec(3, 2)]
+        queries = parse_queries('["E", 3]', default_k=2)
+        assert queries == [Query("E", 2), Query(3, 2)]
 
     def test_invalid_json_reports_line(self):
         with pytest.raises(InvalidInputError, match="line 2"):
-            parse_query_text('D\n{"q": broken}\n')
+            parse_queries('D\n{"q": broken}\n')
 
-    def test_load_query_file(self, tmp_path):
+    def test_unknown_keys_and_bad_documents_are_rejected(self):
+        with pytest.raises(InvalidInputError, match="methud"):
+            parse_queries('[{"q": "D", "methud": "basic"}]')
+        with pytest.raises(InvalidInputError):
+            parse_queries('{"k": 2}\n')  # no vertex
+        with pytest.raises(InvalidInputError):
+            parse_queries('[["D", 2, "basic", null, "extra"]]')
+        assert parse_queries("  \n") == []
+
+    def test_load_queries(self, tmp_path):
         path = tmp_path / "q.txt"
         path.write_text("D\n\n# skip\nE\n", encoding="utf-8")
-        assert [s.q for s in load_query_file(path)] == ["D", "E"]
+        assert [q.vertex for q in load_queries(path)] == ["D", "E"]
 
     def test_vertex_coercion_to_int(self):
         pg = synthetic_instance()
-        specs = coerce_spec_vertices(pg, [QuerySpec("0", 2), QuerySpec("zzz", 2)])
-        assert specs[0].q == 0  # re-typed: graph uses int vertices
-        assert specs[1].q == "zzz"  # untouched
-
-    def test_result_to_dict_roundtrips_json(self, fig1):
-        result = pcs(fig1, "D", 2)
-        payload = result_to_dict(result)
-        assert json.loads(json.dumps(payload)) == payload
-        assert payload["num_communities"] == 2
-        sizes = sorted(c["size"] for c in payload["communities"])
-        assert sizes == [3, 3]
+        queries = coerce_query_vertices(pg, [Query("0", 2), Query("zzz", 2)])
+        assert queries[0].vertex == 0  # re-typed: graph uses int vertices
+        assert queries[1].vertex == "zzz"  # untouched
 
 
 class TestThroughputWorkload:

@@ -262,6 +262,18 @@ class TestPoolLifecycle:
         finally:
             pool.close()
 
+    def test_unshippable_vertex_type_fails_fleet_start_with_typed_error(self):
+        from repro.core.profiled_graph import ProfiledGraph
+        from repro.datasets.fig1 import fig1_taxonomy
+        from repro.graph.graph import Graph
+
+        edges = [((0, "a"), (0, "b")), ((0, "b"), (0, "c")), ((0, "a"), (0, "c"))]
+        pg = ProfiledGraph(Graph(edges), fig1_taxonomy(), {})
+        pool = WorkerPool(pg, processes=2)
+        with pytest.raises(InvalidInputError, match="tuple"):
+            pool.ensure()
+        assert not pool.running
+
     def test_pool_rejects_bad_worker_count(self, fig1):
         with pytest.raises(InvalidInputError):
             WorkerPool(fig1, processes=0)

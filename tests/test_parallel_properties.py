@@ -95,16 +95,13 @@ class TestQueryProperties:
     @SETTINGS
     @given(query=queries())
     def test_cache_key_resolves_defaults_like_explicit_values(self, query):
-        resolved = query.replace(
-            k=query.resolved_k(), method=query.resolved_method()
-        )
+        resolved = query.resolve()
+        assert None not in (resolved.k, resolved.method)
+        assert resolved.resolve() is resolved  # idempotent, and free
         assert resolved.cache_key() == query.cache_key()
         # and against arbitrary session defaults, not just the paper's
-        assert query.cache_key(default_k=9, default_method="basic") == (
-            query.replace(
-                k=query.resolved_k(9), method=query.resolved_method("basic")
-            ).cache_key(default_k=9, default_method="basic")
-        )
+        session = dict(default_k=9, default_method="basic", default_cohesion="k-truss")
+        assert query.cache_key(**session) == query.resolve(**session).cache_key()
 
     @SETTINGS
     @given(query=queries())
