@@ -5,11 +5,12 @@ docs/architecture.md). Two comparisons on the ACMDL analogue:
 
 * incremental core maintenance per edge edit versus full core
   decomposition per edit;
-* lazily repaired CP-tree (only dirty labels rebuilt) versus full index
-  rebuild, over a batch of edits.
+* incrementally repaired CP-tree (only dirty labels rebuilt, through
+  ``CommunityExplorer.apply_updates``) versus full index rebuild, over a
+  batch of edits.
 
 Expected shape: per-edit incremental cores win by orders of magnitude;
-lazy repair wins whenever the edit batch touches a small fraction of
+incremental repair wins whenever the edit batch touches a small fraction of
 labels.
 """
 
@@ -19,7 +20,8 @@ import time
 from repro.bench import Table, save_tables
 from repro.core import pcs
 from repro.datasets import load_dataset
-from repro.dynamic import DynamicCoreIndex, DynamicProfiledGraph
+from repro.dynamic import DynamicCoreIndex
+from repro.engine import CommunityExplorer
 from repro.graph.core import core_numbers
 
 from conftest import DEFAULT_K, bench_scale
@@ -64,22 +66,18 @@ def test_dynamic_maintenance_vs_rebuild(benchmark):
         core_numbers(graph2)
     recompute_s = time.perf_counter() - start
 
-    # --- lazy CP-tree repair vs full rebuild over the batch
-    dyn = DynamicProfiledGraph(
+    # --- incremental CP-tree repair vs full rebuild over the batch
+    explorer = CommunityExplorer(
         load_dataset("acmdl", scale=bench_scale("acmdl"), seed=3)
     )
-    dyn.index()
-    for op, u, v in edits:
-        if op == "insert":
-            dyn.insert_edge(u, v)
-        else:
-            dyn.remove_edge(u, v)
-    dirty = dyn.dirty_label_count
+    explorer.warm()
+    receipt = explorer.apply_updates(
+        ("add_edge" if op == "insert" else "remove_edge", u, v) for op, u, v in edits
+    )
+    dirty = receipt.repaired_labels
+    repair_s = receipt.seconds
     start = time.perf_counter()
-    dyn.index()
-    repair_s = time.perf_counter() - start
-    start = time.perf_counter()
-    dyn.pg.index(rebuild=True)
+    explorer.pg.index(rebuild=True)
     rebuild_s = time.perf_counter() - start
 
     table = Table(
@@ -88,7 +86,7 @@ def test_dynamic_maintenance_vs_rebuild(benchmark):
     )
     table.add_row("incremental cores", round(incremental_s, 4), "per-edit ±1 regions")
     table.add_row("recompute cores/edit", round(recompute_s, 4), "O(m) each")
-    table.add_row("lazy CP-tree repair", round(repair_s, 4), f"{dirty} dirty labels")
+    table.add_row("incremental CP-tree repair", round(repair_s, 4), f"{dirty} dirty labels")
     table.add_row("full CP-tree rebuild", round(rebuild_s, 4), "all labels")
     table.show()
     save_tables(
@@ -105,9 +103,9 @@ def test_dynamic_maintenance_vs_rebuild(benchmark):
 
     assert incremental_s < recompute_s
     # queries remain exact on the maintained structures
-    q = next(iter(dyn.pg.vertices()))
-    maintained = {c.vertices for c in dyn.query(q, DEFAULT_K)}
-    fresh = {c.vertices for c in pcs(dyn.pg, q, DEFAULT_K, method="basic")}
+    q = next(iter(explorer.pg.vertices()))
+    maintained = {c.vertices for c in explorer.explore(q, DEFAULT_K)}
+    fresh = {c.vertices for c in pcs(explorer.pg, q, DEFAULT_K, method="basic")}
     assert maintained == fresh
 
     edit_graph = pg.graph.copy()

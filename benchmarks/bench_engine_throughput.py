@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
 import pytest
 
@@ -73,7 +72,6 @@ def measure_engine(
     pg: ProfiledGraph,
     workload: Workload,
     method: str = "adv-P",
-    workers: Optional[int] = None,
 ) -> dict:
     """Cold vs warm serving stats for one dataset (see module docstring).
 
@@ -87,7 +85,6 @@ def measure_engine(
         method=method,
         cold_query_cap=COLD_QUERY_CAP,
         repeat_factor=REPEAT,
-        workers=workers,
     )
     return {
         "dataset": workload.dataset,
@@ -202,7 +199,6 @@ def main(argv=None) -> int:
     parser.add_argument("--num-queries", type=int, default=None)
     parser.add_argument("--k", type=int, default=6)
     parser.add_argument("--method", default="adv-P")
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--out", default=None,
                         help="results name (default engine_throughput[_smoke])")
     args = parser.parse_args(argv)
@@ -229,9 +225,7 @@ def main(argv=None) -> int:
     for name in names:
         pg = load_dataset(name, scale=bench_scale(name))
         workload = make_workload(pg, name, num_queries=num_queries, k=args.k, seed=7)
-        payload[name] = measure_engine(
-            pg, workload, method=args.method, workers=args.workers
-        )
+        payload[name] = measure_engine(pg, workload, method=args.method)
         if name == names[0]:
             # One workload is enough to catch facade regressions; the
             # overhead is dataset-independent (per-query fixed cost).

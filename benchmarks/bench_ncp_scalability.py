@@ -9,13 +9,13 @@ sweep runs over a scale-free graph with **one million vertices** (the
 paper-scale stress the object backend was never sized for); under
 ``REPRO_BENCH_SMOKE`` the graph shrinks so CI finishes in seconds.
 
-The same sweep runs under the ``object`` backend and the ``csr`` backend
-(plus ``numpy`` when installed, reported but not gated). Answers —
-core sizes and every community — are asserted identical **before** any
-timing is trusted; the CI gate then requires the CSR backend to be at
-least :data:`MIN_NCP_SPEEDUP`× faster cold (the CSR build is inside the
-timed region). Below :data:`MIN_GATE_VERTICES` vertices timings are
-noise, so the gate skips — loudly — instead of asserting.
+The same sweep runs under the ``object`` reference backend and the
+``csr`` serving backend. Answers — core sizes and every community — are
+asserted identical **before** any timing is trusted; the CI gate then
+requires the CSR backend to be at least :data:`MIN_NCP_SPEEDUP`× faster
+cold (the CSR build is inside the timed region). Below
+:data:`MIN_GATE_VERTICES` vertices timings are noise, so the gate skips —
+loudly — instead of asserting.
 
 Records per-backend seconds, the speedup and the per-``k`` profile under
 ``results/ncp_scalability*.json``. Runs two ways, exactly like the other
@@ -36,7 +36,7 @@ import pytest
 
 from repro.bench import Table, save_tables, smoke_mode
 from repro.graph import Graph, core_numbers, k_core_within, preferential_attachment_graph
-from repro.graph.csr import backend_override, numpy_available
+from repro.graph.csr import backend_override
 
 #: Acceptance floor: CSR sweep vs object sweep on identical queries.
 MIN_NCP_SPEEDUP = 3.0
@@ -123,10 +123,9 @@ def _timed_sweep(graph, backend):
 def measure(n: int) -> dict:
     """Build one graph, sweep it under every backend, compare, time."""
     graph = build_graph(n)
-    backends = ["object", "csr"] + (["numpy"] if numpy_available() else [])
     seconds = {}
     reference = None
-    for backend in backends:
+    for backend in ("object", "csr"):
         best = float("inf")
         rows = None
         for _ in range(2 if smoke_mode() else 1):
@@ -155,7 +154,7 @@ def measure(n: int) -> dict:
 def _render(payload: dict) -> Table:
     table = Table(
         "NCP sweep — object vs CSR backend (identical answers asserted)",
-        ["n", "m", "profile points", "object s", "csr s", "numpy s", "speedup"],
+        ["n", "m", "profile points", "object s", "csr s", "speedup"],
     )
     table.add_row(
         payload["num_vertices"],
@@ -163,7 +162,6 @@ def _render(payload: dict) -> Table:
         len(payload["profile"]),
         round(payload["seconds"]["object"], 3),
         round(payload["seconds"]["csr"], 3),
-        round(payload["seconds"]["numpy"], 3) if "numpy" in payload["seconds"] else "-",
         round(payload["speedup"], 1),
     )
     return table

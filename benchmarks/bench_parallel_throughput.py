@@ -10,10 +10,10 @@ across a process fleet), and assert
   ones (community-by-community, member sets and subtrees), always;
 * **speedup** — the 4-worker batch is at least :data:`MIN_SPEEDUP`× faster
   than the 1-worker batch, *when the host actually has cores to run it*
-  (at least :data:`MIN_CORES_FOR_SPEEDUP` usable CPUs — CI runners do; a
-  single-core container cannot physically exhibit process parallelism, so
-  there the speedup gate is skipped and reported as such, while the
-  correctness half still runs).
+  (at least :data:`MIN_CORES_FOR_SPEEDUP` usable CPUs, one per worker —
+  with fewer cores than workers the fleet time-slices and 2× is at or
+  above the physical ceiling, so there the speedup gate is skipped and
+  reported as such, while the correctness half still runs).
 
 "Warm batch" means every one-time cost is paid before the clock starts:
 the parent index is built, the fleet is bootstrapped (graph shipped,
@@ -50,9 +50,9 @@ MIN_SPEEDUP = 2.0
 WORKERS = 4
 
 #: Usable CPUs below which the speedup gate is skipped (correctness still
-#: asserted). A 1-core host time-slices the fleet; no process layout can
-#: beat sequential there.
-MIN_CORES_FOR_SPEEDUP = 2
+#: asserted). With fewer cores than workers the fleet time-slices: on 2
+#: cores 2x is the physical ceiling, not a floor a healthy build clears.
+MIN_CORES_FOR_SPEEDUP = WORKERS
 
 #: Batch size floor — the generic smoke workload cap (2 queries) is below
 #: the parallel dispatch threshold and could never show sharding.

@@ -148,10 +148,9 @@ class CommunityService:
         shard across a worker fleet, ``warm()`` builds the CP-tree with
         the label set sharded the same way, and mutations re-ship the
         graph automatically. ``None``/``1`` keeps everything in-process.
-        Distinct from ``max_workers``, which is *thread* fan-out inside
-        one process. Call :meth:`close` (or use the service as a context
-        manager) to release the fleet.
-    cache_size, max_workers, default_k, default_method, default_cohesion:
+        Call :meth:`close` (or use the service as a context manager) to
+        release the fleet.
+    cache_size, default_k, default_method, default_cohesion:
         Forwarded to the explorer when ``pg`` is a graph. ``default_k`` and
         ``default_cohesion`` fill a request's ``None`` fields before it is
         planned; ``default_method`` is what :meth:`cache_key` and the bare
@@ -177,7 +176,6 @@ class CommunityService:
         parallel: Optional[int] = None,
         storage_dir: Optional[Union[str, Path]] = None,
         cache_size: Optional[int] = 1024,
-        max_workers: Optional[int] = None,
         default_k: int = DEFAULT_K,
         default_method: str = DEFAULT_METHOD,
         default_cohesion: Optional[str] = None,
@@ -210,7 +208,6 @@ class CommunityService:
         elif isinstance(pg, ProfiledGraph):
             engine_kwargs = dict(
                 cache_size=cache_size,
-                max_workers=max_workers,
                 default_k=default_k,
                 default_method=default_method,
                 default_cohesion=default_cohesion,
@@ -332,25 +329,20 @@ class CommunityService:
         response = self._explorer.explore_query(query, plan=plan)
         return self._finish(query, response)
 
-    def batch(
-        self, items: Iterable[QueryLike], workers: Optional[int] = None
-    ) -> List[QueryResponse]:
+    def batch(self, items: Iterable[QueryLike]) -> List[QueryResponse]:
         """Serve many requests; responses align with the input order.
 
         Execution goes through the engine's
         :meth:`~repro.engine.explorer.CommunityExplorer.serve` —
-        batch-level validation, in-batch dedup and optional thread fan-out
-        are preserved; on a ``parallel=`` session, batches past the
-        planner's threshold (:meth:`plan_batch`) shard across the worker
-        fleet. ``cache_hit`` provenance reflects the cache state at batch
-        start (in-batch duplicates of a miss all report a miss); each
-        response's ``graph_version`` is the version its answer actually
-        reflects.
+        batch-level validation and in-batch dedup are preserved; on a
+        ``parallel=`` session, batches past the planner's threshold
+        (:meth:`plan_batch`) shard across the worker fleet. ``cache_hit``
+        provenance reflects the cache state at batch start (in-batch
+        duplicates of a miss all report a miss); each response's
+        ``graph_version`` is the version its answer actually reflects.
         """
         prepared = [self._prepare(item) for item in items]
-        served = self._explorer.serve(
-            [query for query, _ in prepared], workers=workers
-        )
+        served = self._explorer.serve([query for query, _ in prepared])
         responses = []
         for (query, plan), (result, hit, version) in zip(prepared, served):
             response = QueryResponse.from_result(
@@ -377,7 +369,7 @@ class CommunityService:
         """How the served graph was produced (``None`` without storage)."""
         return self._boot_report
 
-    def apply_updates(self, updates: Iterable, repair: bool = True) -> UpdateReceipt:
+    def apply_updates(self, updates: Iterable) -> UpdateReceipt:
         """Apply graph edits through the engine's mutation pipeline.
 
         On a ``storage_dir=`` session the batch is validated, framed and
@@ -387,14 +379,14 @@ class CommunityService:
         graph; a batch the graph acknowledged is always recoverable.
         """
         if self._store is None:
-            return self._explorer.apply_updates(updates, repair=repair)
+            return self._explorer.apply_updates(updates)
         ops = [GraphUpdate.coerce(item) for item in updates]
         with self._explorer.mutation_lock:
             pg = self._explorer.pg
             base = pg.version
             _, predicted = preview_updates(pg, ops)
             self._store.wal.append(base, predicted, ops)
-            receipt = self._explorer.apply_updates(ops, repair=repair)
+            receipt = self._explorer.apply_updates(ops)
             if receipt.version != predicted:  # pragma: no cover - invariant
                 raise IntegrityError(
                     f"WAL predicted version {predicted} but apply produced "

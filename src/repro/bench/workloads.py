@@ -83,7 +83,6 @@ class ThroughputReport:
     elapsed_seconds: float
     cache_hits: int
     cache_misses: int
-    workers: Optional[int]
 
     @property
     def queries_per_second(self) -> float:
@@ -110,7 +109,6 @@ class ThroughputReport:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": self.cache_hit_rate,
-            "workers": self.workers,
         }
 
 
@@ -119,7 +117,6 @@ def run_throughput(
     workload: Workload,
     method: str = "adv-P",
     repeat_factor: int = 1,
-    workers: Optional[int] = None,
 ) -> ThroughputReport:
     """Push a workload through an explorer and measure the serving rate.
 
@@ -135,7 +132,7 @@ def run_throughput(
     before = explorer.stats()
     start = time.perf_counter()
     for _ in range(repeat_factor):
-        explorer.explore_many(specs, workers=workers)
+        explorer.explore_many(specs)
     elapsed = time.perf_counter() - start
     after = explorer.stats()
     return ThroughputReport(
@@ -147,7 +144,6 @@ def run_throughput(
         elapsed_seconds=elapsed,
         cache_hits=after.cache.hits - before.cache.hits,
         cache_misses=after.cache.misses - before.cache.misses,
-        workers=workers,
     )
 
 
@@ -197,7 +193,6 @@ def run_service_throughput(
     workload: Workload,
     method: str = "adv-P",
     repeat_factor: int = 1,
-    workers: Optional[int] = None,
 ) -> ThroughputReport:
     """:func:`run_throughput`, but routed through a :class:`CommunityService`.
 
@@ -218,7 +213,7 @@ def run_service_throughput(
     before = explorer.stats()
     start = time.perf_counter()
     for _ in range(repeat_factor):
-        service.batch(queries, workers=workers)
+        service.batch(queries)
     elapsed = time.perf_counter() - start
     after = explorer.stats()
     return ThroughputReport(
@@ -230,7 +225,6 @@ def run_service_throughput(
         elapsed_seconds=elapsed,
         cache_hits=after.cache.hits - before.cache.hits,
         cache_misses=after.cache.misses - before.cache.misses,
-        workers=workers,
     )
 
 
@@ -239,7 +233,6 @@ def measure_facade_overhead(
     workload: Workload,
     method: str = "adv-P",
     repeat_factor: int = 1,
-    workers: Optional[int] = None,
 ) -> dict:
     """Service-vs-engine serving rate on one workload (facade overhead).
 
@@ -253,16 +246,16 @@ def measure_facade_overhead(
     from repro.api.service import CommunityService
     from repro.engine.explorer import CommunityExplorer
 
-    explorer = CommunityExplorer(pg, max_workers=workers)
+    explorer = CommunityExplorer(pg)
     explorer.warm()
     engine_report = run_throughput(
-        explorer, workload, method=method, repeat_factor=repeat_factor, workers=workers
+        explorer, workload, method=method, repeat_factor=repeat_factor
     )
 
-    service = CommunityService(CommunityExplorer(pg, max_workers=workers))
+    service = CommunityService(pg)
     service.warm()
     service_report = run_service_throughput(
-        service, workload, method=method, repeat_factor=repeat_factor, workers=workers
+        service, workload, method=method, repeat_factor=repeat_factor
     )
 
     engine_s = engine_report.elapsed_seconds / max(1, engine_report.queries)
@@ -558,7 +551,6 @@ def measure_cold_warm(
     method: str = "adv-P",
     cold_query_cap: int = 3,
     repeat_factor: int = 1,
-    workers: Optional[int] = None,
 ) -> ColdWarmReport:
     """The canonical cold-vs-warm engine measurement.
 
@@ -581,10 +573,10 @@ def measure_cold_warm(
     cold_seconds = time.perf_counter() - start
 
     pg.clear_index()  # the engine builds (and is charged for) its own index
-    explorer = CommunityExplorer(pg, max_workers=workers)
+    explorer = CommunityExplorer(pg)
     build_seconds = explorer.warm()
     report = run_throughput(
-        explorer, workload, method=method, repeat_factor=repeat_factor, workers=workers
+        explorer, workload, method=method, repeat_factor=repeat_factor
     )
     return ColdWarmReport(
         cold_query_count=len(cold_queries),

@@ -184,9 +184,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         print(f"no queries found in {args.queries}", file=sys.stderr)
         return 1
     queries = coerce_query_vertices(pg, queries)
-    service = CommunityService(
-        pg, max_workers=args.workers, max_limit=args.limit, parallel=args.parallel
-    )
+    service = CommunityService(pg, max_limit=args.limit, parallel=args.parallel)
     batch_plan = service.plan_batch(len(queries))
     responses = service.batch(queries)
     stats = service.stats()
@@ -349,7 +347,6 @@ def cmd_bench_engine(args: argparse.Namespace) -> int:
         method=args.method,
         cold_query_cap=args.cold_queries,
         repeat_factor=args.repeat,
-        workers=args.workers,
     )
     throughput = report.throughput
     print(f"dataset            : {args.dataset}")
@@ -365,8 +362,7 @@ def cmd_bench_engine(args: argparse.Namespace) -> int:
     facade = None
     if args.facade:
         facade = measure_facade_overhead(
-            pg, workload, method=args.method, repeat_factor=args.repeat,
-            workers=args.workers,
+            pg, workload, method=args.method, repeat_factor=args.repeat
         )
         print(f"facade (service)   : {facade['service_ms_per_query']:.3f} ms/query "
               f"vs engine {facade['engine_ms_per_query']:.3f} ms/query "
@@ -439,13 +435,12 @@ def _build_role_gateway(args: argparse.Namespace):
         return ReplicaGateway(
             args.writer_url,
             args.data_dir,
-            service_opts=dict(max_workers=args.workers, max_limit=args.limit),
+            service_opts=dict(max_limit=args.limit),
             **gateway_opts,
         )
     service = CommunityService(
         _load(args),
         parallel=args.parallel,
-        max_workers=args.workers,
         max_limit=args.limit,
         storage_dir=args.data_dir,
     )
@@ -692,8 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(auto = query planner decides)")
     b.add_argument("--limit", type=int, default=None,
                    help="cap communities per response (service max_limit)")
-    b.add_argument("--workers", type=int, default=None,
-                   help="thread-pool width (in-process fan-out)")
     b.add_argument("--parallel", type=int, default=None,
                    help="worker *process* count: batches past the planner "
                         "threshold shard across a process pool "
@@ -722,8 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--parallel", type=int, default=None,
                     help="worker process count (coalesced batches past the "
                          "planner threshold shard across the fleet)")
-    sv.add_argument("--workers", type=int, default=None,
-                    help="thread-pool width inside the process")
     sv.add_argument("--limit", type=int, default=None,
                     help="cap communities per response (service max_limit)")
     sv.add_argument("--no-coalesce", action="store_true",
@@ -846,7 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="times the workload is replayed through the cache")
     be.add_argument("--facade", action="store_true",
                     help="also measure CommunityService overhead vs the bare engine")
-    be.add_argument("--workers", type=int, default=None)
     be.add_argument("--out", help="write a JSON report here")
     be.set_defaults(func=cmd_bench_engine)
 

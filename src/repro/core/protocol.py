@@ -40,7 +40,7 @@ class Engine(Protocol):
     ``explore(q, k=None, method=None, cohesion=None)``
         Serve one query, returning a
         :class:`~repro.core.community.PCSResult`.
-    ``explore_many(specs, workers=None)``
+    ``explore_many(specs)``
         Serve a batch; results align with the input order.
     ``stats()``
         A snapshot of serving counters.
@@ -56,8 +56,6 @@ class Engine(Protocol):
         cohesion: Optional[object] = None,
     ) -> "PCSResult": ...
 
-    def explore_many(
-        self, specs: Iterable[object], workers: Optional[int] = None
-    ) -> List["PCSResult"]: ...
+    def explore_many(self, specs: Iterable[object]) -> List["PCSResult"]: ...
 
     def stats(self) -> object: ...

@@ -1,6 +1,5 @@
-"""Dynamic maintenance: incremental cores and lazily repaired CP-trees."""
+"""Dynamic maintenance: incrementally maintained core numbers."""
 
 from repro.dynamic.core_maintenance import DynamicCoreIndex
-from repro.dynamic.profiled import DynamicProfiledGraph
 
-__all__ = ["DynamicCoreIndex", "DynamicProfiledGraph"]
+__all__ = ["DynamicCoreIndex"]

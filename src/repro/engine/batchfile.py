@@ -4,7 +4,7 @@
 per file:
 
 * **JSON** — a top-level list whose items are vertices, ``[q, k]``-style
-  arrays, or ``{"q": ..., "k": ..., "method": ..., "cohesion": ...,
+  arrays, or ``{"vertex": ..., "k": ..., "method": ..., "cohesion": ...,
   "limit": ..., "min_size": ...}`` objects (unknown keys are rejected);
 * **JSON lines** — one such item per line;
 * **plain text** — one query vertex per line (``#`` comments allowed), all
@@ -13,7 +13,7 @@ per file:
 Precedence: content that parses as one JSON document is always read as the
 whole-file list form — so a file whose entire content is ``["E", 3]`` means
 *two* queries (vertices ``"E"`` and ``3``), not one ``(q, k)`` pair. Use an
-object line (``{"q": "E", "k": 3}``) for a single parametrised query;
+object line (``{"vertex": "E", "k": 3}``) for a single parametrised query;
 ``[q, k]``-style array lines are only distinguishable in multi-line files.
 
 Parsing yields :class:`~repro.engine.query.Query` items

@@ -6,8 +6,8 @@ CL-tree/CP-tree index is built once and amortised over many queries
 embodiment of that claim:
 
 * it owns one :class:`~repro.core.profiled_graph.ProfiledGraph` and builds
-  its CP-tree (and, on demand, the whole-graph CL-tree) exactly once,
-  lazily, then reuses them for every subsequent query;
+  its CP-tree exactly once, lazily, then reuses it for every subsequent
+  query;
 * it memoises complete :class:`~repro.core.community.PCSResult` objects in
   an LRU cache keyed on :meth:`repro.engine.query.Query.cache_key` —
   ``(vertex, k, method, cohesion)`` with this session's defaults filled
@@ -20,7 +20,6 @@ embodiment of that claim:
   ``(result, cache_hit, graph_version)`` per request. ``explore``,
   ``explore_query``, ``explore_many``, ``serve_batch`` and ``serve`` are
   thin adapters over it, so batches get intra-batch deduplication and
-  optional thread-pool fan-out for the independent cache misses, and
   single queries are batches of one;
 * it is **mutation-safe**: cached results are tagged with the graph
   :attr:`~repro.core.profiled_graph.ProfiledGraph.version` they were
@@ -44,7 +43,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, List, Optional, Tuple, Union
 
@@ -52,7 +50,6 @@ from repro.core.cohesion import get_cohesion
 from repro.core.community import PCSResult
 from repro.core.profiled_graph import ProfiledGraph
 from repro.core.search import normalize_method, pcs
-from repro.dynamic.core_maintenance import DynamicCoreIndex
 from repro.engine.cache import MISSING, CacheStats, LRUCache
 from repro.engine.query import (
     DEFAULT_K,
@@ -61,10 +58,9 @@ from repro.engine.query import (
     QueryBuilder,
     canonical_cohesion,
 )
-from repro.engine.updates import GraphUpdate, UpdateReceipt
+from repro.engine.updates import GraphUpdate, UpdateReceipt, apply_update
 from repro.errors import InvalidInputError, VertexNotFoundError
 from repro.graph.csr import active_backend
-from repro.index.cltree import CLTree
 from repro.index.cptree import CPTree
 from repro.index.maintenance import BatchDamage, UpdateJournal
 
@@ -98,8 +94,8 @@ class EngineStats:
     updates_applied: int = 0
     #: Time spent applying updates and incrementally repairing indexes.
     maintenance_seconds: float = 0.0
-    #: Kernel backend serving the hot graph kernels ("object", "csr" or
-    #: "numpy" — see :func:`repro.graph.csr.active_backend`).
+    #: Kernel backend serving the hot graph kernels (see
+    #: :func:`repro.graph.csr.active_backend`).
     backend: str = "object"
 
     @property
@@ -145,9 +141,6 @@ class CommunityExplorer:
         The profiled graph to serve queries against.
     cache_size:
         LRU result-cache capacity (``None`` = unbounded, ``0`` = disabled).
-    max_workers:
-        Default thread-pool width for :meth:`explore_many` (``None`` =
-        sequential unless a call overrides it).
     default_k, default_method, default_cohesion:
         The session defaults a request's ``None`` fields resolve to (see
         :meth:`Query.resolve <repro.engine.query.Query.resolve>`).
@@ -168,7 +161,6 @@ class CommunityExplorer:
         self,
         pg: ProfiledGraph,
         cache_size: Optional[int] = 1024,
-        max_workers: Optional[int] = None,
         default_k: int = DEFAULT_K,
         default_method: str = DEFAULT_METHOD,
         default_cohesion: Optional[str] = None,
@@ -181,13 +173,8 @@ class CommunityExplorer:
         self.default_cohesion = (
             None if default_cohesion is None else canonical_cohesion(default_cohesion)
         )
-        self.max_workers = max_workers
         self._cache = LRUCache(maxsize=cache_size)
         self._counters = _Counters()
-        self._cltree: Optional[CLTree] = None
-        self._cltree_version: int = -1
-        self._cores: Optional[DynamicCoreIndex] = None
-        self._cores_version: int = -1
         # Reentrant: the version-stable fallback computes while holding it,
         # and the computation's index() call re-acquires.
         self._index_lock = threading.RLock()
@@ -221,32 +208,6 @@ class CommunityExplorer:
                         self._counters.index_build_seconds += elapsed
                     self._counters.maintenance_seconds += repair_delta
             return built
-
-    def cltree(self) -> CLTree:
-        """The whole-graph CL-tree (all k-ĉores) for the *current* graph.
-
-        Built lazily, reused until the graph version moves. After edits
-        applied through :meth:`apply_updates`, the rebuild reuses the
-        incrementally maintained core numbers (a shared
-        :class:`~repro.dynamic.core_maintenance.DynamicCoreIndex`) and
-        skips the O(m) peel.
-        """
-        with self._index_lock:
-            version = self.pg.version
-            if self._cltree is None or self._cltree_version != version:
-                if self._cores is not None and self._cores_version == version:
-                    self._cltree = CLTree(self.pg.graph, cores=self._cores.core_numbers())
-                else:
-                    self._cltree = CLTree(self.pg.graph)
-                    # Seed the shared core index from the freshly peeled
-                    # CL-tree state so subsequent apply_updates batches can
-                    # maintain it instead of re-peeling.
-                    self._cores = DynamicCoreIndex(
-                        self.pg.graph, cores=self._cltree._core_of
-                    )
-                self._cltree_version = version
-                self._cores_version = version
-            return self._cltree
 
     def warm(self) -> float:
         """Eagerly build the CP-tree; returns seconds spent building.
@@ -355,7 +316,7 @@ class CommunityExplorer:
         with self._index_lock:
             return self._run(*key), self.pg.version
 
-    def _serve(self, keys: List[Tuple], workers: Optional[int] = None) -> List[Served]:
+    def _serve(self, keys: List[Tuple]) -> List[Served]:
         """Answer resolved ``keys``: the engine's one probe/compute/put path.
 
         Returns one ``(result, cache_hit, graph_version)`` per key, aligned
@@ -384,9 +345,7 @@ class CommunityExplorer:
         ]
         pending = [key for key, entry in zip(keys, served) if entry[0] is MISSING]
         if pending:
-            computed = self._execute_pending(
-                list(dict.fromkeys(pending)), workers=workers
-            )
+            computed = self._execute_pending(list(dict.fromkeys(pending)))
             for key, (result, result_version) in computed.items():
                 self._cache.put_versioned(key, result_version, result)
             for i, key in enumerate(keys):
@@ -444,9 +403,7 @@ class CommunityExplorer:
             plan=plan,
         )
 
-    def serve(
-        self, items: Iterable[QueryLike], workers: Optional[int] = None
-    ) -> List[Served]:
+    def serve(self, items: Iterable[QueryLike]) -> List[Served]:
         """Serve a batch: one ``(result, cache_hit, graph_version)`` per item.
 
         The whole batch is validated up front — every item's shape, method
@@ -454,69 +411,55 @@ class CommunityExplorer:
         executes, bumps a counter or touches the cache (no partially
         executed batches). Identical requests inside the batch are
         deduplicated (executed once); requests already cached at the
-        current graph version are served from cache. Cache misses run
-        either sequentially or on a thread pool of ``workers`` threads
-        (``workers=None`` falls back to the explorer's ``max_workers``).
-        Results are deterministic regardless of thread scheduling: the same
-        batch always yields the same results in the same order.
+        current graph version are served from cache; the remaining misses
+        run through :meth:`_execute_pending`. The same batch always yields
+        the same results in the same order.
         """
-        served = self._serve([self.resolve_key(item) for item in items], workers)
+        served = self._serve([self.resolve_key(item) for item in items])
         with self._counters.lock:
             self._counters.batches += 1
         return served
 
     def serve_batch(
-        self, specs: Iterable[QueryLike], workers: Optional[int] = None
+        self, specs: Iterable[QueryLike]
     ) -> Tuple[List[PCSResult], List[bool]]:
         """:meth:`serve` as ``(results, cache_hits)`` lists."""
-        served = self.serve(specs, workers=workers)
+        served = self.serve(specs)
         return [result for result, _, _ in served], [hit for _, hit, _ in served]
 
-    def explore_many(
-        self, specs: Iterable[QueryLike], workers: Optional[int] = None
-    ) -> List[PCSResult]:
+    def explore_many(self, specs: Iterable[QueryLike]) -> List[PCSResult]:
         """:meth:`serve`, results only; aligned with the input order."""
-        return [result for result, _, _ in self.serve(specs, workers=workers)]
+        return [result for result, _, _ in self.serve(specs)]
 
     def _execute_pending(
-        self, pending: List[Tuple], workers: Optional[int] = None
+        self, pending: List[Tuple]
     ) -> "dict[Tuple, Tuple[PCSResult, int]]":
         """Execute the batch's deduplicated cache misses.
 
         Returns ``{key: (result, stable_version)}``. The base implementation
-        runs sequentially or on a thread pool; the process-parallel layer
+        runs them inline, in order; the process-parallel layer
         (:class:`repro.parallel.ParallelExplorer`) overrides this one hook to
         shard the same pending set across worker processes, so batch
-        validation, dedup, caching and provenance stay identical across all
+        validation, dedup, caching and provenance stay identical in both
         execution modes.
         """
-        width = self.max_workers if workers is None else workers
-        if width is not None and width > 1 and len(pending) > 1:
-            self.index()  # build once up front, not racing inside the pool
-            with ThreadPoolExecutor(max_workers=width) as pool:
-                outcomes = list(pool.map(self._run_stable, pending))
-            return dict(zip(pending, outcomes))
         return {key: self._run_stable(key) for key in pending}
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def apply_updates(
-        self,
-        updates: Iterable[Union[GraphUpdate, Tuple, dict]],
-        repair: bool = True,
+        self, updates: Iterable[Union[GraphUpdate, Tuple, dict]]
     ) -> UpdateReceipt:
         """Apply a batch of graph edits and keep the engine consistent.
 
-        Edits are applied in order through the profiled graph's versioned
-        mutation API: every effective edit bumps ``pg.version``, which
-        invalidates all cached results computed before it (epoch check —
-        O(1) per mutation, stale entries are evicted lazily on lookup).
-        With ``repair=True`` (default) and a built index, the CP-tree is
+        Edits are applied in order through
+        :func:`~repro.engine.updates.apply_update`: every effective edit
+        bumps ``pg.version`` by one, which invalidates all cached results
+        computed before it (epoch check — O(1) per mutation, stale entries
+        are evicted lazily on lookup). With a built index, the CP-tree is
         repaired incrementally at the end of the batch so the damage of
-        many edits is paid once; pass ``repair=False`` to defer repair to
-        the next query. The shared core index behind :meth:`cltree` is
-        maintained edge-by-edge when it exists.
+        many edits is paid once.
 
         Update shapes are validated up front; applying is *not* atomic —
         an unknown vertex mid-batch raises after earlier edits landed (the
@@ -535,20 +478,9 @@ class CommunityExplorer:
             if tap is not None:
                 self.pg.attach_journal(tap)
             try:
-                # Maintain the shared core index only when it is current:
-                # edits made directly through the ProfiledGraph API (also
-                # supported) moved the version past it, so patching from
-                # that stale base would silently lose them — drop it and
-                # let cltree() re-seed.
-                maintain_cores = (
-                    self._cores is not None and self._cores_version == self.pg.version
-                )
-                if not maintain_cores:
-                    self._cores = None
                 for op in ops:
-                    applied += 1 if self._apply_one_locked(op, maintain_cores) else 0
-                if maintain_cores:
-                    self._cores_version = self.pg.version
+                    if apply_update(self.pg, op):
+                        applied += 1
                 # Snapshot before the repair path runs: index() clears the
                 # *index* journal (taps survive), but freezing here keeps
                 # the snapshot independent of repair-side behaviour.
@@ -557,7 +489,7 @@ class CommunityExplorer:
                 if tap is not None:
                     self.pg.detach_journal(tap)
             repaired_labels = 0
-            if repair and self.pg.has_index():
+            if self.pg.has_index():
                 repaired_labels = self.pg.pending_repair_labels
                 self.pg.index()  # incremental repair (direct: lock is held)
             # Capture the version before releasing the lock: a concurrent
@@ -583,40 +515,6 @@ class CommunityExplorer:
             self._counters.updates_applied += applied
             self._counters.maintenance_seconds += receipt.seconds
         return receipt
-
-    def _apply_one_locked(self, op: GraphUpdate, maintain_cores: bool) -> bool:
-        pg = self.pg
-        cores = self._cores if maintain_cores else None
-        kind = op.op
-        if kind == "add_edge":
-            changed = pg.add_edge(op.u, op.v)
-            if changed and cores is not None:
-                cores.edge_inserted(op.u, op.v)
-            return changed
-        if kind == "remove_edge":
-            changed = pg.remove_edge(op.u, op.v)
-            if changed and cores is not None:
-                cores.edge_removed(op.u, op.v)
-            return changed
-        if kind == "add_vertex":
-            changed = pg.add_vertex(op.u, profile=op.labels or ())
-            if changed and cores is not None:
-                cores.add_vertex(op.u)
-            return changed
-        if kind == "remove_vertex":
-            if cores is not None:
-                # Drain incident edges first: core maintenance needs both
-                # endpoints alive to bound its candidate regions.
-                for nbr in list(pg.graph.neighbors(op.u)):
-                    pg.remove_edge(op.u, nbr)
-                    cores.edge_removed(op.u, nbr)
-            pg.remove_vertex(op.u)
-            if cores is not None:
-                cores.vertex_dropped(op.u)
-            return True
-        if kind == "set_profile":
-            return pg.set_profile(op.u, op.labels or ())
-        raise InvalidInputError(f"unknown update op {kind!r}")  # pragma: no cover
 
     # ------------------------------------------------------------------
     # bookkeeping

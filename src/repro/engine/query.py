@@ -282,7 +282,7 @@ class Query:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Query":
-        """Inverse of :meth:`to_dict`; also accepts the legacy ``q`` key.
+        """Inverse of :meth:`to_dict`.
 
         Unknown keys raise — a misspelt field must never silently fall back
         to a default.
@@ -290,15 +290,11 @@ class Query:
         if not isinstance(payload, dict):
             raise InvalidInputError(f"Query.from_dict needs a mapping, got {payload!r}")
         data = dict(payload)
-        if "q" in data:
-            if "vertex" in data:
-                raise InvalidInputError("give either 'vertex' or legacy 'q', not both")
-            data["vertex"] = data.pop("q")
         unknown = set(data) - set(_QUERY_FIELDS)
         if unknown:
             raise InvalidInputError(f"unknown Query fields: {sorted(unknown)}")
         if "vertex" not in data:
-            raise InvalidInputError("Query mapping needs a 'vertex' (or 'q') field")
+            raise InvalidInputError("Query mapping needs a 'vertex' field")
         if data.get("min_size") is None:
             data.pop("min_size", None)
         return cls(**data)

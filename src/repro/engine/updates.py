@@ -122,8 +122,8 @@ class UpdateReceipt:
     applied: int
     #: Graph version after the batch.
     version: int
-    #: Per-label CL-trees repaired at the end of the batch (0 when repair
-    #: was deferred or no index was built).
+    #: Per-label CL-trees repaired at the end of the batch (0 when no
+    #: index was built).
     repaired_labels: int
     #: Wall-clock seconds spent applying + repairing.
     seconds: float
@@ -141,9 +141,10 @@ class UpdateReceipt:
 def apply_update(pg: ProfiledGraph, update: "GraphUpdate") -> bool:
     """Apply one update to a profiled graph; True when the graph changed.
 
-    The engine-free application path (benchmarks, scripts). Engines use
-    :meth:`~repro.engine.explorer.CommunityExplorer.apply_updates` instead,
-    which layers core-index maintenance and stats on the same mutations.
+    The one applier: every effective update bumps ``pg.version`` by exactly
+    one (what :func:`repro.storage.wal.preview_updates` predicts).
+    :meth:`~repro.engine.explorer.CommunityExplorer.apply_updates` calls it
+    per op and layers locking, index repair, hooks and stats on top.
     """
     op = update.op
     if op == "add_edge":

@@ -26,9 +26,9 @@ def core_numbers(graph: Graph) -> Dict[Vertex, int]:
     """Core number of every vertex via O(m) bucket peeling.
 
     The core number of ``v`` is the largest ``k`` such that ``v`` belongs to
-    the k-core of ``graph``. Under the ``csr``/``numpy`` backends (see
+    the k-core of ``graph``. Under the ``csr`` backend (see
     :mod:`repro.graph.csr`) the peel runs on flat interned arrays; answers
-    are identical either way.
+    are identical to the ``object`` reference.
 
     Examples
     --------

@@ -13,18 +13,15 @@ the caller's vertex objects only at the boundary. Answers are therefore
 *identical* to the object kernels (the differential suite asserts it);
 only the walk underneath changes.
 
-Backend selection is process-wide and cheap to consult:
+There is one serving backend and one reference:
 
-``REPRO_BACKEND=object``
-    Never build CSR views; every kernel takes the historical dict/set path.
-``REPRO_BACKEND=csr`` (the default)
+``csr`` (always, unless overridden)
     Pure-stdlib CSR: ``array``/``bytearray``/``memoryview`` only.
-``REPRO_BACKEND=numpy``
-    Same kernels, with numpy (when importable) vectorising the bulk
-    array transforms — CSR assembly from the snapshot's sorted edge
-    table and whole-graph degree initialisation. When numpy is absent
-    the backend silently degrades to ``csr``; nothing here imports
-    numpy eagerly.
+``object`` (only inside :func:`backend_override`)
+    Never build CSR views; every kernel takes the historical dict/set
+    path. This is the reference the differential tests, the end-to-end
+    oracle and the CSR speed-up benchmark compare against — not a
+    deployment option.
 
 A :class:`CSRGraph` is an immutable *snapshot* of one graph revision.
 :func:`csr_view` caches it on ``Graph._csr``; every Graph mutator drops
@@ -34,7 +31,6 @@ helpers in :mod:`repro.graph.core`.
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import deque
 from contextlib import contextmanager
@@ -60,25 +56,14 @@ Vertex = Hashable
 
 __all__ = [
     "BACKENDS",
-    "BACKEND_ENV",
     "CSRGraph",
-    "DEFAULT_BACKEND",
     "active_backend",
     "backend_override",
     "csr_view",
-    "numpy_available",
-    "requested_backend",
-    "set_backend",
 ]
 
-#: Recognised values of the backend switch.
-BACKENDS = ("object", "csr", "numpy")
-
-#: Environment variable naming the process-wide default backend.
-BACKEND_ENV = "REPRO_BACKEND"
-
-#: Backend used when neither the environment nor an override names one.
-DEFAULT_BACKEND = "csr"
+#: The reference backend and the serving backend.
+BACKENDS = ("object", "csr")
 
 EMPTY: FrozenSet[Vertex] = frozenset()
 
@@ -87,86 +72,36 @@ EMPTY: FrozenSet[Vertex] = frozenset()
 #: tiny query on a million-vertex graph never pays an O(n) allocation.
 _DENSE_RATIO = 4
 
-_UNSET = object()
-_numpy_module = _UNSET
 _override: Optional[str] = None
 
 
-def _numpy():
-    """The numpy module when importable, else ``None`` (never raises)."""
-    global _numpy_module
-    if _numpy_module is _UNSET:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - depends on environment
-            numpy = None
-        _numpy_module = numpy
-    return _numpy_module
-
-
-def numpy_available() -> bool:
-    """Whether the optional ``numpy`` acceleration can actually load."""
-    return _numpy() is not None
-
-
-def _validate(name: str) -> str:
-    name = name.strip().lower()
-    if name not in BACKENDS:
-        raise InvalidInputError(
-            f"unknown backend {name!r}; choose one of {', '.join(BACKENDS)}"
-        )
-    return name
-
-
-def requested_backend() -> str:
-    """The backend named by the override or ``REPRO_BACKEND``, unresolved.
-
-    Raises
-    ------
-    InvalidInputError
-        If the environment names a backend outside :data:`BACKENDS`.
-    """
-    if _override is not None:
-        return _override
-    return _validate(os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND)
-
-
 def active_backend() -> str:
-    """The backend that will actually serve kernels.
-
-    ``numpy`` degrades to ``csr`` when numpy is not importable — the
-    stdlib path is always available, so requesting acceleration can never
-    break a deployment that lacks the package.
-    """
-    name = requested_backend()
-    if name == "numpy" and not numpy_available():
-        return "csr"
-    return name
-
-
-def set_backend(name: Optional[str]) -> Optional[str]:
-    """Install a process-wide backend override; returns the previous one.
-
-    ``None`` removes the override, returning control to the environment.
-    """
-    global _override
-    previous = _override
-    _override = None if name is None else _validate(name)
-    return previous
+    """The backend serving kernels right now (``csr`` unless overridden)."""
+    return _override or "csr"
 
 
 @contextmanager
 def backend_override(name: Optional[str]) -> Iterator[str]:
-    """Temporarily force a backend — the differential-test workhorse.
+    """Temporarily force a backend, process-wide — the differential-test seam.
 
-    Yields the *resolved* backend (so a test forcing ``numpy`` can see it
-    degraded to ``csr`` on numpy-less hosts).
+    ``None`` lifts an enclosing override. Yields the backend now active.
+
+    Raises
+    ------
+    InvalidInputError
+        If ``name`` is outside :data:`BACKENDS`.
     """
-    previous = set_backend(name)
+    global _override
+    if name is not None and name not in BACKENDS:
+        raise InvalidInputError(
+            f"unknown backend {name!r}; choose one of {', '.join(BACKENDS)}"
+        )
+    previous = _override
+    _override = name
     try:
         yield active_backend()
     finally:
-        set_backend(previous)
+        _override = previous
 
 
 class CSRGraph:
@@ -240,27 +175,11 @@ class CSRGraph:
         ``flat`` holds ``2m`` interned endpoints, one edge per consecutive
         pair — exactly the tables :mod:`repro.storage.snapshot` decodes,
         which makes boot-from-snapshot nearly copy-free: no dict-of-sets
-        detour, the edge array scatters straight into the CSR buffers
-        (vectorised under the ``numpy`` backend).
+        detour, the edge array scatters straight into the CSR buffers.
         """
         ids = list(order)
         n = len(ids)
         index_of = {v: i for i, v in enumerate(ids)}
-        np = _numpy() if active_backend() == "numpy" else None
-        if np is not None and len(flat):
-            endpoints = np.asarray(flat, dtype=np.int64)
-            u, v = endpoints[0::2], endpoints[1::2]
-            degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-            indptr_np = np.zeros(n + 1, dtype=np.uint64)
-            np.cumsum(degree, out=indptr_np[1:])
-            src = np.concatenate([u, v])
-            dst = np.concatenate([v, u])
-            csr_order = np.argsort(src, kind="stable")
-            indptr = array("Q")
-            indptr.frombytes(indptr_np.tobytes())
-            indices = array("I")
-            indices.frombytes(dst[csr_order].astype(np.uint32).tobytes())
-            return cls(ids, index_of, indptr, indices)
         degree = [0] * n
         for x in flat:
             degree[x] += 1
@@ -286,11 +205,8 @@ class CSRGraph:
     # kernels
     # ------------------------------------------------------------------
     def _degrees(self) -> List[int]:
-        """Whole-graph degree list (``indptr`` diffs; vectorised on numpy)."""
+        """Whole-graph degree list (``indptr`` diffs)."""
         indptr = self.indptr
-        np = _numpy() if active_backend() == "numpy" else None
-        if np is not None and self.n:
-            return np.diff(np.frombuffer(indptr, dtype=np.uint64).astype(np.int64)).tolist()
         return [indptr[i + 1] - indptr[i] for i in range(self.n)]
 
     def core_numbers(self) -> Dict[Vertex, int]:

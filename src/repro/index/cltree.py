@@ -75,12 +75,6 @@ class CLTree:
     vertices:
         Optional vertex selection; when given, the CL-tree describes the
         subgraph induced on it (used per-label inside the CP-tree).
-    cores:
-        Optional precomputed core numbers of the selected subgraph (e.g.
-        maintained incrementally by
-        :class:`~repro.dynamic.core_maintenance.DynamicCoreIndex`). Skips
-        the O(m) peel; the caller is trusted to pass numbers equal to
-        ``core_numbers_within(graph, selection)``.
     """
 
     __slots__ = ("_root", "_node_of", "_core_of", "_order")
@@ -89,20 +83,14 @@ class CLTree:
         self,
         graph: Graph,
         vertices: Optional[Iterable[Vertex]] = None,
-        cores: Optional[Dict[Vertex, int]] = None,
     ):
-        if cores is None:
-            # The whole-graph build takes the unrestricted peel — it skips
-            # the selection bookkeeping and is the form the CSR backend
-            # accelerates hardest.
-            if vertices is None:
-                core = core_numbers(graph)
-            else:
-                core = core_numbers_within(graph, vertices)
+        # The whole-graph build takes the unrestricted peel — it skips
+        # the selection bookkeeping and is the form the CSR backend
+        # accelerates hardest.
+        if vertices is None:
+            core = core_numbers(graph)
         else:
-            selection = graph.vertex_set() if vertices is None else vertices
-            adj = graph.adjacency()
-            core = {v: cores[v] for v in selection if v in adj}
+            core = core_numbers_within(graph, vertices)
         self._core_of: Dict[Vertex, int] = core
         self._node_of: Dict[Vertex, CLNode] = {}
         self._root = self._build(graph, core)

@@ -97,9 +97,7 @@ class ParallelExplorer(CommunityExplorer):
     # ------------------------------------------------------------------
     # the two overridden behaviours
     # ------------------------------------------------------------------
-    def _execute_pending(
-        self, pending: List[Tuple], workers: Optional[int] = None
-    ) -> dict:
+    def _execute_pending(self, pending: List[Tuple]) -> dict:
         mode, _ = decide_batch_mode(
             len(pending),
             self.processes,
@@ -107,7 +105,7 @@ class ParallelExplorer(CommunityExplorer):
             tiny_graph=self.pg.num_vertices < self.tiny_graph_vertices,
         )
         if mode != "process":
-            return super()._execute_pending(pending, workers=workers)
+            return super()._execute_pending(pending)
         # run() reports the version of the snapshot it actually executed
         # on (the fleet may be re-shipped mid-call by a racing mutation).
         outcomes, version = self._pool.run(pending)

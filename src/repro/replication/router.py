@@ -45,6 +45,7 @@ from repro.errors import InvalidInputError
 from repro.replication.protocol import MIN_VERSION_HEADER
 from repro.replication.replica import parse_http_url
 from repro.server.app import VERSION_HEADER, normalize_path
+from repro.server.gateway import DEFAULT_MAX_BODY_BYTES
 from repro.version import __version__
 
 __all__ = ["BackendState", "ReplicationRouter"]
@@ -302,7 +303,22 @@ class ReplicationRouter:
                 request = await self._read_request(reader)
                 if request is None:
                     break
-                method, path, headers, body = request
+                method, path, headers, length = request
+                if length > DEFAULT_MAX_BODY_BYTES:
+                    # Refuse before reading, as the gateways behind do: the
+                    # limit bounds memory. The unread body poisons the
+                    # connection for keep-alive, so close it.
+                    await self._write_response(
+                        writer,
+                        *self._error_answer(
+                            413,
+                            "payload_too_large",
+                            f"request body exceeds {DEFAULT_MAX_BODY_BYTES} bytes",
+                            extra=(("Connection", "close"),),
+                        ),
+                    )
+                    break
+                body = await reader.readexactly(length) if length > 0 else b""
                 status, out_headers, out_body = await self._route(
                     method, path, headers, body
                 )
@@ -318,8 +334,12 @@ class ReplicationRouter:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Parse one HTTP/1.1 request; ``None`` on a clean connection end."""
+    ) -> Optional[Tuple[str, str, Dict[str, str], int]]:
+        """Parse one HTTP/1.1 request head; ``None`` on a clean connection end.
+
+        Returns ``(method, target, headers, content_length)`` — the body is
+        left unread so the caller can refuse an oversized one first.
+        """
         try:
             line = await reader.readline()
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -342,8 +362,7 @@ class ReplicationRouter:
             length = int(headers.get("content-length") or 0)
         except ValueError:
             length = 0
-        body = await reader.readexactly(length) if length > 0 else b""
-        return method, target, headers, body
+        return method, target, headers, length
 
     async def _write_response(
         self,
@@ -588,6 +607,9 @@ class ReplicationRouter:
                 if pooled and attempt == 0:
                     continue  # stale kept-alive socket; retry on a fresh one
                 raise
+            except asyncio.CancelledError:
+                writer.close()  # shutdown cancelled a poll mid-flight
+                raise
             if reusable:
                 pool.append((reader, writer))
             else:
@@ -614,7 +636,15 @@ class ReplicationRouter:
             name, sep, value = raw.decode("latin1").partition(":")
             if sep:
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
+        try:
+            length = int(headers.get("content-length") or 0)
+            int(headers.get(VERSION_HEADER.lower()) or 0)
+        except ValueError:
+            # Callers treat this like any dropped connection: the backend
+            # is marked failed and the request fails over.
+            raise ConnectionResetError(
+                f"malformed backend response headers {headers!r}"
+            ) from None
         body = await reader.readexactly(length) if length > 0 else b""
         reusable = headers.get("connection", "").lower() != "close"
         return status, headers, body, reusable

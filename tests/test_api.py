@@ -120,7 +120,6 @@ class TestQueryCoercionAndWire:
         assert Query.coerce(("D", 2, "basic")) == Query(vertex="D", k=2, method="basic")
         assert Query.coerce(["D", 2]) == Query(vertex="D", k=2)
         incre = Query(vertex="D", method="incre")
-        assert Query.coerce({"q": "D", "method": "incre"}) == incre
         assert Query.coerce({"vertex": "D", "method": "incre"}) == incre
         assert Query.coerce(Query.vertex("D").method("incre")) == incre  # builder
         assert Query.coerce(incre) is incre
@@ -131,7 +130,7 @@ class TestQueryCoercionAndWire:
         with pytest.raises(InvalidInputError):
             Query.coerce(())
         with pytest.raises(InvalidInputError, match="methud"):
-            Query.coerce({"q": "D", "methud": "basic"})
+            Query.coerce({"vertex": "D", "methud": "basic"})
         with pytest.raises(InvalidInputError):
             Query.coerce({"k": 2})
         with pytest.raises(InvalidInputError):
@@ -143,10 +142,9 @@ class TestQueryCoercionAndWire:
         with pytest.raises(InvalidInputError):
             Query.from_dict({"k": 2})  # no vertex
 
-    def test_from_dict_accepts_legacy_q_key(self):
-        assert Query.from_dict({"q": "D", "k": 2}) == Query(vertex="D", k=2)
-        with pytest.raises(InvalidInputError):
-            Query.from_dict({"q": "D", "vertex": "D"})
+    def test_from_dict_rejects_legacy_q_key(self):
+        with pytest.raises(InvalidInputError, match="unknown Query fields"):
+            Query.from_dict({"q": "D", "k": 2})
 
     def test_json_round_trip(self):
         q = Query(vertex="D", k=3, method="closed", cohesion="k-truss", limit=4, min_size=2)
@@ -496,7 +494,6 @@ REQUEST_SHAPES = [
     Query.vertex("D").k(2),
     ("D", 2),
     {"vertex": "D", "k": 2},
-    {"q": "D", "k": 2},
     "D",  # bare vertex: k comes from the session default
 ]
 

@@ -120,7 +120,7 @@ class TestBatch:
 
     def test_batch_mixed_spec_file(self, capsys, tmp_path):
         queries = self._write_queries(
-            tmp_path, 'D\n{"q": "E", "k": 1, "method": "basic"}\n'
+            tmp_path, 'D\n{"vertex": "E", "k": 1, "method": "basic"}\n'
         )
         assert main(
             ["batch", "--dataset", "fig1", "--queries", queries, "--k", "2"]
@@ -142,7 +142,7 @@ class TestBatch:
         assert result["matched"] == 2
 
     def test_batch_rejects_typo_keys(self, capsys, tmp_path):
-        queries = self._write_queries(tmp_path, '{"q": "D", "methud": "basic"}\n')
+        queries = self._write_queries(tmp_path, '{"vertex": "D", "methud": "basic"}\n')
         from repro.errors import InvalidInputError
 
         with pytest.raises(InvalidInputError, match="methud"):
@@ -175,17 +175,6 @@ class TestBatch:
         assert main(
             ["batch", "--dataset", "fig1", "--queries", queries]
         ) == 1
-
-    def test_batch_with_workers(self, capsys, tmp_path):
-        queries = self._write_queries(tmp_path, "D\nE\nA\n")
-        assert main(
-            [
-                "batch", "--dataset", "fig1", "--queries", queries,
-                "--k", "2", "--workers", "2",
-            ]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert [r["query"]["vertex"] for r in payload["results"]] == ["D", "E", "A"]
 
 
 class TestUpdate:

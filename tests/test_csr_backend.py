@@ -33,13 +33,10 @@ from repro.graph.csr import (
     active_backend,
     backend_override,
     csr_view,
-    numpy_available,
 )
 
-#: Backends under test: "numpy" joins in when the library is installed.
-PARITY_BACKENDS = tuple(
-    b for b in BACKENDS if b != "object" and (b != "numpy" or numpy_available())
-)
+#: Backends compared against the ``object`` reference.
+PARITY_BACKENDS = tuple(b for b in BACKENDS if b != "object")
 
 
 def canonical(result):

@@ -7,7 +7,8 @@ import pytest
 from repro.core import as_vertex_subtree_map, pcs
 from repro.datasets import fig1_profiled_graph, simple_profiled_graph
 from repro.datasets.taxonomies import synthetic_taxonomy
-from repro.dynamic import DynamicCoreIndex, DynamicProfiledGraph
+from repro.dynamic import DynamicCoreIndex
+from repro.engine import CommunityExplorer
 from repro.errors import InvalidInputError, VertexNotFoundError
 from repro.graph import Graph, gnp_graph
 
@@ -176,75 +177,74 @@ class TestCandidateRegionDifferential:
             assert index.verify(), f"diverged at step {step} on edit ({u}, {v})"
 
 
-class TestDynamicProfiledGraph:
+class TestExplorerEdits:
+    """Edit streams through ``CommunityExplorer.apply_updates`` stay exact."""
+
     def make(self, seed=0):
         tax = synthetic_taxonomy(40, seed=seed)
         pg = simple_profiled_graph(tax, 25, seed=seed, edge_probability=0.25)
-        return DynamicProfiledGraph(pg)
+        return CommunityExplorer(pg)
 
     def test_query_before_any_edit(self):
-        dyn = DynamicProfiledGraph(fig1_profiled_graph())
-        result = dyn.query("D", 2)
-        assert len(result) == 2
+        ex = CommunityExplorer(fig1_profiled_graph())
+        assert len(ex.explore("D", 2)) == 2
 
     def test_edits_keep_queries_exact(self):
         rng = random.Random(1)
-        dyn = self.make(seed=1)
-        pg = dyn.pg
+        ex = self.make(seed=1)
+        pg = ex.pg
         for step in range(25):
             u = rng.randrange(25)
             v = rng.randrange(25)
             if u == v:
                 continue
-            if pg.graph.has_edge(u, v):
-                dyn.remove_edge(u, v)
-            else:
-                dyn.insert_edge(u, v)
+            op = "remove_edge" if pg.graph.has_edge(u, v) else "add_edge"
+            ex.apply_updates([(op, u, v)])
             if step % 5 == 0:
                 q = rng.randrange(25)
-                got = as_vertex_subtree_map(dyn.query(q, 2))
+                got = as_vertex_subtree_map(ex.explore(q, 2))
                 fresh = as_vertex_subtree_map(pcs(pg, q, 2, method="basic"))
                 assert got == fresh, f"diverged at step {step}"
 
     def test_profile_update_reflected(self):
-        dyn = DynamicProfiledGraph(fig1_profiled_graph())
-        tax = dyn.pg.taxonomy
-        dyn.index()  # build once
+        ex = CommunityExplorer(fig1_profiled_graph())
+        ex.warm()
         # E gains the full CM branch: {B, C, D, E}? E has edges to A, B, D.
-        dyn.update_profile("E", [tax.id_of("ML"), tax.id_of("AI"), tax.id_of("DMS")])
-        result = dyn.query("D", 2)
+        ex.apply_updates([("set_profile", "E", ["ML", "AI", "DMS"])])
+        result = ex.explore("D", 2)
         themes = {frozenset(c.subtree.names()) for c in result}
         assert {"r", "CM", "ML", "AI"} in themes
         got = as_vertex_subtree_map(result)
-        fresh = as_vertex_subtree_map(pcs(dyn.pg, "D", 2, method="basic"))
+        fresh = as_vertex_subtree_map(pcs(ex.pg, "D", 2, method="basic"))
         assert got == fresh
 
     def test_update_profile_unknown_vertex(self):
-        dyn = self.make()
+        ex = self.make()
         with pytest.raises(VertexNotFoundError):
-            dyn.update_profile("nope", [])
+            ex.apply_updates([("set_profile", "nope", [])])
 
-    def test_lazy_repair_only_touches_dirty_labels(self):
-        dyn = self.make(seed=2)
-        dyn.index()
-        assert dyn.dirty_label_count == 0
-        u, v = 0, 1
-        if not dyn.pg.graph.has_edge(u, v):
-            dyn.insert_edge(u, v)
-        else:
-            dyn.remove_edge(u, v)
-        assert dyn.dirty_label_count > 0
-        dyn.index()
-        assert dyn.dirty_label_count == 0
+    def test_repair_only_touches_dirty_labels(self):
+        ex = self.make(seed=2)
+        ex.warm()
+        pg = ex.pg
+        assert pg.pending_repair_labels == 0
+        op = "remove_edge" if pg.graph.has_edge(0, 1) else "add_edge"
+        receipt = ex.apply_updates([(op, 0, 1)])
+        shared = pg.labels(0) & pg.labels(1)
+        assert 0 < receipt.repaired_labels <= len(shared)
+        assert pg.pending_repair_labels == 0  # repaired inside the batch
 
     def test_add_vertex_with_profile(self):
-        dyn = DynamicProfiledGraph(fig1_profiled_graph())
-        tax = dyn.pg.taxonomy
-        dyn.add_vertex("Z", [tax.id_of("ML")])
-        dyn.insert_edge("Z", "B")
-        dyn.insert_edge("Z", "C")
-        dyn.insert_edge("Z", "D")
-        got = as_vertex_subtree_map(dyn.query("Z", 2))
-        fresh = as_vertex_subtree_map(pcs(dyn.pg, "Z", 2, method="basic"))
+        ex = CommunityExplorer(fig1_profiled_graph())
+        ex.apply_updates(
+            [
+                ("add_vertex", "Z", ["ML"]),
+                ("add_edge", "Z", "B"),
+                ("add_edge", "Z", "C"),
+                ("add_edge", "Z", "D"),
+            ]
+        )
+        got = as_vertex_subtree_map(ex.explore("Z", 2))
+        fresh = as_vertex_subtree_map(pcs(ex.pg, "Z", 2, method="basic"))
         assert got == fresh
         assert any("Z" in members for members in got.values())

@@ -111,15 +111,6 @@ class TestExplorerCacheAccounting:
         explorer.warm()
         assert explorer.stats().index_builds == 1
 
-    def test_cltree_built_once_and_consistent(self, explorer):
-        from repro.graph import connected_k_core
-
-        cltree = explorer.cltree()
-        assert explorer.cltree() is cltree  # lazy build, permanent reuse
-        # The k-ĉore it serves matches a direct connected-core computation.
-        expected = connected_k_core(explorer.pg.graph, "D", 2)
-        assert cltree.kcore_vertices("D", 2) == frozenset(expected)
-
     def test_eviction_forces_recompute(self, fig1):
         ex = CommunityExplorer(fig1, cache_size=1, default_k=2)
         ex.explore("D")
@@ -219,42 +210,6 @@ class TestCohesionHandling:
         assert ex.stats().queries_served == 2  # identity-keyed, no collision
 
 
-class TestThreadPoolFanOut:
-    def test_threaded_matches_sequential(self):
-        pg = synthetic_instance(seed=11)
-        queries = sorted(pg.vertices())[:8]
-        sequential = CommunityExplorer(pg, default_k=2).explore_many(queries)
-        pg2 = synthetic_instance(seed=11)
-        threaded = CommunityExplorer(pg2, default_k=2).explore_many(queries, workers=4)
-        assert [as_vertex_subtree_map(r) for r in threaded] == [
-            as_vertex_subtree_map(r) for r in sequential
-        ]
-
-    def test_threaded_deterministic_across_runs(self):
-        pg = synthetic_instance(seed=5)
-        queries = sorted(pg.vertices())[:8]
-        runs = []
-        for _ in range(3):
-            ex = CommunityExplorer(pg, default_k=2)
-            ex.clear_cache()
-            runs.append(
-                [as_vertex_subtree_map(r) for r in ex.explore_many(queries, workers=4)]
-            )
-        assert runs[0] == runs[1] == runs[2]
-
-    def test_threaded_results_align_with_input_order(self, fig1):
-        ex = CommunityExplorer(fig1, default_k=2, max_workers=4)
-        specs = [("D", 2), ("E", 2), ("D", 1), ("A", 2)]
-        results = ex.explore_many(specs)
-        assert [(r.query, r.k) for r in results] == specs
-
-    def test_threaded_builds_index_once(self):
-        pg = synthetic_instance(seed=9)
-        ex = CommunityExplorer(pg, default_k=2)
-        ex.explore_many(sorted(pg.vertices())[:6], workers=4)
-        assert ex.stats().index_builds == 1
-
-
 class TestBatchFile:
     def test_plain_text(self):
         queries = parse_queries("# comment\nD\nE\n", default_k=2)
@@ -262,7 +217,7 @@ class TestBatchFile:
 
     def test_json_list(self):
         queries = parse_queries(
-            '["D", ["E", 3], {"q": "A", "method": "incre"}, {"vertex": "B", "limit": 1}]',
+            '["D", ["E", 3], {"vertex": "A", "method": "incre"}, {"vertex": "B", "limit": 1}]',
             default_k=2,
         )
         assert queries[:2] == [Query("D", 2), Query("E", 3)]
@@ -271,17 +226,17 @@ class TestBatchFile:
 
     def test_default_method_fills_unpinned_queries_only(self):
         queries = parse_queries(
-            'D\n{"q": "E", "method": "incre"}\n', default_k=2, default_method="basic"
+            'D\n{"vertex": "E", "method": "incre"}\n', default_k=2, default_method="basic"
         )
         assert queries == [Query("D", 2, "basic"), Query("E", 2, "incre")]
 
     def test_json_lines(self):
-        queries = parse_queries('{"q": "D", "k": 4}\n{"q": "E"}\n', default_k=2)
+        queries = parse_queries('{"vertex": "D", "k": 4}\n{"vertex": "E"}\n', default_k=2)
         assert queries == [Query("D", 4), Query("E", 2)]
 
     def test_json_lines_starting_with_array_item(self):
         # A leading [q, k] line must not be mistaken for a whole-file list.
-        queries = parse_queries('["E", 3]\n{"q": "D"}\n', default_k=2)
+        queries = parse_queries('["E", 3]\n{"vertex": "D"}\n', default_k=2)
         assert queries == [Query("E", 3), Query("D", 2)]
 
     def test_single_array_file_is_whole_file_list(self):
@@ -292,11 +247,11 @@ class TestBatchFile:
 
     def test_invalid_json_reports_line(self):
         with pytest.raises(InvalidInputError, match="line 2"):
-            parse_queries('D\n{"q": broken}\n')
+            parse_queries('D\n{"vertex": broken}\n')
 
     def test_unknown_keys_and_bad_documents_are_rejected(self):
         with pytest.raises(InvalidInputError, match="methud"):
-            parse_queries('[{"q": "D", "methud": "basic"}]')
+            parse_queries('[{"vertex": "D", "methud": "basic"}]')
         with pytest.raises(InvalidInputError):
             parse_queries('{"k": 2}\n')  # no vertex
         with pytest.raises(InvalidInputError):

@@ -301,7 +301,7 @@ class TestEngineMutationSafety:
         ex = CommunityExplorer(fig1, default_k=2)
         before = ex.stats()
         with pytest.raises(VertexNotFoundError):
-            ex.explore_many([("D", 2), ("ghost", 2), ("E", 2)], workers=4)
+            ex.explore_many([("D", 2), ("ghost", 2), ("E", 2)])
         after = ex.stats()
         assert after.queries_served == before.queries_served == 0
         assert after.batches == 0
@@ -349,51 +349,6 @@ class TestEngineMutationSafety:
         assert receipt.repaired_labels == 0 and not fig1.has_index()
         ex.explore("D")  # builds lazily, post-edit
         assert fig1.has_index()
-
-    def test_cltree_tracks_mutations_with_maintained_cores(self, fig1):
-        from repro.index.cltree import CLTree
-
-        ex = CommunityExplorer(fig1, default_k=2)
-        first = ex.cltree()
-        assert ex.cltree() is first  # same version: reused
-        ex.apply_updates([("add_edge", "A", "C"), ("remove_edge", "B", "D")])
-        second = ex.cltree()
-        assert second is not first
-        fresh = CLTree(fig1.graph)
-        for v in "ABCDE":
-            for k in (1, 2, 3):
-                assert second.kcore_vertices(v, k) == fresh.kcore_vertices(v, k)
-
-    def test_direct_mutation_discards_stale_shared_cores(self, fig1):
-        # Regression: apply_updates must not patch the shared core index
-        # from a base that missed direct ProfiledGraph-API edits — the
-        # maintained cltree would silently drop those edges (or KeyError
-        # on vertices the cores never saw).
-        from repro.index.cltree import CLTree
-
-        ex = CommunityExplorer(fig1, default_k=2)
-        ex.cltree()  # seed the shared core index
-        fig1.add_edge("A", "C")  # direct edit: cores are now stale
-        fig1.add_edge("new-vertex", "A")  # cores never saw this vertex
-        ex.apply_updates([("remove_edge", "D", "E")])
-        maintained = ex.cltree()
-        fresh = CLTree(fig1.graph)
-        for v in ("A", "B", "C", "D", "E", "new-vertex"):
-            for k in (1, 2, 3):
-                assert maintained.kcore_vertices(v, k) == fresh.kcore_vertices(v, k)
-
-    def test_remove_vertex_update_with_live_cltree(self, fig1):
-        from repro.index.cltree import CLTree
-
-        ex = CommunityExplorer(fig1, default_k=2)
-        ex.cltree()  # activate shared-core maintenance
-        ex.apply_updates([("remove_vertex", "D")])
-        fresh = CLTree(fig1.graph)
-        for v in "ABCE":
-            for k in (1, 2):
-                assert ex.cltree().kcore_vertices(v, k) == fresh.kcore_vertices(v, k)
-        with pytest.raises(VertexNotFoundError):
-            ex.explore("D")
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,15 @@ and a checkpoint-forced resync. Subprocess failure injection (kill -9)
 lives in ``tests/test_cluster.py``.
 """
 
+import http.client
 import io
+import json
+import socket
 import struct
+import threading
 import time
 from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -36,6 +41,7 @@ from repro.replication import (
     record_from_frame,
 )
 from repro.server import ServerClient, ServerError
+from repro.server.gateway import DEFAULT_MAX_BODY_BYTES
 from repro.storage import WalRecord, WriteAheadLog
 
 #: Label-free updates are valid against any dataset's taxonomy.
@@ -343,3 +349,81 @@ class TestInProcessTier:
     def test_router_requires_replicas(self):
         with pytest.raises(InvalidInputError):
             ReplicationRouter("http://127.0.0.1:9", [])
+
+
+# ----------------------------------------------------------------------
+# router fails closed on hostile clients and garbage backends
+# ----------------------------------------------------------------------
+class _GarbageVersionBackend(BaseHTTPRequestHandler):
+    """Healthy by ``/healthz``, but answers with a non-integer version."""
+
+    protocol_version = "HTTP/1.1"
+
+    def _answer(self, body: bytes, version=None):
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        if version is not None:
+            self.send_header("X-Repro-Graph-Version", version)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self):
+        self._answer(b'{"status": "ok", "graph_version": 0, "queue_depth": 0}')
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        self._answer(b"{}", version="banana")
+
+    def log_message(self, *args):
+        pass
+
+
+class TestRouterFailsClosed:
+    def test_oversized_body_is_413_before_reading(self):
+        router = ReplicationRouter("http://127.0.0.1:9", ["http://127.0.0.1:9"])
+        router.start()
+        try:
+            with socket.create_connection(router.address, timeout=10) as sock:
+                sock.sendall(
+                    b"POST /query HTTP/1.1\r\nContent-Type: application/json\r\n"
+                    b"Content-Length: %d\r\n\r\n" % (DEFAULT_MAX_BODY_BYTES + 1)
+                )
+                # No body byte was sent: the answer cannot have waited for one.
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                payload = json.loads(response.read())
+                assert response.status == 413
+                assert response.getheader("Connection") == "close"
+                assert payload["error"]["type"] == "payload_too_large"
+                assert sock.recv(1) == b""  # and the router hung up
+        finally:
+            router.close()
+
+    def test_non_integer_backend_version_marks_backend_failed(self):
+        backend = ThreadingHTTPServer(("127.0.0.1", 0), _GarbageVersionBackend)
+        thread = threading.Thread(target=backend.serve_forever, daemon=True)
+        thread.start()
+        url = f"http://127.0.0.1:{backend.server_address[1]}"
+        router = ReplicationRouter(url, [url], health_interval=30.0)
+        router.start()
+        try:
+            with ServerClient(*router.address) as client:
+                with pytest.raises(ServerError) as read:
+                    client._request("POST", "/query", {"vertex": "A", "k": 2})
+                with pytest.raises(ServerError) as write:
+                    client._request("POST", "/update", {"updates": UPDATES})
+                # The connection task survived both: same socket still served.
+                health = client.healthz()
+            assert read.value.status == 503
+            assert write.value.status == 503
+            assert health["status"] == "ok"
+            assert router.replicas[0].errors >= 1
+            assert router.counters["failovers"] >= 1
+            assert router.counters["writer_unavailable"] == 1
+        finally:
+            router.close()
+            backend.shutdown()
+            backend.server_close()
+            thread.join(timeout=10)
+            assert not thread.is_alive()

@@ -278,6 +278,10 @@ class TestHandleRequest:
         )
         assert response.status == 400
         assert "methud" in decoded["error"]["message"]
+        # the removed legacy vertex key is an unknown key like any other
+        response, decoded = self.call(gateway, "POST", "/query", {"q": "D", "k": 2})
+        assert response.status == 400
+        assert "'q'" in decoded["error"]["message"]
 
     def test_missing_vertex_400(self, gateway):
         response, _ = self.call(gateway, "POST", "/query", {"k": 2})

@@ -522,6 +522,32 @@ class TestServiceStorage:
         assert reborn.pg.graph.has_edge("A", "Z")
         reborn.close()
 
+    @pytest.mark.parametrize(
+        "update",
+        [
+            GraphUpdate("add_edge", "A", "C"),
+            GraphUpdate("remove_edge", "B", "D"),
+            GraphUpdate("add_vertex", "Z", labels=["ML"]),
+            GraphUpdate("remove_vertex", "D"),  # its incident edges go with it
+            GraphUpdate("set_profile", "E", labels=["ML"]),
+        ],
+        ids=lambda update: update.op,
+    )
+    def test_every_op_advances_version_as_previewed(self, fig1, tmp_path, update):
+        service = CommunityService(fig1, storage_dir=tmp_path)
+        service.warm()
+        if update.op == "remove_vertex":
+            assert service.pg.graph.degree(update.u) > 1
+        base = service.pg.version
+        _, predicted = preview_updates(service.pg, [update])
+        receipt = service.apply_updates([update])  # IntegrityError on a mismatch
+        assert receipt.version - base == predicted - base == 1
+        service.close()
+        reborn = CommunityService(fig1_profiled_graph(), storage_dir=tmp_path)
+        assert reborn.boot_report.replayed_records == 1
+        assert reborn.pg.version == receipt.version
+        reborn.close()
+
     def test_snapshot_checkpoint_makes_boot_warm(self, fig1, tmp_path):
         service = CommunityService(fig1, storage_dir=tmp_path)
         service.apply_updates([GraphUpdate("add_edge", "A", "Z")])
