@@ -8,7 +8,7 @@ by concurrent clients against two real deployments:
 * **single** — one standalone ``repro serve`` subprocess, the pre-tier
   topology: every query competes for that process's GIL;
 * **replicated** — a :class:`~repro.replication.cluster.LocalCluster`
-  (one writer, :data:`REPLICAS` read replicas, one asyncio router, each
+  (one writer, :data:`REPLICAS` read replicas, one router, each
   its own process), with reads fanned across the replicas.
 
 Asserted:

@@ -8,8 +8,9 @@ emitting one markdown file per module into ``docs/api/`` plus an
 emptier than the gate allows.
 
 What is documented, in source order: the module docstring, public classes
-(with their public methods and properties, *defined in that class* —
-inherited members are not repeated), and public module-level functions.
+(with their public methods and properties, *defined in that class* or in
+a private direct base, which has no page of its own — members inherited
+from public classes are not repeated), and public module-level functions.
 Signatures come from :func:`inspect.signature`.
 
 The generated files are committed; CI regenerates and diffs them
@@ -108,7 +109,10 @@ def _source_line(obj) -> int:
 def _class_section(cls) -> List[str]:
     lines = [f"## class `{cls.__name__}`", "", _doc(cls), ""]
     members = []
-    for name, member in vars(cls).items():
+    own = {}
+    for owner in (*(b for b in cls.__bases__ if not _is_public(b.__name__)), cls):
+        own.update(vars(owner))
+    for name, member in own.items():
         if not _is_public(name):
             continue
         if isinstance(member, property):

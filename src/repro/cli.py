@@ -378,43 +378,20 @@ def cmd_bench_engine(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_router(args: argparse.Namespace) -> int:
-    """The ``--role router`` arm of ``repro serve``: no graph, pure proxy."""
-    from repro.replication import ReplicationRouter
-
-    if not args.writer_url or not args.replica:
-        print("serve --role router needs --writer-url and at least one --replica",
-              file=sys.stderr)
-        return 2
-    router = ReplicationRouter(
-        args.writer_url,
-        args.replica,
-        host=args.host,
-        port=args.port,
-        min_version_deadline=args.min_version_deadline,
-    )
-    with router:
-        host, port = router.address
-        print(f"routing at http://{host}:{port} "
-              f"(writer: {args.writer_url}, replicas: {len(args.replica)}, "
-              f"min-version deadline: {args.min_version_deadline:.1f}s)",
-              flush=True)
-        print("endpoints: POST /query /batch /update · GET /healthz /stats",
-              flush=True)
-        try:
-            router.wait()
-        except KeyboardInterrupt:
-            print("\nshutting down router...", flush=True)
-    counters = router.stats()["server"]["counters"]
-    print(f"proxied {counters['reads_proxied']} read(s), "
-          f"{counters['writes_proxied']} write(s)", flush=True)
-    return 0
-
-
-def _build_role_gateway(args: argparse.Namespace):
-    """The serving gateway for ``repro serve`` (standalone/writer/replica)."""
+def _build_serving_role(args: argparse.Namespace):
+    """The server ``repro serve`` runs: a gateway role, or the router."""
     from repro.server import CommunityGateway
 
+    if args.role == "router":
+        from repro.replication import ReplicationRouter
+
+        return ReplicationRouter(
+            args.writer_url,
+            args.replica,
+            host=args.host,
+            port=args.port,
+            min_version_deadline=args.min_version_deadline,
+        )
     gateway_opts = dict(
         host=args.host,
         port=args.port,
@@ -457,35 +434,49 @@ def _build_role_gateway(args: argparse.Namespace):
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """``repro serve``: run the HTTP gateway (any role) until interrupted."""
-    if args.role == "router":
-        return _serve_router(args)
-    gateway = _build_role_gateway(args)
-    service = gateway.service
-    with gateway:
-        host, port = gateway.address
-        mode = "off" if args.no_coalesce else f"{args.coalesce_window * 1000:.1f} ms window"
-        what = (f"replica of {args.writer_url}" if args.role == "replica"
-                else args.dataset)
-        print(f"serving {what} at http://{host}:{port} "
-              f"(role: {gateway.role}, coalescing: {mode}, "
-              f"workers: {args.parallel or 1})", flush=True)
-        print("endpoints: POST /query /batch /update /subscribe · "
-              "GET /healthz /stats /metrics", flush=True)
-        report = service.boot_report
-        if report is not None:
-            print(f"data-dir {args.data_dir}: booted from {report.source} at "
-                  f"graph version {report.graph_version} "
-                  f"(replayed {report.replayed_records} WAL record(s), index "
-                  f"{'loaded' if report.index_loaded else 'cold'}, "
-                  f"{report.seconds:.2f}s)", flush=True)
+    """``repro serve``: run one serving role over HTTP until interrupted."""
+    router = args.role == "router"
+    if router and not (args.writer_url and args.replica):
+        print("serve --role router needs --writer-url and at least one --replica",
+              file=sys.stderr)
+        return 2
+    server = _build_serving_role(args)
+    with server:
+        if router:
+            print(f"routing at {server.url} "
+                  f"(writer: {args.writer_url}, replicas: {len(args.replica)}, "
+                  f"min-version deadline: {args.min_version_deadline:.1f}s)",
+                  flush=True)
+            print("endpoints: POST /query /batch /update · GET /healthz /stats",
+                  flush=True)
+        else:
+            mode = "off" if args.no_coalesce else f"{args.coalesce_window * 1000:.1f} ms window"
+            what = (f"replica of {args.writer_url}" if args.role == "replica"
+                    else args.dataset)
+            print(f"serving {what} at {server.url} "
+                  f"(role: {server.role}, coalescing: {mode}, "
+                  f"workers: {args.parallel or 1})", flush=True)
+            print("endpoints: POST /query /batch /update /subscribe · "
+                  "GET /healthz /stats /metrics", flush=True)
+            report = server.service.boot_report
+            if report is not None:
+                print(f"data-dir {args.data_dir}: booted from {report.source} at "
+                      f"graph version {report.graph_version} "
+                      f"(replayed {report.replayed_records} WAL record(s), index "
+                      f"{'loaded' if report.index_loaded else 'cold'}, "
+                      f"{report.seconds:.2f}s)", flush=True)
         try:
-            gateway.wait()
+            server.wait()
         except KeyboardInterrupt:
             print("\nshutting down (draining in-flight requests)...", flush=True)
-    stats = service.stats()
-    print(f"served {stats.queries_served} queries "
-          f"(cache hit rate {stats.cache_hit_rate:.0%})", flush=True)
+    if router:
+        counters = server.stats()["server"]["counters"]
+        print(f"proxied {counters['reads_proxied']} read(s), "
+              f"{counters['writes_proxied']} write(s)", flush=True)
+    else:
+        stats = server.service.stats()
+        print(f"served {stats.queries_served} queries "
+              f"(cache hit rate {stats.cache_hit_rate:.0%})", flush=True)
     return 0
 
 
@@ -741,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "updates and streams its WAL (needs --data-dir), "
                          "'replica' follows a writer and serves reads only "
                          "(needs --writer-url and --data-dir), 'router' is "
-                         "the asyncio front-end over a fleet (needs "
+                         "the proxying front-end over a fleet (needs "
                          "--writer-url and --replica)")
     sv.add_argument("--writer-url", dest="writer_url", default=None,
                     metavar="URL", help="the writer gateway's base URL "

@@ -12,8 +12,8 @@ boundaries — nothing in the engine or storage layers changes shape:
   through the same durable
   :meth:`~repro.api.service.CommunityService.apply_updates` path the
   writer uses, serves reads, and answers writes with ``307`` → writer.
-* :class:`~repro.replication.router.ReplicationRouter` — an asyncio
-  front-end holding every client connection in one event loop; writes go
+* :class:`~repro.replication.router.ReplicationRouter` — the front-end,
+  served by the same HTTP layer as the gateways; writes go
   to the writer, reads fan out over the least-loaded caught-up replica,
   and a client-sent ``X-Repro-Min-Version`` floor buys read-your-writes
   with a bounded wait.

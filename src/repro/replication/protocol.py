@@ -38,13 +38,12 @@ payloads, verifying each frame's CRC as it goes.
 
 from __future__ import annotations
 
+import io
 import json
-import struct
-import zlib
 from typing import IO, Iterator, Optional
 
 from repro.errors import ReproError
-from repro.storage.wal import WalRecord
+from repro.storage.wal import WalCorruptError, WalRecord, iter_frames, pack_frame
 
 __all__ = [
     "CLOSE",
@@ -79,11 +78,6 @@ HEARTBEAT = "heartbeat"
 RESYNC = "resync"
 CLOSE = "close"
 
-_FRAME = struct.Struct("<II")
-#: Upper bound on one frame's payload; a length past this means the
-#: stream is corrupt (or not a frame stream at all), not a huge batch.
-_MAX_FRAME_BYTES = 64 * 1024 * 1024
-
 
 class FrameError(ReproError):
     """The stream produced bytes that do not decode as a valid frame."""
@@ -91,8 +85,7 @@ class FrameError(ReproError):
 
 def encode_frame(payload: dict) -> bytes:
     """Frame one JSON payload: ``u32 length + u32 crc32 + bytes``."""
-    raw = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    return _FRAME.pack(len(raw), zlib.crc32(raw)) + raw
+    return pack_frame(payload)
 
 
 def decode_frame(raw: bytes) -> dict:
@@ -101,15 +94,10 @@ def decode_frame(raw: bytes) -> dict:
     The inverse of :func:`encode_frame` for tests and tools; streaming
     consumers use :class:`FrameReader`, which reads incrementally.
     """
-    if len(raw) < _FRAME.size:
-        raise FrameError(f"frame shorter than its {_FRAME.size}-byte header")
-    length, crc = _FRAME.unpack_from(raw, 0)
-    payload = raw[_FRAME.size : _FRAME.size + length]
-    if len(payload) != length:
-        raise FrameError(f"frame announced {length} bytes, got {len(payload)}")
-    if zlib.crc32(payload) != crc:
-        raise FrameError("frame payload fails its CRC check")
-    return _decode_payload(payload)
+    payload = FrameReader(io.BytesIO(raw)).frame()
+    if payload is None:
+        raise FrameError("no frame to decode: the input is empty")
+    return payload
 
 
 def _decode_payload(payload: bytes) -> dict:
@@ -146,44 +134,19 @@ class FrameReader:
     """
 
     def __init__(self, fp: IO[bytes]) -> None:
-        self._fp = fp
-
-    def _read_exact(self, count: int, eof_ok: bool) -> Optional[bytes]:
-        chunks = []
-        remaining = count
-        while remaining > 0:
-            chunk = self._fp.read(remaining)
-            if not chunk:
-                if eof_ok and remaining == count:
-                    return None
-                raise FrameError(
-                    f"stream ended {remaining} byte(s) short of a complete frame"
-                )
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+        self._payloads = iter_frames(fp.read)
 
     def frame(self) -> Optional[dict]:
         """The next frame's payload, or ``None`` on a clean end-of-stream."""
-        header = self._read_exact(_FRAME.size, eof_ok=True)
-        if header is None:
-            return None
-        length, crc = _FRAME.unpack(header)
-        if length > _MAX_FRAME_BYTES:
-            raise FrameError(f"frame announces {length} bytes — stream corrupt")
-        payload = self._read_exact(length, eof_ok=False)
-        assert payload is not None  # eof_ok=False never returns None
-        if zlib.crc32(payload) != crc:
-            raise FrameError("frame payload fails its CRC check")
-        return _decode_payload(payload)
+        try:
+            payload = next(self._payloads, None)
+        except WalCorruptError as exc:
+            raise FrameError(str(exc)) from exc
+        return None if payload is None else _decode_payload(payload)
 
     def frames(self) -> Iterator[dict]:
         """Yield decoded payloads until the stream ends cleanly."""
-        while True:
-            payload = self.frame()
-            if payload is None:
-                return
-            yield payload
+        return iter(self.frame, None)
 
     def __iter__(self) -> Iterator[dict]:
         return self.frames()

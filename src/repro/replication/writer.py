@@ -22,7 +22,6 @@ to ``resync`` instead of being fed a gap.
 
 from __future__ import annotations
 
-import json
 import threading
 from typing import Iterator, Union
 
@@ -39,7 +38,7 @@ from repro.replication.protocol import (
     encode_frame,
     record_frame,
 )
-from repro.server.app import VERSION_HEADER, HttpResponse
+from repro.server.app import VERSION_HEADER, HttpResponse, _parse_json
 from repro.server.gateway import CommunityGateway
 from repro.storage import snapshot_bytes
 
@@ -48,19 +47,14 @@ __all__ = ["WriterGateway"]
 _OCTET_STREAM = "application/octet-stream"
 
 
-def _handle_snapshot(gateway: "WriterGateway", body: bytes) -> HttpResponse:
+def _handle_snapshot(gateway: "WriterGateway", body: bytes, headers) -> HttpResponse:
     """Route adapter for ``GET /replication/snapshot``."""
     return gateway.ship_snapshot()
 
 
-def _handle_stream(gateway: "WriterGateway", body: bytes) -> HttpResponse:
+def _handle_stream(gateway: "WriterGateway", body: bytes, headers) -> HttpResponse:
     """Route adapter for ``POST /replication/stream``."""
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(
-            f"stream subscribe body is not valid JSON: {exc}"
-        ) from exc
+    payload = _parse_json(body)
     if not isinstance(payload, dict) or not isinstance(
         payload.get("from_version"), int
     ):

@@ -16,7 +16,9 @@ fleet. This package is the wire. It is stdlib-only, like everything else:
   apply to *independent clients*; a bounded queue refuses overload with
   429 + ``Retry-After``;
 * :mod:`repro.server.app` — transport-free routing and error mapping
-  (every route testable without a socket);
+  (every route testable without a socket); with the gateway module's
+  server and lifecycle base it is the one HTTP layer every serving role
+  runs on, the replication router included;
 * :class:`~repro.server.client.ServerClient` — the thin stdlib client
   used by tests, examples and the latency benchmark;
 * :mod:`repro.server.metrics` — Prometheus text rendering of the

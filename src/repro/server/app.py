@@ -1,10 +1,15 @@
 """HTTP application logic: routing, payload (de)serialisation, error mapping.
 
 The request cycle is transport-free — :func:`handle_request` maps
-``(method, path, body)`` to an :class:`HttpResponse` using only the
-gateway's public surface — so every route and every error path is testable
+``(method, path, body, headers)`` to an :class:`HttpResponse` using only
+the serving role's public surface (its ``routes()`` table and
+``max_body_bytes``) — so every route and every error path is testable
 without opening a socket. :class:`GatewayRequestHandler` is the thin
-:class:`~http.server.BaseHTTPRequestHandler` adapter the real server runs.
+:class:`~http.server.BaseHTTPRequestHandler` adapter the real server
+runs. Both serve every role: the gateways route to the table below, the
+replication router to its own five proxying entries, and all of them
+share the error contract at the end of this docstring. A route handler
+is ``(role, body, headers) -> HttpResponse``.
 
 Routes
 ------
@@ -38,16 +43,17 @@ Routes
 ``POST /subscribe/stream``
     ``{"id", "last_event_id"?}`` — Server-Sent Events stream of diffs
     (``id:``/``event: diff``/``data:`` frames, ``: keepalive`` comments
-    while idle). The resume cursor rides in the body because routing is
-    header-free; semantics match SSE's ``Last-Event-ID``. A consumer that
+    while idle). The resume cursor rides in the body (semantics match
+    SSE's ``Last-Event-ID``). A consumer that
     stops reading is evicted: the stream ends with one ``event: error``
     frame typed ``slow_consumer``.
 ``GET /healthz``, ``GET /stats``, ``GET /metrics``
     Liveness, JSON counters, Prometheus text.
 
 Error contract (all JSON, ``{"error": {"type", "message"}}``): malformed
-JSON or invalid fields → 400; unknown vertex → 404; unknown route → 404;
-wrong verb on a known route → 405 (with ``Allow``); body too large → 413;
+JSON, invalid fields or a malformed ``Content-Length`` → 400; unknown
+vertex → 404; unknown route → 404; wrong verb on a known route → 405
+(with ``Allow``); body too large → 413;
 admission-control overflow → 429 (with ``Retry-After``); draining → 503
 (with ``Retry-After``); anything unexpected → 500.
 """
@@ -57,7 +63,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.api.query import Query
 from repro.api.subscription import Subscription
@@ -125,6 +131,12 @@ def _error(status: int, err_type: str, message: str, headers: Tuple = ()) -> Htt
     )
 
 
+def _too_large(limit: int, headers: Tuple = ()) -> HttpResponse:
+    return _error(
+        413, "payload_too_large", f"request body exceeds {limit} bytes", headers=headers
+    )
+
+
 def _retry_after_header(seconds: float) -> Tuple[Tuple[str, str], ...]:
     """``Retry-After`` takes integer seconds; round up so 0 never appears."""
     return (("Retry-After", str(max(1, int(seconds + 0.999)))),)
@@ -160,7 +172,7 @@ def _items_payload(payload, key: str) -> list:
 
 
 # ----------------------------------------------------------------------
-# endpoint handlers: (gateway, body) -> HttpResponse
+# endpoint handlers: (gateway, body, headers) -> HttpResponse
 # ----------------------------------------------------------------------
 #: Response header carrying the graph version an answer reflects — lets
 #: proxies (the replication router) track replica freshness from headers
@@ -168,7 +180,7 @@ def _items_payload(payload, key: str) -> list:
 VERSION_HEADER = "X-Repro-Graph-Version"
 
 
-def _handle_query(gateway, body: bytes) -> HttpResponse:
+def _handle_query(gateway, body: bytes, headers) -> HttpResponse:
     query = Query.from_dict(_parse_json(body))
     response = gateway.dispatch_query(query)
     return _json_response(
@@ -178,7 +190,7 @@ def _handle_query(gateway, body: bytes) -> HttpResponse:
     )
 
 
-def _handle_batch(gateway, body: bytes) -> HttpResponse:
+def _handle_batch(gateway, body: bytes, headers) -> HttpResponse:
     items = _items_payload(_parse_json(body), "queries")
     queries = [Query.from_dict(item) for item in items]
     plan = gateway.service.plan_batch(len(queries))
@@ -196,7 +208,7 @@ def _handle_batch(gateway, body: bytes) -> HttpResponse:
     )
 
 
-def _handle_update(gateway, body: bytes) -> HttpResponse:
+def _handle_update(gateway, body: bytes, headers) -> HttpResponse:
     payload = _parse_json(body)
     idempotency_key = None
     if isinstance(payload, dict) and "idempotency_key" in payload:
@@ -240,7 +252,7 @@ def _subscription_ref(payload: dict) -> Tuple[str, Optional[int]]:
     return sub_id, last_event_id
 
 
-def _handle_subscribe(gateway, body: bytes) -> HttpResponse:
+def _handle_subscribe(gateway, body: bytes, headers) -> HttpResponse:
     sub = Subscription.from_dict(_require_object(_parse_json(body), "subscription"))
     snapshot = gateway.subscriptions.register(sub)
     return _json_response(
@@ -250,7 +262,7 @@ def _handle_subscribe(gateway, body: bytes) -> HttpResponse:
     )
 
 
-def _handle_unsubscribe(gateway, body: bytes) -> HttpResponse:
+def _handle_unsubscribe(gateway, body: bytes, headers) -> HttpResponse:
     payload = _require_object(_parse_json(body), "unsubscribe")
     sub_id, _ = _subscription_ref(payload)
     if not gateway.subscriptions.unregister(sub_id):
@@ -258,7 +270,7 @@ def _handle_unsubscribe(gateway, body: bytes) -> HttpResponse:
     return _json_response(200, {"unsubscribed": sub_id})
 
 
-def _handle_subscribe_poll(gateway, body: bytes) -> HttpResponse:
+def _handle_subscribe_poll(gateway, body: bytes, headers) -> HttpResponse:
     payload = _require_object(_parse_json(body), "poll")
     extra = set(payload) - {"id", "last_event_id", "timeout"}
     if extra:
@@ -299,7 +311,7 @@ def _sse_error_frame(err_type: str, message: str) -> bytes:
     return f"event: error\ndata: {payload}\n\n".encode("utf-8")
 
 
-def _handle_subscribe_stream(gateway, body: bytes) -> HttpResponse:
+def _handle_subscribe_stream(gateway, body: bytes, headers) -> HttpResponse:
     """SSE diff stream; the resume cursor arrives in the POST body."""
     payload = _require_object(_parse_json(body), "stream")
     extra = set(payload) - {"id", "last_event_id"}
@@ -335,15 +347,15 @@ def _handle_subscribe_stream(gateway, body: bytes) -> HttpResponse:
     return HttpResponse(status=200, body=b"", content_type=_SSE, stream=stream)
 
 
-def _handle_healthz(gateway, body: bytes) -> HttpResponse:
+def _handle_healthz(gateway, body: bytes, headers) -> HttpResponse:
     return _json_response(200, gateway.health())
 
 
-def _handle_stats(gateway, body: bytes) -> HttpResponse:
+def _handle_stats(gateway, body: bytes, headers) -> HttpResponse:
     return _json_response(200, gateway.stats())
 
 
-def _handle_metrics(gateway, body: bytes) -> HttpResponse:
+def _handle_metrics(gateway, body: bytes, headers) -> HttpResponse:
     return HttpResponse(
         status=200,
         body=gateway.metrics_text().encode("utf-8"),
@@ -405,21 +417,24 @@ def endpoint_label(path: str, known_paths: Optional[frozenset] = None) -> str:
     return normalized if normalized in known else UNKNOWN_ENDPOINT
 
 
-def handle_request(gateway, method: str, path: str, body: bytes) -> HttpResponse:
-    """Route one request and map every failure mode to its status code."""
+def handle_request(
+    gateway, method: str, path: str, body: bytes, headers: Optional[Mapping] = None
+) -> HttpResponse:
+    """Route one request and map every failure mode to its status code.
+
+    ``gateway`` is any serving role (standalone, writer, replica or the
+    replication router): routing only needs its ``routes()`` table and
+    ``max_body_bytes``. ``headers`` are the request headers, handed to
+    the route handler as-is; in-process callers may leave them out.
+    """
     path = normalize_path(path)
     if len(body) > gateway.max_body_bytes:
-        return _error(
-            413,
-            "payload_too_large",
-            f"request body exceeds {gateway.max_body_bytes} bytes",
-        )
+        return _too_large(gateway.max_body_bytes)
     routes = gateway.routes()
     handler = routes.get((method, path))
     if handler is None:
-        known = {p for _, p in routes}
-        if path in known:
-            allowed = sorted(m for m, p in routes if p == path)
+        allowed = sorted(m for m, p in routes if p == path)
+        if allowed:
             return _error(
                 405,
                 "method_not_allowed",
@@ -428,7 +443,7 @@ def handle_request(gateway, method: str, path: str, body: bytes) -> HttpResponse
             )
         return _error(404, "not_found", f"unknown endpoint {path!r}")
     try:
-        return handler(gateway, body)
+        return handler(gateway, body, {} if headers is None else headers)
     except WriteRedirectError as exc:
         return _error(
             307,
@@ -475,30 +490,36 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
     #: POST bodies arrive as a second segment after the headers; without
     #: TCP_NODELAY the reply can stall ~40 ms behind a delayed ACK.
     disable_nagle_algorithm = True
+    #: Buffer the response so headers and a small body leave in one send
+    #: (the request cycle flushes after every response and every streamed
+    #: chunk); unbuffered, each costs the peer a second read.
+    wbufsize = -1
     #: Idle keep-alive connections drop after this many seconds, bounding
     #: how long a graceful close can wait on a silent client.
     timeout = 10
 
     def _dispatch(self, method: str) -> None:
         gateway = self.server.gateway  # type: ignore[attr-defined]
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
-        if length > gateway.max_body_bytes:
-            # Refuse before reading: the limit must bound memory, not just
-            # parsing. The unread body poisons the connection for keep-alive,
-            # so close it.
-            response = _error(
-                413,
-                "payload_too_large",
-                f"request body exceeds {gateway.max_body_bytes} bytes",
-                headers=(("Connection", "close"),),
-            )
-            self.close_connection = True
-        else:
+        announced = self.headers.get("Content-Length", "0").strip()
+        length = int(announced) if announced.isascii() and announced.isdigit() else -1
+        if 0 <= length <= gateway.max_body_bytes:
             body = self.rfile.read(length) if length > 0 else b""
-            response = handle_request(gateway, method, self.path, body)
+            response = handle_request(gateway, method, self.path, body, self.headers)
+        else:
+            # Refuse before reading: the limit must bound memory, not just
+            # parsing. The unread body poisons the connection for keep-alive
+            # (it would be parsed as the next request line), so close it.
+            close = (("Connection", "close"),)
+            if length < 0:
+                response = _error(
+                    400,
+                    "invalid_input",
+                    f"Content-Length must be a non-negative integer, got {announced!r}",
+                    headers=close,
+                )
+            else:
+                response = _too_large(gateway.max_body_bytes, headers=close)
+            self.close_connection = True
         try:
             if response.stream is not None:
                 self._send_stream(response)
@@ -552,6 +573,5 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Access log line; silent unless the gateway enables logging."""
-        gateway = getattr(self.server, "gateway", None)
-        if gateway is not None and gateway.log_requests:  # pragma: no cover
+        if self.server.gateway.log_requests:  # pragma: no cover
             super().log_message(format, *args)

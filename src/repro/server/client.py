@@ -88,6 +88,19 @@ class ServerError(ReproError):
         self.location = location
 
 
+def _open_connection(host: str, port: int, timeout: float) -> http.client.HTTPConnection:
+    """A connected keep-alive connection with Nagle off.
+
+    Request headers and body go out as separate writes; with Nagle on, the
+    body can sit behind the peer's delayed ACK for tens of milliseconds —
+    dwarfing the query itself.
+    """
+    conn = http.client.HTTPConnection(host, port, timeout=timeout)
+    conn.connect()
+    conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return conn
+
+
 class ServerClient:
     """Client for one gateway at ``host:port`` (see module docstring).
 
@@ -135,16 +148,7 @@ class ServerClient:
     # ------------------------------------------------------------------
     def _connection(self) -> http.client.HTTPConnection:
         if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-            self._conn.connect()
-            # Request headers and JSON body go out as separate writes; with
-            # Nagle on, the body can sit behind the peer's delayed ACK for
-            # tens of milliseconds — dwarfing the query itself.
-            self._conn.sock.setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-            )
+            self._conn = _open_connection(self.host, self.port, self.timeout)
         return self._conn
 
     def _request(self, method: str, path: str, payload=None, extra_headers=None):

@@ -1,5 +1,11 @@
 """The serving gateway: HTTP server lifecycle around one CommunityService.
 
+The lifecycle itself — bind, accept loop, ``wait()``, address/url,
+per-endpoint counters, drain-on-close — lives in one private base,
+``_ServingRole``, which every role served over HTTP inherits: the
+standalone, writer and replica gateways here and in
+:mod:`repro.replication`, and the replication router.
+
 :class:`CommunityGateway` is the process's front door — it owns
 
 * a :class:`~repro.api.service.CommunityService` (constructed from a
@@ -33,7 +39,7 @@ import threading
 import time
 from collections import OrderedDict
 from http.server import ThreadingHTTPServer
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 from repro.api.query import Query
 from repro.api.response import QueryResponse
@@ -83,7 +89,7 @@ IDEMPOTENCY_CACHE_SIZE = 1024
 
 
 class _GatewayHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that knows its gateway and joins its handlers.
+    """ThreadingHTTPServer that knows its serving role and joins its handlers.
 
     ``daemon_threads=False`` + ``block_on_close=True`` make
     ``server_close()`` wait for in-flight handler threads — the second half
@@ -98,7 +104,7 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
     #: retransmit timeouts.
     request_queue_size = 128
 
-    def __init__(self, address, handler_cls, gateway: "CommunityGateway") -> None:
+    def __init__(self, address, handler_cls, gateway: "_ServingRole") -> None:
         self.gateway = gateway
         self._connections: set = set()
         self._connections_lock = threading.Lock()
@@ -132,7 +138,136 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
         super().server_close()
 
 
-class CommunityGateway:
+class _ServingRole:
+    """The HTTP lifecycle shared by every serving role.
+
+    The standalone, writer and replica gateways and the replication router
+    are all served the same way: one :class:`_GatewayHTTPServer` running
+    :class:`~repro.server.app.GatewayRequestHandler`, which routes through
+    :func:`~repro.server.app.handle_request` against the role's
+    :meth:`routes` table. A role brings that table, its ``health()`` and
+    ``stats()`` payloads, and a ``close()`` built from
+    :meth:`_stop_accepting` and :meth:`_join_handlers` around whatever it
+    has to drain in between.
+    """
+
+    #: Serving role advertised by ``/healthz`` and ``/stats``.
+    role: str
+    #: Request bodies past this size answer 413 before they are read.
+    max_body_bytes = DEFAULT_MAX_BODY_BYTES
+    #: Emit one access-log line per request on stderr.
+    log_requests = False
+
+    def __init__(
+        self, host: str, port: int, routes: Dict[Tuple[str, str], Callable]
+    ) -> None:
+        self._host = host
+        self._port = port
+        self._routes = routes
+        self._known_paths = frozenset(path for _, path in routes)
+        self._server: Optional[_GatewayHTTPServer] = None
+        self._server_thread: Optional[threading.Thread] = None
+        self._started_at: Optional[float] = None
+        self._closed = threading.Event()
+        self._request_counts: Dict[Tuple[str, str, int], int] = {}
+        self._counts_lock = threading.Lock()
+
+    def start(self):
+        """Bind the listener and spawn the accept loop; returns ``self``."""
+        if self._server is not None:
+            raise RuntimeError(f"{self.role} server already started")
+        self._server = _GatewayHTTPServer(
+            (self._host, self._port), GatewayRequestHandler, gateway=self
+        )
+        self._started_at = time.monotonic()
+        self._server_thread = threading.Thread(
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            name=f"repro-{self.role}",
+            daemon=True,
+        )
+        self._server_thread.start()
+        return self
+
+    def _stop_accepting(self) -> bool:
+        """Flip to draining and stop the listener; ``False`` if already closed.
+
+        Connections accepted so far keep being served until
+        :meth:`_join_handlers`.
+        """
+        if self._closed.is_set():
+            return False
+        self._closed.set()
+        if self._server is not None:
+            self._server.shutdown()
+        return True
+
+    def _join_handlers(self) -> None:
+        """Answer every in-flight request, then release the socket.
+
+        Idle keep-alive connections are half-closed so their handler
+        threads exit; one still producing its response finishes first.
+        """
+        if self._server is not None:
+            self._server.server_close()
+            self._server_thread.join(timeout=10.0)
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until ``close()`` is called (the CLI's serve loop)."""
+        return self._closed.wait(timeout=timeout)
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        """The bound ``(host, port)`` — resolves ``port=0`` bindings."""
+        if self._server is None:
+            raise RuntimeError(f"{self.role} server not started")
+        host, port = self._server.server_address[:2]
+        return str(host), int(port)
+
+    @property
+    def url(self) -> str:
+        """The bound base URL, e.g. ``http://127.0.0.1:8437``."""
+        host, port = self.address
+        return f"http://{host}:{port}"
+
+    @property
+    def uptime_seconds(self) -> float:
+        """Seconds since :meth:`start` (0.0 before it)."""
+        if self._started_at is None:
+            return 0.0
+        return time.monotonic() - self._started_at
+
+    def routes(self) -> Dict:
+        """The role's ``(method, path) -> handler`` table, fixed at construction."""
+        return self._routes
+
+    def known_paths(self) -> frozenset:
+        """Every routed path — bounds the endpoint-counter label set."""
+        return self._known_paths
+
+    def record_request(self, method: str, endpoint: str, status: int) -> None:
+        """Bump the per-endpoint counter behind ``/stats`` and ``/metrics``."""
+        key = (method, endpoint, status)
+        with self._counts_lock:
+            self._request_counts[key] = self._request_counts.get(key, 0) + 1
+
+    def _request_rows(self) -> list:
+        """The ``/stats`` ``requests`` block: one row per (method, endpoint, status)."""
+        with self._counts_lock:
+            counts = sorted(self._request_counts.items())
+        return [
+            {"method": m, "endpoint": e, "status": s, "count": c}
+            for (m, e, s), c in counts
+        ]
+
+
+class CommunityGateway(_ServingRole):
     """One HTTP serving gateway over one community-search service.
 
     Parameters
@@ -178,12 +313,11 @@ class CommunityGateway:
         log_requests: bool = False,
         sse_keepalive: float = DEFAULT_SSE_KEEPALIVE_SECONDS,
     ) -> None:
+        super().__init__(host, port, {**ROUTES, **self.extra_routes()})
         if isinstance(service, CommunityService):
             self.service = service
         else:
             self.service = CommunityService(service)
-        self._host = host
-        self._port = port
         self._coalesce = coalesce
         self._coalesce_window = coalesce_window
         self._max_batch = max_batch
@@ -192,14 +326,8 @@ class CommunityGateway:
         self.max_body_bytes = max_body_bytes
         self.log_requests = log_requests
         self.coalescer: Optional[RequestCoalescer] = None
-        self._server: Optional[_GatewayHTTPServer] = None
-        self._server_thread: Optional[threading.Thread] = None
-        self._started_at: Optional[float] = None
         # repro-lint: disable=version-tagging -- boot-time observation before serving starts; no concurrent mutator exists yet
         self._version_at_start = self.service.pg.version
-        self._closed = threading.Event()
-        self._request_counts: Dict[Tuple[str, str, int], int] = {}
-        self._counts_lock = threading.Lock()
         self._idempotency_lock = threading.Lock()
         self._idempotency_receipts: "OrderedDict[str, UpdateReceipt]" = OrderedDict()
         self.sse_keepalive_seconds = sse_keepalive
@@ -218,7 +346,7 @@ class CommunityGateway:
     def start(self) -> "CommunityGateway":
         """Bind, spawn the accept loop, and (optionally) warm the index."""
         if self._server is not None:
-            raise RuntimeError("gateway already started")
+            raise RuntimeError(f"{self.role} server already started")
         if self._warm:
             self.service.warm()
         if self._coalesce:
@@ -228,18 +356,7 @@ class CommunityGateway:
                 max_batch=self._max_batch,
                 max_queue=self._max_queue,
             )
-        self._server = _GatewayHTTPServer(
-            (self._host, self._port), GatewayRequestHandler, gateway=self
-        )
-        self._started_at = time.monotonic()
-        self._server_thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="repro-gateway",
-            daemon=True,
-        )
-        self._server_thread.start()
-        return self
+        return super().start()
 
     def close(self, drain: bool = True) -> None:
         """Stop serving. With ``drain`` (default) every accepted request
@@ -251,21 +368,15 @@ class CommunityGateway:
         storage, a drain that would discard applied updates shouts about
         it on stderr — losing mutations must be opt-in, not invisible.
         Idempotent."""
-        if self._closed.is_set():
+        if not self._stop_accepting():
             return
-        self._closed.set()
-        if self._server is not None:
-            self._server.shutdown()  # stop accepting new connections
         if self.coalescer is not None:
             self.coalescer.close(timeout=None if drain else 0.0)
         # End SSE streams *before* joining handler threads (they block in
         # consumer waits, not socket reads), but keep the update hook
         # attached so writes still in flight journal their diffs.
         self.subscriptions.disconnect_consumers()
-        if self._server is not None:
-            self._server.server_close()  # joins handler threads (drain)
-        if self._server_thread is not None:
-            self._server_thread.join(timeout=10.0)
+        self._join_handlers()
         self._checkpoint_or_warn(drain)
         self.subscriptions.close()
         self.service.close()
@@ -293,30 +404,6 @@ class CommunityGateway:
                 file=sys.stderr,
                 flush=True,
             )
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until :meth:`close` is called (the CLI's serve loop)."""
-        return self._closed.wait(timeout=timeout)
-
-    def __enter__(self) -> "CommunityGateway":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` — resolves ``port=0`` bindings."""
-        if self._server is None:
-            raise RuntimeError("gateway not started")
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def url(self) -> str:
-        """The bound base URL, e.g. ``http://127.0.0.1:8437``."""
-        host, port = self.address
-        return f"http://{host}:{port}"
 
     # ------------------------------------------------------------------
     # request-path hooks (used by repro.server.app)
@@ -369,32 +456,9 @@ class CommunityGateway:
         """Additional ``(method, path) -> handler`` routes (roles override)."""
         return {}
 
-    def routes(self) -> Dict:
-        """The full routing table: the base table plus any role extras."""
-        merged = dict(ROUTES)
-        merged.update(self.extra_routes())
-        return merged
-
-    def known_paths(self) -> frozenset:
-        """Every routed path — bounds the endpoint-counter label set."""
-        return frozenset(path for _, path in self.routes())
-
-    def record_request(self, method: str, endpoint: str, status: int) -> None:
-        """Bump the per-endpoint counter behind ``/stats`` and ``/metrics``."""
-        key = (method, endpoint, status)
-        with self._counts_lock:
-            self._request_counts[key] = self._request_counts.get(key, 0) + 1
-
     # ------------------------------------------------------------------
     # observability payloads
     # ------------------------------------------------------------------
-    @property
-    def uptime_seconds(self) -> float:
-        """Seconds since :meth:`start` (0.0 before it)."""
-        if self._started_at is None:
-            return 0.0
-        return time.monotonic() - self._started_at
-
     def health(self) -> dict:
         """The ``/healthz`` payload: liveness plus the serving vitals."""
         pg = self.service.pg
@@ -419,11 +483,6 @@ class CommunityGateway:
     def stats(self) -> dict:
         """The ``/stats`` payload: engine + graph + coalescer + HTTP counters."""
         pg = self.service.pg
-        with self._counts_lock:
-            requests = [
-                {"method": m, "endpoint": e, "status": s, "count": c}
-                for (m, e, s), c in sorted(self._request_counts.items())
-            ]
         return {
             "server": {
                 "role": self.role,
@@ -438,7 +497,7 @@ class CommunityGateway:
                     "max_queue": self.coalescer.max_queue,
                 },
                 "parallel_workers": self.service.parallel_workers,
-                "requests": requests,
+                "requests": self._request_rows(),
             },
             "engine": self.service.stats().to_dict(),
             "coalescer": None if self.coalescer is None else self.coalescer.stats(),

@@ -37,7 +37,18 @@ import threading
 import time
 import zlib
 from pathlib import Path
-from typing import FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable,
+    FrozenSet,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.profiled_graph import ProfiledGraph
 from repro.engine.updates import GraphUpdate, apply_update
@@ -47,6 +58,10 @@ Vertex = Hashable
 PathLike = Union[str, Path]
 
 _FRAME = struct.Struct("<II")
+#: Upper bound on one frame's payload, on disk and on the replication
+#: wire; a length past this means the bytes are corrupt (or not frames at
+#: all), not a huge batch.
+_MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 class WalError(ReproError):
@@ -55,6 +70,57 @@ class WalError(ReproError):
 
 class WalCorruptError(WalError):
     """A log record before the tail fails structural validation."""
+
+
+# ----------------------------------------------------------------------
+# the frame codec (shared with the replication stream)
+# ----------------------------------------------------------------------
+def pack_frame(payload: dict) -> bytes:
+    """Frame one JSON payload: ``u32 length + u32 crc32 + bytes``."""
+    raw = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    if len(raw) > _MAX_FRAME_BYTES:
+        raise WalError(
+            f"frame payload of {len(raw)} bytes exceeds the "
+            f"{_MAX_FRAME_BYTES}-byte frame limit"
+        )
+    return _FRAME.pack(len(raw), zlib.crc32(raw)) + raw
+
+
+def _read_exact(read: Callable[[int], bytes], count: int) -> bytes:
+    """``count`` bytes from a ``read(n)`` that may return short; fewer only at EOF."""
+    chunks = []
+    while count > 0:
+        chunk = read(count)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        count -= len(chunk)
+    return b"".join(chunks)
+
+
+def iter_frames(read: Callable[[int], bytes]) -> Iterator[bytes]:
+    """Yield each frame's payload bytes from a blocking ``read(n)`` source.
+
+    A clean EOF **between** frames ends iteration; a frame that is cut
+    short, announces more than the frame limit or fails its CRC raises
+    :class:`WalCorruptError` (on disk that is the torn tail, on the wire
+    a broken stream).
+    """
+    while True:
+        header = _read_exact(read, _FRAME.size)
+        if not header:
+            return
+        if len(header) < _FRAME.size:
+            raise WalCorruptError(f"frame shorter than its {_FRAME.size}-byte header")
+        length, crc = _FRAME.unpack(header)
+        if length > _MAX_FRAME_BYTES:
+            raise WalCorruptError(f"frame announces {length} bytes — corrupt")
+        payload = _read_exact(read, length)
+        if len(payload) < length:
+            raise WalCorruptError(f"frame announced {length} bytes, got {len(payload)}")
+        if zlib.crc32(payload) != crc:
+            raise WalCorruptError("frame payload fails its CRC check")
+        yield payload
 
 
 class WalReplayError(WalError):
@@ -218,8 +284,6 @@ class WriteAheadLog:
     def __init__(self, path: PathLike) -> None:
         self._path = Path(path)
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._num_records = 0
-        self._last_version: Optional[int] = None
         self._dropped_bytes = 0
         #: Notified on every append and truncate so tail-followers
         #: (:meth:`cursor` / :meth:`wait_for_change`) wake without polling.
@@ -227,7 +291,9 @@ class WriteAheadLog:
         #: Bumped on :meth:`truncate`; a cursor built against an older
         #: generation must restart from the beginning of the new log.
         self._generation = 0
-        valid_end = self._scan()
+        records, valid_end = self._read_from(0)
+        self._num_records = len(records)
+        self._last_version: Optional[int] = records[-1].version if records else None
         size = self._path.stat().st_size if self._path.exists() else 0
         if valid_end < size:
             self._dropped_bytes = size - valid_end
@@ -237,29 +303,27 @@ class WriteAheadLog:
                 os.fsync(fh.fileno())
         self._fh = open(self._path, "ab")
 
-    def _scan(self) -> int:
-        """Validate existing frames; returns the end offset of the last good one."""
+    def _read_from(self, offset: int) -> Tuple[List[WalRecord], int]:
+        """Complete records from byte ``offset``; the offset after the last.
+
+        Stops at the first frame that is short, oversized, CRC-failing or
+        not a record: a crash can tear the final frame, and every
+        complete record before it was fsync'd and is safe.
+        """
+        records: List[WalRecord] = []
         if not self._path.exists():
-            return 0
-        raw = self._path.read_bytes()
-        pos = 0
-        while pos + _FRAME.size <= len(raw):
-            length, crc = _FRAME.unpack_from(raw, pos)
-            start = pos + _FRAME.size
-            end = start + length
-            if end > len(raw):
-                break  # torn tail: frame announced more bytes than exist
-            payload = raw[start:end]
-            if zlib.crc32(payload) != crc:
-                break  # torn tail: payload bytes incomplete or scrambled
+            return records, offset
+        with open(self._path, "rb") as fh:
+            fh.seek(offset)
             try:
-                record = WalRecord.from_payload(json.loads(payload.decode("utf-8")))
+                for payload in iter_frames(fh.read):
+                    records.append(
+                        WalRecord.from_payload(json.loads(payload.decode("utf-8")))
+                    )
+                    offset += _FRAME.size + len(payload)
             except (ValueError, WalCorruptError, InvalidInputError):
-                break
-            self._num_records += 1
-            self._last_version = record.version
-            pos = end
-        return pos
+                pass  # the torn tail
+        return records, offset
 
     # -- introspection -------------------------------------------------
     @property
@@ -324,9 +388,7 @@ class WriteAheadLog:
                 f"(last logged version {self._last_version})"
             )
         record = WalRecord(base, version, updates)
-        payload = json.dumps(record.to_payload(), separators=(",", ":")).encode("utf-8")
-        self._fh.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
-        self._fh.write(payload)
+        self._fh.write(pack_frame(record.to_payload()))
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self._num_records += 1
@@ -363,18 +425,7 @@ class WriteAheadLog:
     def records(self) -> List[WalRecord]:
         """Every complete record, oldest first (re-read from disk)."""
         self._fh.flush()
-        out: List[WalRecord] = []
-        raw = self._path.read_bytes()
-        pos = 0
-        while pos + _FRAME.size <= len(raw):
-            length, crc = _FRAME.unpack_from(raw, pos)
-            start = pos + _FRAME.size
-            end = start + length
-            if end > len(raw) or zlib.crc32(raw[start:end]) != crc:
-                break
-            out.append(WalRecord.from_payload(json.loads(raw[start:end].decode("utf-8"))))
-            pos = end
-        return out
+        return self._read_from(0)[0]
 
     def replay_into(self, pg: ProfiledGraph) -> int:
         """Re-apply logged batches onto ``pg``; returns batches applied.
@@ -416,23 +467,13 @@ class WriteAheadLog:
         frame boundary previously returned by this method (0 to start).
         """
         self._fh.flush()
-        raw = self._path.read_bytes() if self._path.exists() else b""
-        if offset > len(raw):
+        size = self._path.stat().st_size if self._path.exists() else 0
+        if offset > size:
             raise WalError(
                 f"{self._path}: follower offset {offset} is past the log "
-                f"end {len(raw)} (log was truncated; re-seek from 0)"
+                f"end {size} (log was truncated; re-seek from 0)"
             )
-        out: List[WalRecord] = []
-        pos = offset
-        while pos + _FRAME.size <= len(raw):
-            length, crc = _FRAME.unpack_from(raw, pos)
-            start = pos + _FRAME.size
-            end = start + length
-            if end > len(raw) or zlib.crc32(raw[start:end]) != crc:
-                break
-            out.append(WalRecord.from_payload(json.loads(raw[start:end].decode("utf-8"))))
-            pos = end
-        return out, pos
+        return self._read_from(offset)
 
     def wait_for_change(self, generation: int, offset: int, timeout: float) -> bool:
         """Block until the log grows past ``offset`` or leaves ``generation``.

@@ -11,13 +11,16 @@ and a checkpoint-forced resync. Subprocess failure injection (kill -9)
 lives in ``tests/test_cluster.py``.
 """
 
+import gc
 import http.client
 import io
 import json
 import socket
 import struct
+import sys
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -40,7 +43,7 @@ from repro.replication import (
     record_frame,
     record_from_frame,
 )
-from repro.server import ServerClient, ServerError
+from repro.server import CommunityGateway, ServerClient, ServerError
 from repro.server.gateway import DEFAULT_MAX_BODY_BYTES
 from repro.storage import WalRecord, WriteAheadLog
 
@@ -130,8 +133,16 @@ class TestFrameCodec:
 # WAL cursor (real log file, no sockets)
 # ----------------------------------------------------------------------
 class TestWalCursor:
+    @pytest.fixture(autouse=True)
+    def _close_logs(self):
+        self._opened = []
+        yield
+        for wal in self._opened:
+            wal.close()
+
     def _log_with(self, tmp_path, n):
         wal = WriteAheadLog(tmp_path / "wal.log")
+        self._opened.append(wal)
         for version in range(1, n + 1):
             wal.append(version - 1, version, [{"op": "add_vertex", "u": f"V{version}"}])
         return wal
@@ -380,26 +391,6 @@ class _GarbageVersionBackend(BaseHTTPRequestHandler):
 
 
 class TestRouterFailsClosed:
-    def test_oversized_body_is_413_before_reading(self):
-        router = ReplicationRouter("http://127.0.0.1:9", ["http://127.0.0.1:9"])
-        router.start()
-        try:
-            with socket.create_connection(router.address, timeout=10) as sock:
-                sock.sendall(
-                    b"POST /query HTTP/1.1\r\nContent-Type: application/json\r\n"
-                    b"Content-Length: %d\r\n\r\n" % (DEFAULT_MAX_BODY_BYTES + 1)
-                )
-                # No body byte was sent: the answer cannot have waited for one.
-                response = http.client.HTTPResponse(sock)
-                response.begin()
-                payload = json.loads(response.read())
-                assert response.status == 413
-                assert response.getheader("Connection") == "close"
-                assert payload["error"]["type"] == "payload_too_large"
-                assert sock.recv(1) == b""  # and the router hung up
-        finally:
-            router.close()
-
     def test_non_integer_backend_version_marks_backend_failed(self):
         backend = ThreadingHTTPServer(("127.0.0.1", 0), _GarbageVersionBackend)
         thread = threading.Thread(target=backend.serve_forever, daemon=True)
@@ -427,3 +418,195 @@ class TestRouterFailsClosed:
             backend.server_close()
             thread.join(timeout=10)
             assert not thread.is_alive()
+
+
+# ----------------------------------------------------------------------
+# one HTTP layer: every role answers protocol errors the same way
+# ----------------------------------------------------------------------
+def _raw_exchange(address, request: bytes):
+    """Send raw bytes; ``(status, headers, JSON payload, peer hung up)``.
+
+    No request here carries a body, so an answer proves the server never
+    waited for one.
+    """
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(request)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        payload = json.loads(response.read())
+        hung_up = response.getheader("Connection") == "close" and sock.recv(1) == b""
+        return response.status, response.headers, payload, hung_up
+
+
+#: name -> (request, status, error.type, headers the answer must carry)
+ENVELOPE_CASES = {
+    "unknown-path": (b"POST /nope HTTP/1.1\r\n\r\n", 404, "not_found", {}),
+    "wrong-verb": (
+        b"GET /query HTTP/1.1\r\n\r\n", 405, "method_not_allowed", {"Allow": "POST"}
+    ),
+    "oversized": (
+        b"POST /query HTTP/1.1\r\nContent-Type: application/json\r\n"
+        b"Content-Length: %d\r\n\r\n" % (DEFAULT_MAX_BODY_BYTES + 1),
+        413,
+        "payload_too_large",
+        {"Connection": "close"},
+    ),
+    "length-not-a-number": (
+        b"POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        400,
+        "invalid_input",
+        {"Connection": "close"},
+    ),
+    "length-negative": (
+        b"POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        400,
+        "invalid_input",
+        {"Connection": "close"},
+    ),
+}
+ROLES = ("standalone", "writer", "replica", "router")
+
+
+class TestEveryRoleOneEnvelope:
+    @pytest.fixture(scope="class")
+    def servers(self, tmp_path_factory):
+        tier = replication_tier(tmp_path_factory.mktemp("roles"))
+        with tier as (writer, reps, router):
+            with CommunityGateway(fig1_profiled_graph(), port=0) as standalone:
+                yield {
+                    "standalone": standalone,
+                    "writer": writer,
+                    "replica": reps[0],
+                    "router": router,
+                }
+
+    @pytest.mark.parametrize("case", sorted(ENVELOPE_CASES))
+    @pytest.mark.parametrize("role", ROLES)
+    def test_protocol_error(self, servers, role, case):
+        request, status, err_type, expected_headers = ENVELOPE_CASES[case]
+        got_status, headers, payload, hung_up = _raw_exchange(
+            servers[role].address, request
+        )
+        assert got_status == status
+        assert payload["error"]["type"] == err_type
+        assert headers["Content-Type"] == "application/json"
+        for name, value in expected_headers.items():
+            assert headers[name] == value
+        # The refusals that leave a body unread must also hang up.
+        assert hung_up == ("Connection" in expected_headers)
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_stats_count_requests_per_endpoint(self, servers, role):
+        with ServerClient(*servers[role].address) as client:
+            client.healthz()
+            rows = client.stats()["server"]["requests"]
+        healthz = [r for r in rows if r["endpoint"] == "/healthz"]
+        assert healthz and healthz[0]["method"] == "GET"
+        assert healthz[0]["status"] == 200 and healthz[0]["count"] >= 1
+
+
+# ----------------------------------------------------------------------
+# router drain: the gateway's close() contract, inherited
+# ----------------------------------------------------------------------
+class _SlowBackend(_GarbageVersionBackend):
+    """A backend whose reads take a while, so a drain can catch one in flight."""
+
+    entered = threading.Event()
+    release = threading.Event()
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        self.entered.set()
+        self.release.wait(timeout=10)
+        self._answer(b'{"slow": true}', version="0")
+
+
+@contextmanager
+def slow_backend():
+    """A running :class:`_SlowBackend`; yields its base URL."""
+    _SlowBackend.entered.clear()
+    _SlowBackend.release.clear()
+    backend = ThreadingHTTPServer(("127.0.0.1", 0), _SlowBackend)
+    backend.daemon_threads = True
+    serve = threading.Thread(target=backend.serve_forever, daemon=True)
+    serve.start()
+    try:
+        yield f"http://127.0.0.1:{backend.server_address[1]}"
+    finally:
+        _SlowBackend.release.set()
+        backend.shutdown()
+        backend.server_close()
+        serve.join(timeout=10)
+        assert not serve.is_alive()
+
+
+class TestRouterDrain:
+    def test_concurrent_reads_lose_no_counter_update(self):
+        threads, reads_each = 8, 25
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with slow_backend() as url:
+                _SlowBackend.release.set()  # answer at once
+                with ReplicationRouter(url, [url], health_interval=0.01) as router:
+
+                    def read():
+                        with ServerClient(*router.address) as client:
+                            for _ in range(reads_each):
+                                client._request("POST", "/query", {"vertex": "A"})
+
+                    workers = [threading.Thread(target=read) for _ in range(threads)]
+                    for worker in workers:
+                        worker.start()
+                    for worker in workers:
+                        worker.join(timeout=60)
+                    assert not any(worker.is_alive() for worker in workers)
+                    stats = router.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads * reads_each
+        assert stats["server"]["counters"]["reads_proxied"] == total
+        assert stats["replicas"][0]["inflight"] == 0
+        assert stats["replicas"][0]["errors"] == 0
+        routed = [r for r in stats["server"]["requests"] if r["endpoint"] == "/query"]
+        assert [(r["status"], r["count"]) for r in routed] == [(200, total)]
+
+    def test_close_answers_in_flight_read_and_leaks_no_socket(self):
+        gc.collect()  # earlier tests' garbage must not be blamed on this one
+        with warnings.catch_warnings(record=True) as caught, slow_backend() as url:
+            warnings.simplefilter("always", ResourceWarning)
+            router = ReplicationRouter(url, [url], health_interval=0.05)
+            router.start()
+            answers = []
+
+            def read():
+                with ServerClient(*router.address) as client:
+                    answers.append(client._request("POST", "/query", {"vertex": "A"})[2])
+
+            reader = threading.Thread(target=read)
+            idle = socket.create_connection(router.address, timeout=10)
+            try:
+                reader.start()
+                assert _SlowBackend.entered.wait(timeout=10)
+                closer = threading.Thread(target=router.close)
+                closer.start()
+                # close() is draining: it has not returned, and the read
+                # it is waiting for has not been answered yet.
+                closer.join(timeout=0.3)
+                assert closer.is_alive() and not answers
+                _SlowBackend.release.set()
+                closer.join(timeout=10)
+                reader.join(timeout=10)
+                assert not closer.is_alive() and not reader.is_alive()
+                assert answers == [{"slow": True}]
+                # The idle keep-alive client did not stall the drain; it
+                # was hung up on.
+                assert idle.recv(1) == b""
+            finally:
+                idle.close()
+                _SlowBackend.release.set()
+                router.close()
+            del router
+            gc.collect()
+        leaked = [str(w.message) for w in caught if "socket" in str(w.message)]
+        assert leaked == []

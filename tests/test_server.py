@@ -11,7 +11,9 @@ response's ``graph_version`` validated.
 """
 
 import email.utils
+import http.client
 import json
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -628,6 +630,30 @@ class TestObservability:
         assert "repro_coalescer" not in text
         assert "repro_queries_served_total" in text
 
+    @pytest.mark.parametrize("announced", [b"abc", b"-5"])
+    def test_malformed_content_length_is_400_and_closes(self, announced):
+        """A length the server cannot trust must not be read as 0: the body
+        it leaves unread would be parsed as the next request line."""
+        with serving(fig1_profiled_graph()) as (gateway, _client):
+            with socket.create_connection(gateway.address, timeout=10) as sock:
+                sock.sendall(
+                    b"POST /query HTTP/1.1\r\nContent-Type: application/json\r\n"
+                    b"Content-Length: " + announced + b"\r\n\r\n"
+                    b'{"vertex": "D", "k": 2}'
+                )
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                payload = json.loads(response.read())
+                assert response.status == 400
+                assert payload["error"]["type"] == "invalid_input"
+                assert "Content-Length" in payload["error"]["message"]
+                assert response.getheader("Connection") == "close"
+                try:
+                    trailing = sock.recv(1024)
+                except ConnectionResetError:  # closed over the unread body
+                    trailing = b""
+                assert trailing == b""  # no second answer for the body
+
 
 class TestClientAndLifecycle:
     def test_client_overrides_and_errors(self):
@@ -676,8 +702,8 @@ class TestRetrySafety:
         original = app_mod.handle_request
         killed = []
 
-        def dying(gateway, method, path, body):
-            response = original(gateway, method, path, body)
+        def dying(gateway, method, path, body, headers=None):
+            response = original(gateway, method, path, body, headers)
             if path == "/update" and not killed:
                 killed.append(True)
                 # The handler thread dies before writing the response: the
@@ -756,8 +782,8 @@ class TestRetrySafety:
         original = app_mod.handle_request
         stamp = email.utils.formatdate(time.time() + 30, usegmt=True)
 
-        def dated(gateway, method, path, body):
-            response = original(gateway, method, path, body)
+        def dated(gateway, method, path, body, headers=None):
+            response = original(gateway, method, path, body, headers)
             if path == "/query":
                 return app_mod._error(
                     429, "queue_full", "busy", headers=(("Retry-After", stamp),)
