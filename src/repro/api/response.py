@@ -75,7 +75,7 @@ class CommunityView:
     @classmethod
     def from_community(cls, community: ProfiledCommunity) -> "CommunityView":
         return cls(
-            vertices=tuple(sorted(community.vertices, key=repr)),
+            vertices=community.sorted_vertices,
             theme=tuple(sorted(community.theme())),
             subtree_nodes=tuple(sorted(community.subtree.nodes)),
         )

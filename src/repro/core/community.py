@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Hashable, Iterator, List
+from functools import cached_property
+from typing import FrozenSet, Hashable, Iterator, List, Tuple
 
 from repro.ptree.ptree import PTree
 
@@ -40,6 +41,12 @@ class ProfiledCommunity:
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self.vertices
+
+    @cached_property
+    def sorted_vertices(self) -> Tuple[Vertex, ...]:
+        """Members ordered by ``repr``: the wire order and the result sort's
+        tie-break, computed once per community."""
+        return tuple(sorted(self.vertices, key=repr))
 
     def theme(self) -> FrozenSet[str]:
         """Label names of the shared subtree — the community's "theme"."""
@@ -89,9 +96,10 @@ class PCSResult:
 
     def sort(self) -> "PCSResult":
         """Sort communities deterministically (in place); returns self."""
-        self.communities.sort(
-            key=lambda c: (-len(c.subtree), -c.size, tuple(sorted(map(repr, c.vertices))))
-        )
+        if len(self.communities) > 1:  # the usual answer is one community: no keys to build
+            self.communities.sort(
+                key=lambda c: (-len(c.subtree), -c.size, tuple(map(repr, c.sorted_vertices)))
+            )
         return self
 
     def summary(self) -> str:

@@ -16,7 +16,18 @@ non-empty. The oracle centralises three ways of answering:
   of a label is contained in the k-ĉore of each of its ancestors.
 
 The candidate set is then peeled by the cohesion model (k-core by default)
-and q's component extracted. Results are memoised by subtree, so repeated
+and q's component extracted — unless it is **already final: no peel**.
+Under k-core cohesion every operand of the two index-backed intersections is
+a connected k-core containing q (an ``I.get`` result or a memoised
+``Gk[T′]``), and label sets are ancestor-closed, so every vertex of the
+intersection carries all of T. When the intersection equals one of its
+operands S (it then equals the smallest; a single leaf is the trivial case),
+S is a connected k-core around q inside the carriers of T, so
+``S ⊆ Gk[T] ⊆ candidates = S``: S is stored as is. By the same argument
+``Gk[∅]`` is ``I.get(k, q, ROOT)`` when every graph vertex carries the root.
+Other cohesion models and basic mode always peel.
+
+Results are memoised by subtree, so repeated
 verifications — the common case in border expansion and maximality checks —
 cost one dict lookup. The ``verifications`` counter reports how many
 *distinct* subtree communities were actually computed, the work measure the
@@ -25,13 +36,14 @@ paper's efficiency experiments vary.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Optional
+from typing import Dict, FrozenSet, Hashable, Optional, Tuple
 
 from repro.core.cohesion import CohesionModel, KCoreCohesion, get_cohesion
 from repro.core.profiled_graph import ProfiledGraph
 from repro.errors import VertexNotFoundError
 from repro.index.cptree import CPTree
 from repro.ptree.enumeration import addable_nodes
+from repro.ptree.taxonomy import ROOT
 
 Vertex = Hashable
 NodeSet = FrozenSet[int]
@@ -142,10 +154,8 @@ class FeasibilityOracle:
             # q itself lacks part of the subtree — infeasible by definition.
             return self._store(subtree, EMPTY_VERTICES)
         if self.index is None:
-            candidates = self._basic_candidates(subtree)
-        else:
-            candidates = self._leaf_intersection(subtree)
-        return self._finish(subtree, candidates)
+            return self._finish(subtree, self._basic_candidates(subtree))
+        return self._finish(subtree, *self._leaf_intersection(subtree))
 
     def community_from_parent(
         self, subtree: NodeSet, parent: NodeSet, new_node: int
@@ -161,19 +171,26 @@ class FeasibilityOracle:
             return self._store(subtree, EMPTY_VERTICES)
         if self.index is None:
             # Algorithm 1 line 10: recompute from Gk with full subset scans.
-            candidates = self._basic_candidates(subtree)
-        else:
-            candidates = parent_community & self._label_candidates(new_node)
-        return self._finish(subtree, candidates)
+            return self._finish(subtree, self._basic_candidates(subtree))
+        return self._finish(
+            subtree,
+            *self._intersect([parent_community, self._label_candidates(new_node)]),
+        )
 
     def _community_unconstrained(self) -> FrozenSet[Vertex]:
         """Gk[∅]: the cohesive subgraph containing q with no label constraint."""
         cached = self._communities.get(EMPTY_NODES)
         if cached is not None:
             return cached
-        community = self.cohesion.within(
-            self.pg.graph, self.pg.graph.vertices(), self.k, self.q
-        )
+        graph = self.pg.graph
+        if (
+            self.index is not None
+            and self.cohesion.supports_core_index
+            and len(self.index.vertices_with_label(ROOT)) == len(graph)
+        ):
+            community = self.index.get(self.k, self.q, ROOT)
+        else:
+            community = self.cohesion.within(graph, graph.vertices(), self.k, self.q)
         self.verifications += 1
         self._communities[EMPTY_NODES] = community
         return community
@@ -183,28 +200,36 @@ class FeasibilityOracle:
         labels = self.pg.all_labels()
         return frozenset(v for v in gk if subtree <= labels[v])
 
-    def _leaf_intersection(self, subtree: NodeSet) -> FrozenSet[Vertex]:
+    def _leaf_intersection(self, subtree: NodeSet) -> Tuple[FrozenSet[Vertex], bool]:
         tax = self._taxonomy
-        leaves = [
-            x for x in subtree if not any(c in subtree for c in tax.children(x))
-        ]
-        # Intersect smallest-first to keep intermediate sets small.
-        sets = sorted((self._label_candidates(x) for x in leaves), key=len)
-        if not sets:
-            return EMPTY_VERTICES
-        result = set(sets[0])
-        for s in sets[1:]:
-            result &= s
-            if not result:
-                break
-        return frozenset(result)
+        return self._intersect(
+            self._label_candidates(x)
+            for x in subtree
+            if not any(c in subtree for c in tax.children(x))
+        )
 
-    def _finish(self, subtree: NodeSet, candidates: FrozenSet[Vertex]) -> FrozenSet[Vertex]:
+    def _intersect(self, sets) -> Tuple[FrozenSet[Vertex], bool]:
+        """``(⋂ sets, final)``: final when the meet is its smallest operand.
+
+        The operand itself is returned then (for one leaf, the CL-tree's
+        memoised frozenset), and under k-core cohesion needs no peel.
+        """
+        # Intersect smallest-first to keep intermediate sets small.
+        smallest, *rest = sorted(sets, key=len)
+        result = smallest.intersection(*rest) if rest else smallest
+        if len(result) == len(smallest):
+            return smallest, self.cohesion.supports_core_index
+        return result, False
+
+    def _finish(
+        self, subtree: NodeSet, candidates: FrozenSet[Vertex], final: bool = False
+    ) -> FrozenSet[Vertex]:
         self.verifications += 1
         if self.q not in candidates:
             return self._store(subtree, EMPTY_VERTICES)
-        community = self.cohesion.within(self.pg.graph, candidates, self.k, self.q)
-        return self._store(subtree, community)
+        if not final:
+            candidates = self.cohesion.within(self.pg.graph, candidates, self.k, self.q)
+        return self._store(subtree, candidates)
 
     def _store(self, subtree: NodeSet, community: FrozenSet[Vertex]) -> FrozenSet[Vertex]:
         self._communities[subtree] = community

@@ -121,7 +121,7 @@ class HttpResponse:
 
 
 def _json_response(status: int, payload: dict, headers: Tuple = ()) -> HttpResponse:
-    body = json.dumps(payload, indent=2).encode("utf-8")
+    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     return HttpResponse(status=status, body=body, headers=tuple(headers))
 
 

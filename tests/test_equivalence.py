@@ -155,3 +155,30 @@ def test_property_result_invariants(seed):
         assert vertices == k_core_within(
             pg.graph, pg.vertices_with_subtree(subtree), k, q=q
         )
+
+
+@pytest.mark.parametrize("k", [1, 3, 6, 8])
+def test_all_methods_equal_index_free_basic_across_k(k):
+    """All six methods equal ``basic`` recomputed on the object backend.
+
+    The share of candidate sets that are final without a peel (see
+    ``repro.core.feasibility``) depends on k, so the sweep covers a k
+    below, at and above the dataset's typical core numbers.
+    """
+    from repro.core.search import ALL_METHODS
+    from repro.datasets import load_dataset
+    from repro.graph.csr import backend_override
+
+    pg = load_dataset("acmdl", scale=0.01)
+    queries = random.Random(k).sample(sorted(pg.vertices(), key=repr), 12)
+    with backend_override("object"):
+        reference_pg = load_dataset("acmdl", scale=0.01)
+        expected = {
+            q: as_vertex_subtree_map(pcs(reference_pg, q, k, method="basic"))
+            for q in queries
+        }
+    assert sum(map(bool, expected.values())) >= 6  # not vacuous at any k
+    for method in ALL_METHODS:
+        for q in queries:
+            got = as_vertex_subtree_map(pcs(pg, q, k, method=method))
+            assert got == expected[q], f"{method} diverged at q={q!r}, k={k}"

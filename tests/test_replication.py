@@ -230,6 +230,27 @@ class TestInProcessTier:
                 got = envelope(client.query(PROBE))
             assert got == expected
 
+    def test_routed_read_relays_the_replicas_bytes_unchanged(self, tmp_path):
+        """The router re-encodes nothing: compact bytes in, same bytes out."""
+
+        def post_query(gateway):
+            conn = http.client.HTTPConnection(*gateway.address, timeout=10)
+            try:
+                conn.request("POST", "/query", body=json.dumps(PROBE.to_dict()))
+                response = conn.getresponse()
+                return response.status, response.getheader("X-Repro-Served-By"), response.read()
+            finally:
+                conn.close()
+
+        with replication_tier(tmp_path) as (_writer, reps, router):
+            post_query(reps[0])  # prime: both reads below are the same cache hit
+            status, _, direct = post_query(reps[0])
+            routed_status, served_by, routed = post_query(router)
+            assert status == routed_status == 200
+            assert served_by == _url(reps[0])
+            assert routed == direct
+            assert b"\n" not in routed and json.loads(routed)["cache_hit"] is True
+
     def test_write_then_read_your_writes(self, tmp_path):
         with replication_tier(tmp_path) as (_writer, reps, router):
             with ServerClient(*router.address) as client:

@@ -6,12 +6,14 @@ from repro.core import (
     ALL_METHODS,
     FeasibilityOracle,
     PCS_METHODS,
+    PCSResult,
     ProfiledCommunity,
     TraversalOutcome,
     apriori_traverse,
     pcs,
 )
 from repro.datasets import fig1_profiled_graph
+from repro.ptree import PTree
 from repro.ptree.taxonomy import ROOT
 
 
@@ -72,6 +74,25 @@ class TestPCSResult:
         a = pcs(pg, "D", 2)
         b = pcs(pg, "D", 2, method="basic")
         assert [c.vertices for c in a] == [c.vertices for c in b]
+
+    def test_vertices_are_ordered_once_for_tie_break_and_wire(self, pg):
+        """One repr-order per community, shared by ``sort`` and the view;
+        both orders are what the two separate sorts gave before."""
+        from repro.api.response import CommunityView
+
+        subtree = PTree(pg.taxonomy, frozenset({ROOT}), _validated=True)
+        # int vertices: repr order (10 < 9) differs from value order, and
+        # the two communities tie on subtree size and member count.
+        first = ProfiledCommunity(1, 2, frozenset({1, 9, 30}), subtree)
+        second = ProfiledCommunity(1, 2, frozenset({1, 10, 2}), subtree)
+        result = PCSResult(1, 2, "adv-P", [first, second]).sort()
+        assert result.communities == sorted(
+            [first, second],
+            key=lambda c: (-len(c.subtree), -c.size, tuple(sorted(map(repr, c.vertices)))),
+        ) == [second, first]
+        assert second.sorted_vertices == (1, 10, 2) == tuple(sorted(second.vertices, key=repr))
+        assert second.sorted_vertices is second.sorted_vertices
+        assert CommunityView.from_community(second).vertices is second.sorted_vertices
 
 
 class TestAprioriTraverse:

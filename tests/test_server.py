@@ -327,6 +327,39 @@ class TestHandleRequest:
         response, _ = self.call(gateway, "GET", "/healthz?verbose=1")
         assert response.status == 200
 
+    def test_bodies_are_compact_json_with_unchanged_values(self, gateway):
+        """Whitespace left the wire; every value stayed (indent=2 before)."""
+        direct = CommunityService(fig1_profiled_graph())
+        query = Query(vertex="D", k=2)
+        batch_payload = {"queries": [{"vertex": "D", "k": k} for k in (1, 2, 3)]}
+        calls = {
+            "query": ("POST", "/query", query.to_dict()),
+            "batch": ("POST", "/batch", batch_payload),
+            "error": ("POST", "/query", {"vertex": "missing", "k": 2}),
+            "stats": ("GET", "/stats", None),
+        }
+        decoded = {}
+        for name, (method, path, payload) in calls.items():
+            response, decoded[name] = self.call(gateway, method, path, payload)
+            body = response.body
+            assert b"\n" not in body, name
+            # The body is the compact encoding of its own value, shorter
+            # than the indent=2 form the parent commit sent for that value.
+            assert body == json.dumps(decoded[name], separators=(",", ":")).encode()
+            assert len(body) < len(json.dumps(decoded[name], indent=2).encode()), name
+        assert envelope(decoded["query"], "cache_hit") == envelope(
+            direct.query(query), "cache_hit"
+        )
+        assert [envelope(r, "cache_hit") for r in decoded["batch"]["results"]] == [
+            envelope(r, "cache_hit")
+            for r in direct.batch(
+                [Query.from_dict(item) for item in batch_payload["queries"]]
+            )
+        ]
+        assert set(decoded["error"]["error"]) == {"type", "message"}
+        assert decoded["error"]["error"]["type"] == "vertex_not_found"
+        assert {"engine", "server"} <= set(decoded["stats"])
+
     def test_unexpected_error_500(self, gateway, monkeypatch):
         def boom(query):
             raise RuntimeError("kaboom")
