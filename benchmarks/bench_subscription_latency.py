@@ -20,9 +20,9 @@ Asserted:
   of registered subscriptions (the ISSUE's ≤0.5 acceptance floor; the
   expected value here is ``1/P``);
 * **push latency** — p95 from the moment a writer submits a batch to the
-  moment the affected subscriber *holds* the diff (consumer dequeue,
-  crossing the engine hook and the bounded queue) stays under
-  :data:`MAX_P95_PUSH_MS`.
+  moment the affected subscriber *holds* the diff (a blocked
+  ``manager.poll`` returning it, crossing the engine hook and the
+  retained window) stays under :data:`MAX_P95_PUSH_MS`.
 
 Reported: selectivity, re-evaluations/batch, p50/p95 push latency, diffs
 verified. JSON artifact lands in ``results/subscription_latency*.json``.
@@ -97,22 +97,25 @@ def _recompute(service: CommunityService, sub: Subscription) -> frozenset:
 
 
 class _Receiver(threading.Thread):
-    """Drains one subscription's consumer, timestamping every dequeue."""
+    """Reads one subscription by cursor, timestamping every delivery."""
 
     def __init__(self, manager: SubscriptionManager, sub_id: str) -> None:
         super().__init__(name=f"receiver-{sub_id[:6]}", daemon=True)
-        self.consumer = manager.consumer(sub_id, last_event_id=1)
-        self.received = []  # (CommunityDiff, perf_counter at dequeue)
+        self.manager = manager
+        self.sub_id = sub_id
+        self.received = []  # (CommunityDiff, perf_counter at delivery)
         self.start()
 
     def run(self) -> None:
+        cursor = 1  # the registration snapshot
         while True:
-            batch = self.consumer.next_batch(timeout=1.0)
-            if batch is None:
+            batch = self.manager.poll(self.sub_id, cursor, timeout=1.0)
+            if not batch and self.manager.draining:
                 return
             now = time.perf_counter()
             for diff in batch:
                 self.received.append((diff, now))
+                cursor = diff.event_id
 
 
 def measure(num_partitions: int, rounds: int) -> dict:

@@ -85,6 +85,7 @@ from repro.engine import (
     coerce_update_vertices,
     load_queries,
     load_update_file,
+    retype_vertex,
 )
 from repro.graph.generators import random_queries
 
@@ -95,16 +96,6 @@ def _load(args: argparse.Namespace) -> ProfiledGraph:
     if args.dataset.endswith(".json"):
         return load_profiled_graph(args.dataset)
     return load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-
-
-def _coerce_vertex(pg: ProfiledGraph, token: str):
-    if token in pg:
-        return token
-    try:
-        as_int = int(token)
-    except ValueError:
-        return token
-    return as_int if as_int in pg else token
 
 
 def _method_arg(method: Optional[str]) -> Optional[str]:
@@ -124,7 +115,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         if not args.json:
             print(f"(no --query given; picked {vertex!r} from the {args.k}-core)")
     else:
-        vertex = _coerce_vertex(pg, args.query)
+        vertex = retype_vertex(pg, args.query)
     service = CommunityService(pg, one_shot=True)
     query = Query(
         vertex=vertex,
@@ -229,7 +220,7 @@ def cmd_update(args: argparse.Namespace) -> int:
             # Pre-query so the stats demonstrate cache invalidation. Skipped
             # under --no-warm: an indexed pre-query would eagerly build the
             # full index, defeating the flag.
-            service.query(_coerce_vertex(pg, args.query), k=args.k, method=method)
+            service.query(retype_vertex(pg, args.query), k=args.k, method=method)
     receipt = service.apply_updates(updates)
     payload = {
         "dataset": args.dataset,
@@ -237,7 +228,7 @@ def cmd_update(args: argparse.Namespace) -> int:
         "graph": {"vertices": pg.num_vertices, "edges": pg.num_edges},
     }
     if args.query is not None:
-        query = _coerce_vertex(pg, args.query)
+        query = retype_vertex(pg, args.query)
         if query in pg:
             # The re-query is what detects (and counts) the stale entry.
             response = service.query(query, k=args.k, method=method)

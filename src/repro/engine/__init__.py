@@ -1,6 +1,11 @@
 """Batched query engine with index reuse (the online-serving layer)."""
 
-from repro.engine.batchfile import coerce_query_vertices, load_queries, parse_queries
+from repro.engine.batchfile import (
+    coerce_query_vertices,
+    load_queries,
+    parse_queries,
+    retype_vertex,
+)
 from repro.engine.cache import MISSING, CacheStats, LRUCache
 from repro.engine.explorer import CommunityExplorer, EngineStats
 from repro.engine.query import DEFAULT_K, DEFAULT_METHOD, Query, QueryBuilder
@@ -32,4 +37,5 @@ __all__ = [
     "load_queries",
     "parse_queries",
     "coerce_query_vertices",
+    "retype_vertex",
 ]

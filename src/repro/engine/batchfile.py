@@ -83,7 +83,8 @@ def load_queries(
     )
 
 
-def _retype_vertex(pg: ProfiledGraph, q: Vertex) -> Vertex:
+def retype_vertex(pg: ProfiledGraph, q: Vertex) -> Vertex:
+    """A text token as the graph types it: itself, or its ``int`` if only that is a vertex."""
     if isinstance(q, str) and q not in pg:
         try:
             as_int = int(q)
@@ -102,6 +103,6 @@ def coerce_query_vertices(pg: ProfiledGraph, queries: List[Query]) -> List[Query
     """
     out: List[Query] = []
     for query in queries:
-        q = _retype_vertex(pg, query.vertex)
+        q = retype_vertex(pg, query.vertex)
         out.append(query if q is query.vertex else query.replace(vertex=q))
     return out

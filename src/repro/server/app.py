@@ -44,9 +44,10 @@ Routes
     ``{"id", "last_event_id"?}`` — Server-Sent Events stream of diffs
     (``id:``/``event: diff``/``data:`` frames, ``: keepalive`` comments
     while idle). The resume cursor rides in the body (semantics match
-    SSE's ``Last-Event-ID``). A consumer that
-    stops reading is evicted: the stream ends with one ``event: error``
-    frame typed ``slow_consumer``.
+    SSE's ``Last-Event-ID``). The stream is a cursor over the
+    subscription's retained window, like the poll: a reader that fell
+    behind the window gets one ``reset`` diff, and the server buffers
+    nothing per reader.
 ``GET /healthz``, ``GET /stats``, ``GET /metrics``
     Liveness, JSON counters, Prometheus text.
 
@@ -70,7 +71,7 @@ from repro.api.subscription import Subscription
 from repro.engine.updates import GraphUpdate
 from repro.errors import InvalidInputError, ReproError, VertexNotFoundError
 from repro.server.coalescer import CoalescerClosedError, QueueFullError
-from repro.subscribe import SlowConsumerError, SubscriptionNotFoundError
+from repro.subscribe import SubscriptionNotFoundError
 from repro.version import __version__
 
 __all__ = [
@@ -304,13 +305,6 @@ def _sse_frame(diff) -> bytes:
     ).encode("utf-8")
 
 
-def _sse_error_frame(err_type: str, message: str) -> bytes:
-    payload = json.dumps(
-        {"error": {"type": err_type, "message": message}}, sort_keys=True
-    )
-    return f"event: error\ndata: {payload}\n\n".encode("utf-8")
-
-
 def _handle_subscribe_stream(gateway, body: bytes, headers) -> HttpResponse:
     """SSE diff stream; the resume cursor arrives in the POST body."""
     payload = _require_object(_parse_json(body), "stream")
@@ -318,31 +312,29 @@ def _handle_subscribe_stream(gateway, body: bytes, headers) -> HttpResponse:
     if extra:
         raise InvalidInputError(f"unknown stream fields {sorted(extra)}")
     sub_id, last_event_id = _subscription_ref(payload)
-    # Attach before answering 200 so an unknown id is a clean 404, not a
+    subscriptions = gateway.subscriptions
+    # Resolve before answering 200 so an unknown id is a clean 404, not a
     # broken stream.
-    consumer = gateway.subscriptions.consumer(sub_id, last_event_id)
+    subscriptions.get(sub_id)
     keepalive = gateway.sse_keepalive_seconds
 
     def stream():
-        try:
-            # The first frame pins the subscription id so a client
-            # multiplexing streams can label them without peeking at diffs.
-            yield f": stream {sub_id}\n\n".encode("ascii")
-            while True:
-                try:
-                    batch = consumer.next_batch(timeout=keepalive)
-                except SlowConsumerError as exc:
-                    yield _sse_error_frame("slow_consumer", str(exc))
+        cursor = last_event_id
+        # The first frame pins the subscription id so a client
+        # multiplexing streams can label them without peeking at diffs.
+        yield f": stream {sub_id}\n\n".encode("ascii")
+        while True:
+            try:
+                events = subscriptions.poll(sub_id, cursor, timeout=keepalive)
+            except SubscriptionNotFoundError:
+                return  # unregistered mid-stream
+            for diff in events:
+                yield _sse_frame(diff)
+                cursor = diff.event_id
+            if not events:
+                if subscriptions.draining:
                     return
-                if batch is None:
-                    return  # manager draining or subscription unregistered
-                if not batch:
-                    yield b": keepalive\n\n"
-                    continue
-                for diff in batch:
-                    yield _sse_frame(diff)
-        finally:
-            consumer.close()
+                yield b": keepalive\n\n"
 
     return HttpResponse(status=200, body=b"", content_type=_SSE, stream=stream)
 
@@ -462,11 +454,6 @@ def handle_request(
         return _error(503, "draining", str(exc), headers=_retry_after_header(1.0))
     except SubscriptionNotFoundError as exc:
         return _error(404, "subscription_not_found", str(exc))
-    except SlowConsumerError as exc:
-        # Only reachable from the poll path (streams end with an SSE error
-        # frame instead); 409 because the client's cursor, not its request
-        # shape, is what conflicts.
-        return _error(409, "slow_consumer", str(exc))
     except VertexNotFoundError as exc:
         return _error(404, "vertex_not_found", str(exc))
     except InvalidInputError as exc:

@@ -357,10 +357,8 @@ class ServerClient:
         (a cursor behind the server's retained window yields a ``reset``
         re-baseline diff instead). Two things end it: the subscription
         disappearing (:class:`ServerError` 404 after the server drops it)
-        and slow-consumer eviction, which the server sends as a typed
-        ``event: error`` frame and this method raises as a
-        :class:`ServerError` with ``error_type="slow_consumer"`` — never a
-        silent hang.
+        and an ``event: error`` frame, raised as a :class:`ServerError`
+        carrying the frame's error type — never a silent hang.
         """
         cursor = 0 if last_event_id is None else int(last_event_id)
         failures = 0
@@ -424,7 +422,7 @@ class ServerClient:
                     except ValueError:
                         error = {}
                     raise ServerError(
-                        409 if error.get("type") == "slow_consumer" else 500,
+                        500,
                         error.get("type", "unknown"),
                         error.get("message", data),
                     )

@@ -18,17 +18,14 @@ module for the soundness story and its over-approximation fallbacks).
 Layering: this package sits above :mod:`repro.api` (it evaluates through
 the engine behind :class:`~repro.api.service.CommunityService`) and below
 :mod:`repro.server`, which mounts the HTTP surface (``POST /subscribe``,
-long-poll and SSE streaming with ``Last-Event-ID`` resume, slow-consumer
-eviction) on every gateway role.
+long-poll and SSE streaming, both cursor reads with ``Last-Event-ID``
+resume) on every gateway role.
 """
 
 from repro.api.subscription import CommunityDiff, Subscription
 from repro.subscribe.log import SubscriptionLog, SubscriptionLogError
 from repro.subscribe.manager import (
-    DEFAULT_CONSUMER_QUEUE_SIZE,
     DEFAULT_EVENT_LOG_SIZE,
-    SlowConsumerError,
-    SubscriptionConsumer,
     SubscriptionManager,
     SubscriptionNotFoundError,
 )
@@ -40,10 +37,7 @@ __all__ = [
     "SubscriptionLog",
     "SubscriptionLogError",
     "SubscriptionManager",
-    "SubscriptionConsumer",
     "SubscriptionMatcher",
     "SubscriptionNotFoundError",
-    "SlowConsumerError",
     "DEFAULT_EVENT_LOG_SIZE",
-    "DEFAULT_CONSUMER_QUEUE_SIZE",
 ]

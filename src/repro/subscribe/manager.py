@@ -15,28 +15,29 @@ the graph provably sits at the receipt's version — it:
    methods like ``incre`` apply exactly as they do for one-shot queries);
 3. computes joined/left member diffs against each subscription's last
    answer, assigns per-subscription monotonic event ids, appends the
-   diffs to the durable journal (when configured), and pushes them into
-   every attached consumer queue.
+   diffs to the durable journal (when configured) and to the
+   subscription's retained event window, and wakes every blocked reader.
 
-Because the hook runs synchronously under the mutation lock, a pushed
+Because the hook runs synchronously under the mutation lock, a published
 :class:`~repro.api.subscription.CommunityDiff` tagged ``graph_version=v``
 is *exactly* the full-recompute answer at version ``v`` — there is no
 window in which a second batch can slide underneath the evaluation. The
 differential stress test and the benchmark's correctness gate both lean
 on that guarantee.
 
-Consumers (one per connected streamer) hold bounded queues: a consumer
-whose client stops reading is **evicted** — its stream ends with a typed
-``slow_consumer`` error rather than silently wedging the server or
-buffering without bound. Evicted or disconnected clients resume with
-their last seen event id; if the requested id has fallen out of the
-per-subscription retained window, the stream restarts with a ``reset``
-snapshot diff instead of failing.
+Delivery is one structure read one way: each subscription retains a
+bounded window of its latest diffs, and every transport (long-poll, SSE
+stream) is a :meth:`SubscriptionManager.poll` loop carrying its own
+cursor, the last event id it saw. The manager holds no per-reader state:
+the write path never waits for or buffers per reader, and a reader any
+distance behind gets the diffs it missed or, once its cursor has fallen
+out of the window, one ``reset`` snapshot diff — a gap is never silent
+and memory stays bounded by the window.
 
 Lock ordering: the engine mutation lock is always taken *before* the
 manager lock (registration and catch-up take both in that order; the
-update hook already holds the mutation lock). Consumer polling takes only
-the manager lock. This ordering is what makes synchronous evaluation
+update hook already holds the mutation lock). Readers take only the
+manager lock. This ordering is what makes synchronous evaluation
 deadlock-free.
 """
 
@@ -54,11 +55,8 @@ from repro.subscribe.matcher import SubscriptionMatcher
 
 __all__ = [
     "SubscriptionManager",
-    "SubscriptionConsumer",
     "SubscriptionNotFoundError",
-    "SlowConsumerError",
     "DEFAULT_EVENT_LOG_SIZE",
-    "DEFAULT_CONSUMER_QUEUE_SIZE",
 ]
 
 Vertex = Hashable
@@ -67,27 +65,12 @@ Vertex = Hashable
 #: further behind than this receives a ``reset`` snapshot instead.
 DEFAULT_EVENT_LOG_SIZE = 1024
 
-#: Pending diffs per attached consumer before slow-consumer eviction.
-DEFAULT_CONSUMER_QUEUE_SIZE = 256
-
 
 class SubscriptionNotFoundError(ReproError):
     """The referenced subscription id is not registered here."""
 
     def __init__(self, sub_id: str) -> None:
         super().__init__(f"unknown subscription {sub_id!r}")
-        self.sub_id = sub_id
-
-
-class SlowConsumerError(ReproError):
-    """This consumer fell too far behind and was evicted from the stream."""
-
-    def __init__(self, sub_id: str, dropped: int) -> None:
-        super().__init__(
-            f"consumer of subscription {sub_id!r} evicted after its queue "
-            f"exceeded {dropped} pending diffs — resume with the last event "
-            f"id you processed"
-        )
         self.sub_id = sub_id
 
 
@@ -113,63 +96,23 @@ class _SubscriptionState:
         self.next_event_id = 1
         self.events: Deque[CommunityDiff] = deque(maxlen=event_log_size)
 
+    def head_snapshot(self) -> CommunityDiff:
+        """A ``reset`` diff re-baselining a reader at the latest event."""
+        return CommunityDiff(
+            subscription_id=self.sub.id,
+            event_id=max(1, self.next_event_id - 1),
+            graph_version=self.last_version,
+            joined=tuple(self.members),
+            reset=True,
+        )
 
-class SubscriptionConsumer:
-    """One attached diff stream: a bounded queue drained by a single reader.
-
-    Iterate with :meth:`next_batch`; a batch of ``[]`` means the timeout
-    lapsed with nothing to send (emit a keep-alive), ``None`` means the
-    stream ended cleanly (manager closed or subscription unregistered),
-    and :class:`SlowConsumerError` means this consumer was evicted.
-    """
-
-    def __init__(self, manager: "SubscriptionManager", sub_id: str,
-                 backlog: List[CommunityDiff], maxsize: int) -> None:
-        self._manager = manager
-        self.sub_id = sub_id
-        self._queue: Deque[CommunityDiff] = deque(backlog)
-        self._maxsize = max(maxsize, len(self._queue))
-        self.evicted = False
-        self.closed = False
-
-    def _push(self, diff: CommunityDiff) -> bool:
-        """Enqueue (manager lock held); False → the consumer must be evicted."""
-        if len(self._queue) >= self._maxsize:
-            self.evicted = True
-            self._queue.clear()
-            return False
-        self._queue.append(diff)
-        return True
-
-    def next_batch(self, timeout: Optional[float] = None) -> Optional[List[CommunityDiff]]:
-        """Drain pending diffs, waiting up to ``timeout`` for the first one."""
-        cond = self._manager._cond
-        with cond:
-            if not self._queue and not (self.evicted or self.closed or self._manager._closed):
-                cond.wait_for(
-                    lambda: self._queue or self.evicted or self.closed
-                    or self._manager._closed,
-                    timeout=timeout,
-                )
-            if self.evicted:
-                raise SlowConsumerError(self.sub_id, self._maxsize)
-            if self._queue:
-                batch = list(self._queue)
-                self._queue.clear()
-                return batch
-            if self.closed or self._manager._closed:
-                return None
-            return []
-
-    def close(self) -> None:
-        """Detach from the manager (idempotent)."""
-        self._manager._detach_consumer(self)
-
-    def __enter__(self) -> "SubscriptionConsumer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def register_entry(self) -> dict:
+        """The journal entry that restores this subscription at its head."""
+        return {
+            "op": "register",
+            "subscription": self.sub.to_dict(),
+            "snapshot": self.head_snapshot().to_dict(),
+        }
 
 
 class SubscriptionManager:
@@ -184,8 +127,8 @@ class SubscriptionManager:
         Optional path of the durable subscription journal. When given,
         existing entries are replayed on construction and every
         registration/diff is fsync'd as it happens.
-    event_log_size, consumer_queue_size:
-        Resume-window and eviction bounds (see module constants).
+    event_log_size:
+        Diffs retained per subscription (see :data:`DEFAULT_EVENT_LOG_SIZE`).
     """
 
     def __init__(
@@ -193,23 +136,20 @@ class SubscriptionManager:
         service,
         log_path=None,
         event_log_size: int = DEFAULT_EVENT_LOG_SIZE,
-        consumer_queue_size: int = DEFAULT_CONSUMER_QUEUE_SIZE,
     ) -> None:
         self._service = service
         self._event_log_size = event_log_size
-        self._consumer_queue_size = consumer_queue_size
         self.matcher = SubscriptionMatcher()
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._states: Dict[str, _SubscriptionState] = {}
-        self._consumers: Dict[str, List[SubscriptionConsumer]] = {}
         self._closed = False
-        self._disconnected = False
+        self._draining = False
+        self._waiting = 0
         self._attached = None
         self._batches = 0
         self._reevaluations = 0
         self._events_published = 0
-        self._evictions = 0
         self._hook_errors = 0
         self._last_error: Optional[str] = None
         self._last_batch: Dict[str, int] = {"subscriptions": 0, "reevaluated": 0}
@@ -259,30 +199,31 @@ class SubscriptionManager:
         self.catch_up()
 
     def disconnect_consumers(self) -> None:
-        """End every attached stream *without* stopping the manager.
+        """End every blocked read *without* stopping the manager.
 
         The first half of the gateway's drain: handler threads blocked in
-        :meth:`SubscriptionConsumer.next_batch` wake and see their stream
-        closed, so the HTTP server can join them — while the update hook
-        stays attached, so writes still in flight keep journalling their
-        diffs (an acknowledged update must imply diffs on disk even
-        mid-drain). New consumers attach pre-closed: they deliver their
-        resume backlog once and end.
+        :meth:`poll` (long-polls and streams alike) wake and return, so
+        the HTTP server can join them — while the update hook stays
+        attached, so writes still in flight keep journalling their diffs
+        (an acknowledged update must imply diffs on disk even mid-drain).
+        Later reads return what the window holds and never block.
         """
         with self._cond:
-            self._disconnected = True
-            for consumers in self._consumers.values():
-                for consumer in consumers:
-                    consumer.closed = True
-            self._consumers.clear()
+            self._draining = True
             self._cond.notify_all()
 
+    @property
+    def draining(self) -> bool:
+        """Whether reads have stopped blocking (streams end on an empty one)."""
+        with self._lock:
+            return self._draining
+
     def close(self) -> None:
-        """Stop serving: wake and end every consumer stream, drop the hook."""
+        """Stop serving: wake every blocked reader, drop the hook."""
         self.detach()
         with self._cond:
             self._closed = True
-            self._disconnected = True
+            self._draining = True
             self._cond.notify_all()
         if self._log is not None:
             self._log.close()
@@ -308,38 +249,23 @@ class SubscriptionManager:
                 state = _SubscriptionState(sub, self._event_log_size)
                 members, footprint, sensitive = self._evaluate(sub)
                 version = self._service.pg.version
-                diff = CommunityDiff(
-                    subscription_id=sub.id,
-                    event_id=1,
-                    graph_version=version,
-                    joined=tuple(members),
-                    reset=True,
-                )
                 state.members = members
                 state.footprint = footprint
                 state.sensitive_to_all = sensitive
                 state.last_version = version
                 state.next_event_id = 2
+                diff = state.head_snapshot()  # event id 1: the head is the baseline
                 state.events.append(diff)
                 self._states[sub.id] = state
                 if self._log is not None:
-                    self._log.append(
-                        {
-                            "op": "register",
-                            "subscription": sub.to_dict(),
-                            "snapshot": diff.to_dict(),
-                        }
-                    )
+                    self._log.append(state.register_entry())
                 return diff
 
     def unregister(self, sub_id: str) -> bool:
-        """Drop a subscription; its consumers' streams end cleanly."""
+        """Drop a subscription; reads blocked on it end cleanly."""
         with self._cond:
-            state = self._states.pop(sub_id, None)
-            if state is None:
+            if self._states.pop(sub_id, None) is None:
                 return False
-            for consumer in self._consumers.pop(sub_id, []):
-                consumer.closed = True
             if self._log is not None:
                 self._log.append({"op": "unregister", "id": sub_id})
             self._cond.notify_all()
@@ -348,10 +274,7 @@ class SubscriptionManager:
     def get(self, sub_id: str) -> Subscription:
         """The registered subscription behind ``sub_id`` (404 if unknown)."""
         with self._lock:
-            state = self._states.get(sub_id)
-            if state is None:
-                raise SubscriptionNotFoundError(sub_id)
-            return state.sub
+            return self._state_locked(sub_id).sub
 
     def subscriptions(self) -> List[Subscription]:
         """Every currently registered subscription (order unspecified)."""
@@ -361,10 +284,13 @@ class SubscriptionManager:
     def members(self, sub_id: str) -> FrozenSet[Vertex]:
         """The watched member set as of the last evaluation."""
         with self._lock:
-            state = self._states.get(sub_id)
-            if state is None:
-                raise SubscriptionNotFoundError(sub_id)
-            return state.members
+            return self._state_locked(sub_id).members
+
+    def _state_locked(self, sub_id: str) -> _SubscriptionState:
+        state = self._states.get(sub_id)
+        if state is None:
+            raise SubscriptionNotFoundError(sub_id)
+        return state
 
     def __len__(self) -> int:
         with self._lock:
@@ -452,34 +378,12 @@ class SubscriptionManager:
             published = False
             for state in affected:
                 try:
-                    members, footprint, sensitive = self._evaluate(state.sub)
+                    published |= self._reevaluate_locked(state, receipt.version)
                 except Exception as exc:  # noqa: BLE001 - isolate per subscription
                     state.sensitive_to_all = True
                     self._hook_errors += 1
                     self._last_error = f"{type(exc).__name__}: {exc}"
-                    continue
-                state.footprint = footprint
-                state.sensitive_to_all = sensitive
-                state.last_version = receipt.version
-                joined = members - state.members
-                left = state.members - members
-                if not joined and not left:
-                    continue
-                diff = CommunityDiff(
-                    subscription_id=state.sub.id,
-                    event_id=state.next_event_id,
-                    graph_version=receipt.version,
-                    joined=tuple(joined),
-                    left=tuple(left),
-                )
-                state.next_event_id += 1
-                state.members = members
-                state.events.append(diff)
-                if self._log is not None:
-                    self._log.append({"op": "diff", "diff": diff.to_dict()})
-                self._publish(state.sub.id, diff)
-                published = True
-            if published or affected:
+            if published:
                 self._cond.notify_all()
 
     def catch_up(self) -> int:
@@ -488,77 +392,63 @@ class SubscriptionManager:
         Used after boot replay and replica resync, when the graph moved
         while no hook was attached. Runs under both locks like a batch.
         """
-        emitted = 0
         with self._service.explorer.mutation_lock:
             with self._cond:
                 if self._closed:
                     return 0
                 version = self._service.pg.version
-                for state in self._states.values():
-                    members, footprint, sensitive = self._evaluate(state.sub)
-                    state.footprint = footprint
-                    state.sensitive_to_all = sensitive
-                    state.last_version = version
-                    joined = members - state.members
-                    left = state.members - members
-                    if not joined and not left:
-                        continue
-                    diff = CommunityDiff(
-                        subscription_id=state.sub.id,
-                        event_id=state.next_event_id,
-                        graph_version=version,
-                        joined=tuple(joined),
-                        left=tuple(left),
-                    )
-                    state.next_event_id += 1
-                    state.members = members
-                    state.events.append(diff)
-                    if self._log is not None:
-                        self._log.append({"op": "diff", "diff": diff.to_dict()})
-                    self._publish(state.sub.id, diff)
-                    emitted += 1
+                emitted = sum(
+                    self._reevaluate_locked(state, version)
+                    for state in self._states.values()
+                )
                 if emitted:
                     self._cond.notify_all()
         return emitted
 
-    # ------------------------------------------------------------------
-    # consumers / event delivery
-    # ------------------------------------------------------------------
-    def _publish(self, sub_id: str, diff: CommunityDiff) -> None:
-        """Fan one diff out to the subscription's consumers (lock held)."""
-        consumers = self._consumers.get(sub_id)
-        if not consumers:
-            self._events_published += 1
-            return
-        surviving = []
-        for consumer in consumers:
-            if consumer._push(diff):
-                surviving.append(consumer)
-            else:
-                self._evictions += 1
-        self._consumers[sub_id] = surviving
-        self._events_published += 1
+    def _reevaluate_locked(self, state: _SubscriptionState, version: int) -> bool:
+        """Re-evaluate ``state`` at ``version`` (both locks held).
 
+        A moved answer becomes the subscription's next event — retained
+        window and journal — and returns True.
+        """
+        members, footprint, sensitive = self._evaluate(state.sub)
+        state.footprint = footprint
+        state.sensitive_to_all = sensitive
+        state.last_version = version
+        joined = members - state.members
+        left = state.members - members
+        if not joined and not left:
+            return False
+        diff = CommunityDiff(
+            subscription_id=state.sub.id,
+            event_id=state.next_event_id,
+            graph_version=version,
+            joined=tuple(joined),
+            left=tuple(left),
+        )
+        state.next_event_id += 1
+        state.members = members
+        state.events.append(diff)
+        if self._log is not None:
+            self._log.append({"op": "diff", "diff": diff.to_dict()})
+        self._events_published += 1
+        return True
+
+    # ------------------------------------------------------------------
+    # event delivery: cursor reads over the retained window
+    # ------------------------------------------------------------------
     def _events_since_locked(
         self, state: _SubscriptionState, last_event_id: Optional[int]
     ) -> List[CommunityDiff]:
         after = 0 if last_event_id is None else max(0, last_event_id)
-        retained = list(state.events)
         if after >= state.next_event_id - 1 and after < state.next_event_id:
-            return []  # fully caught up
+            return []  # fully caught up (what every parked reader's wake check sees)
+        retained = list(state.events)
         first_retained = retained[0].event_id if retained else state.next_event_id
         if after + 1 < first_retained or after >= state.next_event_id:
             # Outside the retained window (too old, or from another
             # incarnation): re-baseline with a reset snapshot at the head.
-            return [
-                CommunityDiff(
-                    subscription_id=state.sub.id,
-                    event_id=max(1, state.next_event_id - 1),
-                    graph_version=state.last_version,
-                    joined=tuple(state.members),
-                    reset=True,
-                )
-            ]
+            return [state.head_snapshot()]
         return [diff for diff in retained if diff.event_id > after]
 
     def events_since(
@@ -568,13 +458,10 @@ class SubscriptionManager:
 
         ``None``/``0`` mean "from the beginning". A requested id older
         than the retained window answers a single ``reset`` snapshot that
-        re-baselines the consumer at the current membership.
+        re-baselines the reader at the current membership.
         """
         with self._lock:
-            state = self._states.get(sub_id)
-            if state is None:
-                raise SubscriptionNotFoundError(sub_id)
-            return self._events_since_locked(state, last_event_id)
+            return self._events_since_locked(self._state_locked(sub_id), last_event_id)
 
     def poll(
         self,
@@ -582,59 +469,30 @@ class SubscriptionManager:
         last_event_id: Optional[int] = None,
         timeout: Optional[float] = None,
     ) -> List[CommunityDiff]:
-        """Long-poll: block up to ``timeout`` for diffs after ``last_event_id``."""
-        with self._cond:
-            state = self._states.get(sub_id)
-            if state is None:
-                raise SubscriptionNotFoundError(sub_id)
-            events = self._events_since_locked(state, last_event_id)
-            if events or timeout == 0:
-                return events
+        """Block up to ``timeout`` for diffs after ``last_event_id``.
 
-            self._cond.wait_for(
-                lambda: self._poll_ready_locked(sub_id, last_event_id),
-                timeout=timeout,
-            )
-            state = self._states.get(sub_id)
-            if state is None:
-                raise SubscriptionNotFoundError(sub_id)
-            return self._events_since_locked(state, last_event_id)
+        The one read behind every transport. While draining it never
+        blocks; an unregistered subscription raises, even mid-wait.
+        """
+        with self._cond:
+            self._waiting += 1
+            try:
+                self._cond.wait_for(
+                    lambda: self._poll_ready_locked(sub_id, last_event_id),
+                    timeout=timeout,
+                )
+            finally:
+                self._waiting -= 1
+            return self._events_since_locked(self._state_locked(sub_id), last_event_id)
 
     def _poll_ready_locked(self, sub_id: str, last_event_id: Optional[int]) -> bool:
-        """The long-poll wake predicate; ``wait_for`` holds the lock."""
+        """The one wake predicate; ``wait_for`` holds the lock."""
         current = self._states.get(sub_id)
         return (
-            self._closed
+            self._draining
             or current is None
             or bool(self._events_since_locked(current, last_event_id))
         )
-
-    def consumer(
-        self, sub_id: str, last_event_id: Optional[int] = None
-    ) -> SubscriptionConsumer:
-        """Attach a streaming consumer, pre-loaded with the resume backlog."""
-        with self._lock:
-            state = self._states.get(sub_id)
-            if state is None:
-                raise SubscriptionNotFoundError(sub_id)
-            backlog = self._events_since_locked(state, last_event_id)
-            consumer = SubscriptionConsumer(
-                self, sub_id, backlog, self._consumer_queue_size
-            )
-            if self._disconnected:
-                # Draining: deliver the backlog, then end the stream.
-                consumer.closed = True
-            else:
-                self._consumers.setdefault(sub_id, []).append(consumer)
-            return consumer
-
-    def _detach_consumer(self, consumer: SubscriptionConsumer) -> None:
-        with self._cond:
-            consumers = self._consumers.get(consumer.sub_id)
-            if consumers and consumer in consumers:
-                consumers.remove(consumer)
-            consumer.closed = True
-            self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # durability
@@ -682,20 +540,7 @@ class SubscriptionManager:
         with self._lock:
             entries = []
             for state in self._states.values():
-                snapshot = CommunityDiff(
-                    subscription_id=state.sub.id,
-                    event_id=max(1, state.next_event_id - 1),
-                    graph_version=state.last_version,
-                    joined=tuple(state.members),
-                    reset=True,
-                )
-                entries.append(
-                    {
-                        "op": "register",
-                        "subscription": state.sub.to_dict(),
-                        "snapshot": snapshot.to_dict(),
-                    }
-                )
+                entries.append(state.register_entry())
             self._log.compact(entries)
 
     # ------------------------------------------------------------------
@@ -704,14 +549,12 @@ class SubscriptionManager:
     def stats(self) -> dict:
         """The ``/stats`` subscription block (selectivity counters included)."""
         with self._lock:
-            consumers = sum(len(c) for c in self._consumers.values())
             return {
                 "subscriptions": len(self._states),
-                "consumers": consumers,
+                "consumers": self._waiting,
                 "batches": self._batches,
                 "reevaluations": self._reevaluations,
                 "events_published": self._events_published,
-                "evictions": self._evictions,
                 "hook_errors": self._hook_errors,
                 "last_error": self._last_error,
                 "last_batch": dict(self._last_batch),

@@ -516,6 +516,116 @@ class TestAdmissionControlAndDrain:
         assert len(results) == 3
         assert {r.query.vertex for r in results} == {"D", "E", "A"}
 
+    def test_close_wakes_parked_long_poll(self, monkeypatch):
+        """A drain must not wait out a long-poll: it answers 200, count 0."""
+        gateway = CommunityGateway(
+            CommunityService(fig1_profiled_graph(), default_k=2), port=0,
+            coalesce=False,
+        ).start()
+        host, port = gateway.address
+        with ServerClient(host, port) as client:
+            sub, snapshot = client.subscribe("B", k=2)
+        in_poll = threading.Event()
+        poll = gateway.subscriptions.poll
+
+        def signalling_poll(*args, **kwargs):
+            in_poll.set()
+            return poll(*args, **kwargs)
+
+        monkeypatch.setattr(gateway.subscriptions, "poll", signalling_poll)
+        outcome = []
+
+        def park():
+            with ServerClient(host, port, timeout=30.0, retries=0) as c:
+                outcome.append(c.poll(sub.id, snapshot.event_id, timeout=8.0))
+
+        parked = threading.Thread(target=park)
+        parked.start()
+        assert in_poll.wait(timeout=5.0)
+        started = time.monotonic()
+        gateway.close()
+        drained_in = time.monotonic() - started
+        parked.join(timeout=10.0)
+        assert not parked.is_alive()
+        assert drained_in < 1.0, f"drain waited {drained_in:.2f}s on a long-poll"
+        # A normal answer (ServerClient raises on anything but a 200).
+        assert outcome == [[]]
+
+    def test_close_ends_streams_while_in_flight_update_still_journals(
+        self, tmp_path, monkeypatch
+    ):
+        """Streams end with a clean EOF as the drain begins; an update
+        acknowledged *during* the drain still reaches the journal."""
+        from repro.subscribe import SubscriptionLog
+
+        service = CommunityService(
+            fig1_profiled_graph(), default_k=2, storage_dir=tmp_path
+        )
+        gateway = CommunityGateway(service, port=0, coalesce=False).start()
+        host, port = gateway.address
+        with ServerClient(host, port) as client:
+            sub, snapshot = client.subscribe("B", k=2)
+        journal = tmp_path / "subscriptions.jsonl"
+
+        # What the journal held when the drain compacted it.
+        before_compaction = []
+        compact_log = gateway.subscriptions.compact_log
+
+        def recording_compact_log():
+            before_compaction.extend(SubscriptionLog.iter_entries(journal))
+            compact_log()
+
+        monkeypatch.setattr(gateway.subscriptions, "compact_log", recording_compact_log)
+        in_handler = threading.Event()
+        apply_updates = gateway.apply_updates
+
+        def signalling_apply_updates(updates):
+            in_handler.set()
+            return apply_updates(updates)
+
+        monkeypatch.setattr(gateway, "apply_updates", signalling_apply_updates)
+
+        stream = http.client.HTTPConnection(host, port, timeout=10.0)
+        stream.request(
+            "POST", "/subscribe/stream",
+            body=json.dumps({"id": sub.id, "last_event_id": snapshot.event_id}),
+        )
+        response = stream.getresponse()
+        assert response.status == 200
+        receipts = []
+
+        def write():
+            with ServerClient(host, port, timeout=30.0, retries=0) as c:
+                receipts.append(c.update([
+                    {"op": "add_vertex", "u": "Z", "labels": ["ML", "AI"]},
+                    {"op": "add_edge", "u": "Z", "v": "B"},
+                    {"op": "add_edge", "u": "Z", "v": "C"},
+                    {"op": "add_edge", "u": "Z", "v": "D"},
+                ])["receipt"])
+
+        writer = threading.Thread(target=write)
+        closer = threading.Thread(target=gateway.close)
+        with service.explorer.mutation_lock:  # hold the write in its handler
+            writer.start()
+            assert in_handler.wait(timeout=5.0)
+            started = time.monotonic()
+            closer.start()
+            body = response.read()  # to EOF; a torn stream raises here
+            ended_in = time.monotonic() - started
+            assert body == f": stream {sub.id}\n\n".encode()
+            assert ended_in < 1.0, f"stream outlived the drain by {ended_in:.2f}s"
+            assert closer.is_alive() and not receipts  # the write is mid-drain
+        writer.join(timeout=10.0)
+        closer.join(timeout=10.0)
+        stream.close()
+        assert not writer.is_alive() and not closer.is_alive()
+        (receipt,) = receipts
+        assert [e["op"] for e in before_compaction] == ["register", "diff"]
+        assert before_compaction[1]["diff"]["graph_version"] == receipt["version"]
+        assert "Z" in before_compaction[1]["diff"]["joined"]
+        (entry,) = SubscriptionLog.iter_entries(journal)
+        assert "Z" in entry["snapshot"]["joined"]
+
     def test_health_reports_draining_after_close(self):
         gateway = CommunityGateway(fig1_profiled_graph(), port=0).start()
         assert gateway.health()["status"] == "ok"

@@ -12,7 +12,8 @@ the per-component contracts those suites build on:
   :class:`~repro.api.subscription.CommunityDiff` wire types;
 * :class:`~repro.subscribe.manager.SubscriptionManager` — registration
   snapshots, selective re-evaluation on fig1's two label partitions,
-  event retention/resume semantics, long-poll, consumer eviction, and
+  event retention/resume semantics, cursor reads through ``poll`` (a
+  reader that lags past the window re-baselines with one ``reset``), and
   journal replay across a manager restart;
 * the four HTTP routes, driven through ``handle_request`` in-process.
 """
@@ -20,6 +21,9 @@ the per-component contracts those suites build on:
 from __future__ import annotations
 
 import json
+import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,13 +32,22 @@ from repro.datasets import fig1_profiled_graph
 from repro.errors import InvalidInputError
 from repro.index.maintenance import BatchDamage
 from repro.subscribe import (
-    SlowConsumerError,
     SubscriptionLog,
     SubscriptionLogError,
     SubscriptionManager,
     SubscriptionMatcher,
     SubscriptionNotFoundError,
 )
+
+
+#: The churn the manager tests drive: Z joins B's community, then leaves.
+_ADD_Z = [
+    {"op": "add_vertex", "u": "Z", "labels": ["ML", "AI"]},
+    {"op": "add_edge", "u": "Z", "v": "B"},
+    {"op": "add_edge", "u": "Z", "v": "C"},
+    {"op": "add_edge", "u": "Z", "v": "D"},
+]
+_REMOVE_Z = [{"op": "remove_vertex", "u": "Z"}]
 
 
 def _service() -> CommunityService:
@@ -348,42 +361,75 @@ class TestManager:
         service = _service()
         manager = SubscriptionManager(service)
         sub_id = manager.register(Subscription.new("B", k=2)).subscription_id
-        with manager.consumer(sub_id, last_event_id=1) as consumer:
-            service.apply_updates(
-                [
-                    {"op": "add_vertex", "u": "Z", "labels": ["ML", "AI"]},
-                    {"op": "add_edge", "u": "Z", "v": "B"},
-                    {"op": "add_edge", "u": "Z", "v": "C"},
-                    {"op": "add_edge", "u": "Z", "v": "D"},
-                ]
+        # A reader parked in poll() before the write is woken by it.
+        parked: list = []
+        reader = threading.Thread(
+            target=lambda: parked.extend(
+                manager.poll(sub_id, last_event_id=1, timeout=10.0)
             )
-            batch = consumer.next_batch(timeout=2.0)
-            assert batch and batch[0].event_id == 2
-            assert "Z" in batch[0].joined
+        )
+        reader.start()
+        deadline = time.monotonic() + 5.0
+        while manager.stats()["consumers"] != 1 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert manager.stats()["consumers"] == 1
+        service.apply_updates(_ADD_Z)
+        reader.join(timeout=5.0)
+        assert not reader.is_alive(), "the write did not wake the parked reader"
+        assert parked and parked[0].event_id == 2
+        assert "Z" in parked[0].joined
+        assert manager.stats()["consumers"] == 0
         manager.close()
 
-    def test_slow_consumer_evicted(self):
+    def test_lagging_stream_reader_gets_one_reset(self):
+        """A stream that never reads costs nothing and resumes with a reset.
+
+        The successor of slow-consumer eviction: ``event_log_size + 5``
+        diffs are published while the stream's reader is not reading; its
+        next read is exactly one ``reset`` at the head, and the
+        subscription and a reader that kept up are unaffected.
+        """
+        from repro.server.app import ROUTES, handle_request
+
+        window = 4
         service = _service()
-        manager = SubscriptionManager(service, consumer_queue_size=1)
+        manager = SubscriptionManager(service, event_log_size=window)
+        # handle_request's whole contract with a serving role.
+        role = SimpleNamespace(
+            subscriptions=manager,
+            sse_keepalive_seconds=0.2,
+            max_body_bytes=1 << 20,
+            routes=lambda: ROUTES,
+        )
         sub_id = manager.register(Subscription.new("B", k=2)).subscription_id
-        consumer = manager.consumer(sub_id, last_event_id=1)
-        for i in range(3):  # never drained: overflows the 1-slot queue
-            if i % 2 == 0:
-                service.apply_updates(
-                    [
-                        {"op": "add_vertex", "u": "Z", "labels": ["ML", "AI"]},
-                        {"op": "add_edge", "u": "Z", "v": "B"},
-                        {"op": "add_edge", "u": "Z", "v": "C"},
-                        {"op": "add_edge", "u": "Z", "v": "D"},
-                    ]
-                )
-            else:
-                service.apply_updates([{"op": "remove_vertex", "u": "Z"}])
-        with pytest.raises(SlowConsumerError):
-            consumer.next_batch(timeout=0.1)
-        assert manager.stats()["evictions"] == 1
-        # The subscription survives eviction; only the consumer died.
-        assert manager.members(sub_id) is not None
+        response = handle_request(
+            role, "POST", "/subscribe/stream",
+            json.dumps({"id": sub_id, "last_event_id": 1}).encode(),
+        )
+        assert response.status == 200
+        stalled = response.stream()
+        assert next(stalled) == f": stream {sub_id}\n\n".encode()
+        keeping_up = 1
+        for i in range(window + 5):  # the stalled stream reads none of these
+            service.apply_updates(_ADD_Z if i % 2 == 0 else _REMOVE_Z)
+            (diff,) = manager.poll(sub_id, keeping_up, timeout=0)
+            assert not diff.reset and diff.event_id == keeping_up + 1
+            keeping_up = diff.event_id
+        assert manager.stats()["events_published"] == window + 5
+        frame = next(stalled).decode()
+        assert frame.startswith(f"id: {keeping_up}\nevent: diff\ndata: ")
+        reset = CommunityDiff.from_dict(json.loads(frame.split("data: ", 1)[1]))
+        assert reset.reset
+        assert reset.apply_to(frozenset()) == manager.members(sub_id)
+        assert manager.members(sub_id) == _members(service, "B", k=2)
+        # Exactly one: re-baselined, the stream is a normal reader again.
+        service.apply_updates(_REMOVE_Z)
+        following = CommunityDiff.from_dict(
+            json.loads(next(stalled).decode().split("data: ", 1)[1])
+        )
+        assert not following.reset and following.event_id == keeping_up + 1
+        assert following.apply_to(reset.apply_to(frozenset())) == manager.members(sub_id)
+        stalled.close()
         manager.close()
 
     def test_durable_restart_replays_and_catches_up(self, tmp_path):
@@ -459,9 +505,11 @@ class TestManager:
         service = _service()
         manager = SubscriptionManager(service, log_path=log_path)
         sub_id = manager.register(Subscription.new("B", k=2)).subscription_id
-        consumer = manager.consumer(sub_id, last_event_id=1)
         manager.disconnect_consumers()
-        assert consumer.next_batch(timeout=0.1) is None  # stream over
+        assert manager.draining
+        started = time.monotonic()
+        assert manager.poll(sub_id, last_event_id=1, timeout=5.0) == []
+        assert time.monotonic() - started < 1.0  # reads no longer block
         # A write that was in flight during the drain still journals.
         service.apply_updates(
             [
@@ -473,11 +521,10 @@ class TestManager:
         )
         ops = [e["op"] for e in SubscriptionLog.iter_entries(log_path)]
         assert ops == ["register", "diff"]
-        # New consumers during the drain get the backlog, then end.
-        late = manager.consumer(sub_id, last_event_id=1)
-        batch = late.next_batch(timeout=0.1)
+        # New readers during the drain get the backlog, then an empty read.
+        batch = manager.poll(sub_id, last_event_id=1, timeout=5.0)
         assert batch and batch[0].event_id == 2
-        assert late.next_batch(timeout=0.1) is None
+        assert manager.poll(sub_id, batch[-1].event_id, timeout=5.0) == []
         manager.close()
 
 

@@ -1,6 +1,6 @@
 """Hypothesis properties for the subscription tier (satellite of ISSUE PR-10).
 
-Two invariants carry the whole design:
+Three invariants carry the whole design:
 
 * **Matcher soundness** — the dirty-label filter may over-approximate
   (re-evaluating an unaffected subscription costs latency) but must never
@@ -14,7 +14,13 @@ Two invariants carry the whole design:
   *every* version the shadow recorded, not just the last one, and event
   ids are gapless.
 
-Both run against random taxonomies, random labelled G(n, p) graphs and
+* **Lagging readers** — a reader that polls by cursor at arbitrary
+  moments, however far it has fallen behind a (tiny) retained window,
+  composes what its reads return to the full-recompute answer at every
+  version it reads at: it gets the diffs it missed, contiguously, or one
+  ``reset`` — never a silent gap.
+
+All run against random taxonomies, random labelled G(n, p) graphs and
 random edit scripts (edge churn, vertex churn, re-profiling), with
 subscriptions registered at several vertices and several ``k``.
 """
@@ -135,18 +141,18 @@ def _recompute(service: CommunityService, sub: Subscription) -> frozenset:
     return frozenset(members)
 
 
-def _run_script(script, after_batch):
+def _run_script(script, after_batch, event_log_size=4096):
     """Drive one drawn script and call ``after_batch`` at every version.
 
     Returns ``(subs, events_by_sub)`` with each subscription's full
-    retained event stream, captured just before teardown
-    (``event_log_size=4096`` keeps every event of these small scripts).
+    retained event stream, captured just before teardown (the default
+    ``event_log_size`` keeps every event of these small scripts).
     """
     seed, num_labels, n, p, ks, batches = script
     rng = random.Random(seed ^ 0xBEEF)
     pg = _build(seed, num_labels, n, p)
     service = CommunityService(pg, cache_size=None)
-    manager = SubscriptionManager(service, event_log_size=4096)
+    manager = SubscriptionManager(service, event_log_size=event_log_size)
     try:
         query_vertices = rng.sample(range(n), len(ks))
         subs = [
@@ -218,3 +224,51 @@ def test_diff_composition_reconstructs_every_version(script):
                 f"recompute at version {version}"
             )
         assert cursor == len(events), "a diff was tagged beyond the final version"
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    script=subscription_scripts(),
+    more_batches=st.lists(
+        st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
+        min_size=6,
+        max_size=12,
+    ),
+    window=st.integers(1, 2),
+    read_now=st.lists(
+        st.sampled_from([False, False, False, True]), min_size=18, max_size=18
+    ),
+)
+def test_lagging_reader_composes_to_every_version_it_reads(
+    script, more_batches, window, read_now
+):
+    """Cursor reads at random moments never leave a silent gap."""
+    # Longer scripts than the other properties: a reader only falls out of
+    # the window after missing more diffs than it retains.
+    script = script[:-1] + (script[-1] + more_batches,)
+    cursors: dict = {}  # sub id -> last event id read
+    composed: dict = {}  # sub id -> membership composed from the reads
+    # One flag per batch; the reader always reads after the last one.
+    reads = iter(read_now[: len(script[-1]) - 1] + [True])
+
+    def maybe_read(service, manager, subs):
+        if not next(reads):
+            return  # stays behind
+        for sub in subs:
+            cursor = cursors.get(sub.id, 0)
+            for position, diff in enumerate(manager.poll(sub.id, cursor, timeout=0)):
+                if diff.reset:
+                    assert position == 0, "a reset must open the read that carries it"
+                else:
+                    assert diff.event_id == cursor + 1, (
+                        f"gap in {sub}: event {diff.event_id} after cursor {cursor}"
+                    )
+                composed[sub.id] = diff.apply_to(composed.get(sub.id, frozenset()))
+                cursor = diff.event_id
+            cursors[sub.id] = cursor
+            assert composed.get(sub.id, frozenset()) == _recompute(service, sub), (
+                f"lagging reader of {sub} diverges from the full recompute at "
+                f"version {service.pg.version} (window {window})"
+            )
+
+    _run_script(script, maybe_read, event_log_size=window)
