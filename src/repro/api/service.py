@@ -141,13 +141,13 @@ class CommunityService:
         adopted explorer is refused (it already owns its graph object,
         which boot may need to replace).
     parallel:
-        Worker *process* count for batch execution and index builds. With
+        Worker *process* count for batch execution. With
         ``parallel >= 2`` (and ``pg`` a graph) the session serves through a
         :class:`~repro.parallel.ParallelExplorer`: batches of at least
         :data:`~repro.parallel.PARALLEL_BATCH_THRESHOLD` uncached queries
-        shard across a worker fleet, ``warm()`` builds the CP-tree with
-        the label set sharded the same way, and mutations re-ship the
-        graph automatically. ``None``/``1`` keeps everything in-process.
+        shard across a worker fleet that boots from this process's graph
+        + index image (the CP-tree is built once, here), and mutations
+        re-ship it automatically. ``None``/``1`` keeps everything in-process.
         Call :meth:`close` (or use the service as a context manager) to
         release the fleet.
     cache_size, default_k, default_method, default_cohesion:

@@ -289,22 +289,21 @@ def measure_parallel_scaling(
     """Warm-batch serving rate at several worker-process counts.
 
     For each width a fresh :class:`~repro.parallel.ParallelExplorer` over
-    the *same* graph is warmed (index built, fleet bootstrapped, worker
-    indexes pre-built — everything one-time), then the workload is served
-    as one batch of cache-cold queries, ``rounds`` times with the result
-    cache cleared in between; the best round counts (pool and indexes stay
-    warm across rounds, so later rounds isolate steady-state batch cost).
-    Width ``1`` never starts a pool — it is the in-process baseline, same
-    engine, same validation, same cache handling.
+    the *same* graph is warmed (the one index build, in the parent), then
+    the workload is served as one batch of cache-cold queries, ``rounds``
+    times with the result cache cleared in between; the best round counts.
+    The fleet boots from the parent's graph + index image at its first
+    shard, so round one pays the bootstrap and, with ``rounds >= 2``, the
+    best round is steady-state batch cost. Width ``1`` never starts a pool
+    — it is the in-process baseline, same engine, same validation, same
+    cache handling.
 
     Every width's results are compared against the first width's
     (``results_equal`` per measurement) — the differential guarantee the
     parallel benchmark asserts alongside its speedup.
 
     ``method`` defaults to ``basic``: the heaviest per-query compute and
-    index-free, so the measurement isolates sharding (worker index builds
-    are charged to warm-up either way, but ``basic`` keeps the workers'
-    one-time costs at exactly one graph unpickle).
+    index-free, so the measurement isolates sharding.
     """
     from repro.core.community import as_vertex_subtree_map
     from repro.parallel import ParallelExplorer

@@ -696,7 +696,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bind port (0 = ephemeral; the bound port is printed)")
     sv.add_argument("--parallel", type=int, default=None,
                     help="worker process count (coalesced batches past the "
-                         "planner threshold shard across the fleet)")
+                         "planner threshold shard across a fleet booted from "
+                         "this process's graph + index image)")
     sv.add_argument("--limit", type=int, default=None,
                     help="cap communities per response (service max_limit)")
     sv.add_argument("--no-coalesce", action="store_true",

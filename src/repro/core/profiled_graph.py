@@ -413,8 +413,8 @@ class ProfiledGraph:
     def adopt_index(self, index: CPTree) -> CPTree:
         """Install an externally built CP-tree as this graph's index.
 
-        Used by :func:`repro.parallel.build_cptree_parallel`, which
-        assembles the index from label shards built in worker processes.
+        Used by snapshot decode (:mod:`repro.storage.snapshot`), which
+        reassembles the index from its stored per-label arrays.
         The caller asserts the index describes the *current* topology and
         labels; any journaled repair work is discarded (the adopted index
         is assumed fresh). Returns the installed index.

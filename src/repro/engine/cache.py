@@ -31,9 +31,6 @@ from typing import Any, Hashable, Iterator, Optional, Tuple
 #: (including falsy ones: ``None``, empty results, 0, ...).
 MISSING = object()
 
-#: Backwards-compatible private alias (pre-dates the public name).
-_MISSING = MISSING
-
 
 @dataclass(frozen=True)
 class CacheStats:
@@ -133,8 +130,8 @@ class LRUCache:
     def peek(self, key: Hashable, default: Any = None) -> Any:
         """Look ``key`` up without touching counters or recency."""
         with self._lock:
-            value = self._data.get(key, _MISSING)
-            return default if value is _MISSING else value
+            value = self._data.get(key, MISSING)
+            return default if value is MISSING else value
 
     def peek_versioned(self, key: Hashable, version: Any) -> bool:
         """Whether a :meth:`get_versioned` lookup would hit right now.
@@ -144,8 +141,8 @@ class LRUCache:
         that actually trips over it). Used for cache-provenance reporting.
         """
         with self._lock:
-            entry = self._data.get(key, _MISSING)
-            return entry is not _MISSING and entry[0] == version
+            entry = self._data.get(key, MISSING)
+            return entry is not MISSING and entry[0] == version
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert/refresh ``key``, evicting the LRU entry when full."""

@@ -136,23 +136,22 @@ class CPTree:
     ) -> "CPTree":
         """Assemble a CP-tree from per-label CL-trees built elsewhere.
 
-        The merge half of the parallel index build
-        (:func:`repro.parallel.build_cptree_parallel`): label shards are
-        peeled concurrently in worker processes, then stitched back into
-        one index here. ``cltrees`` must contain exactly one CL-tree per
-        label that occurs in ``vertex_labels`` — the same bucketing the
-        sequential constructor performs — and each CL-tree must describe
-        the subgraph induced on that label's carriers. Produces an index
-        observationally identical to a whole build (checked by the
-        shard-merge property tests).
+        How snapshot decode (:func:`repro.storage.load_snapshot_bytes` —
+        disk boot, replica bootstrap and worker bootstrap alike)
+        reinstates an index without re-peeling a core. ``cltrees`` must
+        contain exactly one CL-tree per label that occurs in
+        ``vertex_labels`` — the same bucketing the sequential constructor
+        performs — and each CL-tree must describe the subgraph induced on
+        that label's carriers. Produces an index observationally
+        identical to a whole build (checked by the save → load property
+        tests).
         """
         self = cls.__new__(cls)
         self.taxonomy = taxonomy
         buckets: Dict[int, List[Vertex]] = {}
         head_map: Dict[Vertex, Tuple[int, ...]] = {}
-        # Label sets repeat heavily (snapshot decode and the parallel
-        # shipper both intern them), so leaves are computed once per
-        # distinct set rather than once per vertex.
+        # Label sets repeat heavily (snapshot decode interns them), so
+        # leaves are computed once per distinct set, not once per vertex.
         leaf_cache: Dict[NodeSet, Tuple[int, ...]] = {}
         for v, labels in vertex_labels.items():
             for x in labels:

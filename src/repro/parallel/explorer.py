@@ -1,37 +1,37 @@
 """The process-parallel engine: a drop-in explorer that shards batches.
 
 :class:`ParallelExplorer` *is a* :class:`~repro.engine.explorer.CommunityExplorer`
-— same cache, same validation, same provenance, same mutation pipeline.
-It overrides exactly two things:
+— same cache, same validation, same provenance, same mutation pipeline,
+same :meth:`~repro.engine.explorer.CommunityExplorer.warm`. It overrides
+exactly one thing, **batch execution**: the deduplicated cache misses of
+``explore_many``/``serve_batch`` are sharded across a
+:class:`~repro.parallel.pool.WorkerPool` when
+:func:`~repro.parallel.pool.decide_batch_mode` says the batch is worth it
+(enough misses, non-tiny graph, more than one worker). Everything else —
+single queries, small batches, tiny graphs, ``parallel=1`` — runs
+in-process on the inherited path.
 
-* **batch execution** — the deduplicated cache misses of
-  ``explore_many``/``serve_batch`` are sharded across a
-  :class:`~repro.parallel.pool.WorkerPool` when
-  :func:`~repro.parallel.pool.decide_batch_mode` says the batch is worth
-  it (enough misses, non-tiny graph, more than one worker). Everything
-  else — single queries, small batches, tiny graphs, ``parallel=1`` —
-  runs in-process on the inherited path;
-* **warm-up** — :meth:`ParallelExplorer.warm` builds the CP-tree by
-  sharding the label set across the same fleet
-  (:func:`~repro.parallel.build.build_cptree_parallel`) and pre-warms the
-  workers' own indexes.
-
-Results computed by workers merge back into the parent's shared LRU at the
-snapshot version the fleet was bootstrapped with, so subsequent requests —
-sequential or parallel — hit cache exactly as if the batch had run
-in-process. Mutations through :meth:`apply_updates` (or the graph's own
-versioned API) bump the graph version; the pool notices on its next use
-and re-ships the graph to a fresh fleet.
+The CP-tree is built once per session, in the parent: before the first
+index-backed shard leaves the process the parent builds (or repairs) its
+index, and the fleet boots from the snapshot image that carries it, so no
+worker ever builds one. Results computed by workers merge back into the
+parent's shared LRU at the snapshot version the fleet was bootstrapped
+with, so subsequent requests — sequential or parallel — hit cache exactly
+as if the batch had run in-process. Mutations through
+:meth:`apply_updates` (or the graph's own versioned API) bump the graph
+version; the pool notices on its next use and ships a fresh image to a
+fresh fleet.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Optional, Tuple
 
+from repro.core.community import PCSResult
 from repro.core.profiled_graph import ProfiledGraph
 from repro.engine.explorer import CommunityExplorer
 from repro.errors import InvalidInputError
-from repro.parallel.build import build_cptree_parallel
 from repro.parallel.pool import (
     PARALLEL_BATCH_THRESHOLD,
     TINY_GRAPH_VERTICES,
@@ -39,7 +39,29 @@ from repro.parallel.pool import (
     decide_batch_mode,
     recommended_workers,
 )
-from repro.parallel.ship import reanchor_result
+from repro.ptree.ptree import PTree
+from repro.ptree.taxonomy import Taxonomy
+
+
+def reanchor_result(result: PCSResult, taxonomy: Taxonomy) -> PCSResult:
+    """Re-tie a worker-computed result's subtrees to the parent taxonomy.
+
+    Unpickled results reference the worker's taxonomy *copy*; subtree node
+    ids are identical, only the anchoring object differs (``PTree``
+    equality requires the same taxonomy object, and downstream code may
+    feed subtrees back into taxonomy-checked APIs). Rebuilds each
+    community with a parent-anchored :class:`PTree` (node sets were
+    validated at construction, so the copies skip the closure check) and
+    returns the same :class:`PCSResult` mutated in place.
+    """
+    result.communities = [
+        dataclasses.replace(
+            community,
+            subtree=PTree(taxonomy, community.subtree.nodes, _validated=True),
+        )
+        for community in result.communities
+    ]
+    return result
 
 
 class ParallelExplorer(CommunityExplorer):
@@ -95,7 +117,7 @@ class ParallelExplorer(CommunityExplorer):
         )
 
     # ------------------------------------------------------------------
-    # the two overridden behaviours
+    # the one overridden behaviour
     # ------------------------------------------------------------------
     def _execute_pending(self, pending: List[Tuple]) -> dict:
         mode, _ = decide_batch_mode(
@@ -106,6 +128,10 @@ class ParallelExplorer(CommunityExplorer):
         )
         if mode != "process":
             return super()._execute_pending(pending)
+        # The index is built once, here: workers adopt it from the image
+        # (the pool re-ships when the parent's index is ahead of theirs).
+        if any(self.method_uses_index(method) for _, _, method, _ in pending):
+            self.index()
         # run() reports the version of the snapshot it actually executed
         # on (the fleet may be re-shipped mid-call by a racing mutation).
         outcomes, version = self._pool.run(pending)
@@ -120,37 +146,6 @@ class ParallelExplorer(CommunityExplorer):
             key: (reanchor_result(result, taxonomy), version)
             for key, result in outcomes.items()
         }
-
-    def warm(self, workers_too: bool = True) -> float:
-        """Build the CP-tree by sharding labels across the fleet.
-
-        Falls back to the sequential build for tiny graphs or a single
-        worker (inside :func:`build_cptree_parallel`). With
-        ``workers_too`` (default) the fleet also pre-builds its own
-        worker-local indexes so the first parallel batch of index-backed
-        queries doesn't pay them. Returns parent-side seconds spent, as
-        the base ``warm`` does; idempotent on a warm engine.
-        """
-        import time
-
-        start = time.perf_counter()
-        if not self.pg.has_index():
-            with self._index_lock:
-                if not self.pg.has_index():
-                    index = build_cptree_parallel(self.pg, pool=self._pool)
-                    self.pg.adopt_index(index)
-                    with self._counters.lock:
-                        self._counters.index_builds += 1
-                        self._counters.index_build_seconds += (
-                            time.perf_counter() - start
-                        )
-        else:
-            self.index()  # flush journaled repairs, as base warm() does
-        if workers_too and self.processes > 1 and not (
-            self.pg.num_vertices < self.tiny_graph_vertices
-        ):
-            self._pool.warm()
-        return time.perf_counter() - start
 
     # ------------------------------------------------------------------
     # lifecycle & introspection

@@ -2,24 +2,26 @@
 
 One :class:`WorkerPool` owns a ``ProcessPoolExecutor`` serving one profiled
 graph at one version. The expensive part of process parallelism is worker
-bootstrap — pickling the graph and rebuilding engine state — so the pool
-amortises it aggressively:
+bootstrap, so the pool amortises it:
 
-* the graph is shipped **once per worker lifetime** (as a pool
-  initializer argument), not per batch; each worker keeps a long-lived
-  :class:`~repro.engine.explorer.CommunityExplorer` in module state and
-  builds its CP-/CL-tree indexes locally, on demand, reusing them across
-  every shard it ever serves;
+* the graph crosses the process boundary as the snapshot codec's image
+  (:func:`repro.storage.snapshot_bytes` /
+  :func:`~repro.storage.load_snapshot_bytes`) — the same bytes disk boot
+  and replica bootstrap use — **once per worker lifetime** (a pool
+  initializer argument), not per batch. When the parent has a CP-tree the
+  image carries it and the worker adopts the decoded index, so the index
+  is built once per session, in the parent, and no worker ever peels one;
 * batches ship only query keys out and :class:`PCSResult` lists back,
   sharded round-robin so heterogeneous query costs interleave across
   workers;
 * mutations invalidate the fleet wholesale: :meth:`WorkerPool.ensure`
-  compares the served graph's version against the shipped snapshot and
-  restarts the pool on mismatch. The snapshot itself is taken under the
-  caller-provided ``snapshot_lock`` (the engine's index lock, which
+  compares the served graph's version — and whether it has an index —
+  against what was shipped and restarts the pool when the parent is
+  ahead. The image is taken under the caller-provided ``snapshot_lock``
+  (the engine's index lock, which
   :meth:`~repro.engine.explorer.CommunityExplorer.apply_updates` holds
-  for its whole batch), so the pickled graph and its version are always
-  a consistent pair even while mutations race. Workers then compute on
+  for its whole batch), so graph, index and version are always a
+  consistent triple even while mutations race. Workers then compute on
   that immutable snapshot, so every parallel result is exact at the
   shipped version by construction (the in-process engine needs a
   version-stable retry loop for the same guarantee).
@@ -33,6 +35,7 @@ are silently skipped and such cohesion names only work under ``fork``.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -41,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.community import PCSResult
 from repro.core.profiled_graph import ProfiledGraph
 from repro.errors import InvalidInputError
-from repro.parallel.ship import ship_graph, unship_graph
+from repro.storage import SnapshotError, load_snapshot_bytes, snapshot_bytes
 
 #: Pending cache misses below this count run in-process: shard dispatch and
 #: result unpickling cost more than a few queries are worth.
@@ -125,11 +128,13 @@ def _registry_snapshot() -> dict:
     return snapshot
 
 
-def _bootstrap_worker(blob: bytes, registry: dict) -> None:
-    """Pool initializer: decode the graph once, build the worker engine.
+def _bootstrap_worker(image: bytes, registry: dict) -> None:
+    """Pool initializer: decode the image once, build the worker engine.
 
-    ``registry`` re-plays the parent's runtime cohesion registrations —
-    a ``spawn`` worker starts with only the built-ins.
+    The decoded graph arrives with the parent's CP-tree installed when
+    the image has an index section. ``registry`` re-plays the parent's
+    runtime cohesion registrations — a ``spawn`` worker starts with only
+    the built-ins.
     """
     global _WORKER_ENGINE
     from repro.core.cohesion import _REGISTRY
@@ -137,7 +142,7 @@ def _bootstrap_worker(blob: bytes, registry: dict) -> None:
 
     for name, cls in registry.items():
         _REGISTRY.setdefault(name, cls)
-    _WORKER_ENGINE = CommunityExplorer(unship_graph(blob))
+    _WORKER_ENGINE = CommunityExplorer(load_snapshot_bytes(image))
 
 
 def _serve_shard(keys: List[Tuple]) -> List[PCSResult]:
@@ -155,29 +160,22 @@ def _serve_shard(keys: List[Tuple]) -> List[PCSResult]:
     return [engine._run(*key) for key in keys]
 
 
-def _warm_worker() -> float:
-    """Best-effort index warm-up task; returns seconds spent building."""
-    engine = _WORKER_ENGINE
-    if engine is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker used before bootstrap")
-    return engine.warm()
-
-
 class WorkerPool:
     """A process pool bound to one profiled graph snapshot.
 
     Parameters
     ----------
     pg:
-        The graph to serve. Snapshotted (see :mod:`repro.parallel.ship`)
-        when the pool starts; :meth:`ensure` re-snapshots after mutations.
+        The graph to serve. Its snapshot image (graph, plus the CP-tree
+        when it has one) is taken when the pool starts; :meth:`ensure`
+        takes a new one after mutations.
     processes:
         Worker count (default: :func:`recommended_workers`).
     mp_context:
         Optional ``multiprocessing`` context (e.g. a ``"spawn"`` context
         for fork-unsafe embedders); default is the platform default.
     snapshot_lock:
-        Context manager held while the graph is pickled and its version
+        Context manager held while the image is encoded and its version
         read, so mutators that take the same lock (the engine's index
         lock: ``apply_updates`` holds it for every batch) can never tear
         the snapshot. Default: no locking — correct for graphs that are
@@ -200,13 +198,10 @@ class WorkerPool:
         self._mp_context = mp_context
         self._executor: Optional[ProcessPoolExecutor] = None
         self._shipped_version: int = -1
+        self._shipped_index = False
         self._restarts = 0
         self._lock = threading.Lock()
-        if snapshot_lock is None:
-            import contextlib
-
-            snapshot_lock = contextlib.nullcontext()
-        self._snapshot_lock = snapshot_lock
+        self._snapshot_lock = snapshot_lock or contextlib.nullcontext()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -233,29 +228,42 @@ class WorkerPool:
         """Start (or restart) the fleet so it serves the current graph.
 
         Returns the version the running workers reflect — equal to
-        ``pg.version`` at the moment of the (lock-protected) check. A
-        version mismatch (the graph mutated since shipping) tears the old
-        fleet down and bootstraps a new one from a fresh snapshot; worker
-        indexes are rebuilt lazily on their next use. The snapshot and its
-        version are read under ``snapshot_lock``, so engine-routed
-        mutations can never be half-captured.
+        ``pg.version`` at the moment of the (lock-protected) check. The
+        fleet is torn down and bootstrapped from a fresh image when the
+        parent is ahead of what the workers hold: the graph mutated since
+        shipping, or the parent has built a CP-tree the workers were
+        started without. The image and its version are read under
+        ``snapshot_lock``, so engine-routed mutations can never be
+        half-captured. A graph the snapshot codec refuses (it encodes int
+        and str vertices) raises :class:`~repro.errors.InvalidInputError`
+        naming the offending vertex type.
         """
         # Lock order: snapshot_lock (the engine's index lock) strictly
-        # before the pool lock — ParallelExplorer.warm() already holds the
-        # former when it reaches ensure() through the parallel index build.
+        # before the pool lock.
         with self._snapshot_lock:
             with self._lock:
-                version = self.pg.version
-                if self._executor is not None and version == self._shipped_version:
+                version, indexed = self.pg.version, self.pg.has_index()
+                if (
+                    self._executor is not None
+                    and version == self._shipped_version
+                    and (self._shipped_index or not indexed)
+                ):
                     return version
                 self._shutdown_locked()
+                try:
+                    image = snapshot_bytes(self.pg)
+                except SnapshotError as exc:
+                    raise InvalidInputError(
+                        f"cannot ship this graph to worker processes: {exc}"
+                    ) from exc
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.processes,
                     mp_context=self._mp_context,
                     initializer=_bootstrap_worker,
-                    initargs=(ship_graph(self.pg), _registry_snapshot()),
+                    initargs=(image, _registry_snapshot()),
                 )
                 self._shipped_version = version
+                self._shipped_index = indexed
                 self._restarts += 1
                 return version
 
@@ -323,27 +331,17 @@ class WorkerPool:
         dispatched concurrently and collected in shard order — the caller
         re-aligns by key, so shard scheduling never affects result order.
         Raises whatever a worker raised (first shard first); the pool
-        survives worker exceptions.
+        survives worker exceptions. An empty ``keys`` returns at once and
+        starts no fleet.
         """
         if not keys:
-            return {}, self.ensure()
+            return {}, self.pg.version
         shards = self.shard(keys)
         futures, version = self.submit_all(_serve_shard, [(s,) for s in shards])
         merged: Dict[Tuple, PCSResult] = {}
         for shard, future in zip(shards, futures):
             merged.update(zip(shard, future.result()))
         return merged, version
-
-    def warm(self) -> float:
-        """Ask every worker to build its CP-tree now; returns seconds (max).
-
-        Best-effort: one warm-up task per worker is submitted at once, and
-        an idle fleet picks them up one each. A busy worker may miss its
-        task (another finishes two) — harmless, its index then builds on
-        first use.
-        """
-        futures, _ = self.submit_all(_warm_worker, [() for _ in range(self.processes)])
-        return max(future.result() for future in futures)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         with self._lock:

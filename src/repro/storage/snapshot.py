@@ -30,9 +30,10 @@ identical snapshots regardless of Python hash randomisation — which is
 what makes the SHA-256 digest meaningful and lets CI pin a golden file
 (``tests/data/snapshot_v1.bin``) against silent format drift.
 
-The same interned encoding (minus header and digest) is what
-:mod:`repro.parallel.ship` moves across process boundaries, so the two
-serialisation paths can never disagree on graph semantics.
+The same image (:func:`snapshot_bytes` / :func:`load_snapshot_bytes`) is
+what crosses every process boundary — replica bootstrap over HTTP and
+worker bootstrap in :mod:`repro.parallel` — so no two serialisation paths
+can disagree on graph semantics.
 """
 
 from __future__ import annotations
@@ -335,10 +336,9 @@ def _encode_index(w: _Writer, index: CPTree, intern: Dict[Vertex, int]) -> None:
 def encode_payload(pg: ProfiledGraph, index: Optional[CPTree] = None) -> bytes:
     """Serialise ``pg`` (and optionally its CP-tree) to canonical bytes.
 
-    The header-free building block: :func:`save_snapshot` wraps the result
-    in the magic/version/digest header, while :func:`repro.parallel.ship`
-    moves it bare across process pipes. Equal graph states always encode
-    to equal bytes (sections are emitted in canonical sorted order).
+    The header-free building block: :func:`snapshot_bytes` wraps the
+    result in the magic/version/digest header. Equal graph states always
+    encode to equal bytes (sections are emitted in canonical sorted order).
     """
     w = _Writer()
     order = _canonical_vertices(pg)
@@ -587,8 +587,9 @@ def snapshot_bytes(pg: ProfiledGraph, include_index: bool = True) -> bytes:
     """The complete snapshot file image (header + payload) as bytes.
 
     Exactly what :func:`save_snapshot` writes, without touching disk —
-    the replication writer ships this over HTTP so a replica's on-disk
-    boot file and the wire form are the same bytes by construction.
+    the replication writer ships this over HTTP and the worker pool as a
+    process initializer argument, so a replica's on-disk boot file and
+    both wire forms are the same bytes by construction.
     """
     index = pg.index() if (include_index and pg.has_index()) else None
     payload = encode_payload(pg, index=index)
@@ -602,7 +603,7 @@ def load_snapshot_bytes(raw: bytes, verify: bool = True) -> ProfiledGraph:
     The in-memory mirror of :func:`load_snapshot`, sharing its structural
     checks: magic, format version, declared length and (with ``verify``)
     the SHA-256 digest. Used by replicas bootstrapping from a shipped
-    snapshot before any bytes reach their own disk.
+    snapshot before any bytes reach their own disk, and by pool workers.
     """
     _, flags, digest, payload = _split_file(raw, "<memory>")
     if verify and hashlib.sha256(payload).digest() != digest:

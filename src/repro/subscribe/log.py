@@ -15,11 +15,12 @@ Entry shapes (``op`` discriminates)::
     {"op": "diff",       "diff": {...}}
     {"op": "unregister", "id": "..."}
 
-Replay tolerates a torn final line (the write that was racing the crash)
-exactly like the WAL does: decoding stops at the first malformed tail
-line. Compaction — on a clean checkpoint — rewrites the file as one
-``register`` entry per live subscription whose snapshot carries the
-current membership, then atomically replaces the old log.
+A crash can tear the final line (the write that was racing it). Like the
+WAL, replay ignores an unterminated tail and opening the log for append
+truncates it, so the next entry starts on a line of its own. Compaction
+— on a clean checkpoint — rewrites the file as one ``register`` entry per
+live subscription whose snapshot carries the current membership, then
+atomically replaces the old log.
 """
 
 from __future__ import annotations
@@ -44,6 +45,14 @@ class SubscriptionLog:
     def __init__(self, path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        if self.path.exists():
+            data = self.path.read_bytes()
+            complete = data.rfind(b"\n") + 1
+            if complete < len(data):  # torn tail: don't let the next entry fuse onto it
+                with open(self.path, "r+b") as fh:
+                    fh.truncate(complete)
+                    fh.flush()
+                    os.fsync(fh.fileno())
         self._fh = open(self.path, "a", encoding="utf-8")
         self._entries_appended = 0
 
@@ -89,25 +98,27 @@ class SubscriptionLog:
     # ------------------------------------------------------------------
     @staticmethod
     def iter_entries(path) -> Iterator[dict]:
-        """Yield decoded entries from ``path``; a torn tail ends the stream.
+        """Yield decoded entries from ``path``; a torn tail is not an entry.
 
-        A missing file yields nothing (a fresh data directory). Only the
-        *final* line may be malformed — torn by the crash that this log
-        exists to survive; garbage earlier in the file is a real error.
+        A missing file yields nothing (a fresh data directory). An
+        unterminated final line is the write torn by the crash this log
+        exists to survive — never yielded, and truncated by the next open
+        for append; a malformed complete line is a real error.
         """
         path = Path(path)
         if not path.exists():
             return
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
+        lines = text.splitlines()
+        if lines and not text.endswith("\n"):
+            lines.pop()  # torn tail: the entry never fully landed
         for i, line in enumerate(lines):
             if not line.strip():
                 continue
             try:
                 entry = json.loads(line)
             except json.JSONDecodeError as exc:
-                if i == len(lines) - 1:
-                    return  # torn tail: the entry never fully landed
                 raise SubscriptionLogError(
                     f"corrupt subscription log {path} at line {i + 1}: {exc}"
                 ) from exc

@@ -9,11 +9,15 @@ and serving stays consistent while mutations race queries.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import threading
+import time
 
 import pytest
 
 from repro.api import CommunityService, Query
+from repro.bench import make_edit_stream
 from repro.core.search import ALL_METHODS, pcs
 from repro.datasets import (
     fig1_profiled_graph,
@@ -23,16 +27,7 @@ from repro.datasets import (
 from repro.engine import MISSING, CommunityExplorer
 from repro.errors import InvalidInputError
 from repro.graph.generators import random_queries
-from repro.parallel import (
-    ParallelExplorer,
-    WorkerPool,
-    build_cptree_parallel,
-    build_shard_cltrees,
-    decide_batch_mode,
-    label_weights,
-    merge_shard_builds,
-    shard_labels,
-)
+from repro.parallel import ParallelExplorer, WorkerPool, decide_batch_mode
 
 WORKERS = 2  # plenty to prove multi-process correctness, cheap on small CI
 
@@ -87,6 +82,30 @@ def _probe_vertices(pg, k, count=3):
     return queries
 
 
+def _worker_index_state():
+    """Runs in a worker: ``(pid, index_builds, index_ready)`` of its engine.
+
+    Sleeps briefly so a burst of probes spreads over the whole fleet
+    instead of one fast worker draining the queue.
+    """
+    from repro.parallel import pool
+
+    time.sleep(0.02)
+    engine = pool._WORKER_ENGINE
+    return os.getpid(), engine.stats().index_builds, engine.index_ready
+
+
+def worker_index_states(ex):
+    """``{pid: (index_builds, index_ready)}`` over the running fleet."""
+    futures, _ = ex.pool.submit_all(
+        _worker_index_state, [() for _ in range(4 * ex.processes)]
+    )
+    states = {pid: (builds, ready) for pid, builds, ready in
+              (future.result() for future in futures)}
+    assert 1 <= len(states) <= ex.processes
+    return states
+
+
 # ----------------------------------------------------------------------
 # differential: parallel == sequential pcs, all methods, all datasets
 # ----------------------------------------------------------------------
@@ -125,6 +144,32 @@ class TestDifferential:
         with make_parallel(ego, default_k=k) as ex:
             got = [canonical(r) for r in ex.explore_many(specs)]
         assert got == expected
+
+    @pytest.mark.parametrize("start_method", [None, "spawn"])
+    @pytest.mark.parametrize("cohesion", ["k-core", "k-truss"])
+    def test_all_methods_before_and_after_update(self, cohesion, start_method):
+        """Six methods x one cohesion through real workers == inline, at
+        the boot image and again at the image re-shipped after a batch."""
+        k = 4
+        pg = load_dataset("acmdl", scale=0.005, seed=11)
+        shadow = load_dataset("acmdl", scale=0.005, seed=11)
+        specs = [
+            (q, k, method, cohesion)
+            for method in ALL_METHODS
+            for q in _probe_vertices(pg, k, count=2)
+        ]
+        edits = make_edit_stream(pg, 6, seed=3)
+        ctx = start_method and multiprocessing.get_context(start_method)
+        inline = CommunityExplorer(shadow)
+        with make_parallel(pg, mp_context=ctx) as ex:
+            for _ in ("boot image", "image after the update"):
+                got = [canonical(r) for r in ex.explore_many(specs)]
+                assert got == [canonical(r) for r in inline.explore_many(specs)]
+                assert ex.pool.shipped_version == pg.version == shadow.version
+                ex.apply_updates(edits)
+                inline.apply_updates(edits)
+            assert ex.pool_stats()["restarts"] == 2
+            assert ex.stats().index_builds == 1
 
     def test_serve_batch_provenance_matches_sequential(self, synthetic):
         k = 6
@@ -262,6 +307,11 @@ class TestPoolLifecycle:
         finally:
             pool.close()
 
+    def test_empty_run_starts_no_fleet(self, fig1):
+        pool = WorkerPool(fig1, processes=2)
+        assert pool.run([]) == ({}, fig1.version)
+        assert not pool.running and pool.restarts == 0
+
     def test_unshippable_vertex_type_fails_fleet_start_with_typed_error(self):
         from repro.core.profiled_graph import ProfiledGraph
         from repro.datasets.fig1 import fig1_taxonomy
@@ -292,51 +342,23 @@ class TestPoolLifecycle:
 
 
 # ----------------------------------------------------------------------
-# parallel index construction
+# the index of a parallel session: built once, in the parent, and shipped
 # ----------------------------------------------------------------------
 class TestParallelIndexBuild:
-    def test_parallel_build_equals_sequential(self, synthetic):
-        from repro.index.cptree import CPTree
-
-        parallel = build_cptree_parallel(synthetic, processes=2)
-        sequential = CPTree(
-            synthetic.graph, synthetic.all_labels(), synthetic.taxonomy, validate=False
-        )
-        assert set(parallel._nodes) == set(sequential._nodes)
-        assert parallel._head_map == sequential._head_map
-        for label in parallel.labels():
-            assert parallel.vertices_with_label(label) == (
-                sequential.vertices_with_label(label)
-            )
-        for q in _probe_vertices(synthetic, 6):
-            for label in synthetic.labels(q):
-                for k in (2, 6):
-                    assert parallel.get(k, q, label) == sequential.get(k, q, label)
-
-    def test_shard_labels_partition_and_balance(self, synthetic):
-        weights = label_weights(synthetic.all_labels())
-        shards = shard_labels(weights, 4)
-        flat = [x for shard in shards for x in shard]
-        assert sorted(flat) == sorted(weights)  # exact partition
-        loads = sorted(sum(weights[x] for x in shard) for shard in shards)
-        # LPT bound: no shard exceeds avg + heaviest label
-        assert loads[-1] <= sum(weights.values()) / len(shards) + max(weights.values())
-
-    def test_merge_rejects_overlapping_shards(self, fig1):
-        weights = label_weights(fig1.all_labels())
-        labels = sorted(weights)
-        part = build_shard_cltrees(fig1, labels[:2])
-        with pytest.raises(InvalidInputError):
-            merge_shard_builds(fig1, [part, part])
-
     def test_from_parts_rejects_mismatched_labels(self, fig1):
+        from repro.index.cltree import CLTree
         from repro.index.cptree import CPTree
 
-        weights = label_weights(fig1.all_labels())
-        labels = sorted(weights)
-        incomplete = build_shard_cltrees(fig1, labels[:-1])
+        buckets = {}
+        for v, labels in fig1.all_labels().items():
+            for x in labels:
+                buckets.setdefault(x, []).append(v)
+        parts = {x: CLTree(fig1.graph, vertices=vs) for x, vs in buckets.items()}
+        whole = CPTree.from_parts(fig1.all_labels(), fig1.taxonomy, parts)
+        assert set(whole.labels()) == set(parts)
+        del parts[max(parts)]
         with pytest.raises(InvalidInputError):
-            CPTree.from_parts(fig1.all_labels(), fig1.taxonomy, incomplete)
+            CPTree.from_parts(fig1.all_labels(), fig1.taxonomy, parts)
 
     def test_warm_installs_index_and_serves(self, synthetic):
         pg = load_dataset("acmdl", scale=0.005, seed=23)
@@ -345,10 +367,57 @@ class TestParallelIndexBuild:
             seconds = ex.warm()
             assert pg.has_index() and seconds >= 0
             assert ex.stats().index_builds == 1
+            assert not ex.pool.running  # the fleet starts at its first shard
             q = _probe_vertices(pg, 6, 1)[0]
             expected = canonical(pcs(pg, q, 6, method="adv-P", index=pg.index()))
             assert canonical(ex.explore(q, k=6)) == expected
             assert ex.warm() < 1.0  # idempotent fast path
+
+    def test_no_worker_ever_builds_an_index(self):
+        k = 6
+        pg = load_dataset("acmdl", scale=0.005, seed=23)
+        specs = [(q, k, "adv-P") for q in _probe_vertices(pg, k, count=4)]
+        with make_parallel(pg, default_k=k) as ex:
+            ex.warm()
+            ex.explore_many(specs)
+            assert set(worker_index_states(ex).values()) == {(0, True)}
+            ex.apply_updates(make_edit_stream(pg, 4, seed=3))
+            ex.explore_many(specs)  # restarted fleet, image at the new version
+            assert ex.pool_stats()["restarts"] == 2
+            assert set(worker_index_states(ex).values()) == {(0, True)}
+            assert ex.stats().index_builds == 1
+
+    def test_cold_service_batch_builds_one_index_in_total(self):
+        k = 6
+        pg = load_dataset("acmdl", scale=0.005, seed=23)
+        queries = [
+            Query(vertex=q, k=k, method="adv-P")
+            for q in _probe_vertices(pg, k, count=4)
+        ]
+        with CommunityService(pg, parallel=WORKERS) as service:
+            # force the process path even at this fixture's size
+            service.explorer.tiny_graph_vertices = 0
+            service.explorer.min_batch = 2
+            assert not pg.has_index()
+            service.batch(queries)
+            assert service.explorer.pool.running
+            assert service.explorer.stats().index_builds == 1
+            assert set(worker_index_states(service.explorer).values()) == {(0, True)}
+
+    def test_index_free_fleet_is_reshipped_once_the_parent_has_an_index(self):
+        k = 6
+        pg = load_dataset("acmdl", scale=0.005, seed=23)
+        probes = _probe_vertices(pg, k, count=4)
+        with make_parallel(pg, default_k=k) as ex:
+            ex.explore_many([(q, k, "basic") for q in probes])
+            assert not pg.has_index() and ex.pool_stats()["restarts"] == 1
+            assert set(worker_index_states(ex).values()) == {(0, False)}
+            got = ex.explore_many([(q, k, "adv-P") for q in probes])
+            assert ex.pool_stats()["restarts"] == 2  # same version, new image
+            assert set(worker_index_states(ex).values()) == {(0, True)}
+            assert ex.stats().index_builds == 1
+        expected = [pcs(pg, q, k, method="adv-P", index=pg.index()) for q in probes]
+        assert [canonical(r) for r in got] == [canonical(r) for r in expected]
 
 
 # ----------------------------------------------------------------------

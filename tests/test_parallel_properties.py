@@ -1,38 +1,23 @@
 """Hypothesis property tests for the PR-4 serving invariants.
 
-Two families:
-
-* :class:`repro.api.Query` — wire round-trip (``to_dict``/``from_dict``),
-  JSON round-trip, and ``cache_key`` invariants (post-filters excluded,
-  defaults resolve like explicit values, spellings normalise) under random
-  valid field combinations;
-* CP-tree **shard-merge ≡ whole-build** — for random small profiled
-  graphs and random shard counts, building per-label CL-trees in shards
-  and merging (:func:`repro.parallel.merge_shard_builds`, the parallel
-  build's merge path) is observationally identical to the sequential
-  constructor.
+:class:`repro.api.Query` — wire round-trip (``to_dict``/``from_dict``),
+JSON round-trip, and ``cache_key`` invariants (post-filters excluded,
+defaults resolve like explicit values, spellings normalise) under random
+valid field combinations. (The index a worker serves from is the snapshot
+codec's; its decode ≡ whole-build property lives in
+``test_storage_properties.py``.)
 """
 
 from __future__ import annotations
 
 import json
-import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import Query
 from repro.core.search import ALL_METHODS
-from repro.datasets.synthetic import simple_profiled_graph
 from repro.errors import InvalidInputError
-from repro.index.cptree import CPTree
-from repro.parallel import (
-    build_shard_cltrees,
-    label_weights,
-    merge_shard_builds,
-    shard_labels,
-)
-from repro.ptree.taxonomy import Taxonomy
 
 SETTINGS = settings(
     max_examples=40,
@@ -132,65 +117,3 @@ class TestQueryProperties:
         with pytest.raises(InvalidInputError):
             Query.from_dict(payload)
 
-
-# ----------------------------------------------------------------------
-# shard-merge ≡ whole-build on random small profiled graphs
-# ----------------------------------------------------------------------
-@st.composite
-def profiled_graphs(draw):
-    """A small random profiled graph over a random taxonomy."""
-    tax_seed = draw(st.integers(min_value=0, max_value=10_000))
-    tax_nodes = draw(st.integers(min_value=1, max_value=12))
-    rng = random.Random(tax_seed)
-    taxonomy = Taxonomy()
-    for i in range(1, tax_nodes):
-        taxonomy.add(f"L{i}", parent=rng.randrange(i))
-    n = draw(st.integers(min_value=2, max_value=16))
-    graph_seed = draw(st.integers(min_value=0, max_value=10_000))
-    p = draw(st.floats(min_value=0.05, max_value=0.6))
-    labels_per_vertex = draw(st.integers(min_value=1, max_value=4))
-    return simple_profiled_graph(
-        taxonomy,
-        n,
-        seed=graph_seed,
-        edge_probability=p,
-        labels_per_vertex=labels_per_vertex,
-    )
-
-
-class TestShardMergeProperties:
-    @SETTINGS
-    @given(pg=profiled_graphs(), num_shards=st.integers(min_value=1, max_value=5))
-    def test_shard_merge_equals_whole_build(self, pg, num_shards):
-        weights = label_weights(pg.all_labels())
-        shards = shard_labels(weights, num_shards)
-        parts = [build_shard_cltrees(pg, shard) for shard in shards]
-        merged = merge_shard_builds(pg, parts)
-        whole = CPTree(pg.graph, pg.all_labels(), pg.taxonomy, validate=False)
-
-        assert set(merged._nodes) == set(whole._nodes)
-        assert merged._head_map == whole._head_map
-        for label in merged.labels():
-            node, ref = merged.node(label), whole.node(label)
-            assert node.vertices == ref.vertices
-            assert (node.parent is None) == (ref.parent is None)
-            if node.parent is not None:
-                assert node.parent.label == ref.parent.label
-            assert sorted(c.label for c in node.children) == (
-                sorted(c.label for c in ref.children)
-            )
-            for q in sorted(node.vertices, key=repr)[:3]:
-                for k in (1, 2, 3):
-                    assert merged.get(k, q, label) == whole.get(k, q, label)
-        for v in pg.vertices():
-            assert merged.restore_ptree(v) == whole.restore_ptree(v)
-
-    @SETTINGS
-    @given(pg=profiled_graphs(), num_shards=st.integers(min_value=1, max_value=5))
-    def test_shard_labels_is_an_exact_partition(self, pg, num_shards):
-        weights = label_weights(pg.all_labels())
-        shards = shard_labels(weights, num_shards)
-        flat = [x for shard in shards for x in shard]
-        assert sorted(flat) == sorted(weights)
-        assert len(flat) == len(set(flat))
-        assert len(shards) <= num_shards

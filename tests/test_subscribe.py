@@ -167,6 +167,21 @@ class TestLog:
         entries = list(SubscriptionLog.iter_entries(path))
         assert [e["op"] for e in entries] == ["register"]
 
+    def test_reopen_after_torn_tail_keeps_every_later_entry(self, tmp_path):
+        path = tmp_path / "subs.jsonl"
+        log = SubscriptionLog(path)
+        log.append({"op": "register", "subscription": {}})
+        log.close()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"op": "diff", "di')  # the write the crash tore
+        log = SubscriptionLog(path)  # the reboot: must drop the fragment
+        log.append({"op": "diff", "diff": {"event_id": 2}})
+        log.append({"op": "diff", "diff": {"event_id": 3}})
+        log.close()
+        entries = list(SubscriptionLog.iter_entries(path))  # the second reboot
+        assert [e["op"] for e in entries] == ["register", "diff", "diff"]
+        assert [e["diff"]["event_id"] for e in entries[1:]] == [2, 3]
+
     def test_corruption_before_tail_raises(self, tmp_path):
         path = tmp_path / "subs.jsonl"
         path.write_text('not json\n{"op": "diff"}\n', encoding="utf-8")
