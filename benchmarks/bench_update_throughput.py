@@ -8,13 +8,17 @@ reproducible edit stream (edge toggles + profile replacements) two ways
   pipeline could avoid serving stale communities;
 * **incremental** — the engine path: each edit goes through
   ``CommunityExplorer.apply_updates``, which journals the damage and
-  repairs only the per-label CL-trees that edit touched (edits are applied
-  one at a time — the journal's worst case; batching only improves it).
+  patches insertions in place and rebuilds only the per-label CL-trees a
+  removal touched (edits are applied one at a time — the journal's worst
+  case; batching only improves it).
 
 Asserts incremental maintenance is ≥ 5× faster per edit than rebuilding,
-that the maintained index ends structurally identical to a fresh build,
-and records edits/sec plus invalidation counts under
-``results/update_throughput*.json``.
+that the maintained index ends byte-equal to a fresh build
+(``repro.bench.index_matches_fresh_build``), and records edits/sec plus
+invalidation counts under ``results/update_throughput*.json``. The
+incremental cost is also reported per edit kind, ungated: ``add_edge`` is
+patched into the CL-trees in place, ``remove_edge`` and a ``set_profile``
+that drops labels still rebuild the labels they touch.
 
 Runs two ways, exactly like the engine-throughput benchmark::
 
@@ -49,6 +53,9 @@ REBUILD_CAP = 3
 #: Fraction of profile-replacement edits in the stream.
 PROFILE_FRACTION = 0.2
 
+#: Edit kinds :func:`repro.bench.make_edit_stream` emits (reported per kind).
+OP_KINDS = ("add_edge", "remove_edge", "set_profile")
+
 
 def num_edits() -> int:
     return SMOKE_NUM_EDITS if smoke_mode() else NUM_EDITS
@@ -68,9 +75,11 @@ def measure_updates(make_pg, dataset: str, seed: int = 7) -> dict:
 def _render(payload: dict) -> Table:
     table = Table(
         "Update throughput — rebuild-per-edit vs incremental maintenance",
-        ["dataset", "edits", "rebuild ms/e", "incr ms/e", "speedup", "edits/sec", "ok"],
+        ["dataset", "edits", "rebuild ms/e", "incr ms/e", "speedup", "edits/sec", "ok",
+         *(f"{op} ms/e" for op in OP_KINDS)],
     )
     for row in payload.values():
+        by_op = row["ms_per_edit_by_op"]
         table.add_row(
             row["dataset"],
             row["num_edits"],
@@ -79,6 +88,7 @@ def _render(payload: dict) -> Table:
             round(row["speedup"], 1),
             round(row["edits_per_second"], 1),
             "yes" if row["consistent"] else "NO",
+            *(round(by_op[op], 3) if op in by_op else "-" for op in OP_KINDS),
         )
     return table
 

@@ -424,6 +424,33 @@ def _build_serving_role(args: argparse.Namespace):
     return CommunityGateway(service, **gateway_opts)
 
 
+def _announce_serving(server, args: argparse.Namespace) -> None:
+    """Print the lines a supervisor reads as "ready" (the first carries the URL)."""
+    if args.role == "router":
+        print(f"routing at {server.url} "
+              f"(writer: {args.writer_url}, replicas: {len(args.replica)}, "
+              f"min-version deadline: {args.min_version_deadline:.1f}s)",
+              flush=True)
+        print("endpoints: POST /query /batch /update · GET /healthz /stats",
+              flush=True)
+        return
+    mode = "off" if args.no_coalesce else f"{args.coalesce_window * 1000:.1f} ms window"
+    what = (f"replica of {args.writer_url}" if args.role == "replica"
+            else args.dataset)
+    print(f"serving {what} at {server.url} "
+          f"(role: {server.role}, coalescing: {mode}, "
+          f"workers: {args.parallel or 1})", flush=True)
+    print("endpoints: POST /query /batch /update /subscribe · "
+          "GET /healthz /stats /metrics", flush=True)
+    report = server.service.boot_report
+    if report is not None:
+        print(f"data-dir {args.data_dir}: booted from {report.source} at "
+              f"graph version {report.graph_version} "
+              f"(replayed {report.replayed_records} WAL record(s), index "
+              f"{'loaded' if report.index_loaded else 'cold'}, "
+              f"{report.seconds:.2f}s)", flush=True)
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: run one serving role over HTTP until interrupted."""
     router = args.role == "router"
@@ -433,30 +460,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 2
     server = _build_serving_role(args)
     with server:
-        if router:
-            print(f"routing at {server.url} "
-                  f"(writer: {args.writer_url}, replicas: {len(args.replica)}, "
-                  f"min-version deadline: {args.min_version_deadline:.1f}s)",
-                  flush=True)
-            print("endpoints: POST /query /batch /update · GET /healthz /stats",
-                  flush=True)
-        else:
-            mode = "off" if args.no_coalesce else f"{args.coalesce_window * 1000:.1f} ms window"
-            what = (f"replica of {args.writer_url}" if args.role == "replica"
-                    else args.dataset)
-            print(f"serving {what} at {server.url} "
-                  f"(role: {server.role}, coalescing: {mode}, "
-                  f"workers: {args.parallel or 1})", flush=True)
-            print("endpoints: POST /query /batch /update /subscribe · "
-                  "GET /healthz /stats /metrics", flush=True)
-            report = server.service.boot_report
-            if report is not None:
-                print(f"data-dir {args.data_dir}: booted from {report.source} at "
-                      f"graph version {report.graph_version} "
-                      f"(replayed {report.replayed_records} WAL record(s), index "
-                      f"{'loaded' if report.index_loaded else 'cold'}, "
-                      f"{report.seconds:.2f}s)", flush=True)
+        # A supervisor may interrupt as soon as it has read the first
+        # announced line, so the announcement drains as cleanly as wait().
         try:
+            _announce_serving(server, args)
             server.wait()
         except KeyboardInterrupt:
             print("\nshutting down (draining in-flight requests)...", flush=True)

@@ -12,10 +12,14 @@ Mutation is first-class: :meth:`ProfiledGraph.add_edge`,
 :meth:`~ProfiledGraph.remove_vertex` and :meth:`~ProfiledGraph.set_profile`
 keep the topology, the label mapping and the P-tree cache consistent in one
 call, bump a monotonic :attr:`~ProfiledGraph.version` counter (the epoch
-that result caches key their staleness checks on), and journal the damage
-so :meth:`~ProfiledGraph.index` can repair the CP-tree incrementally —
-rebuilding only the per-label CL-trees an edit actually touched instead of
-the whole O(|P| · m) index. Mutating ``pg.graph`` directly bypasses all of
+that result caches key their staleness checks on), and keep a built
+CP-tree current incrementally (:mod:`repro.index.maintenance`): what an
+edit adds — an edge, a label a vertex gains — is patched into the
+per-label CL-trees it touches right away, what it takes away is journaled
+so :meth:`~ProfiledGraph.index` rebuilds only those labels' CL-trees
+instead of the whole O(|P| · m) index. Every mutator bumps the version
+*before* it does index work, so an optimistic reader that overlapped the
+edit sees the version move. Mutating ``pg.graph`` directly bypasses all of
 this and is unsupported once an index or engine is attached.
 """
 
@@ -29,7 +33,12 @@ from typing import Dict, FrozenSet, Hashable, Iterator, Mapping, Optional, Union
 from repro.errors import InvalidInputError, VertexNotFoundError
 from repro.graph.graph import Graph
 from repro.index.cptree import CPTree
-from repro.index.maintenance import UpdateJournal, repair_cptree
+from repro.index.maintenance import (
+    UpdateJournal,
+    absorb_edge,
+    absorb_profile,
+    repair_cptree,
+)
 from repro.ptree.ptree import PTree
 from repro.ptree.taxonomy import Taxonomy
 
@@ -189,7 +198,7 @@ class ProfiledGraph:
 
     @property
     def maintenance_seconds(self) -> float:
-        """Total time spent in incremental index repairs (not full builds)."""
+        """Total time spent patching and repairing the index (not full builds)."""
         return self._maintenance_seconds
 
     @property
@@ -202,6 +211,12 @@ class ProfiledGraph:
         """Dirty per-label CL-trees awaiting the next :meth:`index` call."""
         return self._journal.num_dirty_labels
 
+    @property
+    def maintained_labels(self) -> int:
+        """Labels whose CL-tree the edits since the last :meth:`index` call
+        patched in place or left for it to rebuild."""
+        return self._journal.num_maintained_labels
+
     def _bump(self) -> None:
         self._version += 1
 
@@ -211,7 +226,7 @@ class ProfiledGraph:
         return self._index is not None
 
     def _journals(self) -> list:
-        """Every journal the next mutation must record into.
+        """Every journal a removal must record into.
 
         The index journal participates only while an index exists (see
         :meth:`_journaling`); attached tap journals record *always* — their
@@ -221,6 +236,18 @@ class ProfiledGraph:
         if self._journaling():
             return [self._journal, *self._taps]
         return list(self._taps)
+
+    def _absorb(self, absorb, *edit) -> None:
+        """Let a built index take an insertion in place (after the bump).
+
+        Taps have already recorded the edit in full; the index journal
+        receives only what the patch could not express.
+        """
+        if self._index is None:
+            return
+        start = time.perf_counter()
+        absorb(self._index, self.graph, self._journal, *edit)
+        self._maintenance_seconds += time.perf_counter() - start
 
     def attach_journal(self, journal: UpdateJournal) -> UpdateJournal:
         """Attach a tap journal that records every subsequent mutation.
@@ -251,9 +278,10 @@ class ProfiledGraph:
         closed = self._coerce_profile(profile, validate)
         self.graph.add_vertex(v)
         self._labels[v] = closed
-        for journal in self._journals():
-            journal.record_vertex_added(v, closed)
+        for tap in self._taps:
+            tap.record_vertex_added(v, closed)
         self._bump()
+        self._absorb(absorb_profile, v, frozenset(), closed)
         return True
 
     def remove_vertex(self, v: Vertex) -> bool:
@@ -287,16 +315,20 @@ class ProfiledGraph:
         if u == v:
             raise InvalidInputError(f"self-loop on vertex {u!r} is not allowed")
         empty: NodeSet = frozenset()
-        for w in (u, v):
-            if w not in self.graph:
-                self.graph.add_vertex(w)
-                self._labels[w] = empty
-                for journal in self._journals():
-                    journal.record_vertex_added(w, empty)
+        created = [w for w in (u, v) if w not in self.graph]
+        for w in created:
+            self.graph.add_vertex(w)
+            self._labels[w] = empty
+            for tap in self._taps:
+                tap.record_vertex_added(w, empty)
         self.graph.add_edge(u, v)
-        for journal in self._journals():
-            journal.record_edge(self._labels[u], self._labels[v])
+        labels_u, labels_v = self._labels[u], self._labels[v]
+        for tap in self._taps:
+            tap.record_edge(labels_u, labels_v)
         self._bump()
+        for w in created:
+            self._absorb(absorb_profile, w, empty, empty)
+        self._absorb(absorb_edge, u, v, labels_u & labels_v)
         return True
 
     def remove_edge(self, u: Vertex, v: Vertex) -> bool:
@@ -338,9 +370,10 @@ class ProfiledGraph:
             return False
         self._labels[v] = new
         self._ptree_cache.pop(v, None)
-        for journal in self._journals():
-            journal.record_profile_change(v, old, new)
+        for tap in self._taps:
+            tap.record_profile_change(v, old, new)
         self._bump()
+        self._absorb(absorb_profile, v, old, new)
         return True
 
     def vertices_with_subtree(self, nodes: NodeSet) -> FrozenSet[Vertex]:
@@ -393,9 +426,10 @@ class ProfiledGraph:
     def index(self, rebuild: bool = False) -> CPTree:
         """The CP-tree index, built on first use and kept fresh across edits.
 
-        Mutations made through the versioned API journal their damage;
-        this method repairs exactly the dirty per-label CL-trees before
-        returning (time charged to :attr:`maintenance_seconds`). Pass
+        Insertions made through the versioned API were patched into the
+        index as they happened; removals journaled their damage, and this
+        method rebuilds exactly those per-label CL-trees before returning
+        (time charged to :attr:`maintenance_seconds`). Pass
         ``rebuild=True`` to force a from-scratch build — the fallback for
         changes the journal cannot express.
         """

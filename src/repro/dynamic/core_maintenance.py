@@ -14,7 +14,9 @@ This module maintains a :class:`DynamicCoreIndex` alongside a graph:
   around the edge: vertices of core exactly r reachable from the edge
   through vertices of core exactly r. We collect that candidate region
   with a BFS restricted to core-r vertices, then peel it with the k-core
-  condition at r + 1 to find the vertices that actually rise.
+  condition at r + 1 to find the vertices that actually rise. (A
+  candidate rises iff it survives that peel, counting neighbours that
+  are candidates or already have core > r.)
 * **remove(u, v)** — core numbers can only *decrease*, by at most 1, and
   only inside the same region; we re-peel the candidate region against
   its boundary.
@@ -39,11 +41,15 @@ across tens of thousands of random edits.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, FrozenSet, Hashable, Optional, Set
+from typing import Dict, FrozenSet, Hashable, Optional
 
 from repro.errors import InvalidInputError, VertexNotFoundError
-from repro.graph.core import core_numbers
+from repro.graph.core import (
+    core_numbers,
+    insertion_risers,
+    peel_region,
+    subcore_region,
+)
 from repro.graph.graph import Graph
 
 Vertex = Hashable
@@ -120,12 +126,7 @@ class DynamicCoreIndex:
         """
         self._core.setdefault(u, 0)
         self._core.setdefault(v, 0)
-        root = min(self._core[u], self._core[v])
-        candidates = self._candidate_region(u, v, root)
-        # A candidate rises to root+1 iff it survives peeling the candidate
-        # set with the (root+1)-degree rule, counting neighbours that are
-        # either candidates or already have core > root.
-        risen = self._peel_candidates(candidates, root + 1)
+        root, risen = insertion_risers(self.graph.adjacency(), self._core, u, v)
         for w in risen:
             self._core[w] = root + 1
 
@@ -144,9 +145,9 @@ class DynamicCoreIndex:
         root = min(self._core[u], self._core[v])
         if root == 0:
             return
-        candidates = self._candidate_region(u, v, root)
-        survivors = self._peel_candidates(candidates, root)
-        for w in candidates - survivors:
+        adj = self.graph.adjacency()
+        candidates = subcore_region(adj, self._core, (u, v), root)
+        for w in candidates - peel_region(adj, self._core, candidates, root):
             self._core[w] = root - 1
 
     def remove_vertex(self, v: Vertex) -> None:
@@ -167,54 +168,6 @@ class DynamicCoreIndex:
         vertex and call this to retire its core entry.
         """
         self._core.pop(v, None)
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _candidate_region(self, u: Vertex, v: Vertex, root: int) -> Set[Vertex]:
-        """Vertices with core == root reachable from {u, v} through core ≥ root."""
-        adj = self.graph.adjacency()
-        core = self._core
-        seeds = [w for w in (u, v) if core[w] == root]
-        seen: Set[Vertex] = set(seeds)
-        queue: deque = deque(seeds)
-        while queue:
-            w = queue.popleft()
-            for x in adj[w]:
-                if x not in seen and core.get(x, -1) == root:
-                    seen.add(x)
-                    queue.append(x)
-        return seen
-
-    def _peel_candidates(self, candidates: Set[Vertex], k: int) -> Set[Vertex]:
-        """Candidates surviving the degree-≥-k rule against the fixed boundary.
-
-        A candidate's effective degree counts neighbours that are surviving
-        candidates or whose core number is already ≥ k.
-        """
-        adj = self.graph.adjacency()
-        core = self._core
-        alive = set(candidates)
-        degree = {
-            w: sum(
-                1
-                for x in adj[w]
-                if x in alive or core.get(x, -1) >= k
-            )
-            for w in alive
-        }
-        queue: deque = deque(w for w, d in degree.items() if d < k)
-        while queue:
-            w = queue.popleft()
-            if w not in alive:
-                continue
-            alive.discard(w)
-            for x in adj[w]:
-                if x in alive:
-                    degree[x] -= 1
-                    if degree[x] < k:
-                        queue.append(x)
-        return alive
 
     def verify(self) -> bool:
         """Whether the maintained numbers equal a fresh decomposition."""

@@ -457,9 +457,10 @@ class CommunityExplorer:
         :func:`~repro.engine.updates.apply_update`: every effective edit
         bumps ``pg.version`` by one, which invalidates all cached results
         computed before it (epoch check — O(1) per mutation, stale entries
-        are evicted lazily on lookup). With a built index, the CP-tree is
-        repaired incrementally at the end of the batch so the damage of
-        many edits is paid once.
+        are evicted lazily on lookup). With a built index, insertions are
+        patched into the CP-tree as they land and everything else is
+        repaired at the end of the batch, so the damage of many edits is
+        paid once.
 
         Update shapes are validated up front; applying is *not* atomic —
         an unknown vertex mid-batch raises after earlier edits landed (the
@@ -490,7 +491,8 @@ class CommunityExplorer:
                     self.pg.detach_journal(tap)
             repaired_labels = 0
             if self.pg.has_index():
-                repaired_labels = self.pg.pending_repair_labels
+                # Patched in place as the edits landed, or rebuilt now.
+                repaired_labels = self.pg.maintained_labels
                 self.pg.index()  # incremental repair (direct: lock is held)
             # Capture the version before releasing the lock: a concurrent
             # batch could commit in the gap and the receipt would tag this

@@ -122,8 +122,8 @@ class UpdateReceipt:
     applied: int
     #: Graph version after the batch.
     version: int
-    #: Per-label CL-trees repaired at the end of the batch (0 when no
-    #: index was built).
+    #: Per-label CL-trees this batch brought up to date, patched in place
+    #: or rebuilt (0 when no index was built).
     repaired_labels: int
     #: Wall-clock seconds spent applying + repairing.
     seconds: float

@@ -11,13 +11,16 @@ set of vertices whose P-trees contain a subtree T.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Set
+from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.errors import InvalidInputError
 from repro.graph.csr import csr_view
 from repro.graph.graph import Graph
 
 Vertex = Hashable
+#: What the traversal functions read a graph through: ``adj[x]`` iterates
+#: the neighbours of ``x`` (a ``Graph.adjacency()`` dict, or a view of one).
+Adjacency = Mapping[Vertex, Iterable[Vertex]]
 
 EMPTY: FrozenSet[Vertex] = frozenset()
 
@@ -184,6 +187,138 @@ def k_core_within(
                 seen.add(w)
                 frontier.append(w)
     return frozenset(seen)
+
+
+def subcore_region(
+    adj: Adjacency, core: Mapping[Vertex, int], seeds: Iterable[Vertex], level: int
+) -> Set[Vertex]:
+    """Vertices of core exactly ``level`` reachable from ``seeds`` through
+    vertices of core exactly ``level`` — the region a single edge edit can
+    change (seeds of another core are ignored).
+
+    ``core`` doubles as the membership test: a neighbour without an entry
+    is outside the maintained subgraph, so a label's carriers restrict the
+    traversal for free.
+    """
+    seen: Set[Vertex] = {w for w in seeds if core.get(w, -1) == level}
+    queue: deque = deque(seen)
+    while queue:
+        w = queue.popleft()
+        for x in adj[w]:
+            if x not in seen and core.get(x, -1) == level:
+                seen.add(x)
+                queue.append(x)
+    return seen
+
+
+def peel_region(
+    adj: Adjacency, core: Mapping[Vertex, int], region: Set[Vertex], k: int
+) -> Set[Vertex]:
+    """The part of ``region`` that keeps degree ≥ ``k`` against a fixed boundary.
+
+    A region vertex's degree counts neighbours that are surviving region
+    vertices or whose core number is already ≥ ``k``; vertices below are
+    peeled until none is left.
+    """
+    alive = set(region)
+    degree = {
+        w: sum(1 for x in adj[w] if x in alive or core.get(x, -1) >= k)
+        for w in alive
+    }
+    queue: deque = deque(w for w, d in degree.items() if d < k)
+    while queue:
+        w = queue.popleft()
+        if w not in alive:
+            continue
+        alive.discard(w)
+        for x in adj[w]:
+            if x in alive:
+                degree[x] -= 1
+                if degree[x] < k:
+                    queue.append(x)
+    return alive
+
+
+def insertion_risers(
+    adj: Adjacency, core: Mapping[Vertex, int], u: Vertex, v: Vertex
+) -> Tuple[int, Set[Vertex]]:
+    """``(K, risen)`` for edge ``{u, v}`` already present in ``adj``.
+
+    ``K = min(core[u], core[v])`` under the core numbers from *before* the
+    insertion; ``risen`` are the vertices whose core number the edge lifts
+    from ``K`` to ``K + 1``. ``core`` is not modified, and doubles as the
+    membership test as in :func:`subcore_region`.
+
+    The traversal algorithm of Sarıyüce et al.: rather than collect the
+    whole core-``K`` region and peel it, walk it breadth-first from an
+    endpoint and stop wherever a vertex provably stays behind. A core-``K``
+    vertex can rise only if more than ``K`` of its neighbours lie in a
+    higher core or are core-``K`` vertices that could rise themselves
+    (those with more than ``K`` neighbours of core ≥ ``K``). ``budget``
+    starts at that count, drops by one for each such neighbour found to
+    stay behind, and a vertex whose budget is down to ``K`` stays behind
+    too; the walk passes only through vertices still above ``K``.
+
+    Whatever rises forms, with the higher cores, a component of the new
+    ``(K + 1)``-core that holds the new edge (one that did not would have
+    been in the old ``(K + 1)``-core already). So an endpoint of core ``K``
+    rises with the rest or nothing does, and the walk ends as soon as one
+    is found to stay — for most edges into a dense core, after that
+    endpoint's two-hop neighbourhood.
+    """
+    level = min(core[u], core[v])
+    candidate: Dict[Vertex, bool] = {}
+
+    def can_rise(x: Vertex) -> bool:
+        known = candidate.get(x)
+        if known is None:
+            slack = -level
+            for y in adj[x]:
+                if core.get(y, -1) >= level:
+                    slack += 1
+                    if slack > 0:
+                        break
+            known = candidate[x] = slack > 0
+        return known
+
+    def support(x: Vertex) -> int:
+        count = 0
+        for y in adj[x]:
+            c = core.get(y, -1)
+            if c > level or (c == level and can_rise(y)):
+                count += 1
+        return count
+
+    endpoints = [w for w in (u, v) if core[w] == level]
+    root = endpoints[0]
+    budget: Dict[Vertex, int] = {root: support(root)}
+    visited: Set[Vertex] = {root}
+    stays: Set[Vertex] = set()
+    queue: deque = deque((root,))
+    while queue:
+        x = queue.popleft()
+        if budget[x] > level:
+            for y in adj[x]:
+                if y not in visited and core.get(y, -1) == level and can_rise(y):
+                    visited.add(y)
+                    # Neighbours that fell before y was reached have
+                    # already been charged against it.
+                    budget[y] = budget.get(y, 0) + support(y)
+                    queue.append(y)
+        elif x not in stays:
+            stays.add(x)
+            fallen = [x]
+            while fallen:
+                z = fallen.pop()
+                for y in adj[z]:
+                    if core.get(y, -1) == level:
+                        left = budget[y] = budget.get(y, 0) - 1
+                        if left == level and y in visited and y not in stays:
+                            stays.add(y)
+                            fallen.append(y)
+            if not stays.isdisjoint(endpoints):
+                return level, set()
+    return level, visited - stays
 
 
 def degeneracy(graph: Graph) -> int:

@@ -23,10 +23,12 @@ There is one serving backend and one reference:
     oracle and the CSR speed-up benchmark compare against — not a
     deployment option.
 
-A :class:`CSRGraph` is an immutable *snapshot* of one graph revision.
-:func:`csr_view` caches it on ``Graph._csr``; every Graph mutator drops
-the cache, so a stale view is never observable through the dispatch
-helpers in :mod:`repro.graph.core`.
+A :class:`CSRGraph` is an immutable *snapshot* of one graph revision and
+carries that revision as a tag. :func:`csr_view` caches it on
+``Graph._csr`` and serves it only while the tag equals the graph's
+current revision; every Graph mutator bumps the revision, so a stale view
+— including one a reader finished building after a writer committed — is
+never observable through the dispatch helpers in :mod:`repro.graph.core`.
 """
 
 from __future__ import annotations
@@ -120,9 +122,12 @@ class CSRGraph:
         Interned id → original vertex object (the intern table).
     index_of:
         Original vertex object → interned id (inverse of ``ids``).
+    revision:
+        The structural revision of the graph this snapshot was taken at
+        (``Graph._rev``; 0 for a graph no mutator has touched yet).
     """
 
-    __slots__ = ("n", "indptr", "indices", "ids", "index_of")
+    __slots__ = ("n", "indptr", "indices", "ids", "index_of", "revision")
 
     def __init__(
         self,
@@ -130,12 +135,14 @@ class CSRGraph:
         index_of: Dict[Vertex, int],
         indptr: array,
         indices: array,
+        revision: int = 0,
     ) -> None:
         self.ids = ids
         self.index_of = index_of
         self.indptr = indptr
         self.indices = indices
         self.n = len(ids)
+        self.revision = revision
 
     @property
     def num_edges(self) -> int:
@@ -154,6 +161,9 @@ class CSRGraph:
     @classmethod
     def from_graph(cls, graph: "Graph") -> "CSRGraph":
         """Intern ``graph``'s vertices and lay its adjacency out in CSR."""
+        # Read before interning: an edit that lands during the walk bumps
+        # the graph past this tag, and the torn snapshot is never served.
+        revision = getattr(graph, "_rev", 0)
         adj = graph.adjacency()
         ids = list(adj)
         index_of = {v: i for i, v in enumerate(ids)}
@@ -165,7 +175,7 @@ class CSRGraph:
         for v in ids:
             extend(map(intern, adj[v]))
             append(len(indices))
-        return cls(ids, index_of, indptr, indices)
+        return cls(ids, index_of, indptr, indices, revision)
 
     @classmethod
     def from_sorted_edges(cls, order: Sequence[Vertex], flat: Sequence[int]) -> "CSRGraph":
@@ -479,18 +489,24 @@ def csr_view(graph: "Graph", build: bool = True) -> Optional[CSRGraph]:
     """The graph's cached CSR snapshot under the active backend.
 
     Returns ``None`` when the ``object`` backend is active (callers then
-    take the historical dict/set path). Otherwise returns the cached view,
-    building and attaching it first when ``build`` is true — mutators
-    invalidate the attachment, so the view always matches the revision.
-    Graph-likes without a ``_csr`` slot get an uncached one-shot view.
+    take the historical dict/set path). Otherwise returns the cached view
+    when its revision tag is the graph's current revision, building and
+    attaching a new one first when ``build`` is true. The build runs
+    outside any lock; a writer that commits meanwhile leaves the freshly
+    attached view behind the graph's revision, so it is rebuilt, never
+    served. Graph-likes without a ``_csr`` slot get an uncached one-shot
+    view.
     """
     if active_backend() == "object":
         return None
     try:
-        view = graph._csr
+        view, revision = graph._csr, graph._rev
     except AttributeError:  # pragma: no cover - foreign graph-likes
         return CSRGraph.from_graph(graph) if build else None
-    if view is None and build:
-        view = CSRGraph.from_graph(graph)
-        graph._csr = view
+    if view is not None and view.revision == revision:
+        return view
+    if not build:
+        return None
+    view = CSRGraph.from_graph(graph)
+    graph._csr = view
     return view

@@ -39,13 +39,19 @@ class Graph:
     [0, 2]
     """
 
-    __slots__ = ("_adj", "_num_edges", "_csr")
+    __slots__ = ("_adj", "_num_edges", "_csr", "_rev")
 
     def __init__(self, edges: Iterable[Edge] = ()) -> None:
         self._adj: Dict[Vertex, Set[Vertex]] = {}
         self._num_edges = 0
-        #: Cached CSR snapshot of this revision (see repro.graph.csr);
-        #: every structural mutation drops it.
+        #: Structural revision: every mutator bumps it *after* editing the
+        #: adjacency, so a snapshot taken at revision r of a graph still at
+        #: r saw no edit, finished or in flight.
+        self._rev = 0
+        #: Cached CSR snapshot (see repro.graph.csr), tagged with the
+        #: revision it was built from and served only while that tag is
+        #: current — a reader that finishes building after a writer moved
+        #: on installs a view nobody will use.
         self._csr = None
         for u, v in edges:
             self.add_edge(u, v)
@@ -58,6 +64,7 @@ class Graph:
     def __setstate__(self, state: dict) -> None:
         self._adj = state["_adj"]
         self._num_edges = state["_num_edges"]
+        self._rev = 0
         self._csr = None
 
     # ------------------------------------------------------------------
@@ -67,7 +74,7 @@ class Graph:
         """Add an isolated vertex; a no-op if it already exists."""
         if v not in self._adj:
             self._adj[v] = set()
-            self._csr = None
+            self._rev += 1
 
     def add_vertices(self, vertices: Iterable[Vertex]) -> None:
         """Add every vertex in ``vertices``."""
@@ -90,7 +97,7 @@ class Graph:
             self._adj[u].add(v)
             self._adj[v].add(u)
             self._num_edges += 1
-            self._csr = None
+            self._rev += 1
 
     def add_edges(self, edges: Iterable[Edge]) -> None:
         """Add every edge in ``edges`` (duplicates are ignored)."""
@@ -103,7 +110,7 @@ class Graph:
             self._adj[u].discard(v)
             self._adj[v].discard(u)
             self._num_edges -= 1
-            self._csr = None
+            self._rev += 1
 
     def remove_vertex(self, v: Vertex) -> None:
         """Remove ``v`` and all incident edges.
@@ -119,7 +126,7 @@ class Graph:
             self._adj[u].discard(v)
         self._num_edges -= len(self._adj[v])
         del self._adj[v]
-        self._csr = None
+        self._rev += 1
 
     # ------------------------------------------------------------------
     # inspection
@@ -199,8 +206,10 @@ class Graph:
         g = Graph()
         g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
         g._num_edges = self._num_edges
-        # A CSR view is an immutable snapshot of this exact structure, so
-        # the copy can share it until either side mutates.
+        # A CSR view is an immutable snapshot of the structure at its
+        # revision tag, so the copy can share it (tag and all) until either
+        # side mutates.
+        g._rev = self._rev
         g._csr = self._csr
         return g
 
@@ -228,11 +237,12 @@ class Graph:
         VertexNotFoundError
             If ``source`` is not in the graph (or not in ``within``).
         """
-        if self._csr is not None:
+        view = self._csr
+        if view is not None and view.revision == self._rev:
             from repro.graph.csr import active_backend
 
             if active_backend() != "object":
-                return self._csr.component_of(source, within)
+                return view.component_of(source, within)
         allowed = self._adj.keys() if within is None else set(within)
         if source not in self._adj or source not in allowed:
             raise VertexNotFoundError(source)

@@ -18,13 +18,24 @@ k-ĉore containing q" is a walk up the ancestor chain (cores strictly
 decrease upward) followed by a subtree read-out. Subtree vertex sets are
 served from a flat Euler-tour array, so each node's k-ĉore is one contiguous
 slice, materialised into a frozenset at most once.
+
+A built tree is never mutated. The two insertion operations,
+:meth:`CLTree.edge_inserted` and :meth:`CLTree.vertex_joined`, decide on the
+live tree whether the edit changes anything and, when it does, return a
+patched private copy — so a reader holding the old tree keeps a consistent
+one, memoised subtree sets included.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set
 
-from repro.graph.core import core_numbers, core_numbers_within
+from repro.graph.core import (
+    Adjacency,
+    core_numbers,
+    core_numbers_within,
+    insertion_risers,
+)
 from repro.graph.graph import Graph
 
 Vertex = Hashable
@@ -63,6 +74,25 @@ class CLNode:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tag = "#" if not self.vertices else ",".join(map(str, self.vertices[:4]))
         return f"CLNode({self.core}:{tag})"
+
+
+class _JoiningView:
+    """``adj`` with the not-yet-inserted edges of one joining vertex hidden."""
+
+    __slots__ = ("_adj", "_joining", "inserted")
+
+    def __init__(self, adj: Adjacency, joining: Vertex):
+        self._adj = adj
+        self._joining = joining
+        self.inserted: Set[Vertex] = set()
+
+    def __getitem__(self, x: Vertex) -> Iterable[Vertex]:
+        if x == self._joining:
+            return self.inserted
+        neighbours = self._adj[x]
+        if self._joining in neighbours and x not in self.inserted:
+            return neighbours - {self._joining}
+        return neighbours
 
 
 class CLTree:
@@ -211,6 +241,173 @@ class CLTree:
         self._order = []
         self._assign_euler_intervals()
         return self
+
+    # ------------------------------------------------------------------
+    # insertion (copy on write; the traversal algorithm on the tree)
+    # ------------------------------------------------------------------
+    def edge_inserted(self, adj: Adjacency, u: Vertex, v: Vertex) -> "CLTree":
+        """The tree after edge ``{u, v}`` joined the indexed subgraph.
+
+        ``adj`` already holds the edge and both endpoints are indexed.
+        Returns ``self`` when the edge merges no k-ĉores and lifts no core
+        number (most insertions into a dense label); otherwise a patched
+        copy equal to a fresh build over the new subgraph, in time
+        proportional to the core-``K`` region around the edge plus one
+        O(n) tree copy. ``self`` is left untouched either way.
+        """
+        level, risen = insertion_risers(adj, self._core_of, u, v)
+        if not risen and self._top(u, level) is self._top(v, level):
+            return self
+        patched = self._copy()
+        patched._absorb_edge(adj, u, v, level, risen)
+        patched._assign_euler_intervals()
+        return patched
+
+    def vertex_joined(self, adj: Adjacency, w: Vertex) -> "CLTree":
+        """The tree after ``w`` (not yet indexed) joined the indexed subgraph.
+
+        ``w`` enters as an isolated core-0 vertex and its edges to indexed
+        neighbours are then inserted one at a time. Each insertion runs on
+        a view of ``adj`` that hides the edges of ``w`` not inserted yet,
+        from both sides — the traversal must not count edges the tree has
+        not seen. Always returns a patched copy.
+        """
+        patched = self._copy()
+        core = patched._core_of
+        core[w] = 0
+        patched._node_of[w] = lone = CLNode(0, [w])
+        root = patched._root
+        if len(core) == 1:
+            patched._root = lone
+        else:
+            if root.core != _VIRTUAL_CORE:
+                patched._root = CLNode(_VIRTUAL_CORE, [])
+                patched._adopt(patched._root, [root])
+            patched._adopt(patched._root, [lone])
+        view = _JoiningView(adj, w)
+        for x in adj[w]:
+            if x in core:
+                view.inserted.add(x)
+                level, risen = insertion_risers(view, core, w, x)
+                patched._absorb_edge(view, w, x, level, risen)
+        patched._assign_euler_intervals()
+        return patched
+
+    def _copy(self) -> "CLTree":
+        """A structural copy sharing only the vertex objects (no Euler order)."""
+        clone = CLTree.__new__(CLTree)
+        clone._core_of = dict(self._core_of)
+        clone._node_of = node_of = {}
+        clone._order = []
+        twins: Dict[CLNode, CLNode] = {}
+        for node in self.nodes():
+            twin = twins[node] = CLNode(node.core, list(node.vertices))
+            if node.parent is not None:
+                twin.parent = twins[node.parent]
+                twin.parent.children.append(twin)
+            for v in twin.vertices:
+                node_of[v] = twin
+        clone._root = twins[self._root]
+        return clone
+
+    def _top(self, x: Vertex, level: int) -> CLNode:
+        """The node whose subtree is the ``level``-ĉore containing ``x``
+        (``x`` indexed with core ≥ ``level``)."""
+        node = self._node_of[x]
+        while node.parent is not None and node.parent.core >= level:
+            node = node.parent
+        return node
+
+    @staticmethod
+    def _adopt(parent: CLNode, children: Iterable[CLNode]) -> None:
+        for child in children:
+            child.parent = parent
+            parent.children.append(child)
+
+    def _fold(self, node: CLNode, into: CLNode) -> None:
+        """Move ``node``'s anchored vertices and children to ``into``."""
+        into.vertices.extend(node.vertices)
+        for v in node.vertices:
+            self._node_of[v] = into
+        self._adopt(into, node.children)
+
+    def _absorb_edge(
+        self, adj: Adjacency, u: Vertex, v: Vertex, level: int, risen: Set[Vertex]
+    ) -> None:
+        """In-place body of :meth:`edge_inserted` (private copies only)."""
+        a, b = self._top(u, level), self._top(v, level)
+        if a is not b:
+            self._zip(a, b)
+        if risen:
+            self._lift(adj, risen, level)
+
+    def _zip(self, a: CLNode, b: CLNode) -> None:
+        """Merge the ancestor chains of ``a`` and ``b`` below their lowest
+        common ancestor: at every level both chains reach, the edge joined
+        two ĉores into one."""
+        chain: List[CLNode] = []
+        above_a = set()
+        node: Optional[CLNode] = a
+        while node is not None:
+            above_a.add(node)
+            node = node.parent
+        node = b
+        while node not in above_a:
+            chain.append(node)
+            node = node.parent
+        meet = node
+        node = a
+        while node is not meet:
+            chain.append(node)
+            node = node.parent
+        for node in chain:
+            node.parent.children.remove(node)
+        chain.sort(key=lambda n: n.core, reverse=True)
+        spine = [chain[0]]
+        for node in chain[1:]:
+            if node.core == spine[-1].core:
+                self._fold(node, spine[-1])
+            else:
+                self._adopt(node, [spine[-1]])
+                spine.append(node)
+        self._adopt(meet, [spine[-1]])
+        if meet.core == _VIRTUAL_CORE and len(meet.children) == 1:
+            self._root = meet.children[0]
+            self._root.parent = None
+
+    def _lift(self, adj: Adjacency, risen: Set[Vertex], level: int) -> None:
+        """Move ``risen`` from their level-``level`` node into a new node one
+        level up, together with every child ĉore they touch."""
+        core = self._core_of
+        home = self._node_of[next(iter(risen))]
+        touched: Set[CLNode] = set()
+        for x in risen:
+            for y in adj[x]:
+                if core.get(y, -1) > level:
+                    touched.add(self._top(y, level + 1))
+        lifted = CLNode(level + 1, list(risen))
+        for x in risen:
+            core[x] = level + 1
+            self._node_of[x] = lifted
+        home.vertices = [x for x in home.vertices if x not in risen]
+        home.children = [c for c in home.children if c not in touched]
+        for child in touched:
+            if child.core == level + 1:
+                self._fold(child, lifted)
+            else:
+                self._adopt(lifted, [child])
+        self._adopt(home, [lifted])
+        if home.vertices:
+            return
+        # No vertex is anchored at ``home`` any more: its children hang
+        # where it hung. (A root ``home`` has no child but ``lifted`` left:
+        # its ĉore stays connected, now one level up.)
+        if home.parent is not None:
+            home.parent.children.remove(home)
+            self._adopt(home.parent, home.children)
+        else:
+            self._root = lifted
+            lifted.parent = None
 
     # ------------------------------------------------------------------
     # queries

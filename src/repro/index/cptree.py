@@ -164,8 +164,8 @@ class CPTree:
         extra = set(cltrees) - set(buckets)
         if missing or extra:
             raise InvalidInputError(
-                f"shard merge mismatch: labels missing {sorted(missing)[:5]}, "
-                f"unexpected {sorted(extra)[:5]}"
+                f"CL-trees do not match the labels in use: no tree for "
+                f"{sorted(missing)[:5]}, trees for unused {sorted(extra)[:5]}"
             )
         self._nodes = {
             label: CPNode(label, frozenset(members), cltrees[label])

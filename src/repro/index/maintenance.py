@@ -6,27 +6,57 @@ evolving-network workload the paper targets. A single edit, however, can
 only damage a small, exactly-characterisable part of the index:
 
 * an **edge edit** ``{u, v}`` changes the induced subgraph of label ``t``
-  iff *both* endpoints carry ``t`` — so only the CL-trees of
-  ``T(u) ∩ T(v)`` need rebuilding, and no membership changes at all;
+  iff *both* endpoints carry ``t`` — only the CL-trees of ``T(u) ∩ T(v)``
+  are concerned, and no membership changes at all;
 * a **profile edit** on ``v`` changes membership only for labels in the
   symmetric difference ``old Δ new`` (labels kept on both sides keep the
   same induced subgraph);
 * a **vertex add/remove** touches only the labels that vertex carries.
 
-:class:`UpdateJournal` accumulates that damage as mutations happen (O(|P(v)|)
-bookkeeping per edit, no scans), and :func:`repair_cptree` replays it
-against a built index: per-label membership is patched from the journal's
-touched sets, dirty CL-trees are rebuilt from the live graph, emptied
-CP-nodes are unlinked, new ones are created parent-first, and the headMap
-entries of re-profiled vertices are recomputed. Because labels are
-ancestor-closed, per-label member sets are nested along the taxonomy
-(child ⊆ parent), which is what makes drop/create link surgery safe: an
-emptied node's children are provably empty too, and a created node can
-never have to adopt pre-existing children.
+What an edit *adds* is absorbed on the spot, what it *takes away* waits
+for the end of the batch:
 
-A repaired index is indistinguishable from a fresh
-:class:`~repro.index.cptree.CPTree` build (checked structurally in the
-test-suite across randomized edit sequences). Wholesale changes the journal
+=====================================  ===================================
+edit                                   CL-trees of the labels concerned
+=====================================  ===================================
+``add_edge``                           patched (:func:`absorb_edge` →
+                                       :meth:`CLTree.edge_inserted`)
+label gained (``set_profile``,         patched (:func:`absorb_profile` →
+``add_vertex``)                        :meth:`CLTree.vertex_joined`)
+``remove_edge``, ``remove_vertex``,    journaled, rebuilt from the final
+label lost (``set_profile``)           state by :func:`repair_cptree`
+any edit on a label already journaled  stays journaled (one rebuild covers
+in this batch, or with no CP-node yet  every edit of the batch)
+``mark_index_stale``                   whole index rebuilt
+=====================================  ===================================
+
+A patch costs the region whose core numbers the edit can change (the
+traversal algorithm, :func:`repro.graph.core.insertion_risers`), not the
+label: most insertions into a large label merge no k-ĉores and lift no
+core number, and leave its tree as it is. A patch is **copy on write** —
+a changed tree is built on a private copy and published with the same
+single store the rebuild uses (``CPNode.cltree = ...``), so a reader that
+fetched the old tree keeps a consistent one. The caller
+(:class:`~repro.core.profiled_graph.ProfiledGraph`) bumps the graph
+version *before* any index work, patch or rebuild, so an optimistic
+reader that overlapped the edit sees the version move and retries.
+
+:class:`UpdateJournal` accumulates the rest of the damage as mutations
+happen (O(|P(v)|) bookkeeping per edit, no scans), and
+:func:`repair_cptree` replays it against the index: per-label membership
+is patched from the journal's touched sets, journaled CL-trees are rebuilt
+from the live graph, emptied CP-nodes are unlinked, new ones are created
+parent-first, and the headMap entries of re-profiled vertices are
+recomputed. Because labels are ancestor-closed, per-label member sets are
+nested along the taxonomy (child ⊆ parent), which is what makes
+drop/create link surgery safe: an emptied node's children are provably
+empty too, and a created node can never have to adopt pre-existing
+children.
+
+A maintained index is indistinguishable from a fresh
+:class:`~repro.index.cptree.CPTree` build — byte-equal through the
+snapshot codec, checked across randomized edit sequences in
+``tests/test_index_patch_properties.py``. Wholesale changes the journal
 cannot express — swapping the taxonomy, replacing the label mapping — must
 fall back to a full rebuild (``ProfiledGraph.index(rebuild=True)``), which
 :meth:`UpdateJournal.mark_all` forces on the next access.
@@ -35,7 +65,7 @@ fall back to a full rebuild (``ProfiledGraph.index(rebuild=True)``), which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Set
 
 from repro.graph.graph import Graph
 from repro.index.cltree import CLTree
@@ -90,11 +120,14 @@ class UpdateJournal:
     O(size of the touched profiles) per edit.
     """
 
-    __slots__ = ("dirty_labels", "touched", "reprofiled", "dropped", "full")
+    __slots__ = ("dirty_labels", "patched", "touched", "reprofiled", "dropped", "full")
 
     def __init__(self) -> None:
         #: Labels whose per-label CL-tree must be rebuilt.
         self.dirty_labels: Set[int] = set()
+        #: Labels whose CL-tree absorbed an edit in place (nothing left to
+        #: do for them; kept for the batch's receipt).
+        self.patched: Set[int] = set()
         #: label → vertices whose membership in that label may have changed.
         self.touched: Dict[int, Set[Vertex]] = {}
         #: Vertices whose headMap entry must be recomputed.
@@ -108,6 +141,7 @@ class UpdateJournal:
         return bool(
             self.full
             or self.dirty_labels
+            or self.patched
             or self.reprofiled
             or self.dropped
         )
@@ -115,6 +149,11 @@ class UpdateJournal:
     @property
     def num_dirty_labels(self) -> int:
         return len(self.dirty_labels)
+
+    @property
+    def num_maintained_labels(self) -> int:
+        """Labels whose CL-tree was patched in place or awaits its rebuild."""
+        return len(self.dirty_labels | self.patched)
 
     def _touch(self, label: int, v: Vertex) -> None:
         self.dirty_labels.add(label)
@@ -154,6 +193,7 @@ class UpdateJournal:
     def clear(self) -> None:
         """Forget all journaled damage (after a repair or rebuild)."""
         self.dirty_labels.clear()
+        self.patched.clear()
         self.touched.clear()
         self.reprofiled.clear()
         self.dropped.clear()
@@ -249,13 +289,63 @@ def repair_cptree(
     return rebuilt
 
 
-def dirty_labels_for_edits(
-    vertex_labels: Mapping[Vertex, NodeSet],
-    edges: Iterable[Tuple[Vertex, Vertex]],
-) -> Set[int]:
-    """Labels whose CL-tree a batch of edge edits would dirty (diagnostics)."""
-    dirty: Set[int] = set()
-    empty: NodeSet = frozenset()
-    for u, v in edges:
-        dirty |= vertex_labels.get(u, empty) & vertex_labels.get(v, empty)
-    return dirty
+def _absorb(
+    index: CPTree,
+    journal: UpdateJournal,
+    labels: Iterable[int],
+    patch: Callable[[CLTree], CLTree],
+    joined: Optional[Vertex] = None,
+) -> None:
+    """Patch the CL-tree of every clean label in ``labels``; journal the rest.
+
+    A label already journaled in this batch, or without a CP-node yet, is
+    left to :func:`repair_cptree` (its tree is stale or absent — there is
+    nothing consistent to patch). ``joined`` is the vertex gaining the
+    labels, when the edit is a membership change.
+    """
+    nodes = index._nodes
+    for label in labels:
+        node = nodes.get(label)
+        if node is None or label in journal.dirty_labels:
+            if joined is None:
+                journal.dirty_labels.add(label)
+            else:
+                journal._touch(label, joined)
+            continue
+        # One store publishes the patched tree, as the rebuild does.
+        node.cltree = patch(node.cltree)
+        if joined is not None:
+            node.vertices = node.vertices | {joined}
+        journal.patched.add(label)
+
+
+def absorb_edge(
+    index: CPTree, graph: Graph, journal: UpdateJournal, u: Vertex, v: Vertex,
+    shared: NodeSet,
+) -> None:
+    """Edge ``{u, v}``, already in ``graph``, enters the CL-trees of ``shared``
+    (= ``T(u) ∩ T(v)``) by insertion; no tree is rebuilt for it."""
+    if journal.full:
+        return
+    adj = graph.adjacency()
+    _absorb(index, journal, shared, lambda tree: tree.edge_inserted(adj, u, v))
+
+
+def absorb_profile(
+    index: CPTree, graph: Graph, journal: UpdateJournal, v: Vertex,
+    old: NodeSet, new: NodeSet,
+) -> None:
+    """``T(v)`` went from ``old`` to ``new`` (``old`` empty for a new vertex).
+
+    Gained labels take ``v`` into their CL-tree by insertion; lost labels
+    are journaled for rebuild; the headMap entry is recomputed by the
+    end-of-batch repair either way.
+    """
+    if journal.full:
+        return
+    journal.reprofiled.add(v)
+    journal.dropped.discard(v)
+    for label in old - new:
+        journal._touch(label, v)
+    adj = graph.adjacency()
+    _absorb(index, journal, new - old, lambda tree: tree.vertex_joined(adj, v), joined=v)

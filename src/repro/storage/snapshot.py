@@ -417,6 +417,7 @@ def decode_payload(data: bytes, has_index: Optional[bool] = None) -> ProfiledGra
     graph = Graph.__new__(Graph)
     graph._adj = adjacency
     graph._num_edges = num_edges
+    graph._rev = 0
     # The snapshot's intern table and sorted edge array are exactly the
     # inputs the CSR backend wants, so booting from disk pre-attaches the
     # flat view instead of re-interning on the first hot query.

@@ -181,6 +181,32 @@ class TestBackendMechanics:
             assert rebuilt is not view  # mutation invalidated the cache
             assert "new-vertex" in rebuilt.index_of
 
+    def test_view_built_across_a_commit_is_never_served(self, monkeypatch):
+        """A reader interns outside any lock; a writer that commits during
+        the build used to have its invalidation overwritten by the reader's
+        late install, and every later read answered from the old topology."""
+        g = Graph([(0, 1), (1, 2), (2, 0), (2, 3)])  # triangle plus pendant
+        intern = CSRGraph.from_graph.__func__
+
+        def writer_commits_during_build(cls, graph):
+            view = intern(cls, graph)
+            monkeypatch.undo()  # the writer's own reads intern normally
+            graph.add_edge(3, 0)
+            graph.add_edge(3, 1)
+            return view
+
+        monkeypatch.setattr(
+            CSRGraph, "from_graph", classmethod(writer_commits_during_build)
+        )
+        with backend_override("csr"):
+            csr_view(g)  # the racing reader installs its snapshot late
+            # Neither of these builds a view; both must see through the stale one.
+            assert g.component_of(3, within=[0, 3]) == frozenset({0, 3})
+            assert csr_view(g.copy(), build=False) is None
+            everyone = [0, 1, 2, 3]
+            assert sorted(k_core_within(g, everyone, 3)) == everyone
+            assert csr_view(g).num_edges == 6
+
     def test_override_nesting_restores(self):
         with backend_override("object"):
             assert active_backend() == "object"

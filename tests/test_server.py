@@ -831,6 +831,78 @@ class TestClientAndLifecycle:
             assert service.explorer.index_ready
 
 
+    def test_interrupt_during_announcement_drains(self, monkeypatch, capsys):
+        """The deterministic form of the race below: the interrupt lands
+        while `repro serve` is still printing its announcement."""
+        from types import SimpleNamespace
+
+        import repro.cli as cli
+
+        class InterruptedWhileAnnouncing:
+            role = "writer"
+            service = SimpleNamespace(
+                boot_report=None,
+                stats=lambda: SimpleNamespace(queries_served=0, cache_hit_rate=0.0),
+            )
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            @property
+            def url(self):
+                raise KeyboardInterrupt
+
+            def wait(self):
+                raise AssertionError("wait() is never reached")
+
+        monkeypatch.setattr(
+            cli, "_build_serving_role", lambda args: InterruptedWhileAnnouncing()
+        )
+        try:
+            status = cli.main(["serve", "--dataset", "fig1", "--port", "0"])
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped cmd_serve's announcement")
+        assert status == 0
+        assert "shutting down" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("attempt", range(4))
+    def test_sigint_right_after_ready_line_exits_cleanly(self, attempt):
+        """A supervisor treats the first stdout line as readiness and may
+        interrupt at once: that must drain and exit 0, not die with a
+        KeyboardInterrupt traceback between the announcement and wait()."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--dataset", "acmdl",
+             "--scale", "0.005", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert "serving acmdl at http://127.0.0.1:" in banner, banner
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert "Traceback" not in err, err
+        assert proc.returncode == 0, err
+        assert "shutting down" in out
+
+
 # ----------------------------------------------------------------------
 # client retry safety: non-idempotent replay and Retry-After parsing
 # ----------------------------------------------------------------------
