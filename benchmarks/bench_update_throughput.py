@@ -1,24 +1,27 @@
 """Update throughput — incremental index maintenance vs rebuild-per-edit.
 
-The mutation PR's acceptance benchmark: for each dataset, replay one
-reproducible edit stream (edge toggles + profile replacements) two ways
+The mutation PR's acceptance benchmark: for each dataset, replay two
+reproducible edit streams two ways
 
 * **rebuild** — the no-maintenance strawman: every edit is followed by a
   full ``pg.index(rebuild=True)``, the only way a pre-mutation-API
   pipeline could avoid serving stale communities;
 * **incremental** — the engine path: each edit goes through
-  ``CommunityExplorer.apply_updates``, which journals the damage and
-  patches insertions in place and rebuilds only the per-label CL-trees a
-  removal touched (edits are applied one at a time — the journal's worst
-  case; batching only improves it).
+  ``CommunityExplorer.apply_updates``, which patches it into the
+  per-label CL-trees it touches as it lands (edits are applied one at a
+  time).
 
-Asserts incremental maintenance is ≥ 5× faster per edit than rebuilding,
-that the maintained index ends byte-equal to a fresh build
-(``repro.bench.index_matches_fresh_build``), and records edits/sec plus
-invalidation counts under ``results/update_throughput*.json``. The
-incremental cost is also reported per edit kind, ungated: ``add_edge`` is
-patched into the CL-trees in place, ``remove_edge`` and a ``set_profile``
-that drops labels still rebuild the labels they touch.
+The two streams are ``toggles`` (:func:`repro.bench.make_edit_stream`:
+random vertex pairs toggled plus profile replacements, which at dataset
+densities is nearly all insertions) and ``removals`` (built here: existing
+edges removed and added back, plus profile replacements that only drop
+labels), so the edits that take something away are measured too.
+
+Asserts incremental maintenance is ≥ 5× faster per edit than rebuilding
+on both streams, that the maintained index ends byte-equal to a fresh
+build (``repro.bench.index_matches_fresh_build``), and records edits/sec
+plus invalidation counts under ``results/update_throughput*.json``. The
+incremental cost is also reported per edit kind, ungated.
 
 Runs two ways, exactly like the engine-throughput benchmark::
 
@@ -29,6 +32,7 @@ Runs two ways, exactly like the engine-throughput benchmark::
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 
 import pytest
@@ -40,6 +44,7 @@ from repro.bench import (
     save_tables,
     smoke_mode,
 )
+from repro.engine.updates import GraphUpdate
 
 #: Acceptance floor: incremental repair vs full rebuild after each edit.
 MIN_SPEEDUP = 5.0
@@ -53,7 +58,7 @@ REBUILD_CAP = 3
 #: Fraction of profile-replacement edits in the stream.
 PROFILE_FRACTION = 0.2
 
-#: Edit kinds :func:`repro.bench.make_edit_stream` emits (reported per kind).
+#: Edit kinds the two streams emit (reported per kind).
 OP_KINDS = ("add_edge", "remove_edge", "set_profile")
 
 
@@ -61,27 +66,62 @@ def num_edits() -> int:
     return SMOKE_NUM_EDITS if smoke_mode() else NUM_EDITS
 
 
-def measure_updates(make_pg, dataset: str, seed: int = 7) -> dict:
-    """Incremental vs rebuild stats for one dataset (see module docstring)."""
-    stream = make_edit_stream(
-        make_pg(), num_edits(), seed=seed, profile_fraction=PROFILE_FRACTION
-    )
-    report = measure_update_throughput(
-        make_pg, dataset, stream, rebuild_cap=REBUILD_CAP
-    )
-    return report.to_dict()
+def make_removal_stream(pg, count: int, seed: int = 7) -> list:
+    """``count`` edits that take something away from ``pg``.
+
+    An existing edge is removed and then added back (two edits), or a
+    vertex's profile is replaced by a random half of its labels (closed
+    over ancestors on apply, so it only ever loses labels).
+    """
+    rng = random.Random(seed)
+    edges = sorted(pg.graph.edges(), key=repr)
+    vertices = sorted((v for v in pg.vertices() if len(pg.labels(v)) > 1), key=repr)
+    ops = []
+    while len(ops) < count:
+        if rng.random() < PROFILE_FRACTION:
+            v = rng.choice(vertices)
+            labels = sorted(pg.labels(v))
+            kept = rng.sample(labels, len(labels) // 2)
+            ops.append(GraphUpdate(op="set_profile", u=v, labels=sorted(kept)))
+        else:
+            u, v = rng.choice(edges)
+            ops.append(GraphUpdate(op="remove_edge", u=u, v=v))
+            ops.append(GraphUpdate(op="add_edge", u=u, v=v))
+    return ops[:count]
+
+
+def measure_updates(make_pg, dataset: str, seed: int = 7, count=None) -> dict:
+    """Incremental vs rebuild stats for one dataset, per stream (see the
+    module docstring)."""
+    count = count or num_edits()
+    streams = {
+        "toggles": make_edit_stream(
+            make_pg(), count, seed=seed, profile_fraction=PROFILE_FRACTION
+        ),
+        "removals": make_removal_stream(make_pg(), count, seed=seed),
+    }
+    return {
+        f"{dataset} {kind}": dict(
+            measure_update_throughput(
+                make_pg, dataset, stream, rebuild_cap=REBUILD_CAP
+            ).to_dict(),
+            stream=kind,
+        )
+        for kind, stream in streams.items()
+    }
 
 
 def _render(payload: dict) -> Table:
     table = Table(
         "Update throughput — rebuild-per-edit vs incremental maintenance",
-        ["dataset", "edits", "rebuild ms/e", "incr ms/e", "speedup", "edits/sec", "ok",
-         *(f"{op} ms/e" for op in OP_KINDS)],
+        ["dataset", "stream", "edits", "rebuild ms/e", "incr ms/e", "speedup",
+         "edits/sec", "ok", *(f"{op} ms/e" for op in OP_KINDS)],
     )
     for row in payload.values():
         by_op = row["ms_per_edit_by_op"]
         table.add_row(
             row["dataset"],
+            row["stream"],
             row["num_edits"],
             round(row["rebuild_ms_per_edit"], 2),
             round(row["incremental_ms_per_edit"], 3),
@@ -106,9 +146,9 @@ def test_update_throughput():
     payload = {}
     for name in ("acmdl", "flickr"):
         assert name in BENCH_SCALES
-        payload[name] = measure_updates(
+        payload.update(measure_updates(
             lambda name=name: load_dataset(name, scale=bench_scale(name)), name
-        )
+        ))
     table = _render(payload)
     table.show()
     save_tables("update_throughput", [table], extra={"measurements": payload})
@@ -149,18 +189,10 @@ def main(argv=None) -> int:
 
     payload = {}
     for name in names:
-        def make_pg(name=name):
-            return load_dataset(name, scale=bench_scale(name))
-
-        stream = make_edit_stream(
-            make_pg(),
-            args.num_edits or num_edits(),
-            seed=args.seed,
-            profile_fraction=PROFILE_FRACTION,
-        )
-        payload[name] = measure_update_throughput(
-            make_pg, name, stream, rebuild_cap=REBUILD_CAP
-        ).to_dict()
+        payload.update(measure_updates(
+            lambda name=name: load_dataset(name, scale=bench_scale(name)),
+            name, seed=args.seed, count=args.num_edits,
+        ))
     table = _render(payload)
     table.show()
     result_name = args.out or (

@@ -414,13 +414,11 @@ class UpdateThroughputReport:
     ``rebuild_ms_per_edit`` times a full ``pg.index(rebuild=True)`` after
     each edit (what any pre-mutation-API pipeline had to do to stay
     correct); ``incremental_ms_per_edit`` times the engine's
-    ``apply_updates`` path, which repairs only the per-label CL-trees each
-    edit touched. ``consistent`` records that the incrementally maintained
-    index ended byte-equal to a fresh build
+    ``apply_updates`` path, which patches only the per-label CL-trees each
+    edit touched, as the edit lands. ``consistent`` records that the
+    incrementally maintained index ended byte-equal to a fresh build
     (:func:`index_matches_fresh_build`). ``ms_per_edit_by_op`` splits the
-    incremental path by edit kind, so the kinds that still rebuild
-    (``remove_edge``, a ``set_profile`` that drops labels) stay visible
-    beside the ones patched in place.
+    incremental path by edit kind.
     """
 
     dataset: str
@@ -515,8 +513,7 @@ def measure_update_throughput(
     call). The rebuild mode times up to ``rebuild_cap`` edits, each
     followed by a full index rebuild (rebuilds dominate, a few suffice).
     The incremental mode routes every edit through a warm
-    :class:`~repro.engine.explorer.CommunityExplorer` one at a time —
-    the worst case for the journal, which batching only improves. When
+    :class:`~repro.engine.explorer.CommunityExplorer` one at a time. When
     ``query`` is given, it is re-explored after every edit so cache
     invalidation is exercised alongside maintenance.
     """

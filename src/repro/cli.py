@@ -215,7 +215,7 @@ def cmd_update(args: argparse.Namespace) -> int:
     service = CommunityService(pg)
     method = _method_arg(args.method)
     if not args.no_warm:
-        service.warm()  # exercise the incremental-repair path, not a rebuild
+        service.warm()  # exercise the incremental patch path, not a rebuild
         if args.query is not None:
             # Pre-query so the stats demonstrate cache invalidation. Skipped
             # under --no-warm: an indexed pre-query would eagerly build the

@@ -13,11 +13,9 @@ Mutation is first-class: :meth:`ProfiledGraph.add_edge`,
 keep the topology, the label mapping and the P-tree cache consistent in one
 call, bump a monotonic :attr:`~ProfiledGraph.version` counter (the epoch
 that result caches key their staleness checks on), and keep a built
-CP-tree current incrementally (:mod:`repro.index.maintenance`): what an
-edit adds — an edge, a label a vertex gains — is patched into the
-per-label CL-trees it touches right away, what it takes away is journaled
-so :meth:`~ProfiledGraph.index` rebuilds only those labels' CL-trees
-instead of the whole O(|P| · m) index. Every mutator bumps the version
+CP-tree current incrementally (:mod:`repro.index.maintenance`): every edit
+is patched into the per-label CL-trees it touches as it lands, instead of
+rebuilding the whole O(|P| · m) index. Every mutator bumps the version
 *before* it does index work, so an optimistic reader that overlapped the
 edit sees the version move. Mutating ``pg.graph`` directly bypasses all of
 this and is unsupported once an index or engine is attached.
@@ -33,12 +31,7 @@ from typing import Dict, FrozenSet, Hashable, Iterator, Mapping, Optional, Union
 from repro.errors import InvalidInputError, VertexNotFoundError
 from repro.graph.graph import Graph
 from repro.index.cptree import CPTree
-from repro.index.maintenance import (
-    UpdateJournal,
-    absorb_edge,
-    absorb_profile,
-    repair_cptree,
-)
+from repro.index.maintenance import UpdateJournal, absorb_edge, absorb_profile
 from repro.ptree.ptree import PTree
 from repro.ptree.taxonomy import Taxonomy
 
@@ -99,10 +92,8 @@ class ProfiledGraph:
         "_index",
         "_ptree_cache",
         "_version",
-        "_journal",
         "_taps",
         "_maintenance_seconds",
-        "_repairs",
     )
 
     def __init__(
@@ -127,10 +118,24 @@ class ProfiledGraph:
         self._index: Optional[CPTree] = None
         self._ptree_cache: Dict[Vertex, PTree] = {}
         self._version = 0
-        self._journal = UpdateJournal()
         self._taps: list = []
         self._maintenance_seconds = 0.0
-        self._repairs = 0
+
+    @classmethod
+    def from_labels(
+        cls, graph: Graph, taxonomy: Taxonomy, labels: Dict[Vertex, NodeSet],
+        version: int = 0,
+    ) -> "ProfiledGraph":
+        """A profiled graph over label sets that need no coercion.
+
+        ``labels`` must map every vertex of ``graph`` to an ancestor-closed
+        frozenset of ``taxonomy`` node ids, and is adopted as is (snapshot
+        decode checks each distinct set once, then builds through here).
+        The graph starts at ``version``, without an index.
+        """
+        pg = cls(Graph(), taxonomy, {})
+        pg.graph, pg._labels, pg._version = graph, labels, version
+        return pg
 
     def _coerce_profile(self, profile: object, validate: bool) -> NodeSet:
         if isinstance(profile, PTree):
@@ -169,10 +174,10 @@ class ProfiledGraph:
     def all_labels(self) -> Mapping[Vertex, NodeSet]:
         """The full vertex → label-set mapping (live view).
 
-        Do not mutate: writes through this view bypass versioning and the
-        index journal. Use :meth:`set_profile` and friends; if legacy code
+        Do not mutate: writes through this view bypass versioning and index
+        maintenance. Use :meth:`set_profile` and friends; if legacy code
         must write here anyway, it must call :meth:`mark_index_stale`
-        afterwards so the next :meth:`index` access rebuilds.
+        afterwards, which drops the index.
         """
         return self._labels
 
@@ -183,7 +188,7 @@ class ProfiledGraph:
         return v in self.graph
 
     # ------------------------------------------------------------------
-    # mutation (versioned; keeps labels, P-tree cache and index journal
+    # mutation (versioned; keeps labels, P-tree cache and index
     # consistent — the supported way to edit a profiled graph in place)
     # ------------------------------------------------------------------
     @property
@@ -198,64 +203,26 @@ class ProfiledGraph:
 
     @property
     def maintenance_seconds(self) -> float:
-        """Total time spent patching and repairing the index (not full builds)."""
+        """Total time spent patching the index as edits land (not full builds)."""
         return self._maintenance_seconds
-
-    @property
-    def repairs(self) -> int:
-        """Number of incremental index repairs performed so far."""
-        return self._repairs
-
-    @property
-    def pending_repair_labels(self) -> int:
-        """Dirty per-label CL-trees awaiting the next :meth:`index` call."""
-        return self._journal.num_dirty_labels
-
-    @property
-    def maintained_labels(self) -> int:
-        """Labels whose CL-tree the edits since the last :meth:`index` call
-        patched in place or left for it to rebuild."""
-        return self._journal.num_maintained_labels
 
     def _bump(self) -> None:
         self._version += 1
 
-    def _journaling(self) -> bool:
-        # Journal only while an index exists; without one the next
-        # index() call builds from scratch anyway.
-        return self._index is not None
-
-    def _journals(self) -> list:
-        """Every journal a removal must record into.
-
-        The index journal participates only while an index exists (see
-        :meth:`_journaling`); attached tap journals record *always* — their
-        consumers (per-batch damage snapshots for subscription matching)
-        need the damage even on index-free graphs.
-        """
-        if self._journaling():
-            return [self._journal, *self._taps]
-        return list(self._taps)
-
-    def _absorb(self, absorb, *edit) -> None:
-        """Let a built index take an insertion in place (after the bump).
-
-        Taps have already recorded the edit in full; the index journal
-        receives only what the patch could not express.
-        """
+    def _absorb(self, absorb, *edit, **options) -> None:
+        """Let a built index absorb the edit that just landed (after the bump)."""
         if self._index is None:
             return
         start = time.perf_counter()
-        absorb(self._index, self.graph, self._journal, *edit)
+        absorb(self._index, self.graph, *edit, **options)
         self._maintenance_seconds += time.perf_counter() - start
 
     def attach_journal(self, journal: UpdateJournal) -> UpdateJournal:
         """Attach a tap journal that records every subsequent mutation.
 
-        Unlike the internal index journal, a tap is never gated on an
-        index being built and is never cleared by :meth:`index` — the
-        attacher owns its lifecycle and must :meth:`detach_journal` it.
-        Returns the journal for chaining.
+        A tap records whether or not an index is built; the attacher owns
+        its lifecycle and must :meth:`detach_journal` it. Returns the
+        journal for chaining.
         """
         self._taps.append(journal)
         return journal
@@ -295,14 +262,16 @@ class ProfiledGraph:
         if v not in self.graph:
             raise VertexNotFoundError(v)
         labels = self._labels.pop(v, frozenset())
+        neighbours = set(self.graph.neighbors(v))
         self.graph.remove_vertex(v)
         self._ptree_cache.pop(v, None)
-        for journal in self._journals():
+        for tap in self._taps:
             # Removing v only perturbs the subgraphs of labels v carries:
             # a lost edge {v, w} lies inside label t's subgraph only when
             # both endpoints carry t, and t ∈ T(v) then.
-            journal.record_vertex_removed(v, labels)
+            tap.record_vertex_removed(v, labels)
         self._bump()
+        self._absorb(absorb_profile, v, labels, frozenset(), neighbours)
         return True
 
     def add_edge(self, u: Vertex, v: Vertex) -> bool:
@@ -336,20 +305,22 @@ class ProfiledGraph:
         if not self.graph.has_edge(u, v):
             return False
         self.graph.remove_edge(u, v)
-        for journal in self._journals():
-            journal.record_edge(self._labels[u], self._labels[v])
+        labels_u, labels_v = self._labels[u], self._labels[v]
+        for tap in self._taps:
+            tap.record_edge(labels_u, labels_v)
         self._bump()
+        self._absorb(absorb_edge, u, v, labels_u & labels_v, removed=True)
         return True
 
     def mark_index_stale(self) -> None:
-        """Force a full index rebuild on the next :meth:`index` access.
+        """Drop the index; the next :meth:`index` access builds from scratch.
 
-        The escape hatch for changes the journal cannot express — wholesale
-        edits through the :meth:`all_labels` live view, or external
-        mutation of :attr:`graph`. Bumps the version so result caches
-        invalidate too.
+        The escape hatch for changes the versioned API cannot express —
+        wholesale edits through the :meth:`all_labels` live view, or
+        external mutation of :attr:`graph`. Bumps the version so result
+        caches invalidate too.
         """
-        self._journal.mark_all()
+        self._index = None
         for tap in self._taps:
             tap.mark_all()
         self._bump()
@@ -426,39 +397,27 @@ class ProfiledGraph:
     def index(self, rebuild: bool = False) -> CPTree:
         """The CP-tree index, built on first use and kept fresh across edits.
 
-        Insertions made through the versioned API were patched into the
-        index as they happened; removals journaled their damage, and this
-        method rebuilds exactly those per-label CL-trees before returning
-        (time charged to :attr:`maintenance_seconds`). Pass
-        ``rebuild=True`` to force a from-scratch build — the fallback for
-        changes the journal cannot express.
+        Edits made through the versioned API are patched into the index as
+        they land, so a built index is always current. Pass
+        ``rebuild=True`` to force a from-scratch build.
         """
-        if self._index is None or rebuild or self._journal.full:
-            self._journal.clear()
+        if self._index is None or rebuild:
             self._index = CPTree(self.graph, self._labels, self.taxonomy, validate=False)
-        elif self._journal:
-            start = time.perf_counter()
-            repair_cptree(self._index, self.graph, self._labels, self._journal)
-            self._maintenance_seconds += time.perf_counter() - start
-            self._repairs += 1
-            self._journal.clear()
         return self._index
 
     def adopt_index(self, index: CPTree) -> CPTree:
         """Install an externally built CP-tree as this graph's index.
 
         Used by snapshot decode (:mod:`repro.storage.snapshot`), which
-        reassembles the index from its stored per-label arrays.
-        The caller asserts the index describes the *current* topology and
-        labels; any journaled repair work is discarded (the adopted index
-        is assumed fresh). Returns the installed index.
+        reassembles the index from its stored per-label arrays. The caller
+        asserts the index describes the *current* topology and labels.
+        Returns the installed index.
         """
         if not isinstance(index, CPTree):
             raise InvalidInputError(
                 f"adopt_index needs a CPTree, got {type(index).__name__}"
             )
         self._index = index
-        self._journal.clear()
         return index
 
     def has_index(self) -> bool:
@@ -469,11 +428,9 @@ class ProfiledGraph:
 
         Used by benchmarks that must charge index construction to a
         specific phase (e.g. the engine's warm-up) instead of inheriting
-        whatever a previous measurement left behind. Also discards any
-        journaled repair work — a fresh build subsumes it.
+        whatever a previous measurement left behind.
         """
         self._index = None
-        self._journal.clear()
 
     # ------------------------------------------------------------------
     # sampling (scalability experiments)

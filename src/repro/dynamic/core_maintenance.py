@@ -12,16 +12,14 @@ This module maintains a :class:`DynamicCoreIndex` alongside a graph:
 * **insert(u, v)** — core numbers can only *increase*, by at most 1, and
   only for vertices in the ``r = min(core(u), core(v))`` subcore component
   around the edge: vertices of core exactly r reachable from the edge
-  through vertices of core exactly r. We collect that candidate region
-  with a BFS restricted to core-r vertices, then peel it with the k-core
-  condition at r + 1 to find the vertices that actually rise. (A
-  candidate rises iff it survives that peel, counting neighbours that
-  are candidates or already have core > r.)
+  through vertices of core exactly r
+  (:func:`~repro.graph.core.insertion_risers` walks it from an endpoint).
 * **remove(u, v)** — core numbers can only *decrease*, by at most 1, and
-  only inside the same region; we re-peel the candidate region against
-  its boundary.
+  only inside the same region: the peel of the old r-core at degree r
+  cascades from the endpoints, whose counts are the only ones the edge
+  changed (:func:`~repro.graph.core.removal_fallers`).
 
-Why the BFS may stay inside core == r (it needs no core ≥ r detours): a
+Why the walk may stay inside core == r (it needs no core ≥ r detours): a
 non-endpoint vertex changes only when a neighbour's core crosses the r/r+1
 boundary, and every crossing vertex has core exactly r — so the changed
 set is chained to an edge endpoint through core-r/core-r edges. Formally,
@@ -29,11 +27,9 @@ if a connected set S of core-r vertices not containing u or v could rise,
 each of its members would already have had ≥ r+1 neighbours inside
 S ∪ (old (r+1)-core), making S part of the old (r+1)-core — contradiction;
 the deletion case mirrors this with the cascade re-peel of the old r-core,
-whose first casualty must be an endpoint. (An earlier version of this
-docstring demanded reachability through core ≥ r vertices; that larger
-region is harmless but never needed — pinned down by the differential
-tests in ``tests/test_dynamic.py`` that recompute the full decomposition
-after *every* edit on bridge-heavy graphs.)
+whose first casualty must be an endpoint. The differential tests in
+``tests/test_dynamic.py`` recompute the full decomposition after *every*
+edit on bridge-heavy graphs.
 
 Every operation is verified against full recomputation in the test-suite
 across tens of thousands of random edits.
@@ -44,12 +40,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Hashable, Optional
 
 from repro.errors import InvalidInputError, VertexNotFoundError
-from repro.graph.core import (
-    core_numbers,
-    insertion_risers,
-    peel_region,
-    subcore_region,
-)
+from repro.graph.core import core_numbers, insertion_risers, removal_fallers
 from repro.graph.graph import Graph
 
 Vertex = Hashable
@@ -142,12 +133,8 @@ class DynamicCoreIndex:
 
         The hook form of :meth:`remove` (see :meth:`edge_inserted`).
         """
-        root = min(self._core[u], self._core[v])
-        if root == 0:
-            return
-        adj = self.graph.adjacency()
-        candidates = subcore_region(adj, self._core, (u, v), root)
-        for w in candidates - peel_region(adj, self._core, candidates, root):
+        root, fallen = removal_fallers(self.graph.adjacency(), self._core, u, v)
+        for w in fallen:
             self._core[w] = root - 1
 
     def remove_vertex(self, v: Vertex) -> None:

@@ -28,8 +28,8 @@ embodiment of that claim:
   profiled graph's versioned mutation API) invalidate stale entries in
   O(1) — the version bump *is* the invalidation; stale entries are evicted
   lazily on their next lookup and counted in
-  :attr:`EngineStats.invalidations`. The CP-tree is repaired incrementally
-  (only the per-label CL-trees an edit touched), with the time charged to
+  :attr:`EngineStats.invalidations`. The CP-tree is patched as each edit
+  lands (only the per-label CL-trees it touches), with the time charged to
   :attr:`EngineStats.maintenance_seconds`.
 
 Every scaling layer sits on top of this object rather than on raw
@@ -92,7 +92,7 @@ class EngineStats:
     batches: int
     #: Effective graph edits applied through :meth:`CommunityExplorer.apply_updates`.
     updates_applied: int = 0
-    #: Time spent applying updates and incrementally repairing indexes.
+    #: Time spent applying updates, index patches included.
     maintenance_seconds: float = 0.0
     #: Kernel backend serving the hot graph kernels (see
     #: :func:`repro.graph.csr.active_backend`).
@@ -187,26 +187,21 @@ class CommunityExplorer:
     # index ownership
     # ------------------------------------------------------------------
     def index(self) -> CPTree:
-        """The CP-tree: built on first use, incrementally repaired after edits.
+        """The CP-tree: built on first use, patched by every edit after that.
 
-        Thread-safe: concurrent first calls build the index once. When the
-        profiled graph has journaled mutations, the underlying
-        ``pg.index()`` call repairs only the dirty per-label CL-trees; that
-        repair time is charged to :attr:`EngineStats.maintenance_seconds`.
+        Thread-safe: concurrent first calls build the index once. Patching
+        time is charged to :attr:`EngineStats.maintenance_seconds` by
+        :meth:`apply_updates`.
         """
         with self._index_lock:
-            fresh_build = not self.pg.has_index()
-            repairs_before = self.pg.maintenance_seconds
+            if self.pg.has_index():
+                return self.pg.index()
             start = time.perf_counter()
             built = self.pg.index()
             elapsed = time.perf_counter() - start
-            repair_delta = self.pg.maintenance_seconds - repairs_before
-            if fresh_build or repair_delta:
-                with self._counters.lock:
-                    if fresh_build:
-                        self._counters.index_builds += 1
-                        self._counters.index_build_seconds += elapsed
-                    self._counters.maintenance_seconds += repair_delta
+            with self._counters.lock:
+                self._counters.index_builds += 1
+                self._counters.index_build_seconds += elapsed
             return built
 
     def warm(self) -> float:
@@ -238,7 +233,7 @@ class CommunityExplorer:
         """Register ``hook(receipt, damage)`` to run after every update batch.
 
         Called at the end of :meth:`apply_updates` — after the edits landed
-        and the index repaired, *inside* the mutation lock — with the
+        and were patched into the index, *inside* the mutation lock — with the
         batch's :class:`~repro.engine.updates.UpdateReceipt` and a
         :class:`~repro.index.maintenance.BatchDamage` snapshot of exactly
         what the batch touched. Because the lock is held, the graph is
@@ -457,10 +452,8 @@ class CommunityExplorer:
         :func:`~repro.engine.updates.apply_update`: every effective edit
         bumps ``pg.version`` by one, which invalidates all cached results
         computed before it (epoch check — O(1) per mutation, stale entries
-        are evicted lazily on lookup). With a built index, insertions are
-        patched into the CP-tree as they land and everything else is
-        repaired at the end of the batch, so the damage of many edits is
-        paid once.
+        are evicted lazily on lookup). With a built index, every edit is
+        patched into the CP-tree as it lands.
 
         Update shapes are validated up front; applying is *not* atomic —
         an unknown vertex mid-batch raises after earlier edits landed (the
@@ -471,29 +464,21 @@ class CommunityExplorer:
         applied = 0
         with self._index_lock:
             hooks = list(self._update_hooks)
-            # Tap the batch's damage only when someone listens: the tap
-            # records unconditionally (unlike the index journal, which is
-            # gated on a built index), so subscription matching sees the
-            # dirty labels even on index-free graphs.
-            tap = UpdateJournal() if hooks else None
+            # The tap records what the batch touched: the labels whose
+            # CL-trees were patched (the receipt) and the damage hooks
+            # match standing queries against, index or not.
+            tap = UpdateJournal() if hooks or self.pg.has_index() else None
             if tap is not None:
                 self.pg.attach_journal(tap)
             try:
                 for op in ops:
                     if apply_update(self.pg, op):
                         applied += 1
-                # Snapshot before the repair path runs: index() clears the
-                # *index* journal (taps survive), but freezing here keeps
-                # the snapshot independent of repair-side behaviour.
-                damage = None if tap is None else BatchDamage.from_journal(tap)
             finally:
                 if tap is not None:
                     self.pg.detach_journal(tap)
-            repaired_labels = 0
-            if self.pg.has_index():
-                # Patched in place as the edits landed, or rebuilt now.
-                repaired_labels = self.pg.maintained_labels
-                self.pg.index()  # incremental repair (direct: lock is held)
+            damage = BatchDamage.from_journal(tap) if hooks else None
+            repaired_labels = len(tap.dirty_labels) if self.pg.has_index() else 0
             # Capture the version before releasing the lock: a concurrent
             # batch could commit in the gap and the receipt would tag this
             # batch's work with the *other* batch's version (the service
@@ -542,7 +527,7 @@ class CommunityExplorer:
         so graph mutations already invalidate stale entries (lazily, on
         their next lookup). Use this to release memory or to force
         recomputation at an unchanged version. The CP-tree is kept — it is
-        repaired, not discarded, when the graph changes.
+        patched, not discarded, when the graph changes.
         """
         self._cache.clear()
 

@@ -122,10 +122,10 @@ class UpdateReceipt:
     applied: int
     #: Graph version after the batch.
     version: int
-    #: Per-label CL-trees this batch brought up to date, patched in place
-    #: or rebuilt (0 when no index was built).
+    #: Per-label CL-trees this batch's edits touched, each patched as its
+    #: edit landed (0 when no index was built).
     repaired_labels: int
-    #: Wall-clock seconds spent applying + repairing.
+    #: Wall-clock seconds spent applying the edits, index patches included.
     seconds: float
 
     def to_dict(self) -> dict:
@@ -144,7 +144,7 @@ def apply_update(pg: ProfiledGraph, update: "GraphUpdate") -> bool:
     The one applier: every effective update bumps ``pg.version`` by exactly
     one (what :func:`repro.storage.wal.preview_updates` predicts).
     :meth:`~repro.engine.explorer.CommunityExplorer.apply_updates` calls it
-    per op and layers locking, index repair, hooks and stats on top.
+    per op and layers locking, the receipt, hooks and stats on top.
     """
     op = update.op
     if op == "add_edge":

@@ -189,56 +189,6 @@ def k_core_within(
     return frozenset(seen)
 
 
-def subcore_region(
-    adj: Adjacency, core: Mapping[Vertex, int], seeds: Iterable[Vertex], level: int
-) -> Set[Vertex]:
-    """Vertices of core exactly ``level`` reachable from ``seeds`` through
-    vertices of core exactly ``level`` — the region a single edge edit can
-    change (seeds of another core are ignored).
-
-    ``core`` doubles as the membership test: a neighbour without an entry
-    is outside the maintained subgraph, so a label's carriers restrict the
-    traversal for free.
-    """
-    seen: Set[Vertex] = {w for w in seeds if core.get(w, -1) == level}
-    queue: deque = deque(seen)
-    while queue:
-        w = queue.popleft()
-        for x in adj[w]:
-            if x not in seen and core.get(x, -1) == level:
-                seen.add(x)
-                queue.append(x)
-    return seen
-
-
-def peel_region(
-    adj: Adjacency, core: Mapping[Vertex, int], region: Set[Vertex], k: int
-) -> Set[Vertex]:
-    """The part of ``region`` that keeps degree ≥ ``k`` against a fixed boundary.
-
-    A region vertex's degree counts neighbours that are surviving region
-    vertices or whose core number is already ≥ ``k``; vertices below are
-    peeled until none is left.
-    """
-    alive = set(region)
-    degree = {
-        w: sum(1 for x in adj[w] if x in alive or core.get(x, -1) >= k)
-        for w in alive
-    }
-    queue: deque = deque(w for w, d in degree.items() if d < k)
-    while queue:
-        w = queue.popleft()
-        if w not in alive:
-            continue
-        alive.discard(w)
-        for x in adj[w]:
-            if x in alive:
-                degree[x] -= 1
-                if degree[x] < k:
-                    queue.append(x)
-    return alive
-
-
 def insertion_risers(
     adj: Adjacency, core: Mapping[Vertex, int], u: Vertex, v: Vertex
 ) -> Tuple[int, Set[Vertex]]:
@@ -247,7 +197,9 @@ def insertion_risers(
     ``K = min(core[u], core[v])`` under the core numbers from *before* the
     insertion; ``risen`` are the vertices whose core number the edge lifts
     from ``K`` to ``K + 1``. ``core`` is not modified, and doubles as the
-    membership test as in :func:`subcore_region`.
+    membership test: a neighbour without an entry is outside the
+    maintained subgraph, so a label's carriers restrict the traversal for
+    free.
 
     The traversal algorithm of Sarıyüce et al.: rather than collect the
     whole core-``K`` region and peel it, walk it breadth-first from an
@@ -319,6 +271,54 @@ def insertion_risers(
             if not stays.isdisjoint(endpoints):
                 return level, set()
     return level, visited - stays
+
+
+def removal_fallers(
+    adj: Adjacency, core: Mapping[Vertex, int], u: Vertex, v: Vertex
+) -> Tuple[int, Set[Vertex]]:
+    """``(K, fallen)`` for edge ``{u, v}`` already gone from ``adj``.
+
+    The mirror of :func:`insertion_risers`: ``K = min(core[u], core[v])``
+    under the core numbers from *before* the removal, and ``fallen`` are
+    the vertices whose core number the lost edge drops from ``K`` to
+    ``K − 1``. ``core`` is not modified and is the membership test.
+
+    The old ``(K + 1)``-core did not hold the edge, so it stands; the
+    ``K``-core loses exactly what a peel at degree ``K`` cascading from the
+    endpoints removes. A core-``K`` vertex falls when fewer than ``K`` of
+    its neighbours keep core ≥ ``K``. Each count is taken once, on first
+    touch, against every neighbour of core ≥ ``K`` except the fallers
+    already processed, and each processed faller then takes one off the
+    counts of its core-``K`` neighbours — so a faller still queued when a
+    count is taken is charged exactly once, when its turn comes.
+    """
+    level = min(core[u], core[v])
+    processed: Set[Vertex] = set()
+    count: Dict[Vertex, int] = {}
+
+    def support(x: Vertex) -> int:
+        return sum(
+            1 for y in adj[x] if core.get(y, -1) >= level and y not in processed
+        )
+
+    fallen: Set[Vertex] = set()
+    queue = []
+    for w in (u, v):
+        if core[w] == level:
+            count[w] = support(w)
+            if count[w] < level:
+                fallen.add(w)
+                queue.append(w)
+    while queue:
+        x = queue.pop()
+        processed.add(x)
+        for y in adj[x]:
+            if core.get(y, -1) == level and y not in fallen:
+                left = count[y] = count[y] - 1 if y in count else support(y)
+                if left < level:
+                    fallen.add(y)
+                    queue.append(y)
+    return level, fallen
 
 
 def degeneracy(graph: Graph) -> int:

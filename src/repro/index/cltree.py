@@ -19,15 +19,17 @@ decrease upward) followed by a subtree read-out. Subtree vertex sets are
 served from a flat Euler-tour array, so each node's k-ĉore is one contiguous
 slice, materialised into a frozenset at most once.
 
-A built tree is never mutated. The two insertion operations,
-:meth:`CLTree.edge_inserted` and :meth:`CLTree.vertex_joined`, decide on the
-live tree whether the edit changes anything and, when it does, return a
-patched private copy — so a reader holding the old tree keeps a consistent
-one, memoised subtree sets included.
+A built tree is never mutated. The edit operations —
+:meth:`CLTree.edge_inserted` / :meth:`CLTree.vertex_joined` and their
+inverses :meth:`CLTree.edge_removed` / :meth:`CLTree.vertex_left` — return
+a patched private copy when the edit changes the tree, so a reader holding
+the old tree keeps a consistent one, memoised subtree sets included. The
+edge operations decide on the live tree whether anything changes at all.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set
 
 from repro.graph.core import (
@@ -35,6 +37,7 @@ from repro.graph.core import (
     core_numbers,
     core_numbers_within,
     insertion_risers,
+    removal_fallers,
 )
 from repro.graph.graph import Graph
 
@@ -76,23 +79,81 @@ class CLNode:
         return f"CLNode({self.core}:{tag})"
 
 
-class _JoiningView:
-    """``adj`` with the not-yet-inserted edges of one joining vertex hidden."""
+class _OneVertexView:
+    """``adj`` showing, of one vertex's edges, only those to ``shown``.
 
-    __slots__ = ("_adj", "_joining", "inserted")
+    A joining or leaving vertex has its edges inserted or removed one at a
+    time; each step must see exactly the edges the tree has seen, from
+    both sides, whether or not ``adj`` still holds the vertex.
+    """
 
-    def __init__(self, adj: Adjacency, joining: Vertex):
+    __slots__ = ("_adj", "_vertex", "shown")
+
+    def __init__(self, adj: Adjacency, vertex: Vertex, shown: Iterable[Vertex] = ()):
         self._adj = adj
-        self._joining = joining
-        self.inserted: Set[Vertex] = set()
+        self._vertex = vertex
+        self.shown: Set[Vertex] = set(shown)
 
     def __getitem__(self, x: Vertex) -> Iterable[Vertex]:
-        if x == self._joining:
-            return self.inserted
+        if x == self._vertex:
+            return self.shown
         neighbours = self._adj[x]
-        if self._joining in neighbours and x not in self.inserted:
-            return neighbours - {self._joining}
-        return neighbours
+        if (self._vertex in neighbours) == (x in self.shown):
+            return neighbours
+        return neighbours ^ {self._vertex}
+
+
+def _split_off(
+    adj: Adjacency, core: Dict[Vertex, int], seeds: Iterable[Vertex], level: int
+) -> List[Set[Vertex]]:
+    """The components of the core ≥ ``level`` subgraph around ``seeds``,
+    all but one of them — ``[]`` when the seeds are connected.
+
+    The search runs breadth-first from every seed at once, one vertex per
+    side in turn; sides that meet merge. It stops when a single side is
+    still growing: every other side ran out and is a whole component, and
+    the last one is whatever is left of the ĉore, never explored to its
+    end. So a split costs about the size of the pieces that break away.
+    """
+    owner: Dict[Vertex, int] = {}
+    members: List[Set[Vertex]] = []
+    frontier: List[deque] = []
+    for s in seeds:
+        if s not in owner and core.get(s, -1) >= level:
+            owner[s] = len(members)
+            members.append({s})
+            frontier.append(deque((s,)))
+    growing = set(range(len(members)))
+    pieces: List[Set[Vertex]] = []
+    while len(growing) > 1:
+        for i in list(growing):
+            if i not in growing:
+                continue  # merged into another side this round
+            if not frontier[i]:
+                growing.discard(i)
+                pieces.append(members[i])
+                if len(growing) == 1:
+                    break
+                continue
+            x = frontier[i].popleft()
+            for y in adj[x]:
+                j = owner.get(y, i)
+                if j != i:
+                    # Two sides met: the smaller one joins the larger.
+                    if len(members[j]) > len(members[i]):
+                        i, j = j, i
+                    for z in members[j]:
+                        owner[z] = i
+                    members[i] |= members[j]
+                    frontier[i].extend(frontier[j])
+                    growing.discard(j)
+                elif y not in owner and core.get(y, -1) >= level:
+                    owner[y] = i
+                    members[i].add(y)
+                    frontier[i].append(y)
+            if len(growing) == 1:
+                break
+    return pieces
 
 
 class CLTree:
@@ -284,12 +345,64 @@ class CLTree:
                 patched._root = CLNode(_VIRTUAL_CORE, [])
                 patched._adopt(patched._root, [root])
             patched._adopt(patched._root, [lone])
-        view = _JoiningView(adj, w)
+        view = _OneVertexView(adj, w)
         for x in adj[w]:
             if x in core:
-                view.inserted.add(x)
+                view.shown.add(x)
                 level, risen = insertion_risers(view, core, w, x)
                 patched._absorb_edge(view, w, x, level, risen)
+        patched._assign_euler_intervals()
+        return patched
+
+    # ------------------------------------------------------------------
+    # removal (copy on write; the inverse of insertion)
+    # ------------------------------------------------------------------
+    def edge_removed(self, adj: Adjacency, u: Vertex, v: Vertex) -> "CLTree":
+        """The tree after edge ``{u, v}`` left the indexed subgraph.
+
+        ``adj`` no longer holds the edge and both endpoints are indexed.
+        Returns ``self`` when no core number falls and ``u`` and ``v`` stay
+        connected in the ``K``-core (most removals from a dense label);
+        otherwise a patched copy equal to a fresh build over the new
+        subgraph. ``self`` is left untouched either way.
+        """
+        level, fallen = removal_fallers(adj, self._core_of, u, v)
+        if not fallen and not _split_off(adj, self._core_of, (u, v), level):
+            return self
+        patched = self._copy()
+        patched._drop_edge(adj, u, v, level, fallen)
+        patched._assign_euler_intervals()
+        return patched
+
+    def vertex_left(
+        self, adj: Adjacency, w: Vertex, neighbours: Optional[Iterable[Vertex]] = None
+    ) -> "CLTree":
+        """The tree after indexed vertex ``w`` left the indexed subgraph.
+
+        The inverse of :meth:`vertex_joined`: the edges of ``w`` to indexed
+        neighbours are removed one at a time, each on a view that still
+        shows the ones not removed yet, and the isolated core-0 ``w`` is
+        then dropped. ``neighbours`` are ``w``'s neighbours when ``adj`` no
+        longer holds ``w`` (a vertex removed from the graph); by default
+        ``adj[w]``. Always returns a patched copy.
+        """
+        patched = self._copy()
+        core = patched._core_of
+        edges = adj[w] if neighbours is None else neighbours
+        view = _OneVertexView(adj, w, (x for x in edges if x in core))
+        for x in list(view.shown):
+            view.shown.discard(x)
+            level, fallen = removal_fallers(view, core, w, x)
+            patched._drop_edge(view, w, x, level, fallen)
+        del core[w]
+        lone = patched._node_of.pop(w)
+        root = patched._root
+        if lone is root:
+            patched._root = CLNode(_VIRTUAL_CORE, [])
+        else:
+            root.children.remove(lone)
+            if len(root.children) == 1:
+                patched._dissolve(root)
         patched._assign_euler_intervals()
         return patched
 
@@ -372,8 +485,7 @@ class CLTree:
                 spine.append(node)
         self._adopt(meet, [spine[-1]])
         if meet.core == _VIRTUAL_CORE and len(meet.children) == 1:
-            self._root = meet.children[0]
-            self._root.parent = None
+            self._dissolve(meet)
 
     def _lift(self, adj: Adjacency, risen: Set[Vertex], level: int) -> None:
         """Move ``risen`` from their level-``level`` node into a new node one
@@ -397,17 +509,95 @@ class CLTree:
             else:
                 self._adopt(lifted, [child])
         self._adopt(home, [lifted])
-        if home.vertices:
-            return
-        # No vertex is anchored at ``home`` any more: its children hang
-        # where it hung. (A root ``home`` has no child but ``lifted`` left:
-        # its ĉore stays connected, now one level up.)
-        if home.parent is not None:
-            home.parent.children.remove(home)
-            self._adopt(home.parent, home.children)
+        if not home.vertices:
+            # (A root ``home`` has no child but ``lifted`` left: its ĉore
+            # stays connected, now one level up.)
+            self._dissolve(home)
+
+    def _dissolve(self, node: CLNode) -> None:
+        """Drop ``node``, which anchors no vertex any more: its children
+        hang where it hung, and the only child of a root becomes the root."""
+        if node.parent is None:
+            (self._root,) = node.children
+            self._root.parent = None
         else:
-            self._root = lifted
-            lifted.parent = None
+            node.parent.children.remove(node)
+            self._adopt(node.parent, node.children)
+
+    def _drop_edge(
+        self, adj: Adjacency, u: Vertex, v: Vertex, level: int, fallen: Set[Vertex]
+    ) -> None:
+        """In-place body of :meth:`edge_removed` (private copies only)."""
+        core = self._core_of
+        home = self._top(u, level)
+        if fallen:
+            # The fallers leave ``home`` for the level below: its parent
+            # when that is a level-(K−1) node, else a new one in between
+            # (the inverse of :meth:`_lift`).
+            below = home.parent
+            if below is None or below.core != level - 1:
+                below = CLNode(level - 1, [])
+                if home.parent is None:
+                    self._root = below
+                else:
+                    home.parent.children.remove(home)
+                    self._adopt(home.parent, [below])
+                self._adopt(below, [home])
+            below.vertices.extend(fallen)
+            for x in fallen:
+                core[x] = level - 1
+                self._node_of[x] = below
+            home.vertices = [x for x in home.vertices if x not in fallen]
+        # Level K: what is left of home's ĉore breaks apart only where a
+        # faller or the edge was.
+        seeds = [u, v, *(y for x in fallen for y in adj[x])]
+        pieces = _split_off(adj, core, seeds, level)
+        node = self._split(home, pieces)
+        if fallen.isdisjoint((u, v)) and all((u in p) == (v in p) for p in pieces):
+            return
+        # Below K only the edge is gone, so a ĉore there splits only between
+        # u and v. Walk up while it does; the first level that holds a path
+        # between them holds it in every ĉore below too.
+        while node is not None and node.core != _VIRTUAL_CORE:
+            pieces = _split_off(adj, core, (u, v), node.core)
+            if not pieces:
+                return
+            node = self._split(node, pieces)
+
+    def _split(self, node: CLNode, pieces: List[Set[Vertex]]) -> Optional[CLNode]:
+        """Give each of ``pieces`` — a component that broke away from
+        ``node``'s ĉore at its level — its own node beside ``node``; return
+        ``node``'s parent (the inverse of :meth:`_zip`).
+
+        A piece takes its anchored vertices and its child ĉores along; a
+        piece that anchors nothing is a single child ĉore and hangs one
+        level down instead. A split root gets a virtual root. A ``node``
+        left anchoring nothing dissolves into its parent.
+        """
+        if pieces and node.parent is None:
+            self._root = CLNode(_VIRTUAL_CORE, [])
+            self._adopt(self._root, [node])
+        parent = node.parent
+        for piece in pieces:
+            anchored = [x for x in piece if self._node_of[x] is node]
+            children = set()
+            for below in {self._node_of[x] for x in piece} - {node}:
+                while below.parent is not node:
+                    below = below.parent
+                children.add(below)
+            node.children = [c for c in node.children if c not in children]
+            moved: Iterable[CLNode] = children
+            if anchored:
+                node.vertices = [x for x in node.vertices if x not in piece]
+                twin = CLNode(node.core, anchored)
+                for x in anchored:
+                    self._node_of[x] = twin
+                self._adopt(twin, children)
+                moved = (twin,)
+            self._adopt(parent, moved)
+        if not node.vertices:
+            self._dissolve(node)
+        return parent
 
     # ------------------------------------------------------------------
     # queries

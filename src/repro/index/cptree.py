@@ -40,8 +40,8 @@ def ptree_leaves(labels: NodeSet, taxonomy: Taxonomy) -> Tuple[int, ...]:
 
     A label is a leaf of the (ancestor-closed) set when none of its
     taxonomy children is in the set. Shared by construction and by
-    incremental repair (:mod:`repro.index.maintenance`) so the two can
-    never diverge on headMap semantics.
+    incremental maintenance (:mod:`repro.index.maintenance`) so the two
+    can never diverge on headMap semantics.
     """
     return tuple(
         sorted(
@@ -98,10 +98,6 @@ class CPTree:
         taxonomy: Taxonomy,
         validate: bool = True,
     ):
-        self.taxonomy = taxonomy
-        # --- Algorithm 2, lines 2-7: bucket vertices per label, fill headMap.
-        buckets: Dict[int, List[Vertex]] = {}
-        head_map: Dict[Vertex, Tuple[int, ...]] = {}
         for v, labels in vertex_labels.items():
             if v not in graph:
                 raise InvalidInputError(f"profiled vertex {v!r} is not in the graph")
@@ -109,23 +105,14 @@ class CPTree:
                 raise InvalidInputError(
                     f"label set of vertex {v!r} is not ancestor-closed"
                 )
-            for x in labels:
-                buckets.setdefault(x, []).append(v)
-            head_map[v] = ptree_leaves(labels, taxonomy)
-        # --- Algorithm 2, lines 8-9: one CL-tree per label.
-        self._nodes: Dict[int, CPNode] = {}
-        for label, members in buckets.items():
-            cltree = CLTree(graph, vertices=members)
-            self._nodes[label] = CPNode(label, frozenset(members), cltree)
-        # --- Algorithm 2, line 10: link CP-nodes following the GP-tree.
-        for label, node in self._nodes.items():
-            parent_label = taxonomy.parent(label)
-            if parent_label != -1 and parent_label in self._nodes:
-                parent_node = self._nodes[parent_label]
-                node.parent = parent_node
-                parent_node.children.append(node)
-        self._head_map = head_map
-        self._num_vertices = len(head_map)
+        # --- Algorithm 2, lines 2-7: bucket vertices per label, fill headMap.
+        buckets = self._bucket(vertex_labels, taxonomy)
+        # --- Algorithm 2, lines 8-10: one CL-tree per label, CP-nodes
+        # linked following the GP-tree.
+        self._link(
+            CPNode(label, frozenset(members), CLTree(graph, vertices=members))
+            for label, members in buckets.items()
+        )
 
     @classmethod
     def from_parts(
@@ -147,6 +134,24 @@ class CPTree:
         tests).
         """
         self = cls.__new__(cls)
+        buckets = self._bucket(vertex_labels, taxonomy)
+        missing = set(buckets) - set(cltrees)
+        extra = set(cltrees) - set(buckets)
+        if missing or extra:
+            raise InvalidInputError(
+                f"CL-trees do not match the labels in use: no tree for "
+                f"{sorted(missing)[:5]}, trees for unused {sorted(extra)[:5]}"
+            )
+        self._link(
+            CPNode(label, frozenset(members), cltrees[label])
+            for label, members in buckets.items()
+        )
+        return self
+
+    def _bucket(
+        self, vertex_labels: Mapping[Vertex, NodeSet], taxonomy: Taxonomy
+    ) -> Dict[int, List[Vertex]]:
+        """Fill the headMap; return each label's carriers."""
         self.taxonomy = taxonomy
         buckets: Dict[int, List[Vertex]] = {}
         head_map: Dict[Vertex, Tuple[int, ...]] = {}
@@ -160,26 +165,21 @@ class CPTree:
             if leaves is None:
                 leaves = leaf_cache[labels] = ptree_leaves(labels, taxonomy)
             head_map[v] = leaves
-        missing = set(buckets) - set(cltrees)
-        extra = set(cltrees) - set(buckets)
-        if missing or extra:
-            raise InvalidInputError(
-                f"CL-trees do not match the labels in use: no tree for "
-                f"{sorted(missing)[:5]}, trees for unused {sorted(extra)[:5]}"
-            )
-        self._nodes = {
-            label: CPNode(label, frozenset(members), cltrees[label])
-            for label, members in buckets.items()
-        }
-        for label, node in self._nodes.items():
-            parent_label = taxonomy.parent(label)
-            if parent_label != -1 and parent_label in self._nodes:
-                parent_node = self._nodes[parent_label]
-                node.parent = parent_node
-                parent_node.children.append(node)
         self._head_map = head_map
         self._num_vertices = len(head_map)
-        return self
+        return buckets
+
+    def _link(self, nodes: Iterable[CPNode]) -> None:
+        self._nodes: Dict[int, CPNode] = {node.label: node for node in nodes}
+        for node in self._nodes.values():
+            self.attach(node)
+
+    def attach(self, node: CPNode) -> None:
+        """Hang ``node`` under the CP-node of its taxonomy parent, if any."""
+        parent = self._nodes.get(self.taxonomy.parent(node.label))
+        if parent is not None:
+            node.parent = parent
+            parent.children.append(node)
 
     # ------------------------------------------------------------------
     # the paper's API

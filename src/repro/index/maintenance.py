@@ -13,59 +13,55 @@ only damage a small, exactly-characterisable part of the index:
   same induced subgraph);
 * a **vertex add/remove** touches only the labels that vertex carries.
 
-What an edit *adds* is absorbed on the spot, what it *takes away* waits
-for the end of the batch:
+Every edit patches the CL-trees of the labels concerned as it lands, by
+core maintenance in both directions (the traversal algorithm,
+:func:`repro.graph.core.insertion_risers` and
+:func:`~repro.graph.core.removal_fallers`); ``mark_index_stale`` drops the
+index instead, and the next access builds it from scratch.
 
 =====================================  ===================================
 edit                                   CL-trees of the labels concerned
 =====================================  ===================================
-``add_edge``                           patched (:func:`absorb_edge` →
-                                       :meth:`CLTree.edge_inserted`)
-label gained (``set_profile``,         patched (:func:`absorb_profile` →
-``add_vertex``)                        :meth:`CLTree.vertex_joined`)
-``remove_edge``, ``remove_vertex``,    journaled, rebuilt from the final
-label lost (``set_profile``)           state by :func:`repair_cptree`
-any edit on a label already journaled  stays journaled (one rebuild covers
-in this batch, or with no CP-node yet  every edit of the batch)
-``mark_index_stale``                   whole index rebuilt
+``add_edge`` / ``remove_edge``         :meth:`CLTree.edge_inserted` /
+                                       :meth:`CLTree.edge_removed`
+label gained (``set_profile``,         :meth:`CLTree.vertex_joined`
+``add_vertex``)
+label lost (``set_profile``,           :meth:`CLTree.vertex_left`
+``remove_vertex``)
 =====================================  ===================================
 
-A patch costs the region whose core numbers the edit can change (the
-traversal algorithm, :func:`repro.graph.core.insertion_risers`), not the
-label: most insertions into a large label merge no k-ĉores and lift no
-core number, and leave its tree as it is. A patch is **copy on write** —
-a changed tree is built on a private copy and published with the same
-single store the rebuild uses (``CPNode.cltree = ...``), so a reader that
-fetched the old tree keeps a consistent one. The caller
+A patch costs the region whose core numbers the edit can change, not the
+label: most edits of a large label move no core number and split or merge
+no k-ĉore, and leave its tree as it is. A patch is **copy on write** — a
+changed tree is built on a private copy and published with one store
+(``CPNode.cltree = ...``), so a reader that fetched the old tree keeps a
+consistent one. The caller
 (:class:`~repro.core.profiled_graph.ProfiledGraph`) bumps the graph
-version *before* any index work, patch or rebuild, so an optimistic
-reader that overlapped the edit sees the version move and retries.
+version *before* any index work, so an optimistic reader that overlapped
+the edit sees the version move and retries.
 
-:class:`UpdateJournal` accumulates the rest of the damage as mutations
-happen (O(|P(v)|) bookkeeping per edit, no scans), and
-:func:`repair_cptree` replays it against the index: per-label membership
-is patched from the journal's touched sets, journaled CL-trees are rebuilt
-from the live graph, emptied CP-nodes are unlinked, new ones are created
-parent-first, and the headMap entries of re-profiled vertices are
-recomputed. Because labels are ancestor-closed, per-label member sets are
-nested along the taxonomy (child ⊆ parent), which is what makes
-drop/create link surgery safe: an emptied node's children are provably
-empty too, and a created node can never have to adopt pre-existing
-children.
+Membership changes carry the CP-node bookkeeping along: a label nobody
+carried gets a CP-node whose tree is the joining vertex inserted into an
+empty one, and a label nobody carries any more is unlinked. Because labels
+are ancestor-closed, per-label member sets are nested along the taxonomy
+(child ⊆ parent), so creating parent-first and unlinking child-first keeps
+the link surgery local: a created node never has to adopt children, and an
+unlinked node's children are gone already.
 
 A maintained index is indistinguishable from a fresh
 :class:`~repro.index.cptree.CPTree` build — byte-equal through the
 snapshot codec, checked across randomized edit sequences in
-``tests/test_index_patch_properties.py``. Wholesale changes the journal
-cannot express — swapping the taxonomy, replacing the label mapping — must
-fall back to a full rebuild (``ProfiledGraph.index(rebuild=True)``), which
-:meth:`UpdateJournal.mark_all` forces on the next access.
+``tests/test_index_patch_properties.py``.
+
+:class:`UpdateJournal` is not part of maintenance: it is a tap that records
+which labels and vertices a batch touched, which the subscription matcher
+reads as a frozen :class:`BatchDamage`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Set
+from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Set
 
 from repro.graph.graph import Graph
 from repro.index.cltree import CLTree
@@ -79,14 +75,14 @@ NodeSet = FrozenSet[int]
 class BatchDamage:
     """An immutable snapshot of one edit batch's journaled damage.
 
-    :class:`UpdateJournal` is a mutable accumulator that the index repair
-    clears; consumers that outlive the repair — the subscription matcher
-    intersects these sets with standing queries' label footprints — take a
-    frozen copy instead. ``dirty_labels`` are the taxonomy node ids whose
-    induced subgraphs may have changed, ``touched`` the vertices whose
-    membership or profile may have changed, ``removed`` the vertices
-    dropped from the graph, and ``full`` means the journal could not
-    express the damage (consumers must assume everything changed).
+    :class:`UpdateJournal` is a mutable accumulator; consumers that outlive
+    the batch — the subscription matcher intersects these sets with
+    standing queries' label footprints — take a frozen copy instead.
+    ``dirty_labels`` are the taxonomy node ids whose induced subgraphs may
+    have changed, ``touched`` the vertices whose membership or profile may
+    have changed, ``removed`` the vertices dropped from the graph, and
+    ``full`` means the journal could not express the damage (consumers
+    must assume everything changed).
     """
 
     dirty_labels: FrozenSet[int] = frozenset()
@@ -112,48 +108,26 @@ class BatchDamage:
 
 
 class UpdateJournal:
-    """Pending CP-tree damage accumulated by profiled-graph mutations.
+    """The damage profiled-graph mutations did while this tap was attached.
 
     The journal is order-independent: it records *which* labels and vertices
-    an edit sequence may have affected, and :func:`repair_cptree` re-derives
-    their final state from the live graph and label mapping. Recording is
-    O(size of the touched profiles) per edit.
+    an edit sequence may have affected. Recording is O(size of the touched
+    profiles) per edit.
     """
 
-    __slots__ = ("dirty_labels", "patched", "touched", "reprofiled", "dropped", "full")
+    __slots__ = ("dirty_labels", "touched", "reprofiled", "dropped", "full")
 
     def __init__(self) -> None:
-        #: Labels whose per-label CL-tree must be rebuilt.
+        #: Labels whose per-label subgraph may have changed.
         self.dirty_labels: Set[int] = set()
-        #: Labels whose CL-tree absorbed an edit in place (nothing left to
-        #: do for them; kept for the batch's receipt).
-        self.patched: Set[int] = set()
         #: label → vertices whose membership in that label may have changed.
         self.touched: Dict[int, Set[Vertex]] = {}
-        #: Vertices whose headMap entry must be recomputed.
+        #: Vertices whose profile may have changed.
         self.reprofiled: Set[Vertex] = set()
-        #: Vertices removed from the graph (headMap entry must be dropped).
+        #: Vertices removed from the graph.
         self.dropped: Set[Vertex] = set()
-        #: When set, the journal cannot express the damage — full rebuild.
+        #: When set, the journal cannot express the damage.
         self.full: bool = False
-
-    def __bool__(self) -> bool:
-        return bool(
-            self.full
-            or self.dirty_labels
-            or self.patched
-            or self.reprofiled
-            or self.dropped
-        )
-
-    @property
-    def num_dirty_labels(self) -> int:
-        return len(self.dirty_labels)
-
-    @property
-    def num_maintained_labels(self) -> int:
-        """Labels whose CL-tree was patched in place or awaits its rebuild."""
-        return len(self.dirty_labels | self.patched)
 
     def _touch(self, label: int, v: Vertex) -> None:
         self.dirty_labels.add(label)
@@ -187,165 +161,69 @@ class UpdateJournal:
         self.reprofiled.add(v)
 
     def mark_all(self) -> None:
-        """Force a full rebuild on the next index access."""
+        """Record damage the journal cannot express (everything changed)."""
         self.full = True
 
-    def clear(self) -> None:
-        """Forget all journaled damage (after a repair or rebuild)."""
-        self.dirty_labels.clear()
-        self.patched.clear()
-        self.touched.clear()
-        self.reprofiled.clear()
-        self.dropped.clear()
-        self.full = False
 
-
-def _depth(taxonomy, label: int) -> int:
-    d = 0
-    while True:
-        label = taxonomy.parent(label)
-        if label == -1:
-            return d
-        d += 1
-
-
-def repair_cptree(
-    index: CPTree,
-    graph: Graph,
-    vertex_labels: Mapping[Vertex, NodeSet],
-    journal: UpdateJournal,
-) -> int:
-    """Patch ``index`` in place so it matches a fresh build; returns the
-    number of per-label CL-trees rebuilt.
-
-    Pre-condition: ``index`` was consistent with the graph/labels state the
-    journal started recording from, and ``journal.full`` is False (callers
-    handle the full-rebuild fallback themselves).
-    """
-    if journal.full:
-        raise ValueError("journal demands a full rebuild; repair cannot express it")
-
-    taxonomy = index.taxonomy
-    nodes = index._nodes
-    head_map = index._head_map
-
-    # --- 1. final membership of every damaged label (order-independent:
-    # derived from the live label mapping, not from the edit sequence).
-    new_members: Dict[int, FrozenSet[Vertex]] = {}
-    for label in journal.dirty_labels:
-        node = nodes.get(label)
-        members = set(node.vertices) if node is not None else set()
-        for v in journal.touched.get(label, ()):
-            if label in vertex_labels.get(v, ()):
-                members.add(v)
-            else:
-                members.discard(v)
-        new_members[label] = frozenset(members)
-
-    # --- 2. drop emptied CP-nodes. Ancestor-closure nests member sets along
-    # the taxonomy, so an emptied node's children are empty too — link
-    # surgery is local.
-    for label, members in new_members.items():
-        if members:
-            continue
-        node = nodes.pop(label, None)
-        if node is None:
-            continue
-        if node.parent is not None and node in node.parent.children:
-            node.parent.children.remove(node)
-        node.parent = None
-
-    # --- 3. rebuild surviving dirty CL-trees; create new nodes parent-first
-    # so their taxonomy links resolve within this same repair.
-    rebuilt = 0
-    surviving = [label for label, members in new_members.items() if members]
-    surviving.sort(key=lambda label: _depth(taxonomy, label))
-    for label in surviving:
-        members = new_members[label]
-        cltree = CLTree(graph, vertices=members)
-        rebuilt += 1
-        node = nodes.get(label)
-        if node is None:
-            node = CPNode(label, members, cltree)
-            nodes[label] = node
-            parent_label = taxonomy.parent(label)
-            if parent_label != -1 and parent_label in nodes:
-                node.parent = nodes[parent_label]
-                node.parent.children.append(node)
-        else:
-            node.vertices = members
-            node.cltree = cltree
-
-    # --- 4. headMap: drop removed vertices, recompute re-profiled ones.
-    for v in journal.dropped:
-        head_map.pop(v, None)
-    for v in journal.reprofiled:
-        labels = vertex_labels.get(v)
-        if labels is None:
-            head_map.pop(v, None)
-            continue
-        head_map[v] = ptree_leaves(labels, taxonomy)
-    index._num_vertices = len(head_map)
-    return rebuilt
-
-
-def _absorb(
-    index: CPTree,
-    journal: UpdateJournal,
-    labels: Iterable[int],
-    patch: Callable[[CLTree], CLTree],
-    joined: Optional[Vertex] = None,
-) -> None:
-    """Patch the CL-tree of every clean label in ``labels``; journal the rest.
-
-    A label already journaled in this batch, or without a CP-node yet, is
-    left to :func:`repair_cptree` (its tree is stale or absent — there is
-    nothing consistent to patch). ``joined`` is the vertex gaining the
-    labels, when the edit is a membership change.
-    """
-    nodes = index._nodes
-    for label in labels:
-        node = nodes.get(label)
-        if node is None or label in journal.dirty_labels:
-            if joined is None:
-                journal.dirty_labels.add(label)
-            else:
-                journal._touch(label, joined)
-            continue
-        # One store publishes the patched tree, as the rebuild does.
-        node.cltree = patch(node.cltree)
-        if joined is not None:
-            node.vertices = node.vertices | {joined}
-        journal.patched.add(label)
+def repair_cptree(*_args) -> int:
+    """Deprecated no-op: every edit is patched as it lands, so an index has
+    nothing left to repair at the end of a batch; returns the number of
+    CL-trees rebuilt, always 0. Nothing calls it — it stays only while the
+    end-to-end benchmark's traced pass still wraps it by name."""
+    return 0
 
 
 def absorb_edge(
-    index: CPTree, graph: Graph, journal: UpdateJournal, u: Vertex, v: Vertex,
-    shared: NodeSet,
+    index: CPTree, graph: Graph, u: Vertex, v: Vertex, shared: NodeSet,
+    removed: bool = False,
 ) -> None:
-    """Edge ``{u, v}``, already in ``graph``, enters the CL-trees of ``shared``
-    (= ``T(u) ∩ T(v)``) by insertion; no tree is rebuilt for it."""
-    if journal.full:
-        return
+    """Edge ``{u, v}``, already inserted into or removed from ``graph``,
+    enters or leaves the CL-trees of ``shared`` (= ``T(u) ∩ T(v)``)."""
     adj = graph.adjacency()
-    _absorb(index, journal, shared, lambda tree: tree.edge_inserted(adj, u, v))
+    for label in shared:
+        node = index._nodes[label]
+        tree = node.cltree
+        node.cltree = (
+            tree.edge_removed(adj, u, v) if removed else tree.edge_inserted(adj, u, v)
+        )
 
 
 def absorb_profile(
-    index: CPTree, graph: Graph, journal: UpdateJournal, v: Vertex,
-    old: NodeSet, new: NodeSet,
+    index: CPTree, graph: Graph, v: Vertex, old: NodeSet, new: NodeSet,
+    neighbours: Optional[Iterable[Vertex]] = None,
 ) -> None:
     """``T(v)`` went from ``old`` to ``new`` (``old`` empty for a new vertex).
 
-    Gained labels take ``v`` into their CL-tree by insertion; lost labels
-    are journaled for rebuild; the headMap entry is recomputed by the
-    end-of-batch repair either way.
+    ``v`` leaves the CL-trees of the labels it lost, child label first, and
+    a CP-node left empty is unlinked; it joins those of the labels it
+    gained, parent label first, and a label nobody carried gets a CP-node.
+    A vertex removed from ``graph`` loses every label and its headMap
+    entry; ``neighbours`` are then its edges before the removal.
     """
-    if journal.full:
-        return
-    journal.reprofiled.add(v)
-    journal.dropped.discard(v)
-    for label in old - new:
-        journal._touch(label, v)
+    taxonomy = index.taxonomy
+    nodes = index._nodes
     adj = graph.adjacency()
-    _absorb(index, journal, new - old, lambda tree: tree.vertex_joined(adj, v), joined=v)
+    for label in sorted(old - new, key=taxonomy.depth, reverse=True):
+        node = nodes[label]
+        node.vertices = node.vertices - {v}
+        if node.vertices:
+            node.cltree = node.cltree.vertex_left(adj, v, neighbours)
+        else:
+            del nodes[label]
+            if node.parent is not None:
+                node.parent.children.remove(node)
+    for label in sorted(new - old, key=taxonomy.depth):
+        node = nodes.get(label)
+        if node is not None:
+            node.cltree = node.cltree.vertex_joined(adj, v)
+            node.vertices = node.vertices | {v}
+            continue
+        tree = CLTree.from_arrays(()).vertex_joined(adj, v)
+        node = nodes[label] = CPNode(label, frozenset((v,)), tree)
+        index.attach(node)
+    head_map = index._head_map
+    if v in graph:
+        head_map[v] = ptree_leaves(new, taxonomy)
+    else:
+        head_map.pop(v, None)
+    index._num_vertices = len(head_map)

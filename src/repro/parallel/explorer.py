@@ -12,12 +12,12 @@ single queries, small batches, tiny graphs, ``parallel=1`` — runs
 in-process on the inherited path.
 
 The CP-tree is built once per session, in the parent: before the first
-index-backed shard leaves the process the parent builds (or repairs) its
-index, and the fleet boots from the snapshot image that carries it, so no
-worker ever builds one. Results computed by workers merge back into the
-parent's shared LRU at the snapshot version the fleet was bootstrapped
-with, so subsequent requests — sequential or parallel — hit cache exactly
-as if the batch had run in-process. Mutations through
+index-backed shard leaves the process the parent builds its index (edits
+keep it patched), and the fleet boots from the snapshot image that
+carries it, so no worker ever builds one. Results computed by workers
+merge back into the parent's shared LRU at the snapshot version the fleet
+was bootstrapped with, so subsequent requests — sequential or parallel —
+hit cache exactly as if the batch had run in-process. Mutations through
 :meth:`apply_updates` (or the graph's own versioned API) bump the graph
 version; the pool notices on its next use and ships a fresh image to a
 fresh fleet.

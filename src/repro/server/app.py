@@ -27,7 +27,7 @@ Routes
     :class:`~repro.engine.updates.GraphUpdate` mappings in; the
     :class:`~repro.engine.updates.UpdateReceipt` out. Applied through the
     mutation-safe engine path (versioned cache invalidation + incremental
-    index repair).
+    index maintenance).
 ``POST /subscribe``
     Register a standing query (:class:`~repro.api.subscription.Subscription`
     payload); answers the subscription (with its server-assigned id when

@@ -33,7 +33,7 @@ _METRICS_HELP: Tuple[Tuple[str, str, str], ...] = (
     ("repro_index_builds_total", "counter", "Full CP-tree index builds."),
     ("repro_index_build_seconds_total", "counter", "Seconds spent building indexes."),
     ("repro_updates_applied_total", "counter", "Effective graph edits applied through the engine."),
-    ("repro_maintenance_seconds_total", "counter", "Seconds spent applying updates and repairing indexes."),
+    ("repro_maintenance_seconds_total", "counter", "Seconds spent applying updates, index patches included."),
     ("repro_graph_version", "gauge", "Current graph version (monotonic per effective edit)."),
     ("repro_graph_vertices", "gauge", "Vertices in the served graph."),
     ("repro_graph_edges", "gauge", "Edges in the served graph."),

@@ -48,12 +48,11 @@ from pathlib import Path
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple, Union
 
 from repro.core.profiled_graph import ProfiledGraph
-from repro.errors import ReproError
+from repro.errors import InvalidInputError, ReproError
 from repro.graph.csr import CSRGraph, active_backend
 from repro.graph.graph import Graph
 from repro.index.cltree import CLTree
 from repro.index.cptree import CPTree
-from repro.index.maintenance import UpdateJournal
 from repro.ptree.taxonomy import ROOT, Taxonomy
 
 Vertex = Hashable
@@ -205,7 +204,10 @@ class _Reader:
 
     def text(self) -> str:
         length = struct.unpack("<H", self._take(2))[0]
-        return self._take(length).decode("utf-8")
+        try:
+            return self._take(length).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SnapshotCorruptError(f"string is not UTF-8: {exc}") from None
 
     def u32_array(self) -> array:
         length = self.u32()
@@ -358,11 +360,11 @@ def decode_payload(data: bytes, has_index: Optional[bool] = None) -> ProfiledGra
     The inverse of :func:`encode_payload`. ``has_index`` forces the index
     section to be present/absent; ``None`` (default) reads it when there
     are bytes left after the graph section. The returned graph carries the
-    snapshot's ``version`` and an empty journal; when an index section is
-    present the CP-tree is reassembled via
-    :meth:`~repro.index.cltree.CLTree.from_arrays` +
+    snapshot's ``version``; when an index section is present the CP-tree is
+    reassembled via :meth:`~repro.index.cltree.CLTree.from_arrays` +
     :meth:`~repro.index.cptree.CPTree.from_parts` and installed without
-    re-peeling a single core.
+    re-peeling a single core. Bytes that do not describe a valid graph and
+    index raise :class:`SnapshotCorruptError`, even under a valid digest.
     """
     r = _Reader(data)
     graph_version = r.u64()
@@ -381,7 +383,10 @@ def decode_payload(data: bytes, has_index: Optional[bool] = None) -> ProfiledGra
             raise SnapshotCorruptError(
                 "taxonomy parents must reference earlier nodes"
             )
-        tax.add(names[node], parent=parent)
+        try:
+            tax.add(names[node], parent=parent)
+        except InvalidInputError as exc:
+            raise SnapshotCorruptError(f"malformed taxonomy section: {exc}") from None
     # vertex table
     table_len = r.u32()
     if table_len != num_vertices:
@@ -445,20 +450,14 @@ def decode_payload(data: bytes, has_index: Optional[bool] = None) -> ProfiledGra
             cached = seen_sets.get(key)
             if cached is None:
                 cached = seen_sets[key] = frozenset(chunk)
+                if not tax.is_ancestor_closed(cached):
+                    raise SnapshotCorruptError(
+                        "label set outside the taxonomy or not ancestor-closed"
+                    )
             labels[v] = cached
         else:
             labels[v] = empty
-    pg = ProfiledGraph.__new__(ProfiledGraph)
-    pg.graph = graph
-    pg.taxonomy = tax
-    pg._labels = labels
-    pg._index = None
-    pg._ptree_cache = {}
-    pg._version = graph_version
-    pg._journal = UpdateJournal()
-    pg._taps = []
-    pg._maintenance_seconds = 0.0
-    pg._repairs = 0
+    pg = ProfiledGraph.from_labels(graph, tax, labels, graph_version)
     # index section
     if has_index is None:
         has_index = not r.done()
@@ -472,7 +471,13 @@ def decode_payload(data: bytes, has_index: Optional[bool] = None) -> ProfiledGra
             for _ in range(num_nodes):
                 core = r.i32()
                 parent_raw = r.u32()
-                anchored = [order[i] for i in r.u32_array()]
+                ids = r.u32_array()
+                # Row 0 is the root; every other row names an earlier one.
+                if ((parent_raw == _NO_PARENT) != (not rows)
+                        or rows and parent_raw >= len(rows)
+                        or ids and max(ids) >= num_vertices):
+                    raise SnapshotCorruptError("CL-tree row out of range")
+                anchored = [order[i] for i in ids]
                 rows.append(
                     (core, None if parent_raw == _NO_PARENT else parent_raw, anchored)
                 )
@@ -565,10 +570,10 @@ def save_snapshot(
     """Write ``pg`` to ``path`` atomically; returns the snapshot's info.
 
     With ``include_index`` (default) and a built CP-tree, the index is
-    persisted too — any journaled repair work is folded in first via
-    ``pg.index()`` so a stale index can never reach disk. The bytes land
-    in a same-directory temp file, are fsync'd, and are renamed over
-    ``path``, so a crash mid-save leaves the previous snapshot intact.
+    persisted too (every edit was patched into it as it landed, so it is
+    current). The bytes land in a same-directory temp file, are fsync'd,
+    and are renamed over ``path``, so a crash mid-save leaves the previous
+    snapshot intact.
     """
     raw = snapshot_bytes(pg, include_index=include_index)
     target = Path(path)

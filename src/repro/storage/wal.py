@@ -26,6 +26,8 @@ the version it produced; replay uses them to skip records already folded
 into a snapshot and to refuse gaps. A crash can tear the final frame;
 opening the log detects the torn tail (short frame or CRC mismatch) and
 truncates it — every complete record before it was fsync'd and is safe.
+A bad frame with valid frames after it is corruption, not a tail, and
+opening raises :class:`WalCorruptError` without touching the file.
 """
 
 from __future__ import annotations
@@ -121,6 +123,20 @@ def iter_frames(read: Callable[[int], bytes]) -> Iterator[bytes]:
         if zlib.crc32(payload) != crc:
             raise WalCorruptError("frame payload fails its CRC check")
         yield payload
+
+
+def _frame_follows(fh, offset: int) -> bool:
+    """Whether the frame at ``offset`` declares an end that a complete,
+    CRC-valid frame follows."""
+    fh.seek(offset)
+    header = fh.read(_FRAME.size)
+    if len(header) < _FRAME.size:
+        return False
+    fh.seek(offset + _FRAME.size + _FRAME.unpack(header)[0])
+    try:
+        return next(iter_frames(fh.read), None) is not None
+    except WalCorruptError:
+        return False
 
 
 class WalReplayError(WalError):
@@ -276,7 +292,9 @@ class WriteAheadLog:
     Opening scans the existing file front to back: complete, CRC-valid
     frames are counted; the first invalid frame and everything after it
     are treated as a torn tail from a crash mid-append and truncated
-    (the byte count lands in :attr:`dropped_bytes`). The file handle then
+    (the byte count lands in :attr:`dropped_bytes`), unless a valid frame
+    follows the invalid one — then opening raises
+    :class:`WalCorruptError` and leaves the file as it is. The file handle then
     stays open in append mode; every :meth:`append` is flushed and
     fsync'd before it returns.
     """
@@ -308,7 +326,11 @@ class WriteAheadLog:
 
         Stops at the first frame that is short, oversized, CRC-failing or
         not a record: a crash can tear the final frame, and every
-        complete record before it was fsync'd and is safe.
+        complete record before it was fsync'd and is safe. A bad frame
+        whose declared end is followed by a valid frame is not a tail but
+        corruption in the middle of the log: that raises
+        :class:`WalCorruptError` instead, since truncating would throw the
+        records after it away.
         """
         records: List[WalRecord] = []
         if not self._path.exists():
@@ -322,7 +344,11 @@ class WriteAheadLog:
                     )
                     offset += _FRAME.size + len(payload)
             except (ValueError, WalCorruptError, InvalidInputError):
-                pass  # the torn tail
+                if _frame_follows(fh, offset):
+                    raise WalCorruptError(
+                        f"{self._path}: the record at byte {offset} is corrupt "
+                        f"and valid records follow it"
+                    ) from None
         return records, offset
 
     # -- introspection -------------------------------------------------

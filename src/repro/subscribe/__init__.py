@@ -12,7 +12,7 @@ manager each batch's :class:`~repro.index.maintenance.BatchDamage`, and
 the :class:`~repro.subscribe.matcher.SubscriptionMatcher` intersects its
 dirty-label set with every subscription's label footprint — only the
 subscriptions an edit could possibly affect re-execute (the same
-CP-tree-maintenance argument that bounds index repair; see the matcher
+CP-tree-maintenance argument that bounds index patching; see the matcher
 module for the soundness story and its over-approximation fallbacks).
 
 Layering: this package sits above :mod:`repro.api` (it evaluates through

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.bench import index_matches_fresh_build
 from repro.core import as_vertex_subtree_map, pcs
 from repro.datasets import fig1_profiled_graph, simple_profiled_graph
 from repro.datasets.taxonomies import synthetic_taxonomy
@@ -227,12 +228,11 @@ class TestExplorerEdits:
         ex = self.make(seed=2)
         ex.warm()
         pg = ex.pg
-        assert pg.pending_repair_labels == 0
         op = "remove_edge" if pg.graph.has_edge(0, 1) else "add_edge"
         receipt = ex.apply_updates([(op, 0, 1)])
         shared = pg.labels(0) & pg.labels(1)
         assert 0 < receipt.repaired_labels <= len(shared)
-        assert pg.pending_repair_labels == 0  # repaired inside the batch
+        assert index_matches_fresh_build(pg)  # patched inside the batch
 
     def test_add_vertex_with_profile(self):
         ex = CommunityExplorer(fig1_profiled_graph())

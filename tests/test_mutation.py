@@ -110,34 +110,37 @@ def assert_index_matches_fresh(pg):
 
 class TestIncrementalIndexMaintenance:
     def test_edge_edit_repairs_only_shared_labels(self, fig1):
-        fig1.index()
-        fig1.remove_edge("C", "D")
+        index = fig1.index()
         shared = fig1.labels("C") & fig1.labels("D")
-        assert fig1.pending_repair_labels == len(shared)
+        before = {t: index.node(t).cltree for t in index.labels()}
+        fig1.remove_edge("C", "D")
+        # The index equals a fresh build right after the edit: nothing waits
+        # for a later index() call, and only shared labels' trees moved.
         assert_index_matches_fresh(fig1)
-        assert fig1.pending_repair_labels == 0
-        assert fig1.repairs == 1
+        assert fig1.index() is index
+        moved = {t for t in index.labels() if index.node(t).cltree is not before[t]}
+        assert moved and moved <= shared
         assert fig1.maintenance_seconds > 0.0
 
     def test_profile_edit_dirties_symmetric_difference(self, fig1):
         tax = fig1.taxonomy
-        indexed = set(fig1.index().labels())
+        index = fig1.index()
         old = fig1.labels("E")
+        before = {t: index.node(t).cltree for t in index.labels()}
         fig1.set_profile("E", ["ML", "AI", "DMS"])
         new = fig1.labels("E")
-        # Gained labels with a CP-node are patched in place; what waits for
-        # the rebuild is every lost label plus gained labels without one.
-        pending = (old - new) | ((new - old) - indexed)
-        assert fig1.pending_repair_labels == len(pending)
-        assert fig1.maintained_labels == len(old ^ new)
         assert_index_matches_fresh(fig1)
+        # Only the labels E gained or lost had their CL-trees touched.
+        for t in set(before) & set(index.labels()) - (old ^ new):
+            assert index.node(t).cltree is before[t]
         ml_node = fig1.index().node(tax.id_of("ML"))
         assert "E" in ml_node.vertices
 
     def test_vertex_removal_repairs_index(self, fig1):
-        fig1.index()
+        index = fig1.index()
         fig1.remove_vertex("D")
         assert_index_matches_fresh(fig1)
+        assert fig1.index() is index
         with pytest.raises(InvalidInputError):
             fig1.index().head_labels("D")
 
@@ -156,30 +159,33 @@ class TestIncrementalIndexMaintenance:
         assert fig1.index().vertices_with_label(ml) == frozenset({carriers[0]})
 
     def test_rebuild_true_still_forces_full_build(self, fig1):
-        fig1.index()
+        index = fig1.index()
         fig1.add_edge("A", "C")
         rebuilt = fig1.index(rebuild=True)
-        assert fig1.pending_repair_labels == 0
+        assert rebuilt is not index
         assert rebuilt is fig1.index()
-        assert fig1.repairs == 0  # full rebuild, not a repair
+        assert_index_matches_fresh(fig1)
 
     def test_mutations_without_index_skip_journal(self, fig1):
         fig1.add_edge("A", "C")
-        assert fig1.pending_repair_labels == 0  # nothing to repair yet
+        fig1.remove_edge("C", "D")
+        assert not fig1.has_index()  # nothing maintained, nothing built
+        assert fig1.maintenance_seconds == 0.0
         assert_index_matches_fresh(fig1)
 
     def test_mark_index_stale_forces_rebuild_and_invalidates(self, fig1):
-        # The documented fallback for live-view writes the journal cannot
-        # express: next index() access is a full rebuild, caches invalidate.
+        # The documented fallback for live-view writes the versioned API
+        # cannot express: the index is dropped, caches invalidate.
         tax = fig1.taxonomy
-        fig1.index()
+        index = fig1.index()
         version = fig1.version
         fig1.all_labels()["E"] = tax.closure([tax.id_of("ML")])  # bypasses API
         fig1.mark_index_stale()
         assert fig1.version == version + 1
+        assert not fig1.has_index()
         assert_index_matches_fresh(fig1)
+        assert fig1.index() is not index
         assert "E" in fig1.index().vertices_with_label(tax.id_of("ML"))
-        assert fig1.repairs == 0  # rebuilt, not repaired
 
     @pytest.mark.parametrize("seed", range(4))
     def test_randomized_edit_sequences_match_fresh_builds(self, seed):
@@ -212,12 +218,10 @@ class TestIncrementalIndexMaintenance:
                 next_id += 1
             elif pg.num_vertices > 6:
                 pg.remove_vertex(rng.choice(vertices))
-            if step % 10 == 9:
-                assert_index_matches_fresh(pg)
-        assert_index_matches_fresh(pg)
+            assert_index_matches_fresh(pg)
 
     def test_queries_equal_basic_after_edits(self, seed=1):
-        # End-to-end: index-based answers after repair == index-free truth.
+        # End-to-end: index-based answers after edits == index-free truth.
         rng = random.Random(seed)
         pg = synthetic_instance(seed=seed)
         pg.index()

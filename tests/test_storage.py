@@ -6,6 +6,8 @@ checked-in artifact, so any byte-level format change must bump
 ``FORMAT_VERSION`` (and add a new golden) or fail CI.
 """
 
+import hashlib
+import random
 import struct
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 
 from repro.core.profiled_graph import ProfiledGraph
 from repro.api.service import CommunityService
+from repro.bench import index_matches_fresh_build
 from repro.datasets import fig1_profiled_graph, load_dataset
 from repro.engine.explorer import CommunityExplorer
 from repro.engine.updates import GraphUpdate, apply_update
@@ -30,13 +33,16 @@ from repro.storage import (
     SnapshotError,
     SnapshotVersionError,
     StorageError,
+    WalCorruptError,
     WalError,
     WalReplayError,
     WriteAheadLog,
     encode_payload,
     load_snapshot,
+    load_snapshot_bytes,
     preview_updates,
     save_snapshot,
+    snapshot_bytes,
     verify_digest,
 )
 
@@ -145,9 +151,11 @@ class TestSnapshotRoundTrip:
         assert encode_payload(other, other.index()) == one
 
     def test_save_folds_pending_repairs(self, fig1, tmp_path):
+        # A removal is patched into the index as it lands, so the saved
+        # index is the same bytes a fresh build would write.
         fig1.index()
         fig1.remove_edge("C", "D")
-        assert fig1.pending_repair_labels > 0
+        assert index_matches_fresh_build(fig1)
         path = tmp_path / "snap.bin"
         save_snapshot(fig1, path)
         loaded = load_snapshot(path)
@@ -197,6 +205,32 @@ class TestSnapshotVerification:
             load_snapshot(path)
         with pytest.raises(SnapshotCorruptError):
             verify_digest(path)
+
+    @pytest.mark.parametrize("with_index", [True, False])
+    def test_mutated_payload_fails_closed(self, fig1, with_index):
+        # Bytes from a buggy or hostile writer carry a valid digest: decode
+        # must refuse them with a SnapshotError or load a valid graph.
+        if with_index:
+            fig1.index()
+        raw = snapshot_bytes(fig1, include_index=with_index)
+        flags, payload = struct.unpack_from("<H", raw, 10)[0], raw[52:]
+        rng = random.Random(0)
+        loaded = 0
+        for _ in range(2000):
+            data = bytearray(payload)
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                data[rng.randrange(len(data))] = rng.randrange(256)
+            header = struct.pack("<8sHH32sQ", MAGIC, FORMAT_VERSION, flags,
+                                 hashlib.sha256(data).digest(), len(data))
+            try:
+                pg = load_snapshot_bytes(header + bytes(data))
+            except SnapshotError:
+                continue
+            loaded += 1
+            tax = pg.taxonomy
+            for labels in pg.all_labels().values():
+                assert not labels or tax.is_ancestor_closed(labels)
+        assert loaded  # some mutations hit bytes that do not matter
 
     def test_load_without_verify_skips_digest(self, fig1, tmp_path):
         # verify=False trusts the digest; structural decoding still runs.
@@ -395,6 +429,21 @@ class TestWriteAheadLog:
         assert reopened.num_records == 1
         assert reopened.dropped_bytes > 0
         reopened.close()
+
+    def test_corruption_before_the_tail_fails_closed(self, tmp_path):
+        path = tmp_path / "wal.log"
+        wal = WriteAheadLog(path)
+        for version in range(3):
+            wal.append(version, version + 1, [GraphUpdate("add_edge", version, 9)])
+        wal.close()
+        raw = bytearray(path.read_bytes())
+        raw[8 + 10] ^= 0xFF  # payload byte 10 of the first record
+        path.write_bytes(raw)
+        # Two valid records follow the bad one: this is no torn tail, and
+        # truncating would throw them away.
+        with pytest.raises(WalCorruptError, match="valid records follow"):
+            WriteAheadLog(path)
+        assert path.read_bytes() == bytes(raw)
 
     def test_truncate_clears_everything(self, tmp_path):
         path = tmp_path / "wal.log"
