@@ -5,24 +5,25 @@ Demonstrates the extensions the paper sketches in its conclusion (§6) and
 related-work discussion (§2), all implemented in this reproduction:
 
 * community detection by sweeping PCS over seed vertices;
-* β-similarity relaxed PCS (members must be profile-similar to q);
-* δ-relaxed minimum degree (a fraction of members may fall below k);
-* k-truss structure cohesiveness instead of minimum degree;
-* directed PCS with (k, l)-D-cores.
+* β-similarity: PCS on the graph filtered to vertices profile-similar to q;
+* δ-relaxed minimum degree: PCS with a cohesion model that lets a fraction
+  of members fall below k;
+* k-truss structure cohesiveness instead of minimum degree.
+
+Both relaxations are ordinary ``pcs`` calls: one on a filtered graph, one
+with a different cohesion model.
 
 Run:  python examples/themed_exploration.py
 """
 
 from repro.core import (
+    FractionalKCoreCohesion,
     coverage,
-    degree_relaxed_pcs,
     detect_communities,
-    directed_pcs,
     pcs,
-    similarity_relaxed_pcs,
+    similarity_filtered_graph,
 )
 from repro.datasets import fig1_profiled_graph, load_dataset
-from repro.graph import DiGraph
 
 
 def show(title: str, result) -> None:
@@ -48,30 +49,16 @@ def main() -> None:
 
     # --- β-similarity relaxation (§6)
     show("β-similarity PCS (q=D, k=2, β=0.3):",
-         similarity_relaxed_pcs(pg, "D", 2, beta=0.3))
+         pcs(similarity_filtered_graph(pg, "D", 0.3), "D", 2))
 
     # --- δ-degree relaxation (§6)
     show("δ-relaxed PCS (q=D, k=3, δ=0.75):",
-         degree_relaxed_pcs(pg, "D", 3, delta=0.75))
+         pcs(pg, "D", 3, cohesion=FractionalKCoreCohesion(0.75)))
     show("strict PCS at k=3 for comparison:", pcs(pg, "D", 3))
 
     # --- alternative structure cohesiveness: k-truss (§1, §6)
     show("PCS with k-truss cohesion (q=D, k=3):",
          pcs(pg, "D", 3, cohesion="k-truss"))
-
-    # --- directed PCS with D-cores (§6)
-    tax = pg.taxonomy
-    dg = DiGraph()
-    for u, v in pg.graph.edges():
-        dg.add_arc(u, v)
-        dg.add_arc(v, u)
-    dg.remove_vertex("C")  # make it a genuinely directed example
-    dg.add_arc("C", "B")
-    dg.add_arc("C", "D")
-    dg.add_arc("B", "C")
-    profiles = {v: pg.labels(v) for v in pg.vertices()}
-    result = directed_pcs(dg, tax, profiles, q="D", k=1, l=1)
-    show("directed PCS with (1,1)-D-core (q=D):", result)
 
     # --- detection at dataset scale
     small = load_dataset("acmdl", scale=0.004, seed=3)

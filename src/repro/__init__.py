@@ -2,8 +2,8 @@
 
 The package implements Profiled Community Search (PCS) end to end:
 
-* :mod:`repro.graph` — graph containers and cohesive-subgraph decompositions
-  (k-core, k-truss, k-clique, D-core);
+* :mod:`repro.graph` — the graph container and cohesive-subgraph decompositions
+  (k-core, k-truss, k-clique);
 * :mod:`repro.ptree` — taxonomy (GP-tree), P-trees, subtree enumeration,
   the subtree lattice and tree edit distance;
 * :mod:`repro.index` — the CL-tree and CP-tree indexes;

@@ -23,18 +23,12 @@ from repro.core.cohesion import (
 from repro.core.closed import closed_query
 from repro.core.community import PCSResult, ProfiledCommunity, as_vertex_subtree_map
 from repro.core.detection import coverage, detect_communities
-from repro.core.directed import directed_pcs
 from repro.core.feasibility import FeasibilityOracle
 from repro.core.incre import incre_query
 from repro.core.keywords import keyword_communities, maximal_feasible_keyword_sets
 from repro.core.profiled_graph import DatasetStats, ProfiledGraph
 from repro.core.protocol import Engine
-from repro.core.relaxed import (
-    FractionalKCoreCohesion,
-    degree_relaxed_pcs,
-    similarity_filtered_graph,
-    similarity_relaxed_pcs,
-)
+from repro.core.relaxed import FractionalKCoreCohesion, similarity_filtered_graph
 from repro.core.search import ALL_METHODS, PCS_METHODS, pcs
 from repro.core.variants import (
     METRIC_VARIANTS,
@@ -78,10 +72,7 @@ __all__ = [
     "maximal_feasible_keyword_sets",
     "detect_communities",
     "coverage",
-    "directed_pcs",
-    "similarity_relaxed_pcs",
     "similarity_filtered_graph",
-    "degree_relaxed_pcs",
     "FractionalKCoreCohesion",
     "METRIC_VARIANTS",
     "variant_common_nodes",

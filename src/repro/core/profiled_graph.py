@@ -15,14 +15,17 @@ call, bump a monotonic :attr:`~ProfiledGraph.version` counter (the epoch
 that result caches key their staleness checks on), and keep a built
 CP-tree current incrementally (:mod:`repro.index.maintenance`): every edit
 is patched into the per-label CL-trees it touches as it lands, instead of
-rebuilding the whole O(|P| · m) index. Every mutator bumps the version
-*before* it does index work, so an optimistic reader that overlapped the
-edit sees the version move. Mutating ``pg.graph`` directly bypasses all of
-this and is unsupported once an index or engine is attached.
+rebuilding the whole O(|P| · m) index. Every mutator also holds
+:attr:`~ProfiledGraph.write_seq` odd for its whole run, so an optimistic
+reader that overlapped any part of an edit sees the sequence move (the
+version alone cannot tell it: the adjacency changes before the bump).
+Mutating ``pg.graph`` directly bypasses all of this and is unsupported
+once an index or engine is attached.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -39,6 +42,20 @@ Vertex = Hashable
 NodeSet = FrozenSet[int]
 
 RandomLike = Union[int, random.Random, None]
+
+
+def _mutator(method):
+    """Hold ``write_seq`` odd while ``method`` runs (one window per call)."""
+
+    @functools.wraps(method)
+    def windowed(self, *args, **kwargs):
+        self._write_seq += 1
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            self._write_seq += 1
+
+    return windowed
 
 
 def _rng(seed: RandomLike) -> random.Random:
@@ -92,6 +109,7 @@ class ProfiledGraph:
         "_index",
         "_ptree_cache",
         "_version",
+        "_write_seq",
         "_taps",
         "_maintenance_seconds",
     )
@@ -118,6 +136,7 @@ class ProfiledGraph:
         self._index: Optional[CPTree] = None
         self._ptree_cache: Dict[Vertex, PTree] = {}
         self._version = 0
+        self._write_seq = 0
         self._taps: list = []
         self._maintenance_seconds = 0.0
 
@@ -206,6 +225,16 @@ class ProfiledGraph:
         """Total time spent patching the index as edits land (not full builds)."""
         return self._maintenance_seconds
 
+    @property
+    def write_seq(self) -> int:
+        """Write sequence: odd while a mutator runs, even between mutators.
+
+        A reader that sees the same even value before and after a
+        computation overlapped no edit, so the :attr:`version` it read at
+        the start describes what it computed.
+        """
+        return self._write_seq
+
     def _bump(self) -> None:
         self._version += 1
 
@@ -234,6 +263,7 @@ class ProfiledGraph:
         except ValueError:
             pass  # already detached; idempotent by design
 
+    @_mutator
     def add_vertex(self, v: Vertex, profile: object = (), validate: bool = True) -> bool:
         """Add vertex ``v`` with an optional profile; False if it exists.
 
@@ -251,6 +281,7 @@ class ProfiledGraph:
         self._absorb(absorb_profile, v, frozenset(), closed)
         return True
 
+    @_mutator
     def remove_vertex(self, v: Vertex) -> bool:
         """Remove ``v``, its incident edges, its profile and cached P-tree.
 
@@ -274,6 +305,7 @@ class ProfiledGraph:
         self._absorb(absorb_profile, v, labels, frozenset(), neighbours)
         return True
 
+    @_mutator
     def add_edge(self, u: Vertex, v: Vertex) -> bool:
         """Insert edge ``{u, v}``; unknown endpoints get empty profiles.
 
@@ -300,6 +332,7 @@ class ProfiledGraph:
         self._absorb(absorb_edge, u, v, labels_u & labels_v)
         return True
 
+    @_mutator
     def remove_edge(self, u: Vertex, v: Vertex) -> bool:
         """Remove edge ``{u, v}``; False (no version bump) if absent."""
         if not self.graph.has_edge(u, v):
@@ -312,6 +345,7 @@ class ProfiledGraph:
         self._absorb(absorb_edge, u, v, labels_u & labels_v, removed=True)
         return True
 
+    @_mutator
     def mark_index_stale(self) -> None:
         """Drop the index; the next :meth:`index` access builds from scratch.
 
@@ -325,6 +359,7 @@ class ProfiledGraph:
             tap.mark_all()
         self._bump()
 
+    @_mutator
     def set_profile(self, v: Vertex, profile: object, validate: bool = True) -> bool:
         """Replace T(v); False (no version bump) when unchanged.
 

@@ -1,17 +1,17 @@
-"""Relaxed PCS variants (the paper's future-work directions, §6).
-
-Two relaxations are sketched in the conclusion:
+"""The paper's two relaxations (§6): one profile filter, one cohesion model.
 
 * **β-similarity**: "each vertex of the targeted community has a semantic
-  similarity with the query vertex q of at least β" — implemented by
-  pre-filtering the profiled graph to the β-similar vertices (normalised
-  tree-edit-distance similarity against T(q)) and running ordinary PCS on
-  the filtered graph;
+  similarity with the query vertex q of at least β".
+  :func:`similarity_filtered_graph` keeps the β-similar vertices (normalised
+  tree-edit-distance similarity against T(q)); Fig 12's variant (d) runs PCS
+  on it, and so can any caller: ``pcs(similarity_filtered_graph(pg, q, β),
+  q, k)``.
 * **δ-degree**: "the proportion of vertices in a community having degrees of
-  at least k is at least δ" — implemented as a :class:`FractionalKCoreCohesion`
-  model pluggable into every PCS algorithm. The paper gives no algorithm, so
-  we use a deterministic greedy peel (documented below) that restores the
-  exact k-core semantics at δ = 1.
+  at least k is at least δ". :class:`FractionalKCoreCohesion` is a cohesion
+  model every PCS method accepts: ``pcs(pg, q, k,
+  cohesion=FractionalKCoreCohesion(δ))``. The paper gives no algorithm, so
+  the model uses a deterministic greedy peel (documented below) that
+  restores the exact k-core semantics at δ = 1.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from __future__ import annotations
 from typing import FrozenSet, Hashable, Iterable
 
 from repro.core.cohesion import CohesionModel
-from repro.core.community import PCSResult
 from repro.core.profiled_graph import ProfiledGraph
-from repro.core.search import pcs
 from repro.errors import InvalidInputError
 from repro.graph.core import k_core_within
 from repro.graph.graph import Graph
@@ -51,24 +49,6 @@ def similarity_filtered_graph(
     sub = pg.graph.subgraph(keep)
     profiles = {v: pg.labels(v) for v in keep}
     return ProfiledGraph(sub, pg.taxonomy, profiles, validate=False)
-
-
-def similarity_relaxed_pcs(
-    pg: ProfiledGraph,
-    q: Vertex,
-    k: int,
-    beta: float,
-    method: str = "adv-P",
-) -> PCSResult:
-    """PCS restricted to vertices whose P-tree is β-similar to T(q).
-
-    Returns communities found on the filtered graph; at β = 0 this is
-    ordinary PCS.
-    """
-    filtered = similarity_filtered_graph(pg, q, beta)
-    result = pcs(filtered, q, k, method=method)
-    result.method = f"{result.method}+beta={beta:g}"
-    return result
 
 
 class FractionalKCoreCohesion(CohesionModel):
@@ -131,20 +111,3 @@ class FractionalKCoreCohesion(CohesionModel):
                     queue.append(w)
         return seen
 
-
-def degree_relaxed_pcs(
-    pg: ProfiledGraph,
-    q: Vertex,
-    k: int,
-    delta: float,
-    method: str = "incre",
-) -> PCSResult:
-    """PCS with the δ-relaxed minimum-degree cohesion model.
-
-    Note the relaxed model is *not* anti-monotone in general, so the result
-    is the relaxed community of each maximal subtree the search visits —
-    exact at δ = 1, a documented heuristic below it.
-    """
-    result = pcs(pg, q, k, method=method, cohesion=FractionalKCoreCohesion(delta))
-    result.method = f"{result.method}+delta={delta:g}"
-    return result

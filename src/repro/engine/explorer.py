@@ -288,25 +288,33 @@ class CommunityExplorer:
         a half-applied batch: the version is read, the graph mutates
         mid-computation, and the result matches neither the version read
         before nor the one after. This loop makes serving linearisable per
-        query: optimistically compute, then re-read the version — unchanged
-        means no mutation committed in between (versions are monotonic), so
-        the pair is consistent. A computation that raced (version moved, or
-        crashed on a torn read of a mutating structure) is retried; after
+        query: optimistically compute between two reads of
+        :attr:`~repro.core.profiled_graph.ProfiledGraph.write_seq` — even
+        and unchanged means no edit was in progress at the start and none
+        began since, so the version read at the start is the one computed
+        against. (The version alone is not enough: a mutator changes the
+        adjacency before it bumps.) A computation that raced (sequence odd
+        or moved, or crashed on a torn read of a mutating structure) is
+        retried; after
         :data:`_OPTIMISTIC_ATTEMPTS` races the final attempt runs holding
         the index lock, which :meth:`apply_updates` takes for its whole
         batch — mutations through the engine block, and the result is exact.
         (Edits applied directly through the ProfiledGraph API bypass that
         lock; the guarantee covers the supported serving path.)
         """
+        pg = self.pg
         for _ in range(_OPTIMISTIC_ATTEMPTS):
-            version = self.pg.version
+            seq = pg.write_seq
+            version = pg.version
+            if seq % 2:
+                continue  # an edit is in progress
             try:
                 result = self._run(*key)
             except Exception:
-                if self.pg.version == version:
+                if pg.write_seq == seq:
                     raise  # a real error, not a torn read of a mutating graph
                 continue
-            if self.pg.version == version:
+            if pg.write_seq == seq:
                 return result, version
         with self._index_lock:
             return self._run(*key), self.pg.version

@@ -128,12 +128,20 @@ class Query:
     def __post_init__(self) -> None:
         if self.vertex is None:
             raise InvalidInputError("Query needs a query vertex (got None)")
+        try:
+            hash(self.vertex)
+        except TypeError:
+            raise InvalidInputError(
+                f"vertex must be hashable, got {type(self.vertex).__name__}"
+            ) from None
         if self.k is not None:
             if not isinstance(self.k, int) or isinstance(self.k, bool):
                 raise InvalidInputError(f"k must be an int, got {self.k!r}")
             if self.k < 0:
                 raise InvalidInputError(f"k must be non-negative, got {self.k}")
         if self.method is not None:
+            if not isinstance(self.method, str):
+                raise InvalidInputError(f"method must be a string, got {self.method!r}")
             object.__setattr__(self, "method", normalize_method(self.method))
         if self.cohesion is not None:
             # Like `method`: Query("D", cohesion=KCoreCohesion()) equals

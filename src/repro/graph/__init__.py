@@ -2,11 +2,11 @@
 
 Public surface:
 
-* :class:`repro.graph.Graph`, :class:`repro.graph.DiGraph` — containers;
+* :class:`repro.graph.Graph` — the container;
 * core decomposition (:func:`core_numbers`, :func:`connected_k_core`,
   :func:`k_core_within`) — the structure-cohesiveness primitive of PCS;
-* truss / clique / D-core decompositions — alternative cohesion metrics the
-  paper proposes as future work;
+* truss / clique decompositions — alternative cohesion metrics the paper
+  proposes as future work;
 * seeded random generators used by the dataset suite.
 """
 
@@ -25,8 +25,6 @@ from repro.graph.core import (
     k_core_within,
     minimum_degree,
 )
-from repro.graph.dcore import d_core_matrix_sizes, d_core_vertices, d_core_within
-from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     gnp_graph,
     planted_community_graph,
@@ -47,7 +45,6 @@ from repro.graph.truss import (
 
 __all__ = [
     "Graph",
-    "DiGraph",
     "core_numbers",
     "k_core_vertices",
     "k_core_subgraph",
@@ -65,9 +62,6 @@ __all__ = [
     "k_clique_communities",
     "k_clique_community_of",
     "k_clique_within",
-    "d_core_vertices",
-    "d_core_within",
-    "d_core_matrix_sizes",
     "gnp_graph",
     "preferential_attachment_graph",
     "planted_community_graph",

@@ -1,6 +1,7 @@
 """Tests for the unified public query surface (repro.api)."""
 
 import json
+import random
 
 import pytest
 
@@ -23,7 +24,7 @@ from repro.core.search import ALL_METHODS
 from repro.datasets import fig1_profiled_graph, simple_profiled_graph
 from repro.datasets.taxonomies import synthetic_taxonomy
 from repro.engine import CommunityExplorer
-from repro.errors import InvalidInputError, VertexNotFoundError
+from repro.errors import InvalidInputError, ReproError, VertexNotFoundError
 
 
 @pytest.fixture()
@@ -145,6 +146,37 @@ class TestQueryCoercionAndWire:
     def test_from_dict_rejects_legacy_q_key(self):
         with pytest.raises(InvalidInputError, match="unknown Query fields"):
             Query.from_dict({"q": "D", "k": 2})
+
+    def test_from_dict_rejects_junk_field_types(self):
+        for payload in (
+            {"vertex": [], "k": 2},
+            {"vertex": {"a": 1}, "k": 2},
+            {"vertex": "D", "k": 2, "method": 3},
+            {"vertex": "D", "k": 2, "method": ["adv-P"]},
+        ):
+            with pytest.raises(InvalidInputError):
+                Query.from_dict(payload)
+
+    def test_from_dict_fuzz_raises_only_repro_errors(self):
+        rng = random.Random(11)
+        fields = ("vertex", "k", "method", "cohesion", "limit", "min_size", "junk")
+        scalars = [None, True, False, 0, 1, -3, 2**70, 2.5, float("nan"), "", "D",
+                   "adv-P", "BASIC", "k-truss", "k-core", "nope"]
+
+        def value(depth=0):
+            roll = rng.random()
+            if depth < 2 and roll < 0.15:
+                return [value(depth + 1) for _ in range(rng.randrange(3))]
+            if depth < 2 and roll < 0.25:
+                return {rng.choice(fields): value(depth + 1) for _ in range(rng.randrange(3))}
+            return rng.choice(scalars)
+
+        for _ in range(20_000):
+            payload = {f: value() for f in rng.sample(fields, rng.randrange(len(fields)))}
+            try:
+                Query.from_dict(payload)
+            except ReproError:
+                pass
 
     def test_json_round_trip(self):
         q = Query(vertex="D", k=3, method="closed", cohesion="k-truss", limit=4, min_size=2)

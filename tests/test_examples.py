@@ -43,8 +43,9 @@ def test_seminar_planning_runs():
 def test_themed_exploration_runs():
     out = run_example("themed_exploration.py")
     assert "Community detection" in out
+    assert "β-similarity" in out
+    assert "δ-relaxed" in out
     assert "k-truss" in out
-    assert "directed PCS" in out
 
 
 def test_serving_client_runs():

@@ -7,22 +7,26 @@ engine (epoch-based cache invalidation, atomic batches, apply_updates).
 """
 
 import random
+import threading
 
 import pytest
 
 from repro.bench import index_matches_fresh_build
-from repro.core import as_vertex_subtree_map, pcs
-from repro.datasets import fig1_profiled_graph, simple_profiled_graph
+from repro.core import ProfiledGraph, as_vertex_subtree_map, pcs
+from repro.datasets import fig1_profiled_graph, fig1_taxonomy, simple_profiled_graph
 from repro.datasets.taxonomies import synthetic_taxonomy
 from repro.engine import (
     MISSING,
     CommunityExplorer,
     GraphUpdate,
     LRUCache,
+    Query,
     parse_update_text,
 )
 from repro.engine.updates import apply_update
 from repro.errors import InvalidInputError, VertexNotFoundError
+from repro.graph import Graph
+from repro.storage import load_snapshot_bytes, snapshot_bytes
 
 
 @pytest.fixture()
@@ -339,6 +343,111 @@ class TestEngineMutationSafety:
         assert receipt.repaired_labels == 0 and not fig1.has_index()
         ex.explore("D")  # builds lazily, post-edit
         assert fig1.has_index()
+
+
+# ----------------------------------------------------------------------
+# reads that overlap an edit (the write sequence)
+# ----------------------------------------------------------------------
+def triangle_and_pair():
+    """Triangle {0, 1, 2} of ML vertices plus the edge 3–4."""
+    graph = Graph([(0, 1), (1, 2), (2, 0), (3, 4)])
+    profiles = {0: ["ML"], 1: ["ML"], 2: ["ML"], 3: [], 4: ["ML"]}
+    return ProfiledGraph(graph, fig1_taxonomy(), profiles)
+
+
+class PausingTap:
+    """A tap that blocks the first mutator reaching it until released.
+
+    Every tap call sits between a mutator's structural change and its
+    version bump, so a reader that runs while the tap is paused sees the
+    new adjacency under the old version.
+    """
+
+    def __init__(self, pg):
+        self.pg = pg
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.seq_inside = None
+        pg.attach_journal(self)
+
+    def _pause(self, *args):
+        if not self.entered.is_set():
+            self.seq_inside = self.pg.write_seq
+            self.entered.set()
+            assert self.release.wait(10)
+
+    record_edge = record_vertex_added = record_vertex_removed = _pause
+    record_profile_change = mark_all = _pause
+
+
+#: (edit, k) pairs whose edit changes the ``basic`` answer of vertex 0
+#: (add_vertex adds an isolated vertex and changes nothing).
+EDITS = [
+    (("add_edge", 2, 4), 1),
+    (("remove_edge", 0, 1), 2),
+    (("add_vertex", 9, ["ML"]), 1),
+    (("remove_vertex", 2), 1),
+    (("set_profile", 2, ["HW"]), 1),
+]
+
+
+class TestReadsDuringAnEdit:
+    @pytest.mark.parametrize("edit,k", EDITS, ids=[edit[0] for edit, _ in EDITS])
+    def test_basic_read_carries_the_version_it_computed(self, edit, k):
+        def answer(pg):
+            return as_vertex_subtree_map(pcs(pg, 0, k, method="basic"))
+
+        after = triangle_and_pair()
+        assert apply_update(after, GraphUpdate.coerce(edit))
+        expected = {0: answer(triangle_and_pair()), 1: answer(after)}
+
+        pg = triangle_and_pair()
+        explorer = CommunityExplorer(pg)
+        tap = PausingTap(pg)
+        writer = threading.Thread(target=explorer.apply_updates, args=([edit],))
+        writer.start()
+        assert tap.entered.wait(10)
+        served = []
+        query = Query(vertex=0, k=k, method="basic")
+        reader = threading.Thread(target=lambda: served.extend(explorer.serve([query])))
+        reader.start()
+        reader.join(0.2)  # a correct reader waits for the edit to finish
+        tap.release.set()
+        writer.join(10)
+        reader.join(10)
+        assert not writer.is_alive() and not reader.is_alive()
+        (result, _, version), = served
+        assert as_vertex_subtree_map(result) == expected[version]
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda pg: pg.add_edge(2, 4),
+            lambda pg: pg.remove_edge(0, 1),
+            lambda pg: pg.add_vertex(9, ["ML"]),
+            lambda pg: pg.remove_vertex(2),
+            lambda pg: pg.set_profile(2, ["HW"]),
+            lambda pg: pg.mark_index_stale(),
+        ],
+        ids=[
+            "add_edge", "remove_edge", "add_vertex",
+            "remove_vertex", "set_profile", "mark_index_stale",
+        ],
+    )
+    def test_write_seq_is_odd_inside_each_mutator(self, mutate):
+        pg = triangle_and_pair()
+        pg.index()
+        tap = PausingTap(pg)
+        tap.release.set()
+        mutate(pg)
+        assert tap.seq_inside == 1
+        assert pg.write_seq == 2 and pg.version == 1
+
+    def test_snapshot_decoded_graph_starts_even(self):
+        pg = triangle_and_pair()
+        pg.add_edge(2, 4)
+        decoded = load_snapshot_bytes(snapshot_bytes(pg))
+        assert decoded.write_seq == 0 and decoded.version == 1
 
 
 # ----------------------------------------------------------------------

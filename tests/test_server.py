@@ -289,6 +289,16 @@ class TestHandleRequest:
         response, _ = self.call(gateway, "POST", "/query", {"k": 2})
         assert response.status == 400
 
+    def test_junk_field_types_400(self, gateway):
+        for payload in (
+            {"vertex": [], "k": 2},
+            {"vertex": "D", "k": 2, "method": 3},
+            {"vertex": "D", "k": 2, "method": ["adv-P"]},
+        ):
+            response, decoded = self.call(gateway, "POST", "/query", payload)
+            assert response.status == 400, payload
+            assert decoded["error"]["type"] == "invalid_input"
+
     def test_unknown_vertex_404(self, gateway):
         response, decoded = self.call(
             gateway, "POST", "/query", {"vertex": "missing", "k": 2}

@@ -3,27 +3,33 @@
 import pytest
 
 from repro.core import (
+    ALL_METHODS,
     FractionalKCoreCohesion,
     METRIC_VARIANTS,
-    degree_relaxed_pcs,
+    as_vertex_subtree_map,
     keyword_communities,
     maximal_feasible_keyword_sets,
     pcs,
     similarity_filtered_graph,
-    similarity_relaxed_pcs,
     variant_common_nodes,
     variant_common_paths,
     variant_common_subtree,
     variant_similarity,
 )
-from repro.datasets import fig1_profiled_graph
+from repro.datasets import fig1_profiled_graph, load_dataset
 from repro.errors import InvalidInputError
-from repro.graph import Graph, k_core_within
+from repro.graph import Graph, k_core_within, random_queries
 
 
 @pytest.fixture(scope="module")
 def pg():
     return fig1_profiled_graph()
+
+
+@pytest.fixture(scope="module")
+def acmdl_sample():
+    acmdl = load_dataset("acmdl", scale=0.01, seed=3)
+    return acmdl, random_queries(acmdl.graph, 40, 3, seed=3)
 
 
 class TestKeywordCommunities:
@@ -105,12 +111,6 @@ class TestSimilarityRelaxation:
         # B and C have identical profiles
         assert set(filtered.vertices()) == {"B", "C"}
 
-    def test_relaxed_pcs_runs(self, pg):
-        result = similarity_relaxed_pcs(pg, "D", 2, beta=0.3)
-        assert "beta" in result.method
-        for community in result:
-            assert "D" in community.vertices
-
     def test_bad_beta(self, pg):
         with pytest.raises(InvalidInputError):
             similarity_filtered_graph(pg, "D", 2.0)
@@ -122,6 +122,16 @@ class TestDegreeRelaxation:
         got = model.within(pg.graph, pg.graph.vertices(), 2, "D")
         expected = k_core_within(pg.graph, pg.graph.vertices(), 2, q="D")
         assert got == expected
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_delta_one_equals_k_core_on_every_method(self, pg, acmdl_sample, method):
+        strict = FractionalKCoreCohesion(1.0)
+        for graph, queries in ((pg, list(pg.vertices())), acmdl_sample):
+            for k in (1, 2, 3):
+                for q in queries:
+                    expected = pcs(graph, q, k, method=method)
+                    got = pcs(graph, q, k, method=method, cohesion=strict)
+                    assert as_vertex_subtree_map(got) == as_vertex_subtree_map(expected), (q, k)
 
     def test_delta_relaxes(self):
         # path 0-1-2-3: no 2-core, but with delta=0.5 half may have degree 1
@@ -137,7 +147,7 @@ class TestDegreeRelaxation:
 
     def test_relaxed_pcs_superset_of_strict(self, pg):
         strict = pcs(pg, "D", 2, method="incre")
-        relaxed = degree_relaxed_pcs(pg, "D", 2, delta=0.6)
+        relaxed = pcs(pg, "D", 2, method="incre", cohesion=FractionalKCoreCohesion(0.6))
         # every strict community's vertex set is contained in some relaxed one
         for community in strict:
             assert any(
