@@ -64,7 +64,6 @@ MODULES = (
     "repro.subscribe",
     "repro.subscribe.matcher",
     "repro.subscribe.manager",
-    "repro.subscribe.log",
     "repro.lint",
     "repro.lint.findings",
     "repro.lint.suppress",

@@ -104,6 +104,15 @@ class MetricsMiddleware(Middleware):
         return None
 
 
+def _new_explorer(pg: ProfiledGraph, parallel: Optional[int], engine_kwargs: dict):
+    """The engine for a session over ``pg``: in-process, or a fleet of ``parallel``."""
+    if parallel is not None and parallel > 1:
+        from repro.parallel import ParallelExplorer
+
+        return ParallelExplorer(pg, processes=parallel, **engine_kwargs)
+    return CommunityExplorer(pg, **engine_kwargs)
+
+
 class CommunityService:
     """A serving session: explorer + planner + middleware behind one door.
 
@@ -133,8 +142,12 @@ class CommunityService:
         serves the snapshot instead (plus WAL replay), and every
         :meth:`apply_updates` batch is fsync'd to the write-ahead log
         *before* it touches the graph, so a crash loses nothing that was
-        acknowledged. Call :meth:`snapshot` to checkpoint and truncate
-        the log. Requires ``pg`` to be a :class:`ProfiledGraph` or a
+        acknowledged. The session also boots a
+        :class:`~repro.subscribe.SubscriptionManager` as
+        :attr:`subscriptions`: standing queries register through the
+        same log and are checkpointed with the graph. Call
+        :meth:`snapshot` to checkpoint and truncate the log. Requires
+        ``pg`` to be a :class:`ProfiledGraph` or a
         zero-arg factory for one — a factory defers (or skips) seed
         construction when the directory already boots warm, which is how
         a replication replica avoids ever loading the dataset. An
@@ -184,6 +197,16 @@ class CommunityService:
             raise InvalidInputError(f"parallel must be >= 1, got {parallel}")
         self._store: Optional[GraphStore] = None
         self._boot_report: Optional[BootReport] = None
+        #: The session's standing queries: the
+        #: :class:`~repro.subscribe.SubscriptionManager` attached to it
+        #: (a durable session boots its own), or ``None``.
+        self.subscriptions = None
+        engine_kwargs = dict(
+            cache_size=cache_size,
+            default_k=default_k,
+            default_method=default_method,
+            default_cohesion=default_cohesion,
+        )
         if storage_dir is not None:
             if not isinstance(pg, ProfiledGraph) and not callable(pg):
                 raise InvalidInputError(
@@ -192,8 +215,21 @@ class CommunityService:
                     "(boot may replace the graph object)"
                 )
             self._store = GraphStore(storage_dir)
-            pg, self._boot_report = self._store.boot(fallback=pg)
-        if isinstance(pg, CommunityExplorer):
+            # The manager hooks the engine before replay, so replayed batches
+            # re-derive their diffs (repro.subscribe sits above this layer).
+            from repro.subscribe import SubscriptionManager
+
+            try:
+                graph, section = self._store.load(fallback=pg)
+                self._explorer = _new_explorer(graph, parallel, engine_kwargs)
+                manager = SubscriptionManager(self)
+                self._boot_report = self._store.replay(
+                    graph, self._explorer.apply_updates, manager.restore, section
+                )
+            except BaseException:
+                self._store.close()  # a refused boot keeps no file open
+                raise
+        elif isinstance(pg, CommunityExplorer):
             # parallel=1 means "in-process", which any explorer satisfies;
             # otherwise the adopted explorer's fleet width must match.
             fleet = getattr(pg, "processes", None)
@@ -206,20 +242,7 @@ class CommunityService:
                 )
             self._explorer = pg
         elif isinstance(pg, ProfiledGraph):
-            engine_kwargs = dict(
-                cache_size=cache_size,
-                default_k=default_k,
-                default_method=default_method,
-                default_cohesion=default_cohesion,
-            )
-            if parallel is not None and parallel > 1:
-                from repro.parallel import ParallelExplorer
-
-                self._explorer = ParallelExplorer(
-                    pg, processes=parallel, **engine_kwargs
-                )
-            else:
-                self._explorer = CommunityExplorer(pg, **engine_kwargs)
+            self._explorer = _new_explorer(pg, parallel, engine_kwargs)
         else:
             raise InvalidInputError(
                 f"CommunityService needs a ProfiledGraph or CommunityExplorer, "
@@ -398,15 +421,15 @@ class CommunityService:
         """Checkpoint the served graph and truncate the write-ahead log.
 
         Runs under the mutation lock so the snapshot captures a version
-        boundary, never a half-applied batch. Raises
+        boundary, never a half-applied batch; the attached subscriptions'
+        heads ride along as the snapshot's subscription section. Raises
         :class:`InvalidInputError` on a memory-only session.
         """
         if self._store is None:
             raise InvalidInputError("snapshot() needs a storage_dir= session")
         with self._explorer.mutation_lock:
-            return self._store.snapshot(
-                self._explorer.pg, include_index=include_index
-            )
+            heads = () if self.subscriptions is None else self.subscriptions.heads()
+            return self._store.snapshot(self._explorer.pg, include_index, heads)
 
     def warm(self) -> float:
         """Eagerly build the index; returns seconds spent."""

@@ -66,12 +66,20 @@ class Subscription:
     def __post_init__(self) -> None:
         if self.vertex is None:
             raise InvalidInputError("subscription needs a query vertex")
+        try:
+            hash(self.vertex)
+        except TypeError:
+            raise InvalidInputError(
+                f"vertex must be hashable, got {type(self.vertex).__name__}"
+            ) from None
         if self.k is not None:
             if not isinstance(self.k, int) or isinstance(self.k, bool):
                 raise InvalidInputError(f"k must be an int, got {self.k!r}")
             if self.k < 0:
                 raise InvalidInputError(f"k must be non-negative, got {self.k}")
         if self.method is not None:
+            if not isinstance(self.method, str):
+                raise InvalidInputError(f"method must be a string, got {self.method!r}")
             # Normalise the spelling once, at the boundary.
             object.__setattr__(self, "method", normalize_method(self.method))
         if self.cohesion is not None and not isinstance(self.cohesion, str):

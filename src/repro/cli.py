@@ -510,12 +510,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_snapshot(args: argparse.Namespace) -> int:
     """``repro snapshot``: write, verify or compact on-disk snapshots."""
-    from repro.storage import (
-        GraphStore,
-        SnapshotError,
-        save_snapshot,
-        verify_digest,
-    )
+    from repro.storage import SnapshotError, save_snapshot, verify_digest
 
     if args.verify is not None:
         try:
@@ -526,11 +521,13 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
         print(json.dumps({"ok": True, **info.to_dict()}, indent=2))
         return 0
     if args.data_dir is not None:
-        with GraphStore(args.data_dir) as store:
-            info, report = store.compact(fallback=lambda: _load(args))
+        # A durable server's boot (subscriptions included), the index, one checkpoint.
+        with CommunityService(lambda: _load(args), storage_dir=args.data_dir) as service:
+            service.warm()
+            info = service.snapshot()
         print(json.dumps(
-            {"compacted": str(store.snapshot_path),
-             "boot": report.to_dict(), **info.to_dict()},
+            {"compacted": str(service.storage.snapshot_path),
+             "boot": service.boot_report.to_dict(), **info.to_dict()},
             indent=2,
         ))
         return 0
@@ -808,7 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data-dir", dest="data_dir", metavar="DIR",
                     help="compact a storage directory: boot from its "
                          "snapshot+WAL (the dataset args are the cold seed) "
-                         "and fold everything into a fresh snapshot")
+                         "and fold everything, standing subscriptions "
+                         "included, into a fresh snapshot")
     sp.add_argument("--verify", metavar="PATH",
                     help="check an existing snapshot's digest and structure")
     sp.add_argument("--no-index", action="store_true",

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
 import threading
 import time
 from pathlib import Path
@@ -55,7 +54,7 @@ from repro.replication.protocol import (
 from repro.server.app import WriteRedirectError
 from repro.server.coalescer import RequestCoalescer
 from repro.server.gateway import CommunityGateway
-from repro.storage import load_snapshot_bytes
+from repro.storage import load_snapshot_bytes, save_snapshot
 from repro.storage.store import GraphStore, StorageError
 
 __all__ = ["ReplicaGateway", "ReplicationError", "parse_http_url"]
@@ -162,14 +161,15 @@ class ReplicaGateway(CommunityGateway):
         finally:
             conn.close()
 
-    def _install_snapshot(self, raw: bytes) -> None:
-        """Atomically install fetched snapshot bytes as the local store."""
-        load_snapshot_bytes(raw)  # digest + decode check before trusting it
-        self._data_dir.mkdir(parents=True, exist_ok=True)
-        target = self._data_dir / GraphStore.SNAPSHOT_NAME
-        tmp = target.with_name(target.name + ".tmp")
-        tmp.write_bytes(raw)
-        os.replace(tmp, target)
+    def _install_snapshot(self, raw: bytes, subscriptions=()) -> None:
+        """Install fetched snapshot bytes as the local store, atomically.
+
+        The writer's image is re-encoded with this replica's own
+        subscription heads (standing queries are per server) before the
+        old WAL, which held their registrations, is dropped.
+        """
+        pg = load_snapshot_bytes(raw)  # digest + decode check before trusting it
+        save_snapshot(pg, self._data_dir / GraphStore.SNAPSHOT_NAME, subscriptions=subscriptions)
         wal_path = self._data_dir / GraphStore.WAL_NAME
         if wal_path.exists():
             # Anything the old WAL held predates the fresh snapshot;
@@ -197,7 +197,7 @@ class ReplicaGateway(CommunityGateway):
         old_service = self.service
         old_coalescer = self.coalescer
         old_service.close()  # release the store's file handles first
-        self._install_snapshot(raw)
+        self._install_snapshot(raw, self.subscriptions.heads())
         service = CommunityService(
             _no_local_seed, storage_dir=self._data_dir, **self._service_opts
         )
@@ -205,7 +205,8 @@ class ReplicaGateway(CommunityGateway):
         # Standing subscriptions survive the swap: re-hook the new engine
         # and emit one catch-up diff per subscription whose answer moved
         # across the resync (the freshly fetched snapshot may be many
-        # versions ahead of the last evaluated one).
+        # versions ahead of the last evaluated one, and no WAL record
+        # here explains the jump, so catch-up checkpoints the new heads).
         self.subscriptions.rebind(service)
         if old_coalescer is not None:
             self.coalescer = RequestCoalescer(

@@ -63,7 +63,6 @@ __all__ = [
     "DEFAULT_PORT",
     "DEFAULT_MAX_BODY_BYTES",
     "DEFAULT_SSE_KEEPALIVE_SECONDS",
-    "SUBSCRIPTIONS_LOG_NAME",
     "IDEMPOTENCY_CACHE_SIZE",
 ]
 
@@ -76,10 +75,6 @@ DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 #: NAT/proxy timeouts from reaping quiet SSE connections, and bounds how
 #: long a drain waits for a stream handler to notice the shutdown.
 DEFAULT_SSE_KEEPALIVE_SECONDS = 15.0
-
-#: The subscription journal's file name inside a durable data directory,
-#: next to the graph snapshot and WAL.
-SUBSCRIPTIONS_LOG_NAME = "subscriptions.jsonl"
 
 #: Receipts remembered for ``idempotency_key`` deduplication. A retrying
 #: client reuses its key within one connection's retry budget (seconds),
@@ -331,14 +326,11 @@ class CommunityGateway(_ServingRole):
         self._idempotency_lock = threading.Lock()
         self._idempotency_receipts: "OrderedDict[str, UpdateReceipt]" = OrderedDict()
         self.sse_keepalive_seconds = sse_keepalive
-        # Standing queries: durable (journalled next to the graph WAL)
-        # exactly when the service itself is. Registrations replay before
-        # the first request can arrive.
-        storage = getattr(self.service, "storage", None)
-        log_path = (
-            None if storage is None else storage.directory / SUBSCRIPTIONS_LOG_NAME
-        )
-        self.subscriptions = SubscriptionManager(self.service, log_path=log_path)
+        # Standing queries: a durable service booted its own (restored from
+        # its snapshot and WAL); a memory-only one gets a fresh manager.
+        self.subscriptions = self.service.subscriptions
+        if self.subscriptions is None:
+            self.subscriptions = SubscriptionManager(self.service)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -374,7 +366,8 @@ class CommunityGateway(_ServingRole):
             self.coalescer.close(timeout=None if drain else 0.0)
         # End SSE streams *before* joining handler threads (they block in
         # consumer waits, not socket reads), but keep the update hook
-        # attached so writes still in flight journal their diffs.
+        # attached so writes still in flight produce their diffs before
+        # the checkpoint captures the heads.
         self.subscriptions.disconnect_consumers()
         self._join_handlers()
         self._checkpoint_or_warn(drain)
@@ -388,11 +381,7 @@ class CommunityGateway(_ServingRole):
         version = self.service.pg.version
         if storage is not None:
             if drain:
-                self.service.snapshot()
-                # The graph checkpoint folded the WAL; collapse the
-                # subscription journal to one snapshot entry per standing
-                # query the same way.
-                self.subscriptions.compact_log()
+                self.service.snapshot()  # graph + subscription heads, WAL folded
             return  # no drain: the WAL already holds every applied batch
         if version != self._version_at_start:
             print(

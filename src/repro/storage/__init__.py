@@ -13,12 +13,13 @@ This package is the persistence layer that fixes both:
   a warm boot is a large multiple faster than a cold build;
 * :mod:`repro.storage.wal` — an append-only, fsync'd write-ahead log of
   :class:`~repro.engine.updates.GraphUpdate` batches, tagged with the
-  graph version each batch produces *before* the in-memory apply;
+  graph version each batch produces *before* the in-memory apply, and of
+  the zero-advance records that register or drop standing subscriptions;
   :func:`~repro.storage.wal.preview_updates` computes that tag (and
   validates the batch) without touching the graph;
 * :mod:`repro.storage.store` — :class:`~repro.storage.store.GraphStore`,
   the snapshot + WAL lifecycle in one directory: boot (snapshot or cold
-  seed, then replay), checkpoint (snapshot then truncate), compact.
+  seed, then replay), checkpoint (snapshot then truncate).
 
 Front doors: ``repro serve --data-dir DIR`` (replay-on-boot,
 snapshot-on-drain), ``repro snapshot`` (write/inspect/verify/compact
@@ -35,6 +36,7 @@ from repro.storage.snapshot import (
     SnapshotVersionError,
     decode_payload,
     encode_payload,
+    load_checkpoint,
     load_snapshot,
     load_snapshot_bytes,
     save_snapshot,
@@ -65,6 +67,7 @@ __all__ = [
     "snapshot_bytes",
     "load_snapshot",
     "load_snapshot_bytes",
+    "load_checkpoint",
     "verify_digest",
     "WalRecord",
     "WalCursor",

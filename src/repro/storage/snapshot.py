@@ -16,9 +16,10 @@ Layout (version 1, little-endian throughout)::
     version  u16       format version; loaders refuse versions they
                        don't know (bump it on any byte-level change)
     flags    u16       bit 0: an index section follows the graph section
+                       bit 1: a subscription section comes last
     digest   32 bytes  SHA-256 over the payload bytes
     length   u64       payload length in bytes
-    payload  ...       graph section [+ index section]
+    payload  ...       graph section [+ index section] [+ subscriptions]
 
 The payload interns vertices: the vertex table lists every vertex once in
 a canonical order (ints ascending, then strings ascending), and every
@@ -30,6 +31,13 @@ identical snapshots regardless of Python hash randomisation — which is
 what makes the SHA-256 digest meaningful and lets CI pin a golden file
 (``tests/data/snapshot_v1.bin``) against silent format drift.
 
+The subscription section is a durable server's standing queries at the
+checkpoint: a u32 byte length, then one compact JSON array with an entry
+per subscription (the :mod:`repro.subscribe` registration entry that
+carries its head — plain JSON this package does not interpret). A
+checkpoint with no live subscription writes neither the flag nor the
+section, so its bytes are exactly those of a graph-only snapshot.
+
 The same image (:func:`snapshot_bytes` / :func:`load_snapshot_bytes`) is
 what crosses every process boundary — replica bootstrap over HTTP and
 worker bootstrap in :mod:`repro.parallel` — so no two serialisation paths
@@ -39,13 +47,14 @@ can disagree on graph semantics.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import struct
 import sys
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.profiled_graph import ProfiledGraph
 from repro.errors import InvalidInputError, ReproError
@@ -65,6 +74,8 @@ MAGIC = b"REPROSNP"
 FORMAT_VERSION = 1
 #: Header flag: the payload carries an index section after the graph.
 FLAG_HAS_INDEX = 1
+#: Header flag: the payload ends with a subscription section.
+FLAG_HAS_SUBSCRIPTIONS = 2
 
 _HEADER = struct.Struct("<8sHH32sQ")
 #: Sentinel parent index marking a CL-tree root in the index section.
@@ -335,12 +346,15 @@ def _encode_index(w: _Writer, index: CPTree, intern: Dict[Vertex, int]) -> None:
             w.u32_array(anchored)
 
 
-def encode_payload(pg: ProfiledGraph, index: Optional[CPTree] = None) -> bytes:
-    """Serialise ``pg`` (and optionally its CP-tree) to canonical bytes.
+def encode_payload(
+    pg: ProfiledGraph, index: Optional[CPTree] = None, subscriptions: Sequence[dict] = ()
+) -> bytes:
+    """Serialise ``pg`` (optionally its CP-tree and subscription heads).
 
     The header-free building block: :func:`snapshot_bytes` wraps the
     result in the magic/version/digest header. Equal graph states always
-    encode to equal bytes (sections are emitted in canonical sorted order).
+    encode to equal bytes (sections are emitted in canonical sorted order;
+    the caller orders ``subscriptions``).
     """
     w = _Writer()
     order = _canonical_vertices(pg)
@@ -351,20 +365,40 @@ def encode_payload(pg: ProfiledGraph, index: Optional[CPTree] = None) -> bytes:
     if index is not None:
         intern = {v: i for i, v in enumerate(order)}
         _encode_index(w, index, intern)
+    if subscriptions:
+        raw = json.dumps(list(subscriptions), sort_keys=True, separators=(",", ":")).encode()
+        w.u32(len(raw))
+        w.buf += raw
     return bytes(w.buf)
 
 
-def decode_payload(data: bytes, has_index: Optional[bool] = None) -> ProfiledGraph:
+def _decode_subscriptions(r: _Reader) -> Tuple[dict, ...]:
+    raw = r._take(r.u32())
+    try:
+        entries = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise SnapshotCorruptError(f"subscription section is not JSON: {exc}") from None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise SnapshotCorruptError("subscription section is not a list of entries")
+    return tuple(entries)
+
+
+def decode_payload(
+    data: bytes, has_index: Optional[bool] = None, has_subscriptions: bool = False
+) -> Tuple[ProfiledGraph, Tuple[dict, ...]]:
     """Rebuild a profiled graph (and installed index) from payload bytes.
 
-    The inverse of :func:`encode_payload`. ``has_index`` forces the index
-    section to be present/absent; ``None`` (default) reads it when there
-    are bytes left after the graph section. The returned graph carries the
-    snapshot's ``version``; when an index section is present the CP-tree is
-    reassembled via :meth:`~repro.index.cltree.CLTree.from_arrays` +
+    The inverse of :func:`encode_payload`: returns the graph and the
+    subscription section's entries (empty unless ``has_subscriptions``).
+    ``has_index`` forces the index section to be present/absent; ``None``
+    (default) reads it when there are bytes left after the graph section.
+    The returned graph carries the snapshot's ``version``; when an index
+    section is present the CP-tree is reassembled via
+    :meth:`~repro.index.cltree.CLTree.from_arrays` +
     :meth:`~repro.index.cptree.CPTree.from_parts` and installed without
-    re-peeling a single core. Bytes that do not describe a valid graph and
-    index raise :class:`SnapshotCorruptError`, even under a valid digest.
+    re-peeling a single core. Bytes that do not describe a valid graph,
+    index and section raise :class:`SnapshotCorruptError`, even under a
+    valid digest.
     """
     r = _Reader(data)
     graph_version = r.u64()
@@ -489,11 +523,12 @@ def decode_payload(data: bytes, has_index: Optional[bool] = None) -> ProfiledGra
                 f"index section does not match the graph: {exc}"
             ) from exc
         pg.adopt_index(index)
+    subscriptions = _decode_subscriptions(r) if has_subscriptions else ()
     if not r.done():
         raise SnapshotCorruptError(
             f"{len(data) - r.pos} trailing bytes after the last section"
         )
-    return pg
+    return pg, subscriptions
 
 
 # ----------------------------------------------------------------------
@@ -536,7 +571,7 @@ def _info(version: int, flags: int, digest: bytes, payload: bytes) -> SnapshotIn
         # The label count is the first u32 of the index section; locating
         # it needs a full skip of the graph section, so decode lazily only
         # here (info/verify paths, not the hot load path).
-        pg = decode_payload(payload)
+        pg, _ = _decode_file(flags, payload)
         index_labels = pg.index().num_labels if pg.has_index() else 0
     return SnapshotInfo(
         format_version=version,
@@ -565,17 +600,19 @@ def _fsync_directory(path: Path) -> None:
 
 
 def save_snapshot(
-    pg: ProfiledGraph, path: PathLike, include_index: bool = True
+    pg: ProfiledGraph, path: PathLike, include_index: bool = True,
+    subscriptions: Sequence[dict] = (),
 ) -> SnapshotInfo:
     """Write ``pg`` to ``path`` atomically; returns the snapshot's info.
 
     With ``include_index`` (default) and a built CP-tree, the index is
     persisted too (every edit was patched into it as it landed, so it is
-    current). The bytes land in a same-directory temp file, are fsync'd,
+    current); non-empty ``subscriptions`` become the subscription
+    section. The bytes land in a same-directory temp file, are fsync'd,
     and are renamed over ``path``, so a crash mid-save leaves the previous
     snapshot intact.
     """
-    raw = snapshot_bytes(pg, include_index=include_index)
+    raw = snapshot_bytes(pg, include_index=include_index, subscriptions=subscriptions)
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(target.name + ".tmp")
@@ -589,18 +626,36 @@ def save_snapshot(
     return _info(FORMAT_VERSION, flags, digest, payload)
 
 
-def snapshot_bytes(pg: ProfiledGraph, include_index: bool = True) -> bytes:
+def snapshot_bytes(
+    pg: ProfiledGraph, include_index: bool = True, subscriptions: Sequence[dict] = ()
+) -> bytes:
     """The complete snapshot file image (header + payload) as bytes.
 
     Exactly what :func:`save_snapshot` writes, without touching disk —
     the replication writer ships this over HTTP and the worker pool as a
-    process initializer argument, so a replica's on-disk boot file and
-    both wire forms are the same bytes by construction.
+    process initializer argument (both graph-only), so a replica's
+    on-disk boot file and both wire forms are the same bytes by
+    construction.
     """
     index = pg.index() if (include_index and pg.has_index()) else None
-    payload = encode_payload(pg, index=index)
+    payload = encode_payload(pg, index=index, subscriptions=subscriptions)
     flags = FLAG_HAS_INDEX if index is not None else 0
+    if subscriptions:
+        flags |= FLAG_HAS_SUBSCRIPTIONS
     return _pack_header(flags, payload) + payload
+
+
+def _decode_file(flags: int, payload: bytes) -> Tuple[ProfiledGraph, Tuple[dict, ...]]:
+    return decode_payload(
+        payload, bool(flags & FLAG_HAS_INDEX), bool(flags & FLAG_HAS_SUBSCRIPTIONS)
+    )
+
+
+def _load(raw: bytes, path: PathLike, verify: bool) -> Tuple[ProfiledGraph, Tuple[dict, ...]]:
+    _, flags, digest, payload = _split_file(raw, path)
+    if verify and hashlib.sha256(payload).digest() != digest:
+        raise SnapshotCorruptError(f"{path}: payload does not match its digest")
+    return _decode_file(flags, payload)
 
 
 def load_snapshot_bytes(raw: bytes, verify: bool = True) -> ProfiledGraph:
@@ -611,10 +666,7 @@ def load_snapshot_bytes(raw: bytes, verify: bool = True) -> ProfiledGraph:
     the SHA-256 digest. Used by replicas bootstrapping from a shipped
     snapshot before any bytes reach their own disk, and by pool workers.
     """
-    _, flags, digest, payload = _split_file(raw, "<memory>")
-    if verify and hashlib.sha256(payload).digest() != digest:
-        raise SnapshotCorruptError("snapshot bytes do not match their digest")
-    return decode_payload(payload, has_index=bool(flags & FLAG_HAS_INDEX))
+    return _load(raw, "<memory>", verify)[0]
 
 
 def load_snapshot(path: PathLike, verify: bool = True) -> ProfiledGraph:
@@ -627,11 +679,19 @@ def load_snapshot(path: PathLike, verify: bool = True) -> ProfiledGraph:
     ``version`` and — when the snapshot has an index section — a fully
     reassembled CP-tree, so the first query pays no index build.
     """
-    raw = Path(path).read_bytes()
-    _, flags, digest, payload = _split_file(raw, path)
-    if verify and hashlib.sha256(payload).digest() != digest:
-        raise SnapshotCorruptError(f"{path}: payload does not match its digest")
-    return decode_payload(payload, has_index=bool(flags & FLAG_HAS_INDEX))
+    return load_checkpoint(path, verify)[0]
+
+
+def load_checkpoint(
+    path: PathLike, verify: bool = True
+) -> Tuple[ProfiledGraph, Tuple[dict, ...]]:
+    """:func:`load_snapshot` plus the subscription section's entries.
+
+    The entries come back as the JSON objects they were written as (an
+    empty tuple when the snapshot has no section); a section that is not
+    a JSON list of objects raises :class:`SnapshotCorruptError`.
+    """
+    return _load(Path(path).read_bytes(), path, verify)
 
 
 def verify_digest(path: PathLike) -> SnapshotInfo:

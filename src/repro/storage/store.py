@@ -2,23 +2,22 @@
 
 A :class:`GraphStore` owns two files inside its directory::
 
-    snapshot.bin   the last full checkpoint (graph + index, digest-verified)
-    wal.log        every update batch applied since that checkpoint
+    snapshot.bin   the last full checkpoint (graph + index, digest-verified,
+                   plus the standing subscriptions' heads when there are any)
+    wal.log        every update batch and subscription registration since
 
-Boot order (:meth:`GraphStore.boot`): load the snapshot if one exists —
-a warm start that skips both dataset construction and the index build —
-otherwise fall back to the caller's cold seed; then replay the WAL on
-top, landing on the exact version the previous process last acknowledged.
-The cold-seed path makes WAL-only persistence work too: as long as the
-seed is deterministic (version 0), the log replays from the beginning.
+Boot is two steps: :meth:`GraphStore.load` reads the snapshot — a warm
+start that skips both dataset construction and the index build — or
+else takes the caller's cold seed (deterministic, version 0, so the log
+replays from the beginning); the serving engine is built on that graph;
+then :meth:`GraphStore.replay` runs the WAL through it, landing on the
+exact version the previous process last acknowledged.
 
 Checkpointing (:meth:`GraphStore.snapshot`) writes the new snapshot
 atomically *first* and truncates the WAL *second*; a crash between the
-two steps is harmless because replay skips records whose ``version`` is
-already covered by the snapshot. :meth:`GraphStore.compact` is the
-offline flavour: boot from the files, fold the log into a fresh
-snapshot, leave an empty WAL — run it from ``repro snapshot --compact``
-to bound log growth without a serving process.
+two steps is harmless because replay skips batches whose ``version`` is
+already covered by the snapshot, and subscription entries restore
+idempotently.
 """
 
 from __future__ import annotations
@@ -26,11 +25,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from repro.core.profiled_graph import ProfiledGraph
 from repro.errors import ReproError
-from repro.storage.snapshot import SnapshotInfo, load_snapshot, save_snapshot
+from repro.storage.snapshot import (
+    SnapshotCorruptError, SnapshotInfo, load_checkpoint, save_snapshot,
+)
 from repro.storage.wal import WriteAheadLog
 
 PathLike = Union[str, Path]
@@ -44,7 +45,7 @@ class StorageError(ReproError):
 
 @dataclass(frozen=True)
 class BootReport:
-    """How a :meth:`GraphStore.boot` produced its graph."""
+    """How a boot (:meth:`GraphStore.load` + :meth:`GraphStore.replay`) produced its graph."""
 
     #: ``"snapshot"`` (warm start) or ``"cold"`` (seed + full replay).
     source: str
@@ -108,62 +109,72 @@ class GraphStore:
         return self.snapshot_path.exists()
 
     # -- lifecycle -----------------------------------------------------
-    def boot(self, fallback: Optional[Fallback] = None) -> Tuple[ProfiledGraph, BootReport]:
-        """Produce the current graph: snapshot (or seed) + WAL replay.
+    def load(self, fallback: Optional[Fallback] = None) -> Tuple[ProfiledGraph, Tuple[dict, ...]]:
+        """Boot, step one: the snapshot's graph and subscription section.
 
-        ``fallback`` supplies the cold seed when no snapshot exists — a
-        ready :class:`ProfiledGraph` or a zero-argument factory (use a
-        factory when building the seed is expensive; it is only invoked
-        on the cold path). Raises :class:`StorageError` when there is
-        neither a snapshot nor a fallback.
+        Without a snapshot: ``fallback``, the cold seed (a graph or a
+        zero-argument factory, only invoked on this path), and no
+        section; :class:`StorageError` if there is none. Then :meth:`replay`.
         """
-        start = time.perf_counter()
-        snapshot_version: Optional[int] = None
+        self._boot_started = time.perf_counter()
+        self._boot_snapshot_version = None
         if self.has_snapshot():
-            pg = load_snapshot(self.snapshot_path)
-            snapshot_version = pg.version
-            source = "snapshot"
-        elif fallback is not None:
-            pg = fallback() if callable(fallback) else fallback
-            source = "cold"
-        else:
-            raise StorageError(
-                f"{self._dir}: no snapshot on disk and no cold seed supplied"
-            )
-        replayed = self._wal.replay_into(pg)
-        report = BootReport(
-            source=source,
-            snapshot_version=snapshot_version,
+            pg, subscriptions = load_checkpoint(self.snapshot_path)
+            self._boot_snapshot_version = pg.version
+            return pg, subscriptions
+        if fallback is not None:
+            return (fallback() if callable(fallback) else fallback), ()
+        raise StorageError(
+            f"{self._dir}: no snapshot on disk and no cold seed supplied"
+        )
+
+    def replay(
+        self, pg: ProfiledGraph, apply: Optional[Callable] = None,
+        restore: Optional[Callable[[dict], None]] = None, section: Sequence[dict] = (),
+    ) -> BootReport:
+        """Boot, step two: :meth:`load`'s ``section`` to ``restore``, then the WAL.
+
+        A section entry ``restore`` refuses is :class:`SnapshotCorruptError`;
+        ``apply`` and ``restore`` then feed
+        :meth:`~repro.storage.wal.WriteAheadLog.replay_into`.
+        """
+        for entry in section:
+            try:
+                restore(entry)
+            except ReproError as exc:
+                raise SnapshotCorruptError(
+                    f"{self.snapshot_path}: malformed subscription entry: {exc}"
+                ) from exc
+        replayed = self._wal.replay_into(pg, apply, restore)
+        return BootReport(
+            source="cold" if self._boot_snapshot_version is None else "snapshot",
+            snapshot_version=self._boot_snapshot_version,
             replayed_records=replayed,
             wal_dropped_bytes=self._wal.dropped_bytes,
             graph_version=pg.version,
             index_loaded=pg.has_index(),
-            seconds=time.perf_counter() - start,
+            seconds=time.perf_counter() - self._boot_started,
         )
-        return pg, report
 
-    def snapshot(self, pg: ProfiledGraph, include_index: bool = True) -> SnapshotInfo:
+    def boot(self, fallback: Optional[Fallback] = None) -> Tuple[ProfiledGraph, BootReport]:
+        """:meth:`load` then :meth:`replay`, graph only: the current graph."""
+        pg, _ = self.load(fallback)
+        return pg, self.replay(pg)
+
+    def snapshot(
+        self, pg: ProfiledGraph, include_index: bool = True, subscriptions: Sequence[dict] = ()
+    ) -> SnapshotInfo:
         """Checkpoint ``pg`` and truncate the WAL (crash-safe in that order).
 
-        The snapshot rename is atomic; only after it lands is the log
-        cleared. A crash in between leaves snapshot + stale log, which
-        boot resolves by skipping records the snapshot already covers.
+        ``subscriptions`` are the standing queries' heads, written as the
+        snapshot's subscription section. The snapshot rename is atomic;
+        only after it lands is the log cleared. A crash in between leaves
+        snapshot + stale log, which boot resolves by skipping batches the
+        snapshot already covers.
         """
-        info = save_snapshot(pg, self.snapshot_path, include_index=include_index)
+        info = save_snapshot(pg, self.snapshot_path, include_index, subscriptions)
         self._wal.truncate()
         return info
-
-    def compact(self, fallback: Optional[Fallback] = None) -> Tuple[SnapshotInfo, BootReport]:
-        """Fold the WAL into a fresh snapshot without a serving process.
-
-        Boots from the files (plus optional cold ``fallback``), builds
-        the index if the boot didn't come up warm (so the checkpoint is
-        maximally useful), then checkpoints and truncates. Returns the
-        new snapshot's info and the boot report it was built from.
-        """
-        pg, report = self.boot(fallback)
-        pg.index()
-        return self.snapshot(pg), report
 
     def close(self) -> None:
         """Release the WAL file handle."""

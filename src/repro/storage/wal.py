@@ -20,14 +20,20 @@ Record framing (little-endian)::
     length  u32   byte length of the JSON payload
     crc32   u32   zlib.crc32 of the payload bytes
     payload       {"base": int, "version": int, "updates": [...]}
+                  or {"base": v, "version": v, "updates": [], "subscription": {...}}
 
 ``base`` is the graph version the batch was applied at and ``version``
 the version it produced; replay uses them to skip records already folded
-into a snapshot and to refuse gaps. A crash can tear the final frame;
-opening the log detects the torn tail (short frame or CRC mismatch) and
-truncates it — every complete record before it was fsync'd and is safe.
-A bad frame with valid frames after it is corruption, not a tail, and
-opening raises :class:`WalCorruptError` without touching the file.
+into a snapshot and to refuse gaps. The second shape is a *zero-advance*
+record: a standing subscription registered or dropped at version ``v``,
+as plain JSON this package does not interpret, so batches and
+registrations share one ordered, fsync'd history.
+
+A crash can tear the final frame; opening the log detects the torn tail
+(short frame or CRC mismatch) and truncates it — every complete record
+before it was fsync'd and is safe. A bad frame with valid frames after
+it is corruption, not a tail, and opening raises
+:class:`WalCorruptError` without touching the file.
 """
 
 from __future__ import annotations
@@ -144,12 +150,13 @@ class WalReplayError(WalError):
 
 
 class WalRecord:
-    """One logged batch: the updates plus its version bracket."""
+    """One logged batch, or one subscription entry, plus its version bracket."""
 
-    __slots__ = ("base", "version", "updates")
+    __slots__ = ("base", "version", "updates", "subscription")
 
     def __init__(
-        self, base: int, version: int, updates: Sequence[GraphUpdate]
+        self, base: int, version: int, updates: Sequence[GraphUpdate],
+        subscription: Optional[dict] = None,
     ) -> None:
         #: Graph version the batch was applied at.
         self.base = base
@@ -159,14 +166,19 @@ class WalRecord:
         self.updates: Tuple[GraphUpdate, ...] = tuple(
             GraphUpdate.coerce(u) for u in updates
         )
+        #: A zero-advance record's subscription entry (``None`` on a batch).
+        self.subscription = subscription
 
     def to_payload(self) -> dict:
         """The JSON object framed on disk."""
-        return {
+        payload = {
             "base": self.base,
             "version": self.version,
             "updates": [u.to_dict() for u in self.updates],
         }
+        if self.subscription is not None:
+            payload["subscription"] = self.subscription
+        return payload
 
     @classmethod
     def from_payload(cls, obj: object) -> "WalRecord":
@@ -178,7 +190,12 @@ class WalRecord:
             or not isinstance(obj.get("updates"), list)
         ):
             raise WalCorruptError(f"malformed WAL payload: {obj!r}")
-        return cls(obj["base"], obj["version"], obj["updates"])
+        subscription = obj.get("subscription")
+        if subscription is not None and (
+            not isinstance(subscription, dict) or obj["updates"] or obj["base"] != obj["version"]
+        ):
+            raise WalCorruptError(f"malformed subscription record: {obj!r}")
+        return cls(obj["base"], obj["version"], obj["updates"], subscription)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -404,21 +421,28 @@ class WriteAheadLog:
         brackets that don't extend the log (a gap here would make the
         record unreplayable).
         """
+        return self._append(WalRecord(base, version, updates))
+
+    def append_subscription(self, version: int, entry: dict) -> WalRecord:
+        """Frame, append and fsync one zero-advance record carrying ``entry``,
+        a subscription (un)registration at graph ``version`` as plain JSON."""
+        return self._append(WalRecord(version, version, (), entry))
+
+    def _append(self, record: WalRecord) -> WalRecord:
         if self._fh.closed:
             raise WalError(f"{self._path}: log is closed")
-        if version < base:
-            raise WalError(f"record version {version} precedes its base {base}")
-        if self._last_version is not None and base < self._last_version:
+        if record.version < record.base:
+            raise WalError(f"record version {record.version} precedes its base {record.base}")
+        if self._last_version is not None and record.base < self._last_version:
             raise WalError(
-                f"record base {base} precedes the log tail "
+                f"record base {record.base} precedes the log tail "
                 f"(last logged version {self._last_version})"
             )
-        record = WalRecord(base, version, updates)
         self._fh.write(pack_frame(record.to_payload()))
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self._num_records += 1
-        self._last_version = version
+        self._last_version = record.version
         with self._change:
             self._change.notify_all()
         return record
@@ -453,7 +477,12 @@ class WriteAheadLog:
         self._fh.flush()
         return self._read_from(0)[0]
 
-    def replay_into(self, pg: ProfiledGraph) -> int:
+    def replay_into(
+        self,
+        pg: ProfiledGraph,
+        apply: Optional[Callable[[Sequence[GraphUpdate]], object]] = None,
+        restore: Optional[Callable[[dict], None]] = None,
+    ) -> int:
         """Re-apply logged batches onto ``pg``; returns batches applied.
 
         Records with ``version <= pg.version`` are already reflected in
@@ -463,24 +492,37 @@ class WriteAheadLog:
         disagree, and replay raises :class:`WalReplayError` rather than
         guess. After replay the graph sits at the last record's
         ``version``: the exact pre-crash state.
+
+        ``apply(updates)`` applies one batch to ``pg`` (default: straight
+        onto the graph; a serving engine passes its update path).
+        Subscription records go to ``restore`` (default: skipped) only at
+        the graph's current version: older ones are in the snapshot's
+        section already, and one at exactly its version may sit on both
+        sides of a checkpoint whose truncate crashed, so ``restore`` must
+        be idempotent by subscription id.
         """
         applied = 0
         for number, record in enumerate(self.records(), start=1):
-            if record.version <= pg.version:
-                continue
-            if record.base != pg.version:
-                raise WalReplayError(
-                    f"{self._path}: record {number} applies at version "
-                    f"{record.base} but the graph is at {pg.version}"
-                )
-            for update in record.updates:
-                apply_update(pg, update)
-            if pg.version != record.version:
-                raise WalReplayError(
-                    f"{self._path}: record {number} promised version "
-                    f"{record.version} but replay produced {pg.version}"
-                )
-            applied += 1
+            if record.subscription is not None and record.version == pg.version:
+                if restore is not None:
+                    restore(record.subscription)
+            elif record.version > pg.version:
+                if record.base != pg.version:
+                    raise WalReplayError(
+                        f"{self._path}: record {number} applies at version "
+                        f"{record.base} but the graph is at {pg.version}"
+                    )
+                if apply is None:
+                    for update in record.updates:
+                        apply_update(pg, update)
+                else:
+                    apply(record.updates)
+                if pg.version != record.version:
+                    raise WalReplayError(
+                        f"{self._path}: record {number} promised version "
+                        f"{record.version} but replay produced {pg.version}"
+                    )
+                applied += 1
         return applied
 
     # -- tail following (replication stream source) --------------------

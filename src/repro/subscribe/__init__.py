@@ -23,7 +23,6 @@ resume) on every gateway role.
 """
 
 from repro.api.subscription import CommunityDiff, Subscription
-from repro.subscribe.log import SubscriptionLog, SubscriptionLogError
 from repro.subscribe.manager import (
     DEFAULT_EVENT_LOG_SIZE,
     SubscriptionManager,
@@ -34,8 +33,6 @@ from repro.subscribe.matcher import SubscriptionMatcher
 __all__ = [
     "CommunityDiff",
     "Subscription",
-    "SubscriptionLog",
-    "SubscriptionLogError",
     "SubscriptionManager",
     "SubscriptionMatcher",
     "SubscriptionNotFoundError",

@@ -15,8 +15,8 @@ the graph provably sits at the receipt's version — it:
    methods like ``incre`` apply exactly as they do for one-shot queries);
 3. computes joined/left member diffs against each subscription's last
    answer, assigns per-subscription monotonic event ids, appends the
-   diffs to the durable journal (when configured) and to the
-   subscription's retained event window, and wakes every blocked reader.
+   diffs to the subscription's retained event window, and wakes every
+   blocked reader.
 
 Because the hook runs synchronously under the mutation lock, a published
 :class:`~repro.api.subscription.CommunityDiff` tagged ``graph_version=v``
@@ -34,11 +34,18 @@ distance behind gets the diffs it missed or, once its cursor has fallen
 out of the window, one ``reset`` snapshot diff — a gap is never silent
 and memory stays bounded by the window.
 
+Durability rides the service's own WAL and snapshot (:mod:`repro.storage`):
+on a ``storage_dir=`` session, registering and unregistering append one
+zero-advance WAL record each, and a checkpoint writes every subscription's
+head into the snapshot. Diffs are never logged — a diff tagged ``v`` is a
+function of the graph history and the registrations, so boot re-derives
+each one by replaying the WAL's batches with this manager's hook attached.
+
 Lock ordering: the engine mutation lock is always taken *before* the
-manager lock (registration and catch-up take both in that order; the
-update hook already holds the mutation lock). Readers take only the
-manager lock. This ordering is what makes synchronous evaluation
-deadlock-free.
+manager lock (registration, unregistration and catch-up take both in
+that order; the update hook already holds the mutation lock). Readers
+take only the manager lock. This ordering is what makes synchronous
+evaluation deadlock-free.
 """
 
 from __future__ import annotations
@@ -50,7 +57,6 @@ from typing import Deque, Dict, FrozenSet, Hashable, List, Optional, Tuple
 from repro.api.subscription import CommunityDiff, Subscription
 from repro.errors import InvalidInputError, ReproError, VertexNotFoundError
 from repro.index.maintenance import BatchDamage
-from repro.subscribe.log import SubscriptionLog
 from repro.subscribe.matcher import SubscriptionMatcher
 
 __all__ = [
@@ -106,12 +112,11 @@ class _SubscriptionState:
             reset=True,
         )
 
-    def register_entry(self) -> dict:
-        """The journal entry that restores this subscription at its head."""
+    def durable_entry(self) -> dict:
+        """The WAL registration / snapshot-section entry: the subscription at its head."""
         return {
-            "op": "register",
             "subscription": self.sub.to_dict(),
-            "snapshot": self.head_snapshot().to_dict(),
+            "head": self.head_snapshot().to_dict(),
         }
 
 
@@ -122,11 +127,9 @@ class SubscriptionManager:
     ----------
     service:
         The :class:`~repro.api.service.CommunityService` whose engine this
-        manager hooks. Swappable later via :meth:`rebind` (replica resync).
-    log_path:
-        Optional path of the durable subscription journal. When given,
-        existing entries are replayed on construction and every
-        registration/diff is fsync'd as it happens.
+        manager hooks; the manager becomes its ``subscriptions``.
+        Swappable later via :meth:`rebind` (replica resync). On a durable
+        service every registration is logged to the service's WAL.
     event_log_size:
         Diffs retained per subscription (see :data:`DEFAULT_EVENT_LOG_SIZE`).
     """
@@ -134,7 +137,6 @@ class SubscriptionManager:
     def __init__(
         self,
         service,
-        log_path=None,
         event_log_size: int = DEFAULT_EVENT_LOG_SIZE,
     ) -> None:
         self._service = service
@@ -153,20 +155,7 @@ class SubscriptionManager:
         self._hook_errors = 0
         self._last_error: Optional[str] = None
         self._last_batch: Dict[str, int] = {"subscriptions": 0, "reevaluated": 0}
-        self._log: Optional[SubscriptionLog] = None
-        replayed = False
-        if log_path is not None:
-            for entry in SubscriptionLog.iter_entries(log_path):
-                self._replay_entry_locked(entry)
-                replayed = True
-            self._log = SubscriptionLog(log_path)
         self.attach(service)
-        if replayed:
-            # The graph may have booted past the last persisted diff (the
-            # WAL replays without hooks attached): emit one catch-up diff
-            # per subscription whose answer moved, so a resuming client
-            # lands at the booted version with no gap.
-            self.catch_up()
 
     # ------------------------------------------------------------------
     # engine hook lifecycle
@@ -176,9 +165,11 @@ class SubscriptionManager:
         return self._service
 
     def attach(self, service) -> None:
-        """Hook ``service``'s engine; detaches from any previous one."""
+        """Hook ``service``'s engine (detaching from any previous one) and
+        become its ``subscriptions``."""
         self.detach()
         self._service = service
+        service.subscriptions = self
         service.explorer.add_update_hook(self._on_updates)
         self._attached = service.explorer
 
@@ -193,8 +184,11 @@ class SubscriptionManager:
 
         Registered subscriptions and their event histories survive; each
         is re-evaluated against the new service's graph and a catch-up
-        diff is emitted where the answer moved.
+        diff is emitted where the answer moved. This manager replaces the
+        one the new service booted with, since it holds the live windows.
         """
+        if service.subscriptions is not None:
+            service.subscriptions.close()
         self.attach(service)
         self.catch_up()
 
@@ -204,9 +198,9 @@ class SubscriptionManager:
         The first half of the gateway's drain: handler threads blocked in
         :meth:`poll` (long-polls and streams alike) wake and return, so
         the HTTP server can join them — while the update hook stays
-        attached, so writes still in flight keep journalling their diffs
-        (an acknowledged update must imply diffs on disk even mid-drain).
-        Later reads return what the window holds and never block.
+        attached, so writes still in flight keep producing their diffs
+        (and the drain's checkpoint captures them). Later reads return
+        what the window holds and never block.
         """
         with self._cond:
             self._draining = True
@@ -219,14 +213,14 @@ class SubscriptionManager:
             return self._draining
 
     def close(self) -> None:
-        """Stop serving: wake every blocked reader, drop the hook."""
+        """Stop serving: wake every blocked reader, drop the hook, leave the service."""
         self.detach()
+        if self._service.subscriptions is self:
+            self._service.subscriptions = None
         with self._cond:
             self._closed = True
             self._draining = True
             self._cond.notify_all()
-        if self._log is not None:
-            self._log.close()
 
     # ------------------------------------------------------------------
     # registration
@@ -236,7 +230,8 @@ class SubscriptionManager:
 
         The snapshot (event id 1) carries the full current membership at
         the registration version — the baseline every later diff composes
-        onto.
+        onto. On a durable service the registration, head included, is
+        fsync'd to the WAL before it is installed and acknowledged.
         """
         with self._service.explorer.mutation_lock:
             with self._cond:
@@ -254,22 +249,28 @@ class SubscriptionManager:
                 state.sensitive_to_all = sensitive
                 state.last_version = version
                 state.next_event_id = 2
+                self._log_locked(version, state.durable_entry())
                 diff = state.head_snapshot()  # event id 1: the head is the baseline
                 state.events.append(diff)
                 self._states[sub.id] = state
-                if self._log is not None:
-                    self._log.append(state.register_entry())
                 return diff
 
     def unregister(self, sub_id: str) -> bool:
         """Drop a subscription; reads blocked on it end cleanly."""
-        with self._cond:
-            if self._states.pop(sub_id, None) is None:
-                return False
-            if self._log is not None:
-                self._log.append({"op": "unregister", "id": sub_id})
-            self._cond.notify_all()
-            return True
+        with self._service.explorer.mutation_lock:
+            with self._cond:
+                if sub_id not in self._states:
+                    return False
+                self._log_locked(self._service.pg.version, {"unregister": sub_id})
+                del self._states[sub_id]
+                self._cond.notify_all()
+                return True
+
+    def _log_locked(self, version: int, entry: dict) -> None:
+        """Append ``entry`` as a zero-advance WAL record (durable services only)."""
+        storage = self._service.storage
+        if storage is not None:
+            storage.wal.append_subscription(version, entry)
 
     def get(self, sub_id: str) -> Subscription:
         """The registered subscription behind ``sub_id`` (404 if unknown)."""
@@ -344,9 +345,9 @@ class SubscriptionManager:
         """The engine post-update hook (mutation lock held by the caller).
 
         Never raises: a subscription that fails to evaluate is marked
-        always-affected and retried on the next batch, and journal write
-        failures are surfaced through :meth:`stats` — a broken subscriber
-        tier must not fail the write path that triggered it.
+        always-affected and retried on the next batch, and the failure is
+        surfaced through :meth:`stats` — a broken subscriber tier must
+        not fail the write path that triggered it.
         """
         try:
             self._process_batch(receipt, damage)
@@ -389,18 +390,22 @@ class SubscriptionManager:
     def catch_up(self) -> int:
         """Re-evaluate every subscription now; returns diffs emitted.
 
-        Used after boot replay and replica resync, when the graph moved
-        while no hook was attached. Runs under both locks like a batch.
+        Used after a replica resync, the one jump in the graph's version
+        that no WAL record explains. Runs under both locks like a batch.
+        Replay cannot re-derive these diffs, so a durable service checkpoints
+        the new heads before any reader can see them.
         """
         with self._service.explorer.mutation_lock:
             with self._cond:
                 if self._closed:
                     return 0
-                version = self._service.pg.version
+                pg = self._service.pg
                 emitted = sum(
-                    self._reevaluate_locked(state, version)
+                    self._reevaluate_locked(state, pg.version)
                     for state in self._states.values()
                 )
+                if self._service.storage is not None:
+                    self._service.storage.snapshot(pg, subscriptions=self._heads_locked())
                 if emitted:
                     self._cond.notify_all()
         return emitted
@@ -408,8 +413,8 @@ class SubscriptionManager:
     def _reevaluate_locked(self, state: _SubscriptionState, version: int) -> bool:
         """Re-evaluate ``state`` at ``version`` (both locks held).
 
-        A moved answer becomes the subscription's next event — retained
-        window and journal — and returns True.
+        A moved answer becomes the subscription's next event in the
+        retained window and returns True.
         """
         members, footprint, sensitive = self._evaluate(state.sub)
         state.footprint = footprint
@@ -429,8 +434,6 @@ class SubscriptionManager:
         state.next_event_id += 1
         state.members = members
         state.events.append(diff)
-        if self._log is not None:
-            self._log.append({"op": "diff", "diff": diff.to_dict()})
         self._events_published += 1
         return True
 
@@ -497,51 +500,48 @@ class SubscriptionManager:
     # ------------------------------------------------------------------
     # durability
     # ------------------------------------------------------------------
-    def _replay_entry_locked(self, entry: dict) -> None:
-        """Apply one journal entry to in-memory state (boot-time only).
+    def restore(self, entry: dict) -> None:
+        """Apply one durable entry: a snapshot section's or a WAL record's.
 
-        Runs from ``__init__`` before any other thread can see the
-        manager; the ``_locked`` suffix marks the single-threaded
-        exemption for the lock-discipline checker.
+        Boot-time, in log order. A registration installs its subscription
+        at the head it carries unless the id is already registered — the
+        crash between a checkpoint's snapshot rename and its WAL truncate
+        leaves a registration both in the section and in the log — and an
+        unregistration drops the id if present. A malformed entry raises
+        :class:`~repro.errors.InvalidInputError`.
         """
-        op = entry.get("op")
-        if op == "register":
-            sub = Subscription.from_dict(entry["subscription"])
-            snapshot = CommunityDiff.from_dict(entry["snapshot"])
+        with self._cond:
+            if "unregister" in entry:
+                if not isinstance(entry["unregister"], str):
+                    raise InvalidInputError(f"malformed unregistration {entry!r}")
+                self._states.pop(entry["unregister"], None)
+                return
+            sub = Subscription.from_dict(entry.get("subscription"))
+            head = CommunityDiff.from_dict(entry.get("head"))
+            try:
+                members = head.apply_to(frozenset())
+            except TypeError as exc:  # an unhashable member
+                raise InvalidInputError(f"malformed subscription head: {exc}") from None
+            if not head.reset or head.subscription_id != sub.id:
+                raise InvalidInputError(
+                    f"subscription entry head does not re-baseline {sub.id!r}"
+                )
+            if sub.id in self._states:
+                return
             state = _SubscriptionState(sub, self._event_log_size)
-            state.members = snapshot.apply_to(frozenset())
-            state.last_version = snapshot.graph_version
-            state.next_event_id = snapshot.event_id + 1
-            state.events.append(snapshot)
+            state.members = members
+            state.last_version = head.graph_version
+            state.next_event_id = head.event_id + 1
+            state.events.append(head)
             self._states[sub.id] = state
-        elif op == "diff":
-            diff = CommunityDiff.from_dict(entry["diff"])
-            state = self._states.get(diff.subscription_id)
-            if state is None:
-                return  # diff for a subscription unregistered later
-            state.members = diff.apply_to(state.members)
-            state.last_version = diff.graph_version
-            state.next_event_id = max(state.next_event_id, diff.event_id + 1)
-            state.events.append(diff)
-        elif op == "unregister":
-            self._states.pop(entry.get("id"), None)
-        # Unknown ops are skipped: a newer writer's entries must not brick
-        # an older reader's boot.
 
-    def compact_log(self) -> None:
-        """Rewrite the journal as one register entry per live subscription.
-
-        Called on clean checkpoints. Resume windows collapse to the
-        snapshot — a client resuming from an older event id receives a
-        ``reset`` re-baseline, which is exactly the gap semantics.
-        """
-        if self._log is None:
-            return
+    def heads(self) -> List[dict]:
+        """One head entry per live subscription, by id: the snapshot section."""
         with self._lock:
-            entries = []
-            for state in self._states.values():
-                entries.append(state.register_entry())
-            self._log.compact(entries)
+            return self._heads_locked()
+
+    def _heads_locked(self) -> List[dict]:
+        return [self._states[key].durable_entry() for key in sorted(self._states)]
 
     # ------------------------------------------------------------------
     # observability
@@ -559,12 +559,12 @@ class SubscriptionManager:
                 "last_error": self._last_error,
                 "last_batch": dict(self._last_batch),
                 "matcher": self.matcher.stats(),
-                "durable": self._log is not None,
+                "durable": self._service.storage is not None,
             }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         with self._lock:
             return (
                 f"SubscriptionManager(subscriptions={len(self._states)}, "
-                f"durable={self._log is not None})"
+                f"durable={self._service.storage is not None})"
             )

@@ -26,7 +26,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.api import CommunityService, Query
+from repro.api import CommunityService, Query, Subscription
 from repro.datasets import fig1_profiled_graph
 from repro.errors import InvalidInputError
 from repro.replication import (
@@ -181,6 +181,19 @@ class TestWalCursor:
         wal.append(3, 4, [{"op": "add_vertex", "u": "X"}])
         assert [r.version for r in cursor.pending()] == [4]
         assert cursor.lost_history is False
+
+    def test_subscription_record_neither_stalls_nor_loses_history(self, tmp_path):
+        # A zero-advance registration at the checkpoint version is the
+        # first record of the truncated log; the batch after it must flow.
+        wal = self._log_with(tmp_path, 3)
+        cursor = wal.cursor(0)
+        cursor.pending()
+        wal.truncate()
+        wal.append_subscription(3, {"unregister": "s"})
+        wal.append(3, 4, [{"op": "add_vertex", "u": "X"}])
+        assert [(r.version, r.subscription) for r in cursor.pending()] == [(4, None)]
+        assert cursor.lost_history is False
+        assert cursor.after_version == 4
 
 
 # ----------------------------------------------------------------------
@@ -368,6 +381,114 @@ class TestInProcessTier:
                     lambda: second.service.pg.version == target + 1,
                     what="post-resync streaming",
                 )
+            finally:
+                second.close()
+        finally:
+            writer.close()
+
+    def test_resync_catch_up_survives_a_replica_crash(self, tmp_path):
+        """The catch-up diff a resync emits is explained by no WAL record,
+        so it must be checkpointed: a replica killed after the resync
+        reboots at the event ids it served, and a diff replayed from its
+        WAL after that keeps its id."""
+        service = CommunityService(
+            fig1_profiled_graph(), storage_dir=tmp_path / "writer"
+        )
+        writer = WriterGateway(service, heartbeat_interval=0.1, port=0).start()
+        replica_dir = tmp_path / "replica"
+        try:
+            first = ReplicaGateway(_url(writer), replica_dir, reconnect_backoff=0.05, port=0)
+            first.start()
+            sub_id = first.subscriptions.register(Subscription.new("B", k=2)).subscription_id
+            service.apply_updates(UPDATES[:1])
+            _wait_until(lambda: first.service.pg.version == 1, what="catch-up")
+            first.close()
+            # While the replica is down, Z1 joins B's community and a
+            # checkpoint truncates the records the replica would need.
+            service.apply_updates([
+                {"op": "add_vertex", "u": "Z1", "labels": ["ML", "AI"]},
+                {"op": "add_edge", "u": "Z1", "v": "B"},
+                {"op": "add_edge", "u": "Z1", "v": "C"},
+                {"op": "add_edge", "u": "Z1", "v": "D"},
+            ])
+            service.snapshot()
+            second = ReplicaGateway(_url(writer), replica_dir, reconnect_backoff=0.05, port=0)
+            second.start()
+            try:
+                _wait_until(
+                    lambda: second._health_extra()["replication"]["resyncs"] == 1,
+                    what="resync",
+                )
+                # After the resync, one streamed batch moves the answer again.
+                service.apply_updates([{"op": "remove_vertex", "u": "Z1"}])
+                _wait_until(
+                    lambda: len(second.subscriptions.events_since(sub_id)) == 3,
+                    what="the post-resync diff",
+                )
+                live = second.subscriptions.events_since(sub_id)
+                members = second.subscriptions.members(sub_id)
+                version = second.service.pg.version
+            finally:
+                second.close(drain=False)  # a crash: no drain checkpoint
+        finally:
+            writer.close()
+        assert [d.event_id for d in live] == [1, 2, 3]
+        assert "Z1" in live[1].joined and "Z1" in live[2].left
+        reborn = CommunityService(fig1_profiled_graph, storage_dir=replica_dir)
+        try:
+            assert reborn.pg.version == version
+            head, *tail = reborn.subscriptions.events_since(sub_id, last_event_id=1)
+            assert head.reset and head.event_id == 2
+            assert head.graph_version == live[1].graph_version
+            assert set(head.joined) == live[1].apply_to(live[0].apply_to(frozenset()))
+            assert tail == live[2:]
+            assert reborn.subscriptions.members(sub_id) == members
+        finally:
+            reborn.close()
+
+    def test_writer_registration_leaves_replica_alone(self, tmp_path, monkeypatch):
+        """Subscriptions are per server: a writer's registration record
+        reaches the replica's stream between two batches and changes
+        nothing there — no stall, no resync, no subscription."""
+        seen = []
+        apply_record = ReplicaGateway._apply_record
+
+        def recording_apply_record(self, record):
+            seen.append((record.version, record.subscription is not None))
+            apply_record(self, record)
+
+        monkeypatch.setattr(ReplicaGateway, "_apply_record", recording_apply_record)
+        service = CommunityService(
+            fig1_profiled_graph(), storage_dir=tmp_path / "writer"
+        )
+        writer = WriterGateway(service, heartbeat_interval=0.1, port=0).start()
+        replica_dir = tmp_path / "replica"
+        try:
+            first = ReplicaGateway(_url(writer), replica_dir, reconnect_backoff=0.05, port=0)
+            first.start()
+            own = first.subscriptions.register(Subscription.new("A", k=2))
+            service.apply_updates(UPDATES[:1])
+            _wait_until(lambda: first.service.pg.version == 1, what="catch-up")
+            first.close()
+            # While the replica is down, one drain's worth of log builds up:
+            # batch, registration, batch.
+            service.apply_updates(UPDATES[1:2])
+            writer.subscriptions.register(Subscription.new("B", k=2))
+            service.apply_updates(UPDATES[2:])
+            second = ReplicaGateway(_url(writer), replica_dir, reconnect_backoff=0.05, port=0)
+            second.start()
+            try:
+                target = service.pg.version
+                _wait_until(
+                    lambda: second.service.pg.version == target,
+                    what="the batch behind the registration record",
+                )
+                assert (2, True) in seen  # the record was streamed, then dropped
+                with ServerClient(*second.address) as client:
+                    assert client.healthz()["replication"]["resyncs"] == 0
+                assert [s.id for s in second.subscriptions.subscriptions()] == [
+                    own.subscription_id
+                ]
             finally:
                 second.close()
         finally:

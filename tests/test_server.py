@@ -35,6 +35,7 @@ from repro.server import (
     ServerError,
     handle_request,
 )
+from repro.storage import load_checkpoint
 
 
 @contextmanager
@@ -298,6 +299,16 @@ class TestHandleRequest:
             response, decoded = self.call(gateway, "POST", "/query", payload)
             assert response.status == 400, payload
             assert decoded["error"]["type"] == "invalid_input"
+        for payload in (
+            {"vertex": [], "k": 2},
+            {"vertex": {"a": 1}, "k": 2},
+            {"vertex": "D", "k": 2, "method": 3},
+            {"vertex": "D", "k": 2, "method": ["adv-P"]},
+        ):
+            response, decoded = self.call(gateway, "POST", "/subscribe", payload)
+            assert response.status == 400, payload
+            assert decoded["error"]["type"] == "invalid_input"
+        assert len(gateway.subscriptions) == 0
 
     def test_unknown_vertex_404(self, gateway):
         response, decoded = self.call(
@@ -565,9 +576,8 @@ class TestAdmissionControlAndDrain:
         self, tmp_path, monkeypatch
     ):
         """Streams end with a clean EOF as the drain begins; an update
-        acknowledged *during* the drain still reaches the journal."""
-        from repro.subscribe import SubscriptionLog
-
+        acknowledged *during* the drain still reaches the WAL and its
+        diff still reaches the drain's checkpoint."""
         service = CommunityService(
             fig1_profiled_graph(), default_k=2, storage_dir=tmp_path
         )
@@ -575,17 +585,20 @@ class TestAdmissionControlAndDrain:
         host, port = gateway.address
         with ServerClient(host, port) as client:
             sub, snapshot = client.subscribe("B", k=2)
-        journal = tmp_path / "subscriptions.jsonl"
 
-        # What the journal held when the drain compacted it.
-        before_compaction = []
-        compact_log = gateway.subscriptions.compact_log
+        # What the WAL and the retained window held when the drain
+        # checkpointed.
+        before_checkpoint = []
+        checkpoint = service.snapshot
 
-        def recording_compact_log():
-            before_compaction.extend(SubscriptionLog.iter_entries(journal))
-            compact_log()
+        def recording_checkpoint():
+            before_checkpoint.append((
+                service.storage.wal.records(),
+                service.subscriptions.events_since(sub.id),
+            ))
+            return checkpoint()
 
-        monkeypatch.setattr(gateway.subscriptions, "compact_log", recording_compact_log)
+        monkeypatch.setattr(service, "snapshot", recording_checkpoint)
         in_handler = threading.Event()
         apply_updates = gateway.apply_updates
 
@@ -630,11 +643,15 @@ class TestAdmissionControlAndDrain:
         stream.close()
         assert not writer.is_alive() and not closer.is_alive()
         (receipt,) = receipts
-        assert [e["op"] for e in before_compaction] == ["register", "diff"]
-        assert before_compaction[1]["diff"]["graph_version"] == receipt["version"]
-        assert "Z" in before_compaction[1]["diff"]["joined"]
-        (entry,) = SubscriptionLog.iter_entries(journal)
-        assert "Z" in entry["snapshot"]["joined"]
+        ((records, window),) = before_checkpoint
+        assert [r.subscription is not None for r in records] == [True, False]
+        assert records[1].version == receipt["version"]
+        assert [d.event_id for d in window] == [1, 2]
+        assert window[1].graph_version == receipt["version"]
+        assert "Z" in window[1].joined
+        assert service.storage.wal.num_records == 0
+        _, (entry,) = load_checkpoint(service.storage.snapshot_path)
+        assert "Z" in entry["head"]["joined"]
 
     def test_health_reports_draining_after_close(self):
         gateway = CommunityGateway(fig1_profiled_graph(), port=0).start()

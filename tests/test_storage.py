@@ -7,6 +7,7 @@ checked-in artifact, so any byte-level format change must bump
 """
 
 import hashlib
+import json
 import random
 import struct
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 from repro.core.profiled_graph import ProfiledGraph
 from repro.api.service import CommunityService
 from repro.bench import index_matches_fresh_build
+from repro.cli import main as cli_main
 from repro.datasets import fig1_profiled_graph, load_dataset
 from repro.engine.explorer import CommunityExplorer
 from repro.engine.updates import GraphUpdate, apply_update
@@ -535,20 +537,22 @@ class TestGraphStore:
             assert pg2.version == 1
             assert pg2.graph.has_edge("A", "Z")
 
-    def test_compact_folds_wal_into_snapshot(self, fig1, tmp_path):
+    def test_compact_folds_wal_into_snapshot(self, fig1, tmp_path, capsys):
         with GraphStore(tmp_path) as store:
             pg, _ = store.boot(fallback=fig1)
             batch = [GraphUpdate("add_edge", "A", "Z")]
             _, predicted = preview_updates(pg, batch)
             store.wal.append(pg.version, predicted, batch)
             # crash before the in-memory graph ever got snapshotted
+        # Offline compaction: `repro snapshot --data-dir` boots the store
+        # the way a durable server does and checkpoints it.
+        assert cli_main(["snapshot", "--dataset", "fig1", "--data-dir", str(tmp_path)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["boot"]["replayed_records"] == 1
+        assert printed["graph_version"] == 1
+        assert printed["has_index"]
         with GraphStore(tmp_path) as store:
-            info, report = store.compact(fallback=fig1_profiled_graph)
-            assert report.replayed_records == 1
-            assert info.graph_version == 1
-            assert info.has_index
             assert store.wal.num_records == 0
-        with GraphStore(tmp_path) as store:
             pg2, report2 = store.boot()
             assert report2.source == "snapshot"
             assert pg2.graph.has_edge("A", "Z")

@@ -1,4 +1,4 @@
-"""Unit coverage for the subscription tier: matcher, log, manager, routes.
+"""Unit coverage for the subscription tier: matcher, manager, routes.
 
 The streaming/differential gauntlets live in ``test_subscribe_stream.py``
 and the crash/resume suite in ``test_subscribe_crash.py``; this file pins
@@ -6,21 +6,20 @@ the per-component contracts those suites build on:
 
 * :class:`~repro.subscribe.matcher.SubscriptionMatcher` — the dirty-label
   decision table and its selectivity counters;
-* :class:`~repro.subscribe.log.SubscriptionLog` — JSONL durability with
-  torn-tail tolerance and atomic compaction;
 * the :class:`~repro.api.subscription.Subscription` /
   :class:`~repro.api.subscription.CommunityDiff` wire types;
 * :class:`~repro.subscribe.manager.SubscriptionManager` — registration
   snapshots, selective re-evaluation on fig1's two label partitions,
   event retention/resume semantics, cursor reads through ``poll`` (a
   reader that lags past the window re-baselines with one ``reset``), and
-  journal replay across a manager restart;
+  durability through a ``storage_dir=`` service's WAL and snapshot;
 * the four HTTP routes, driven through ``handle_request`` in-process.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import threading
 import time
 from types import SimpleNamespace
@@ -29,11 +28,10 @@ import pytest
 
 from repro.api import CommunityDiff, CommunityService, Subscription
 from repro.datasets import fig1_profiled_graph
-from repro.errors import InvalidInputError
+from repro.errors import InvalidInputError, ReproError
 from repro.index.maintenance import BatchDamage
+from repro.storage import load_checkpoint
 from repro.subscribe import (
-    SubscriptionLog,
-    SubscriptionLogError,
     SubscriptionManager,
     SubscriptionMatcher,
     SubscriptionNotFoundError,
@@ -142,72 +140,6 @@ class TestMatcher:
 
 
 # ---------------------------------------------------------------------------
-# log
-# ---------------------------------------------------------------------------
-class TestLog:
-    def test_roundtrip(self, tmp_path):
-        log = SubscriptionLog(tmp_path / "subs.jsonl")
-        log.append({"op": "register", "subscription": {"id": "s1", "vertex": "B"}})
-        log.append({"op": "diff", "diff": {"event_id": 2}})
-        log.close()
-        entries = list(SubscriptionLog.iter_entries(tmp_path / "subs.jsonl"))
-        assert [e["op"] for e in entries] == ["register", "diff"]
-        assert log.entries_appended == 2
-
-    def test_missing_file_yields_nothing(self, tmp_path):
-        assert list(SubscriptionLog.iter_entries(tmp_path / "absent.jsonl")) == []
-
-    def test_torn_tail_tolerated(self, tmp_path):
-        path = tmp_path / "subs.jsonl"
-        log = SubscriptionLog(path)
-        log.append({"op": "register", "subscription": {}})
-        log.close()
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"op": "diff", "di')  # the write the crash tore
-        entries = list(SubscriptionLog.iter_entries(path))
-        assert [e["op"] for e in entries] == ["register"]
-
-    def test_reopen_after_torn_tail_keeps_every_later_entry(self, tmp_path):
-        path = tmp_path / "subs.jsonl"
-        log = SubscriptionLog(path)
-        log.append({"op": "register", "subscription": {}})
-        log.close()
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"op": "diff", "di')  # the write the crash tore
-        log = SubscriptionLog(path)  # the reboot: must drop the fragment
-        log.append({"op": "diff", "diff": {"event_id": 2}})
-        log.append({"op": "diff", "diff": {"event_id": 3}})
-        log.close()
-        entries = list(SubscriptionLog.iter_entries(path))  # the second reboot
-        assert [e["op"] for e in entries] == ["register", "diff", "diff"]
-        assert [e["diff"]["event_id"] for e in entries[1:]] == [2, 3]
-
-    def test_corruption_before_tail_raises(self, tmp_path):
-        path = tmp_path / "subs.jsonl"
-        path.write_text('not json\n{"op": "diff"}\n', encoding="utf-8")
-        with pytest.raises(SubscriptionLogError):
-            list(SubscriptionLog.iter_entries(path))
-
-    def test_entry_without_op_raises(self, tmp_path):
-        path = tmp_path / "subs.jsonl"
-        path.write_text('{"noop": 1}\n{"op": "diff"}\n', encoding="utf-8")
-        with pytest.raises(SubscriptionLogError):
-            list(SubscriptionLog.iter_entries(path))
-
-    def test_compact_replaces_atomically(self, tmp_path):
-        path = tmp_path / "subs.jsonl"
-        log = SubscriptionLog(path)
-        for i in range(5):
-            log.append({"op": "diff", "diff": {"event_id": i + 1}})
-        log.compact([{"op": "register", "subscription": {"id": "s"}}])
-        log.append({"op": "diff", "diff": {"event_id": 99}})
-        log.close()
-        entries = list(SubscriptionLog.iter_entries(path))
-        assert [e["op"] for e in entries] == ["register", "diff"]
-        assert not path.with_name(path.name + ".tmp").exists()
-
-
-# ---------------------------------------------------------------------------
 # wire types
 # ---------------------------------------------------------------------------
 class TestWireTypes:
@@ -232,6 +164,36 @@ class TestWireTypes:
             Subscription.new("B", k=-1)
         with pytest.raises(InvalidInputError):
             Subscription.new("B", k=True)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"vertex": [], "k": 2},
+            {"vertex": {"a": 1}, "k": 2},
+            {"vertex": "D", "k": 2, "method": 3},
+            {"vertex": "D", "k": 2, "method": ["adv-P"]},
+        ],
+    )
+    def test_subscription_rejects_junk_vertex_and_method(self, payload):
+        with pytest.raises(InvalidInputError):
+            Subscription.from_dict(payload)
+
+    def test_subscription_from_dict_fuzz_only_raises_repro_errors(self):
+        """Seeded junk bodies: a registration either parses or is refused
+        with a typed error — it never reaches the WAL as a traceback."""
+        rng = random.Random(20)
+        junk = [None, True, 0, -3, 2.5, "", "B", "adv-P", "ADV-P", "nope", "k-core",
+                [], ["adv-P"], {}, {"a": 1}, ("B",), 2**70]
+        fields = ["id", "vertex", "k", "method", "cohesion", "extra"]
+        parsed = 0
+        for _ in range(3000):
+            payload = {f: rng.choice(junk) for f in fields if rng.random() < 0.6}
+            try:
+                Subscription.from_dict(payload)
+            except ReproError:
+                continue
+            parsed += 1
+        assert parsed  # the fuzz also reaches the accepting side
 
     def test_diff_apply_composes(self):
         base = frozenset({"A", "B"})
@@ -448,113 +410,86 @@ class TestManager:
         manager.close()
 
     def test_durable_restart_replays_and_catches_up(self, tmp_path):
-        log_path = tmp_path / "subscriptions.jsonl"
-        service = _service()
-        manager = SubscriptionManager(service, log_path=log_path)
+        service = _durable(tmp_path)
+        manager = service.subscriptions
         sub = Subscription.new("B", k=2)
         manager.register(sub)
-        service.apply_updates(
-            [
-                {"op": "add_vertex", "u": "Z", "labels": ["ML", "AI"]},
-                {"op": "add_edge", "u": "Z", "v": "B"},
-                {"op": "add_edge", "u": "Z", "v": "C"},
-                {"op": "add_edge", "u": "Z", "v": "D"},
-            ]
-        )
-        members = manager.members(sub.id)
-        manager.close()
-        # Same log + a service whose graph moved while nobody watched:
-        # replay restores the subscription, catch_up() emits the delta.
-        service2 = _service()
-        service2.apply_updates(
-            [
-                {"op": "add_vertex", "u": "Z", "labels": ["ML", "AI"]},
-                {"op": "add_edge", "u": "Z", "v": "B"},
-                {"op": "add_edge", "u": "Z", "v": "C"},
-                {"op": "add_edge", "u": "Z", "v": "D"},
-                {"op": "remove_edge", "u": "B", "v": "C"},
-            ]
-        )
-        manager2 = SubscriptionManager(service2, log_path=log_path)
+        service.apply_updates(_ADD_Z)
+        live = manager.events_since(sub.id)
+        assert [d.event_id for d in live] == [1, 2]
+        service.close()  # a crash: no checkpoint, the WAL holds everything
+        # Reboot: the registration record restores the subscription and
+        # the replayed batch re-derives its diff with the same event id.
+        reborn = _durable(tmp_path)
+        manager2 = reborn.subscriptions
         assert [s.id for s in manager2.subscriptions()] == [sub.id]
-        assert manager2.members(sub.id) == _members(service2, "B", k=2)
+        assert manager2.events_since(sub.id) == live
+        assert manager2.members(sub.id) == _members(reborn, "B", k=2)
+        # Later batches continue the event ids and compose onto the window.
+        reborn.apply_updates([{"op": "remove_edge", "u": "B", "v": "C"}])
         events = manager2.events_since(sub.id, last_event_id=2)
-        composed = members
+        composed = live[-1].apply_to(live[0].apply_to(frozenset()))
         for diff in events:
             assert diff.event_id >= 3
             composed = diff.apply_to(composed)
-        assert composed == _members(service2, "B", k=2)
-        manager2.close()
+        assert composed == _members(reborn, "B", k=2)
+        reborn.close()
 
     def test_compact_log_shrinks_to_registrations(self, tmp_path):
-        log_path = tmp_path / "subscriptions.jsonl"
-        service = _service()
-        manager = SubscriptionManager(service, log_path=log_path)
+        service = _durable(tmp_path)
+        manager = service.subscriptions
         sub = Subscription.new("B", k=2)
         manager.register(sub)
         gone = Subscription.new("D", k=2)
         manager.register(gone)
         manager.unregister(gone.id)
-        service.apply_updates(
-            [
-                {"op": "add_vertex", "u": "Z", "labels": ["ML", "AI"]},
-                {"op": "add_edge", "u": "Z", "v": "B"},
-                {"op": "add_edge", "u": "Z", "v": "C"},
-                {"op": "add_edge", "u": "Z", "v": "D"},
-            ]
-        )
-        manager.compact_log()
-        entries = list(SubscriptionLog.iter_entries(log_path))
-        assert [e["op"] for e in entries] == ["register"]
-        snap = CommunityDiff.from_dict(entries[0]["snapshot"])
+        service.apply_updates(_ADD_Z)
+        service.snapshot()
+        # The checkpoint folded the WAL: the snapshot's subscription
+        # section holds one head per live subscription, nothing else.
+        assert service.storage.wal.num_records == 0
+        _, section = load_checkpoint(service.storage.snapshot_path)
+        assert [entry["subscription"]["id"] for entry in section] == [sub.id]
+        snap = CommunityDiff.from_dict(section[0]["head"])
         assert snap.reset and frozenset(snap.joined) == manager.members(sub.id)
-        manager.close()
-        # The compacted log boots a manager in the same state.
-        manager2 = SubscriptionManager(_service_with_z(), log_path=log_path)
-        assert manager2.members(sub.id) == frozenset(snap.joined)
-        manager2.close()
+        assert snap.event_id == 2
+        service.close()
+        # The compacted state boots a manager in the same state.
+        reborn = _durable(tmp_path)
+        assert [s.id for s in reborn.subscriptions.subscriptions()] == [sub.id]
+        assert reborn.subscriptions.members(sub.id) == frozenset(snap.joined)
+        assert reborn.subscriptions.events_since(sub.id) == [snap]
+        reborn.close()
 
     def test_disconnect_consumers_keeps_journal_live(self, tmp_path):
-        """Drain phase 1: streams end, but in-flight writes still journal."""
-        log_path = tmp_path / "subscriptions.jsonl"
-        service = _service()
-        manager = SubscriptionManager(service, log_path=log_path)
+        """Drain phase 1: streams end, but in-flight writes still produce diffs."""
+        service = _durable(tmp_path)
+        manager = service.subscriptions
         sub_id = manager.register(Subscription.new("B", k=2)).subscription_id
         manager.disconnect_consumers()
         assert manager.draining
         started = time.monotonic()
         assert manager.poll(sub_id, last_event_id=1, timeout=5.0) == []
         assert time.monotonic() - started < 1.0  # reads no longer block
-        # A write that was in flight during the drain still journals.
-        service.apply_updates(
-            [
-                {"op": "add_vertex", "u": "Z", "labels": ["ML", "AI"]},
-                {"op": "add_edge", "u": "Z", "v": "B"},
-                {"op": "add_edge", "u": "Z", "v": "C"},
-                {"op": "add_edge", "u": "Z", "v": "D"},
-            ]
-        )
-        ops = [e["op"] for e in SubscriptionLog.iter_entries(log_path)]
-        assert ops == ["register", "diff"]
+        # A write that was in flight during the drain still logs and
+        # still produces its diff.
+        service.apply_updates(_ADD_Z)
+        records = service.storage.wal.records()
+        assert [r.subscription is not None for r in records] == [True, False]
         # New readers during the drain get the backlog, then an empty read.
         batch = manager.poll(sub_id, last_event_id=1, timeout=5.0)
         assert batch and batch[0].event_id == 2
         assert manager.poll(sub_id, batch[-1].event_id, timeout=5.0) == []
         manager.close()
+        service.close()
+        reborn = _durable(tmp_path)
+        assert reborn.subscriptions.events_since(sub_id, last_event_id=1) == batch
+        reborn.close()
 
 
-def _service_with_z() -> CommunityService:
-    """fig1 plus the Z vertex the durable-restart tests add."""
-    service = _service()
-    service.apply_updates(
-        [
-            {"op": "add_vertex", "u": "Z", "labels": ["ML", "AI"]},
-            {"op": "add_edge", "u": "Z", "v": "B"},
-            {"op": "add_edge", "u": "Z", "v": "C"},
-            {"op": "add_edge", "u": "Z", "v": "D"},
-        ]
-    )
-    return service
+def _durable(tmp_path) -> CommunityService:
+    """fig1 served from ``tmp_path``: booted from whatever the directory holds."""
+    return CommunityService(fig1_profiled_graph(), default_k=2, storage_dir=tmp_path)
 
 
 # ---------------------------------------------------------------------------

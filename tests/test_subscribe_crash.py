@@ -6,15 +6,17 @@ happened:
 
 * a subscriber that saw events up to cursor ``C`` before the crash
   reconnects with ``last_event_id=C`` and receives **exactly** the diffs
-  it missed — contiguous event ids, no gaps, no duplicates — because
-  every diff was fsync'd to ``subscriptions.jsonl`` before the update
-  that caused it was acknowledged;
+  it missed — contiguous event ids, no gaps, no duplicates — because the
+  registration and every update were fsync'd to the WAL before they were
+  acknowledged, and the reboot re-derives each diff by replaying the
+  WAL's batches with the subscription manager attached;
 * composing snapshot + received diffs equals a shadow
   :class:`~repro.api.CommunityService` replay at every acknowledged
   version;
-* a *clean* shutdown (SIGINT) compacts the journal, so a stale cursor
-  resumes as a single ``reset`` re-baseline instead of a replayed tail —
-  the documented gap semantics, exercised end-to-end.
+* a *clean* shutdown (SIGINT) checkpoints each subscription's head into
+  the snapshot and folds the WAL, so a stale cursor resumes as a single
+  ``reset`` re-baseline instead of a replayed tail — the documented gap
+  semantics, exercised end-to-end.
 """
 
 import pytest
@@ -22,6 +24,7 @@ import pytest
 from repro.api import CommunityService, Subscription
 from repro.datasets import fig1_profiled_graph
 from repro.server import ServerClient
+from repro.storage import load_checkpoint
 
 from tests.test_durability import _kill_dash_nine, _shutdown_clean, _start_server
 
@@ -37,7 +40,7 @@ PRE_BATCH = [
 ]
 
 #: Batches applied while nobody is streaming — each changes B's watched
-#: set, so each journals exactly one diff the subscriber must not lose.
+#: set, so each produces exactly one diff the subscriber must not lose.
 MISSED_BATCHES = [
     [{"op": "remove_vertex", "u": "Z1"}],
     [
@@ -95,7 +98,7 @@ def test_sigkill_then_resume_receives_exactly_missed_diffs(tmp_path):
         cursor = seen[-1].event_id
 
         for batch in MISSED_BATCHES:
-            client.update(batch)  # acked ⇒ journalled, but nobody streams
+            client.update(batch)  # acked ⇒ in the WAL, but nobody streams
         client.close()
     finally:
         _kill_dash_nine(proc)
@@ -115,7 +118,7 @@ def test_sigkill_then_resume_receives_exactly_missed_diffs(tmp_path):
 
         # Exactly the missed diffs plus the post-reboot sentinel diff:
         # contiguous ids from the cursor, nothing replayed twice, nothing
-        # dropped, no reset (the journal retained the full tail).
+        # dropped, no reset (the replay re-derived the full tail).
         ids = [d.event_id for d in received]
         assert ids == list(range(cursor + 1, cursor + 1 + len(ids))), (
             f"resume returned non-contiguous event ids {ids} after cursor {cursor}"
@@ -160,14 +163,13 @@ def test_clean_shutdown_compacts_then_stale_cursor_resets(tmp_path):
     finally:
         _shutdown_clean(proc)
 
-    # The drain checkpointed: the journal is one register entry whose
-    # snapshot carries the final membership at the final event id.
-    log_lines = [
-        line
-        for line in (data_dir / "subscriptions.jsonl").read_text().splitlines()
-        if line.strip()
-    ]
-    assert len(log_lines) == 1 and '"register"' in log_lines[0], log_lines
+    # The drain checkpointed: the WAL is empty and the snapshot's
+    # subscription section is one head entry for the one subscription.
+    # The server keeps no other file.
+    assert sorted(p.name for p in data_dir.iterdir()) == ["snapshot.bin", "wal.log"]
+    assert (data_dir / "wal.log").stat().st_size == 0
+    _, section = load_checkpoint(data_dir / "snapshot.bin")
+    assert [entry["subscription"]["id"] for entry in section] == [sub.id], section
 
     proc, port = _start_server(data_dir)
     try:
