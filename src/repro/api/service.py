@@ -32,9 +32,9 @@ from repro.api.query import DEFAULT_K, DEFAULT_METHOD, Query
 from repro.api.response import QueryResponse
 from repro.core.profiled_graph import ProfiledGraph
 from repro.engine.explorer import CommunityExplorer, EngineStats, QueryLike
-from repro.engine.updates import GraphUpdate, UpdateReceipt
-from repro.errors import IntegrityError, InvalidInputError, VertexNotFoundError
-from repro.storage import BootReport, GraphStore, SnapshotInfo, preview_updates
+from repro.engine.updates import UpdateReceipt
+from repro.errors import InvalidInputError, VertexNotFoundError
+from repro.storage import BootReport, GraphStore, SnapshotInfo
 
 
 class Middleware:
@@ -395,27 +395,15 @@ class CommunityService:
     def apply_updates(self, updates: Iterable) -> UpdateReceipt:
         """Apply graph edits through the engine's mutation pipeline.
 
-        On a ``storage_dir=`` session the batch is validated, framed and
+        The engine validates the whole batch before its first edit. On a
+        ``storage_dir=`` session the validated batch is then framed and
         fsync'd to the write-ahead log — tagged with the graph version it
         will produce — *before* the in-memory apply, all under the
         engine's mutation lock. A batch the log rejects never touches the
         graph; a batch the graph acknowledged is always recoverable.
         """
-        if self._store is None:
-            return self._explorer.apply_updates(updates)
-        ops = [GraphUpdate.coerce(item) for item in updates]
-        with self._explorer.mutation_lock:
-            pg = self._explorer.pg
-            base = pg.version
-            _, predicted = preview_updates(pg, ops)
-            self._store.wal.append(base, predicted, ops)
-            receipt = self._explorer.apply_updates(ops)
-            if receipt.version != predicted:  # pragma: no cover - invariant
-                raise IntegrityError(
-                    f"WAL predicted version {predicted} but apply produced "
-                    f"{receipt.version}; the log no longer matches memory"
-                )
-        return receipt
+        log = None if self._store is None else self._store.wal.append
+        return self._explorer.apply_updates(updates, log=log)
 
     def snapshot(self, include_index: bool = True) -> SnapshotInfo:
         """Checkpoint the served graph and truncate the write-ahead log.

@@ -44,7 +44,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Hashable, Iterable, List, Optional, Tuple, Union
 
 from repro.core.cohesion import get_cohesion
 from repro.core.community import PCSResult
@@ -58,8 +58,8 @@ from repro.engine.query import (
     QueryBuilder,
     canonical_cohesion,
 )
-from repro.engine.updates import GraphUpdate, UpdateReceipt, apply_update
-from repro.errors import InvalidInputError, VertexNotFoundError
+from repro.engine.updates import GraphUpdate, UpdateReceipt, apply_update, preview_updates
+from repro.errors import IntegrityError, InvalidInputError, VertexNotFoundError
 from repro.graph.csr import active_backend
 from repro.index.cptree import CPTree
 from repro.index.maintenance import BatchDamage, UpdateJournal
@@ -452,25 +452,27 @@ class CommunityExplorer:
     # mutation
     # ------------------------------------------------------------------
     def apply_updates(
-        self, updates: Iterable[Union[GraphUpdate, Tuple, dict]]
+        self,
+        updates: Iterable[Union[GraphUpdate, Tuple, dict]],
+        log: Optional[Callable[[int, int, List[GraphUpdate]], object]] = None,
     ) -> UpdateReceipt:
         """Apply a batch of graph edits and keep the engine consistent.
 
-        Edits are applied in order through
-        :func:`~repro.engine.updates.apply_update`: every effective edit
-        bumps ``pg.version`` by one, which invalidates all cached results
-        computed before it (epoch check — O(1) per mutation, stale entries
-        are evicted lazily on lookup). With a built index, every edit is
-        patched into the CP-tree as it lands.
-
-        Update shapes are validated up front; applying is *not* atomic —
-        an unknown vertex mid-batch raises after earlier edits landed (the
-        graph and caches stay consistent, the receipt is lost).
+        :func:`~repro.engine.updates.preview_updates` validates the whole
+        batch before its first edit, so the graph, the caches and the
+        update hooks see all of a batch or none of it; ``log(base,
+        version, ops)`` (a durable session's WAL append) then gets the
+        predicted version. Each effective edit bumps ``pg.version`` by one,
+        which invalidates every cached result computed before it, and is
+        patched into the CP-tree, if built, as it lands.
         """
         ops = [GraphUpdate.coerce(item) for item in updates]
         start = time.perf_counter()
         applied = 0
         with self._index_lock:
+            _, predicted = preview_updates(self.pg, ops)
+            if log is not None:
+                log(self.pg.version, predicted, ops)
             hooks = list(self._update_hooks)
             # The tap records what the batch touched: the labels whose
             # CL-trees were patched (the receipt) and the damage hooks
@@ -489,10 +491,10 @@ class CommunityExplorer:
             repaired_labels = len(tap.dirty_labels) if self.pg.has_index() else 0
             # Capture the version before releasing the lock: a concurrent
             # batch could commit in the gap and the receipt would tag this
-            # batch's work with the *other* batch's version (the service
-            # layer compares it against its predicted version for the
-            # integrity check, so a torn read here is a false alarm there).
+            # batch's work with the *other* batch's version.
             version = self.pg.version
+            if version != predicted:  # pragma: no cover - invariant
+                raise IntegrityError(f"preview predicted version {predicted}, apply made {version}")
             receipt = UpdateReceipt(
                 requested=len(ops),
                 applied=applied,

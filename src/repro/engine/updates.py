@@ -28,10 +28,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Hashable, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.profiled_graph import ProfiledGraph
-from repro.errors import InvalidInputError
+from repro.errors import InvalidInputError, VertexNotFoundError
 
 Vertex = Hashable
 
@@ -142,7 +142,7 @@ def apply_update(pg: ProfiledGraph, update: "GraphUpdate") -> bool:
     """Apply one update to a profiled graph; True when the graph changed.
 
     The one applier: every effective update bumps ``pg.version`` by exactly
-    one (what :func:`repro.storage.wal.preview_updates` predicts).
+    one (what :func:`preview_updates` predicts).
     :meth:`~repro.engine.explorer.CommunityExplorer.apply_updates` calls it
     per op and layers locking, the receipt, hooks and stats on top.
     """
@@ -159,6 +159,101 @@ def apply_update(pg: ProfiledGraph, update: "GraphUpdate") -> bool:
     if op == "set_profile":
         return pg.set_profile(update.u, update.labels or ())
     raise InvalidInputError(f"unknown update op {op!r}")  # pragma: no cover
+
+
+def preview_updates(
+    pg: ProfiledGraph, updates: Sequence[GraphUpdate]
+) -> Tuple[int, int]:
+    """``(effective, resulting_version)`` of applying ``updates`` to ``pg``.
+
+    Pure — ``pg`` is never mutated. Simulates the batch against an overlay
+    (vertex presence, edge presence, profiles) with exactly the semantics
+    of :func:`apply_update`: ``add_edge`` on an existing edge is a no-op,
+    ``remove_vertex`` of an unknown vertex raises, ``set_profile`` to the
+    same closure is a no-op, and so on. Raises the same exception the real
+    apply would (``VertexNotFoundError``, ``InvalidInputError``), so
+    :meth:`~repro.engine.explorer.CommunityExplorer.apply_updates` refuses
+    a bad batch before its first edit and a durable session before it
+    logs the batch.
+    """
+    vstate: dict = {}
+    pstate: dict = {}
+    estate: dict = {}
+    dead: Set[Vertex] = set()  # base edges of these vertices no longer count
+
+    def present(x: Vertex) -> bool:
+        if x in vstate:
+            return vstate[x]
+        return x in pg
+
+    def prof(x: Vertex) -> FrozenSet[int]:
+        if x in pstate:
+            return pstate[x]
+        return pg.labels(x)
+
+    def edge_present(x: Vertex, y: Vertex) -> bool:
+        key = (x, y) if repr(x) <= repr(y) else (y, x)
+        if key in estate:
+            return estate[key]
+        if x in dead or y in dead:
+            return False
+        return pg.graph.has_edge(x, y)
+
+    def set_edge(x: Vertex, y: Vertex, present_now: bool) -> None:
+        key = (x, y) if repr(x) <= repr(y) else (y, x)
+        estate[key] = present_now
+
+    effective = 0
+    for update in updates:
+        op = update.op
+        if op == "add_edge":
+            u, v = update.u, update.v
+            if u == v:
+                raise InvalidInputError(f"self-loop on vertex {u!r} is not allowed")
+            if edge_present(u, v):
+                continue
+            for w in (u, v):
+                if not present(w):
+                    vstate[w] = True
+                    pstate[w] = frozenset()
+            set_edge(u, v, True)
+            effective += 1
+        elif op == "remove_edge":
+            if not edge_present(update.u, update.v):
+                continue
+            set_edge(update.u, update.v, False)
+            effective += 1
+        elif op == "add_vertex":
+            closed = pg._coerce_profile(update.labels or (), validate=True)
+            if present(update.u):
+                continue
+            vstate[update.u] = True
+            pstate[update.u] = closed
+            effective += 1
+        elif op == "remove_vertex":
+            v = update.u
+            if not present(v):
+                raise VertexNotFoundError(v)
+            vstate[v] = False
+            pstate[v] = frozenset()
+            dead.add(v)
+            for key in list(estate):
+                if v in key:
+                    estate[key] = False
+            effective += 1
+        elif op == "set_profile":
+            v = update.u
+            if not present(v):
+                raise VertexNotFoundError(v)
+            closed = pg._coerce_profile(update.labels or (), validate=True)
+            if closed == prof(v):
+                continue
+            pstate[v] = closed
+            effective += 1
+        else:  # pragma: no cover - GraphUpdate rejects unknown ops
+            raise InvalidInputError(f"unknown update op {op!r}")
+    # repro-lint: disable=version-tagging -- every caller holds the mutation lock (apply_updates)
+    return effective, pg.version + effective
 
 
 def _parse_labels(token: str) -> List[object]:

@@ -31,6 +31,7 @@ import http.client
 import json
 import threading
 import time
+from functools import partial
 from pathlib import Path
 from typing import Optional, Tuple
 from urllib.parse import urlsplit
@@ -54,7 +55,7 @@ from repro.replication.protocol import (
 from repro.server.app import WriteRedirectError
 from repro.server.coalescer import RequestCoalescer
 from repro.server.gateway import CommunityGateway
-from repro.storage import load_snapshot_bytes, save_snapshot
+from repro.storage import apply_record, write_snapshot_bytes
 from repro.storage.store import GraphStore, StorageError
 
 __all__ = ["ReplicaGateway", "ReplicationError", "parse_http_url"]
@@ -70,6 +71,11 @@ def parse_http_url(url: str) -> Tuple[str, int]:
     if parts.scheme != "http" or not parts.hostname:
         raise InvalidInputError(f"expected an http://host:port URL, got {url!r}")
     return parts.hostname, parts.port or 80
+
+
+def _redirect(gateway: "ReplicaGateway", body: bytes, headers, path: str):
+    """Route adapter for a write route on a replica: ``307`` to the writer."""
+    raise WriteRedirectError(f"{gateway.writer_url}{path}")
 
 
 def _no_local_seed() -> ProfiledGraph:
@@ -161,15 +167,9 @@ class ReplicaGateway(CommunityGateway):
         finally:
             conn.close()
 
-    def _install_snapshot(self, raw: bytes, subscriptions=()) -> None:
-        """Install fetched snapshot bytes as the local store, atomically.
-
-        The writer's image is re-encoded with this replica's own
-        subscription heads (standing queries are per server) before the
-        old WAL, which held their registrations, is dropped.
-        """
-        pg = load_snapshot_bytes(raw)  # digest + decode check before trusting it
-        save_snapshot(pg, self._data_dir / GraphStore.SNAPSHOT_NAME, subscriptions=subscriptions)
+    def _install_snapshot(self, raw: bytes) -> None:
+        """Install the writer's checkpoint bytes as the local store, as shipped."""
+        write_snapshot_bytes(raw, self._data_dir / GraphStore.SNAPSHOT_NAME)
         wal_path = self._data_dir / GraphStore.WAL_NAME
         if wal_path.exists():
             # Anything the old WAL held predates the fresh snapshot;
@@ -196,18 +196,19 @@ class ReplicaGateway(CommunityGateway):
         raw = self._fetch_snapshot()
         old_service = self.service
         old_coalescer = self.coalescer
+        old_subscriptions = self.subscriptions
         old_service.close()  # release the store's file handles first
-        self._install_snapshot(raw, self.subscriptions.heads())
+        self._install_snapshot(raw)
         service = CommunityService(
             _no_local_seed, storage_dir=self._data_dir, **self._service_opts
         )
         self.service = service
-        # Standing subscriptions survive the swap: re-hook the new engine
-        # and emit one catch-up diff per subscription whose answer moved
-        # across the resync (the freshly fetched snapshot may be many
-        # versions ahead of the last evaluated one, and no WAL record
-        # here explains the jump, so catch-up checkpoints the new heads).
-        self.subscriptions.rebind(service)
+        # The new service booted the writer's subscriptions from the
+        # checkpoint. Closing the old manager wakes its parked readers;
+        # they re-poll against the new one, which answers a cursor behind
+        # its windows with a reset.
+        self.subscriptions = service.subscriptions
+        old_subscriptions.close()
         if old_coalescer is not None:
             self.coalescer = RequestCoalescer(
                 service,
@@ -251,6 +252,13 @@ class ReplicaGateway(CommunityGateway):
         """Refuse: replicas are read-only; the writer owns mutations."""
         raise WriteRedirectError(f"{self.writer_url}/update")
 
+    def extra_routes(self) -> dict:
+        """Registration is a write: the writer's, like ``/update``."""
+        return {
+            ("POST", path): partial(_redirect, path=path)
+            for path in ("/subscribe", "/unsubscribe")
+        }
+
     # ------------------------------------------------------------------
     # the follower
     # ------------------------------------------------------------------
@@ -262,20 +270,20 @@ class ReplicaGateway(CommunityGateway):
             self._last_contact = time.monotonic()
 
     def _apply_record(self, record) -> None:
-        """Apply one shipped WAL record through the durable service path."""
-        version = self.service.pg.version
-        if record.version <= version:
-            return  # duplicate delivery after a reconnect race
-        if record.base != version:
-            raise ReplicationError(
-                f"stream gap: record applies at version {record.base} but "
-                f"the replica is at {version}"
-            )
-        self.service.apply_updates(record.updates)
-        with self._state_lock:
-            self._records_applied += 1
-            self._writer_version = max(self._writer_version, record.version)
-            self._last_contact = time.monotonic()
+        """Apply one shipped WAL record by the boot-replay rule."""
+        service = self.service
+        if apply_record(service.pg, record, service.apply_updates, self._restore_logged):
+            with self._state_lock:
+                self._records_applied += 1
+                self._writer_version = max(self._writer_version, record.version)
+                self._last_contact = time.monotonic()
+
+    def _restore_logged(self, entry: dict) -> None:
+        """Log a shipped subscription record here, then install its head."""
+        service = self.service
+        with service.explorer.mutation_lock:
+            service.storage.wal.append_subscription(service.pg.version, entry)
+            service.subscriptions.restore(entry)
 
     def _follow_once(self) -> None:
         """One subscription: connect, stream frames, apply until it drops."""

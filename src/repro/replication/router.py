@@ -4,20 +4,23 @@
 standalone, writer and replica gateways — the same threading HTTP server,
 request handler and :func:`~repro.server.app.handle_request` routing and
 error envelopes (one handler thread per client connection) — and its
-``/query``, ``/batch`` and ``/update`` routes proxy to a backend over
-pooled keep-alive :class:`http.client.HTTPConnection` objects. A plain
-thread polls every backend's ``/healthz``.
+write and read routes proxy to a backend over pooled keep-alive
+:class:`http.client.HTTPConnection` objects. A plain thread polls every
+backend's ``/healthz``.
 
 Routing policy:
 
-* ``POST /update`` → the writer, always. Unreachable writer → ``503``
-  with ``Retry-After`` (writes are not failed over; there is one writer).
-* ``POST /query`` / ``POST /batch`` → the **least-loaded eligible
-  replica** (fewest router-side in-flight requests, then the coalescer
-  ``queue_depth`` from health polls). A replica that refuses or drops
-  mid-request is marked unhealthy and the request retried on another —
-  clients never see a single replica failure. With **no** live replica,
-  reads fall back to the writer rather than going dark.
+* ``POST /update``, ``POST /subscribe`` and ``POST /unsubscribe`` → the
+  writer, always. Unreachable writer → ``503`` with ``Retry-After``
+  (writes are not failed over; there is one writer).
+* ``POST /query``, ``POST /batch`` and ``POST /subscribe/poll`` → the
+  **least-loaded eligible replica** (fewest router-side in-flight
+  requests, then the coalescer ``queue_depth`` from health polls). A
+  replica that refuses or drops mid-request is marked unhealthy and the
+  request retried on another — clients never see a single replica
+  failure — and so is a replica's ``404`` on a poll (it has not applied
+  the registration yet). With **no** live replica, reads fall back to the
+  writer rather than going dark.
 * ``GET /healthz`` / ``GET /stats`` → answered by the router itself,
   describing the fleet.
 
@@ -168,9 +171,14 @@ class ReplicationRouter(_ServingRole):
             host,
             port,
             {
-                ("POST", "/query"): partial(ReplicationRouter._proxy_read, path="/query"),
-                ("POST", "/batch"): partial(ReplicationRouter._proxy_read, path="/batch"),
-                ("POST", "/update"): ReplicationRouter._proxy_write,
+                **{
+                    ("POST", path): partial(ReplicationRouter._proxy_read, path=path)
+                    for path in ("/query", "/batch", "/subscribe/poll")
+                },
+                **{
+                    ("POST", path): partial(ReplicationRouter._proxy_write, path=path)
+                    for path in ("/update", "/subscribe", "/unsubscribe")
+                },
                 ("GET", "/healthz"): ROUTES[("GET", "/healthz")],
                 ("GET", "/stats"): ROUTES[("GET", "/stats")],
             },
@@ -225,12 +233,12 @@ class ReplicationRouter(_ServingRole):
     # ------------------------------------------------------------------
     # proxying
     # ------------------------------------------------------------------
-    def _proxy_write(self, body: bytes, headers: Mapping) -> HttpResponse:
+    def _proxy_write(self, body: bytes, headers: Mapping, path: str) -> HttpResponse:
         """Forward a write to the writer; ``503`` when it is unreachable."""
         backend = self.writer
         try:
             status, r_headers, payload = self._forward(
-                backend, "POST", "/update", body, _proxied_headers(headers)
+                backend, "POST", path, body, _proxied_headers(headers)
             )
         except _BACKEND_ERRORS:
             with self._lock:
@@ -337,8 +345,11 @@ class ReplicationRouter(_ServingRole):
                     backend.healthy = False
                 elif _VERSION in r_headers:
                     backend.version = max(backend.version, int(r_headers[_VERSION]))
-                # 429/503: overloaded or draining — not this request's backend.
-                rejected = status in (None, 429, 503)
+                # 429/503: overloaded or draining — not this request's
+                # backend. A replica's 404 on a poll: not fresh enough.
+                rejected = status in (None, 429, 503) or (
+                    status == 404 and path == "/subscribe/poll" and not backend.is_writer
+                )
                 if rejected:
                     backend.errors += 1
                     self.counters["failovers"] += 1

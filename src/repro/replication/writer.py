@@ -5,15 +5,17 @@ over a **durable** service (``storage_dir=`` is mandatory — the write-ahead
 log *is* the replication stream source) with two extra routes:
 
 * ``GET /replication/snapshot`` ships the current serving state as one
-  digest-verified snapshot document (replica bootstrap / resync);
+  digest-verified checkpoint, subscription section included (replica
+  bootstrap / resync);
 * ``POST /replication/stream`` turns the connection into a long-lived
   framed WAL stream (see :mod:`repro.replication.protocol`).
 
 Every stream subscriber gets its own handler thread holding a
 :class:`~repro.storage.wal.WalCursor`; the cursor drains records the
 subscriber hasn't seen, then blocks on the WAL's change condition — an
-``/update`` acknowledged by the writer is therefore on the wire to every
-connected replica within one condition wake, with no polling. While the
+``/update`` or ``/subscribe`` acknowledged by the writer is therefore on
+the wire to every connected replica within one condition wake, with no
+polling. While the
 log is idle the stream carries heartbeats so replicas can distinguish "no
 writes" from "writer gone". A subscriber whose version predates the WAL
 floor (its records were folded into a snapshot by a checkpoint) is told
@@ -123,16 +125,17 @@ class WriterGateway(CommunityGateway):
     # replication endpoints
     # ------------------------------------------------------------------
     def ship_snapshot(self) -> HttpResponse:
-        """The full serving state as one snapshot document.
+        """The full serving state as one checkpoint image.
 
-        Encoded under the engine's mutation lock so the bytes capture a
-        version boundary, never a half-applied batch; the captured
-        version rides in the ``X-Repro-Graph-Version`` header.
+        Encoded under the engine's mutation lock, as a checkpoint is, so
+        the graph and the subscription section capture one version
+        boundary, never a half-applied batch; the captured version rides in
+        the ``X-Repro-Graph-Version`` header.
         """
         with self.service.explorer.mutation_lock:
             pg = self.service.pg
             version = pg.version
-            raw = snapshot_bytes(pg, include_index=True)
+            raw = snapshot_bytes(pg, True, self.subscriptions.heads())
         return HttpResponse(
             status=200,
             body=raw,

@@ -115,6 +115,11 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
             self._connections.discard(request)
         super().shutdown_request(request)
 
+    def handle_error(self, request, client_address) -> None:
+        # A peer hanging up (a replica closing its stream) ends the response.
+        if not isinstance(sys.exc_info()[1], (BrokenPipeError, ConnectionResetError)):
+            super().handle_error(request, client_address)
+
     def server_close(self) -> None:
         # Handler threads serving keep-alive connections block in read()
         # until the *peer* sends another request or hangs up — a peer

@@ -15,7 +15,7 @@ This package is the persistence layer that fixes both:
   :class:`~repro.engine.updates.GraphUpdate` batches, tagged with the
   graph version each batch produces *before* the in-memory apply, and of
   the zero-advance records that register or drop standing subscriptions;
-  :func:`~repro.storage.wal.preview_updates` computes that tag (and
+  :func:`~repro.engine.updates.preview_updates` computes that tag (and
   validates the batch) without touching the graph;
 * :mod:`repro.storage.store` — :class:`~repro.storage.store.GraphStore`,
   the snapshot + WAL lifecycle in one directory: boot (snapshot or cold
@@ -27,6 +27,7 @@ checkpoints), ``CommunityService(pg, storage_dir=DIR)`` in code, and
 ``benchmarks/bench_snapshot_boot.py`` for the warm-vs-cold gate.
 """
 
+from repro.engine.updates import preview_updates
 from repro.storage.snapshot import (
     FORMAT_VERSION,
     MAGIC,
@@ -42,6 +43,7 @@ from repro.storage.snapshot import (
     save_snapshot,
     snapshot_bytes,
     verify_digest,
+    write_snapshot_bytes,
 )
 from repro.storage.store import BootReport, GraphStore, StorageError
 from repro.storage.wal import (
@@ -51,7 +53,7 @@ from repro.storage.wal import (
     WalRecord,
     WalReplayError,
     WriteAheadLog,
-    preview_updates,
+    apply_record,
 )
 
 __all__ = [
@@ -69,12 +71,14 @@ __all__ = [
     "load_snapshot_bytes",
     "load_checkpoint",
     "verify_digest",
+    "write_snapshot_bytes",
     "WalRecord",
     "WalCursor",
     "WriteAheadLog",
     "WalError",
     "WalCorruptError",
     "WalReplayError",
+    "apply_record",
     "preview_updates",
     "GraphStore",
     "BootReport",

@@ -33,15 +33,16 @@ what makes the SHA-256 digest meaningful and lets CI pin a golden file
 
 The subscription section is a durable server's standing queries at the
 checkpoint: a u32 byte length, then one compact JSON array with an entry
-per subscription (the :mod:`repro.subscribe` registration entry that
-carries its head — plain JSON this package does not interpret). A
+per subscription (the :mod:`repro.subscribe` entry that carries its head
+and retained window — plain JSON this package does not interpret). A
 checkpoint with no live subscription writes neither the flag nor the
 section, so its bytes are exactly those of a graph-only snapshot.
 
 The same image (:func:`snapshot_bytes` / :func:`load_snapshot_bytes`) is
-what crosses every process boundary — replica bootstrap over HTTP and
-worker bootstrap in :mod:`repro.parallel` — so no two serialisation paths
-can disagree on graph semantics.
+what crosses every process boundary — replica bootstrap over HTTP, which
+:func:`write_snapshot_bytes` installs as shipped, and worker bootstrap in
+:mod:`repro.parallel` — so no two serialisation paths can disagree on
+graph semantics.
 """
 
 from __future__ import annotations
@@ -608,12 +609,25 @@ def save_snapshot(
     With ``include_index`` (default) and a built CP-tree, the index is
     persisted too (every edit was patched into it as it landed, so it is
     current); non-empty ``subscriptions`` become the subscription
-    section. The bytes land in a same-directory temp file, are fsync'd,
-    and are renamed over ``path``, so a crash mid-save leaves the previous
-    snapshot intact.
+    section. Written by :func:`write_snapshot_bytes`.
     """
     raw = snapshot_bytes(pg, include_index=include_index, subscriptions=subscriptions)
+    return write_snapshot_bytes(raw, path)
+
+
+def write_snapshot_bytes(raw: bytes, path: PathLike) -> SnapshotInfo:
+    """Write a complete snapshot image to ``path`` as is, atomically.
+
+    The header and the SHA-256 digest are checked first (a
+    :class:`SnapshotError` subclass on failure; nothing is written); the
+    payload is not decoded. The bytes land in a same-directory temp file,
+    are fsync'd and are renamed over ``path``, so a crash mid-write
+    leaves the previous snapshot intact.
+    """
     target = Path(path)
+    _, flags, digest, payload = _split_file(raw, target)
+    if hashlib.sha256(payload).digest() != digest:
+        raise SnapshotCorruptError(f"{target}: payload does not match its digest")
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(target.name + ".tmp")
     with open(tmp, "wb") as fh:
@@ -622,7 +636,6 @@ def save_snapshot(
         os.fsync(fh.fileno())
     os.replace(tmp, target)
     _fsync_directory(target.parent)
-    _, flags, digest, payload = _split_file(raw, target)
     return _info(FORMAT_VERSION, flags, digest, payload)
 
 
@@ -632,10 +645,10 @@ def snapshot_bytes(
     """The complete snapshot file image (header + payload) as bytes.
 
     Exactly what :func:`save_snapshot` writes, without touching disk —
-    the replication writer ships this over HTTP and the worker pool as a
-    process initializer argument (both graph-only), so a replica's
-    on-disk boot file and both wire forms are the same bytes by
-    construction.
+    the replication writer ships this over HTTP (with its subscription
+    section) and the worker pool as a process initializer argument
+    (graph-only), so a replica's on-disk boot file and the shipped image
+    are the same bytes by construction.
     """
     index = pg.index() if (include_index and pg.has_index()) else None
     payload = encode_payload(pg, index=index, subscriptions=subscriptions)

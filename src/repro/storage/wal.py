@@ -9,11 +9,11 @@ every logged batch beyond the snapshot and lands on the exact pre-crash
 
 Tagging the *resulting* version before applying requires knowing how many
 of the batch's updates will be effective (no-ops don't bump the version).
-:func:`preview_updates` computes that with a pure overlay simulation —
-the graph is not touched — and doubles as up-front validation: a batch
-that would raise halfway through (unknown vertex, self-loop, bad label)
-is rejected *before* anything hits the log, so the log never contains a
-partially-appliable record.
+:func:`~repro.engine.updates.preview_updates` computes that with a pure
+overlay simulation — the graph is not touched — and doubles as up-front
+validation: the engine rejects a batch that would raise halfway through
+(unknown vertex, self-loop, bad label) *before* handing it to the log, so
+the log never contains a partially-appliable record.
 
 Record framing (little-endian)::
 
@@ -45,24 +45,12 @@ import threading
 import time
 import zlib
 from pathlib import Path
-from typing import (
-    Callable,
-    FrozenSet,
-    Hashable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.profiled_graph import ProfiledGraph
 from repro.engine.updates import GraphUpdate, apply_update
-from repro.errors import InvalidInputError, ReproError, VertexNotFoundError
+from repro.errors import InvalidInputError, ReproError
 
-Vertex = Hashable
 PathLike = Union[str, Path]
 
 _FRAME = struct.Struct("<II")
@@ -205,99 +193,41 @@ class WalRecord:
 
 
 # ----------------------------------------------------------------------
-# preview: effective-count + validation without touching the graph
+# the record rule: boot replay and the replication stream
 # ----------------------------------------------------------------------
-def preview_updates(
-    pg: ProfiledGraph, updates: Sequence[GraphUpdate]
-) -> Tuple[int, int]:
-    """``(effective, resulting_version)`` of applying ``updates`` to ``pg``.
+def apply_record(
+    pg: ProfiledGraph,
+    record: WalRecord,
+    apply: Callable[[Sequence[GraphUpdate]], object],
+    restore: Callable[[dict], None],
+) -> bool:
+    """Apply one log record, from disk at boot or off the replication
+    stream, onto ``pg``; whether it took effect.
 
-    Pure — ``pg`` is never mutated. Simulates the batch against an overlay
-    (vertex presence, edge presence, profiles) with exactly the semantics
-    of :func:`repro.engine.updates.apply_update`: ``add_edge`` on an
-    existing edge is a no-op, ``remove_vertex`` of an unknown vertex
-    raises, ``set_profile`` to the same closure is a no-op, and so on.
-    Raises the same exception the real apply would (``VertexNotFoundError``,
-    ``InvalidInputError``) so callers can refuse a bad batch *before*
-    logging it.
+    A batch at or below the graph's version is already in it and is
+    skipped; any other must start at the graph's version, and
+    ``apply(updates)`` must land it on the record's, else
+    :class:`WalReplayError`. A subscription record goes to
+    ``restore(entry)`` only at the graph's current version; one there may
+    arrive twice (a crashed checkpoint truncate, a reconnecting follower),
+    so ``restore`` must be idempotent by subscription id.
     """
-    vstate: dict = {}
-    pstate: dict = {}
-    estate: dict = {}
-    dead: Set[Vertex] = set()  # base edges of these vertices no longer count
-
-    def present(x: Vertex) -> bool:
-        if x in vstate:
-            return vstate[x]
-        return x in pg
-
-    def prof(x: Vertex) -> FrozenSet[int]:
-        if x in pstate:
-            return pstate[x]
-        return pg.labels(x)
-
-    def edge_present(x: Vertex, y: Vertex) -> bool:
-        key = (x, y) if repr(x) <= repr(y) else (y, x)
-        if key in estate:
-            return estate[key]
-        if x in dead or y in dead:
-            return False
-        return pg.graph.has_edge(x, y)
-
-    def set_edge(x: Vertex, y: Vertex, present_now: bool) -> None:
-        key = (x, y) if repr(x) <= repr(y) else (y, x)
-        estate[key] = present_now
-
-    effective = 0
-    for update in updates:
-        op = update.op
-        if op == "add_edge":
-            u, v = update.u, update.v
-            if u == v:
-                raise InvalidInputError(f"self-loop on vertex {u!r} is not allowed")
-            if edge_present(u, v):
-                continue
-            for w in (u, v):
-                if not present(w):
-                    vstate[w] = True
-                    pstate[w] = frozenset()
-            set_edge(u, v, True)
-            effective += 1
-        elif op == "remove_edge":
-            if not edge_present(update.u, update.v):
-                continue
-            set_edge(update.u, update.v, False)
-            effective += 1
-        elif op == "add_vertex":
-            closed = pg._coerce_profile(update.labels or (), validate=True)
-            if present(update.u):
-                continue
-            vstate[update.u] = True
-            pstate[update.u] = closed
-            effective += 1
-        elif op == "remove_vertex":
-            v = update.u
-            if not present(v):
-                raise VertexNotFoundError(v)
-            vstate[v] = False
-            pstate[v] = frozenset()
-            dead.add(v)
-            for key in list(estate):
-                if v in key:
-                    estate[key] = False
-            effective += 1
-        elif op == "set_profile":
-            v = update.u
-            if not present(v):
-                raise VertexNotFoundError(v)
-            closed = pg._coerce_profile(update.labels or (), validate=True)
-            if closed == prof(v):
-                continue
-            pstate[v] = closed
-            effective += 1
-        else:  # pragma: no cover - GraphUpdate rejects unknown ops
-            raise InvalidInputError(f"unknown update op {op!r}")
-    return effective, pg.version + effective
+    if record.subscription is not None and record.version == pg.version:
+        restore(record.subscription)
+        return True
+    if record.version <= pg.version:
+        return False
+    if record.base != pg.version:
+        raise WalReplayError(
+            f"the record applies at version {record.base} but the graph is at {pg.version}"
+        )
+    apply(record.updates)
+    if pg.version != record.version:
+        raise WalReplayError(
+            f"the record promised version {record.version} but applying it "
+            f"produced {pg.version}"
+        )
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -448,14 +378,26 @@ class WriteAheadLog:
         return record
 
     def truncate(self) -> None:
-        """Drop every record (called after its effects reach a snapshot)."""
+        """Drop the records whose effects a snapshot now holds.
+
+        The zero-advance records at the newest version stay: a follower
+        at exactly that version may not have them yet (it gets them from
+        :class:`WalCursor`), and replaying them onto the snapshot is
+        idempotent.
+        """
         if self._fh.closed:
             raise WalError(f"{self._path}: log is closed")
+        kept: List[WalRecord] = []
+        for record in reversed(self.records()):
+            if record.subscription is None or record.version != self._last_version:
+                break
+            kept.insert(0, record)
         self._fh.truncate(0)
+        self._fh.write(b"".join(pack_frame(r.to_payload()) for r in kept))
         self._fh.flush()
         os.fsync(self._fh.fileno())
-        self._num_records = 0
-        self._last_version = None
+        self._num_records = len(kept)
+        self._last_version = kept[-1].version if kept else None
         with self._change:
             self._generation += 1
             self._change.notify_all()
@@ -483,45 +425,26 @@ class WriteAheadLog:
         apply: Optional[Callable[[Sequence[GraphUpdate]], object]] = None,
         restore: Optional[Callable[[dict], None]] = None,
     ) -> int:
-        """Re-apply logged batches onto ``pg``; returns batches applied.
+        """Re-apply the logged records onto ``pg`` by :func:`apply_record`;
+        returns the batches applied.
 
-        Records with ``version <= pg.version`` are already reflected in
-        the graph (they were folded into the snapshot ``pg`` came from)
-        and are skipped. Each remaining record must start exactly at the
-        graph's current version — a mismatch means the snapshot and log
-        disagree, and replay raises :class:`WalReplayError` rather than
-        guess. After replay the graph sits at the last record's
-        ``version``: the exact pre-crash state.
-
-        ``apply(updates)`` applies one batch to ``pg`` (default: straight
-        onto the graph; a serving engine passes its update path).
-        Subscription records go to ``restore`` (default: skipped) only at
-        the graph's current version: older ones are in the snapshot's
-        section already, and one at exactly its version may sit on both
-        sides of a checkpoint whose truncate crashed, so ``restore`` must
-        be idempotent by subscription id.
+        After replay the graph sits at the last record's ``version``: the
+        exact pre-crash state. ``apply(updates)`` applies one batch
+        (default: straight onto the graph; a serving engine passes its
+        update path); subscription records go to ``restore`` (default:
+        skipped). Replay never logs a record again.
         """
+        if apply is None:
+            def apply(updates):
+                for update in updates:
+                    apply_update(pg, update)
         applied = 0
         for number, record in enumerate(self.records(), start=1):
-            if record.subscription is not None and record.version == pg.version:
-                if restore is not None:
-                    restore(record.subscription)
-            elif record.version > pg.version:
-                if record.base != pg.version:
-                    raise WalReplayError(
-                        f"{self._path}: record {number} applies at version "
-                        f"{record.base} but the graph is at {pg.version}"
-                    )
-                if apply is None:
-                    for update in record.updates:
-                        apply_update(pg, update)
-                else:
-                    apply(record.updates)
-                if pg.version != record.version:
-                    raise WalReplayError(
-                        f"{self._path}: record {number} promised version "
-                        f"{record.version} but replay produced {pg.version}"
-                    )
+            try:
+                took = apply_record(pg, record, apply, restore or (lambda entry: None))
+            except WalReplayError as exc:
+                raise WalReplayError(f"{self._path}: record {number}: {exc}") from None
+            if took and record.subscription is None:
                 applied += 1
         return applied
 
@@ -576,11 +499,12 @@ class WalCursor:
 
     The replication writer holds one cursor per subscribed replica:
     :meth:`pending` drains every complete record with ``version`` greater
-    than the subscriber's, and :meth:`wait` blocks (with a timeout, so
-    heartbeats can interleave) until the log moves. A log truncation while
-    following (the writer checkpointed) flips :attr:`lost_history` if the
-    records the cursor still needed are gone — the subscriber must then
-    resync from a fresh snapshot.
+    than the subscriber's, plus the zero-advance records (subscription
+    registrations) at exactly its version, and :meth:`wait` blocks (with a
+    timeout, so heartbeats can interleave) until the log moves. A log
+    truncation while following (the writer checkpointed) flips
+    :attr:`lost_history` if the records the cursor still needed are gone —
+    the subscriber must then resync from a fresh snapshot.
 
     Not thread-safe; each follower thread owns its cursor.
     """
@@ -597,43 +521,35 @@ class WalCursor:
         """Every record up to and including this version has been drained."""
         return self._after
 
-    def _reseek(self) -> None:
-        """Handle a truncation: restart from 0, flagging lost history.
-
-        After a checkpoint the log only holds records *after* the
-        snapshot; if the subscriber was already past the truncation point
-        (its version >= every surviving record's base floor, i.e. the
-        log restarts at or after ``after_version``) nothing is lost.
-        """
-        self._generation = self._wal.generation
-        self._offset = 0
-        first = self._wal.first_base
-        if first is not None and first > self._after:
-            self.lost_history = True
-        # An empty truncated log loses nothing: new records will append
-        # with base >= the checkpoint version >= any caught-up follower.
-
     def pending(self) -> List[WalRecord]:
-        """Drain records newer than the cursor position (oldest first)."""
-        if self._generation != self._wal.generation:
-            self._reseek()
+        """Drain the records due after the cursor position (oldest first)."""
         if self.lost_history:
             return []
+        if self._generation != self._wal.generation:
+            # A checkpoint truncated the log: what survives starts at its
+            # beginning. Whether records this cursor needed went with the
+            # truncate shows as a gap in the loop below.
+            self._generation, self._offset = self._wal.generation, 0
         try:
             records, self._offset = self._wal.read_frames_from(self._offset)
-        except WalError:
-            self._reseek()
-            if self.lost_history:
-                return []
-            records, self._offset = self._wal.read_frames_from(self._offset)
-        fresh = [r for r in records if r.version > self._after]
-        for record in fresh:
+        except WalError:  # truncated between the check above and the read
+            self._generation = self._wal.generation
+            records, self._offset = self._wal.read_frames_from(0)
+        fresh = []
+        for record in records:
+            # Due: past the cursor, or zero-advance at it. Records at the
+            # cursor's version may ship twice (a follower reconnecting at
+            # that version); apply_record makes that harmless.
+            if record.version < self._after or (
+                record.version == self._after and record.base != record.version
+            ):
+                continue
             if record.base > self._after:
-                # Gap: the log truncated between reads and restarted past
-                # this cursor (its generation can already match ours after
-                # _reseek raced the truncate); records were lost.
+                # Gap: the records between the cursor and this one were
+                # folded into a snapshot; the follower must resync.
                 self.lost_history = True
-                return fresh[: fresh.index(record)]
+                break
+            fresh.append(record)
             self._after = record.version
         return fresh
 

@@ -37,13 +37,16 @@ and memory stays bounded by the window.
 Durability rides the service's own WAL and snapshot (:mod:`repro.storage`):
 on a ``storage_dir=`` session, registering and unregistering append one
 zero-advance WAL record each, and a checkpoint writes every subscription's
-head into the snapshot. Diffs are never logged — a diff tagged ``v`` is a
-function of the graph history and the registrations, so boot re-derives
-each one by replaying the WAL's batches with this manager's hook attached.
+head and retained window into the snapshot. Diffs are never logged — a
+diff tagged ``v`` is a function of the graph history and the
+registrations, so boot re-derives each one by replaying the WAL's batches
+with this manager's hook attached. A replica derives the writer's windows
+the same way: registrations reach it as records of the writer's WAL
+stream, and a resync installs the writer's checkpoint.
 
 Lock ordering: the engine mutation lock is always taken *before* the
-manager lock (registration, unregistration and catch-up take both in
-that order; the update hook already holds the mutation lock). Readers
+manager lock (registration and unregistration take both in that order;
+the update hook already holds the mutation lock). Readers
 take only the manager lock. This ordering is what makes synchronous
 evaluation deadlock-free.
 """
@@ -113,10 +116,12 @@ class _SubscriptionState:
         )
 
     def durable_entry(self) -> dict:
-        """The WAL registration / snapshot-section entry: the subscription at its head."""
+        """The WAL registration / snapshot-section entry: the subscription,
+        its head and its retained window."""
         return {
             "subscription": self.sub.to_dict(),
             "head": self.head_snapshot().to_dict(),
+            "events": [diff.to_dict() for diff in self.events],
         }
 
 
@@ -127,9 +132,8 @@ class SubscriptionManager:
     ----------
     service:
         The :class:`~repro.api.service.CommunityService` whose engine this
-        manager hooks; the manager becomes its ``subscriptions``.
-        Swappable later via :meth:`rebind` (replica resync). On a durable
-        service every registration is logged to the service's WAL.
+        manager hooks; the manager becomes its ``subscriptions``. On a
+        durable service every registration is logged to the service's WAL.
     event_log_size:
         Diffs retained per subscription (see :data:`DEFAULT_EVENT_LOG_SIZE`).
     """
@@ -148,50 +152,18 @@ class SubscriptionManager:
         self._closed = False
         self._draining = False
         self._waiting = 0
-        self._attached = None
         self._batches = 0
         self._reevaluations = 0
         self._events_published = 0
         self._hook_errors = 0
         self._last_error: Optional[str] = None
         self._last_batch: Dict[str, int] = {"subscriptions": 0, "reevaluated": 0}
-        self.attach(service)
-
-    # ------------------------------------------------------------------
-    # engine hook lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def service(self):
-        return self._service
-
-    def attach(self, service) -> None:
-        """Hook ``service``'s engine (detaching from any previous one) and
-        become its ``subscriptions``."""
-        self.detach()
-        self._service = service
         service.subscriptions = self
         service.explorer.add_update_hook(self._on_updates)
-        self._attached = service.explorer
 
-    def detach(self) -> None:
-        """Remove the engine hook (idempotent)."""
-        if self._attached is not None:
-            self._attached.remove_update_hook(self._on_updates)
-            self._attached = None
-
-    def rebind(self, service) -> None:
-        """Follow a service swap (replica resync): re-hook and catch up.
-
-        Registered subscriptions and their event histories survive; each
-        is re-evaluated against the new service's graph and a catch-up
-        diff is emitted where the answer moved. This manager replaces the
-        one the new service booted with, since it holds the live windows.
-        """
-        if service.subscriptions is not None:
-            service.subscriptions.close()
-        self.attach(service)
-        self.catch_up()
-
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
     def disconnect_consumers(self) -> None:
         """End every blocked read *without* stopping the manager.
 
@@ -214,7 +186,7 @@ class SubscriptionManager:
 
     def close(self) -> None:
         """Stop serving: wake every blocked reader, drop the hook, leave the service."""
-        self.detach()
+        self._service.explorer.remove_update_hook(self._on_updates)
         if self._service.subscriptions is self:
             self._service.subscriptions = None
         with self._cond:
@@ -249,9 +221,9 @@ class SubscriptionManager:
                 state.sensitive_to_all = sensitive
                 state.last_version = version
                 state.next_event_id = 2
-                self._log_locked(version, state.durable_entry())
                 diff = state.head_snapshot()  # event id 1: the head is the baseline
                 state.events.append(diff)
+                self._log_locked(version, state.durable_entry())
                 self._states[sub.id] = state
                 return diff
 
@@ -387,29 +359,6 @@ class SubscriptionManager:
             if published:
                 self._cond.notify_all()
 
-    def catch_up(self) -> int:
-        """Re-evaluate every subscription now; returns diffs emitted.
-
-        Used after a replica resync, the one jump in the graph's version
-        that no WAL record explains. Runs under both locks like a batch.
-        Replay cannot re-derive these diffs, so a durable service checkpoints
-        the new heads before any reader can see them.
-        """
-        with self._service.explorer.mutation_lock:
-            with self._cond:
-                if self._closed:
-                    return 0
-                pg = self._service.pg
-                emitted = sum(
-                    self._reevaluate_locked(state, pg.version)
-                    for state in self._states.values()
-                )
-                if self._service.storage is not None:
-                    self._service.storage.snapshot(pg, subscriptions=self._heads_locked())
-                if emitted:
-                    self._cond.notify_all()
-        return emitted
-
     def _reevaluate_locked(self, state: _SubscriptionState, version: int) -> bool:
         """Re-evaluate ``state`` at ``version`` (both locks held).
 
@@ -503,11 +452,12 @@ class SubscriptionManager:
     def restore(self, entry: dict) -> None:
         """Apply one durable entry: a snapshot section's or a WAL record's.
 
-        Boot-time, in log order. A registration installs its subscription
-        at the head it carries unless the id is already registered — the
-        crash between a checkpoint's snapshot rename and its WAL truncate
-        leaves a registration both in the section and in the log — and an
-        unregistration drops the id if present. A malformed entry raises
+        In log order, at boot or off the replication stream. A registration
+        installs its subscription at the head and window it carries unless
+        the id is already registered — a record at a checkpoint's version
+        sits both in the section and in the log, and a follower reconnecting
+        at that version receives it again — and an unregistration drops the
+        id if present. A malformed entry raises
         :class:`~repro.errors.InvalidInputError`.
         """
         with self._cond:
@@ -526,22 +476,25 @@ class SubscriptionManager:
                 raise InvalidInputError(
                     f"subscription entry head does not re-baseline {sub.id!r}"
                 )
+            events = entry.get("events")
+            window = [CommunityDiff.from_dict(e) for e in events] if isinstance(events, list) else []
+            if not window or [(d.subscription_id, d.event_id) for d in window] != [
+                (sub.id, i) for i in range(head.event_id + 1 - len(window), head.event_id + 1)
+            ]:
+                raise InvalidInputError("subscription entry window does not end at its head")
             if sub.id in self._states:
                 return
             state = _SubscriptionState(sub, self._event_log_size)
             state.members = members
             state.last_version = head.graph_version
             state.next_event_id = head.event_id + 1
-            state.events.append(head)
+            state.events.extend(window)
             self._states[sub.id] = state
 
     def heads(self) -> List[dict]:
-        """One head entry per live subscription, by id: the snapshot section."""
+        """One durable entry per live subscription, by id: the snapshot section."""
         with self._lock:
-            return self._heads_locked()
-
-    def _heads_locked(self) -> List[dict]:
-        return [self._states[key].durable_entry() for key in sorted(self._states)]
+            return [self._states[key].durable_entry() for key in sorted(self._states)]
 
     # ------------------------------------------------------------------
     # observability

@@ -15,6 +15,7 @@ import gc
 import http.client
 import io
 import json
+import random
 import socket
 import struct
 import sys
@@ -26,7 +27,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.api import CommunityService, Query, Subscription
+from repro.api import CommunityDiff, CommunityService, Query, Subscription
 from repro.datasets import fig1_profiled_graph
 from repro.errors import InvalidInputError
 from repro.replication import (
@@ -56,6 +57,14 @@ UPDATES = [
 
 PROBE = Query(vertex="A", k=2)
 
+#: Z1 joins the {B, C, D} community of Fig. 1.
+ADD_Z1 = [
+    {"op": "add_vertex", "u": "Z1", "labels": ["ML", "AI"]},
+    {"op": "add_edge", "u": "Z1", "v": "B"},
+    {"op": "add_edge", "u": "Z1", "v": "C"},
+    {"op": "add_edge", "u": "Z1", "v": "D"},
+]
+
 
 def _wait_until(predicate, timeout=15.0, interval=0.02, what="condition"):
     """Poll ``predicate`` until truthy; fail loudly on timeout."""
@@ -70,6 +79,25 @@ def _wait_until(predicate, timeout=15.0, interval=0.02, what="condition"):
 def _url(gateway) -> str:
     host, port = gateway.address
     return f"http://{host}:{port}"
+
+
+def _windows(gateway_or_service) -> dict:
+    """Every subscription's retained window and members, keyed by id.
+
+    Diffs compare by event id, version and reset, with ``joined`` and
+    ``left`` as sets.
+    """
+    manager = gateway_or_service.subscriptions
+    return {
+        sub.id: (
+            [
+                (d.event_id, d.graph_version, d.reset, frozenset(d.joined), frozenset(d.left))
+                for d in manager.events_since(sub.id)
+            ],
+            manager.members(sub.id),
+        )
+        for sub in manager.subscriptions()
+    }
 
 
 def envelope(response):
@@ -191,9 +219,46 @@ class TestWalCursor:
         wal.truncate()
         wal.append_subscription(3, {"unregister": "s"})
         wal.append(3, 4, [{"op": "add_vertex", "u": "X"}])
-        assert [(r.version, r.subscription) for r in cursor.pending()] == [(4, None)]
+        assert [(r.version, r.subscription) for r in cursor.pending()] == [
+            (3, {"unregister": "s"}),
+            (4, None),
+        ]
         assert cursor.lost_history is False
         assert cursor.after_version == 4
+
+    def test_registration_at_the_cursor_version_is_drained_on_its_own(self, tmp_path):
+        wal = self._log_with(tmp_path, 2)
+        cursor = wal.cursor(0)
+        assert [r.version for r in cursor.pending()] == [1, 2]
+        wal.append_subscription(2, {"unregister": "s"})
+        assert [(r.version, r.subscription) for r in cursor.pending()] == [
+            (2, {"unregister": "s"})
+        ]
+        assert cursor.pending() == []  # drained once per cursor
+        assert cursor.after_version == 2
+
+    def test_registration_is_drained_in_the_chunk_of_the_batch_before_it(self, tmp_path):
+        wal = self._log_with(tmp_path, 2)
+        wal.append_subscription(2, {"unregister": "s"})
+        drained = [(r.version, r.subscription is not None) for r in wal.cursor(1).pending()]
+        assert drained == [(2, False), (2, True)]
+        # A follower reconnecting at version 2 gets the record at 2 again.
+        assert [r.subscription for r in wal.cursor(2).pending()] == [{"unregister": "s"}]
+
+    def test_truncate_keeps_the_registrations_at_the_newest_version(self, tmp_path):
+        wal = self._log_with(tmp_path, 2)
+        wal.append_subscription(2, {"unregister": "s"})
+        wal.truncate()
+        assert [(r.version, r.subscription) for r in wal.records()] == [
+            (2, {"unregister": "s"})
+        ]
+        assert wal.first_base == 2
+        assert [r.subscription for r in wal.cursor(2).pending()] == [{"unregister": "s"}]
+        behind = wal.cursor(1)  # it needed the batch to 2: resync
+        assert behind.pending() == [] and behind.lost_history
+        wal.append(2, 3, [{"op": "add_vertex", "u": "X"}])
+        wal.truncate()
+        assert wal.records() == []
 
 
 # ----------------------------------------------------------------------
@@ -386,31 +451,26 @@ class TestInProcessTier:
         finally:
             writer.close()
 
-    def test_resync_catch_up_survives_a_replica_crash(self, tmp_path):
-        """The catch-up diff a resync emits is explained by no WAL record,
-        so it must be checkpointed: a replica killed after the resync
-        reboots at the event ids it served, and a diff replayed from its
-        WAL after that keeps its id."""
+    def test_resync_survives_a_replica_crash(self, tmp_path):
+        """A resync installs the writer's checkpoint as shipped, windows
+        included: a replica killed after the resync reboots with the
+        writer's window, and a diff replayed from its WAL keeps its id."""
         service = CommunityService(
             fig1_profiled_graph(), storage_dir=tmp_path / "writer"
         )
         writer = WriterGateway(service, heartbeat_interval=0.1, port=0).start()
         replica_dir = tmp_path / "replica"
         try:
+            sub_id = writer.subscriptions.register(Subscription.new("B", k=2)).subscription_id
             first = ReplicaGateway(_url(writer), replica_dir, reconnect_backoff=0.05, port=0)
             first.start()
-            sub_id = first.subscriptions.register(Subscription.new("B", k=2)).subscription_id
             service.apply_updates(UPDATES[:1])
             _wait_until(lambda: first.service.pg.version == 1, what="catch-up")
+            assert _windows(first) == _windows(writer)
             first.close()
             # While the replica is down, Z1 joins B's community and a
             # checkpoint truncates the records the replica would need.
-            service.apply_updates([
-                {"op": "add_vertex", "u": "Z1", "labels": ["ML", "AI"]},
-                {"op": "add_edge", "u": "Z1", "v": "B"},
-                {"op": "add_edge", "u": "Z1", "v": "C"},
-                {"op": "add_edge", "u": "Z1", "v": "D"},
-            ])
+            service.apply_updates(ADD_Z1)
             service.snapshot()
             second = ReplicaGateway(_url(writer), replica_dir, reconnect_backoff=0.05, port=0)
             second.start()
@@ -422,34 +482,27 @@ class TestInProcessTier:
                 # After the resync, one streamed batch moves the answer again.
                 service.apply_updates([{"op": "remove_vertex", "u": "Z1"}])
                 _wait_until(
-                    lambda: len(second.subscriptions.events_since(sub_id)) == 3,
-                    what="the post-resync diff",
+                    lambda: _windows(second) == _windows(writer),
+                    what="the writer's window on the replica",
                 )
-                live = second.subscriptions.events_since(sub_id)
-                members = second.subscriptions.members(sub_id)
+                live = _windows(writer)
                 version = second.service.pg.version
             finally:
                 second.close(drain=False)  # a crash: no drain checkpoint
         finally:
             writer.close()
-        assert [d.event_id for d in live] == [1, 2, 3]
-        assert "Z1" in live[1].joined and "Z1" in live[2].left
+        assert [event[0] for event in live[sub_id][0]] == [1, 2, 3]
         reborn = CommunityService(fig1_profiled_graph, storage_dir=replica_dir)
         try:
             assert reborn.pg.version == version
-            head, *tail = reborn.subscriptions.events_since(sub_id, last_event_id=1)
-            assert head.reset and head.event_id == 2
-            assert head.graph_version == live[1].graph_version
-            assert set(head.joined) == live[1].apply_to(live[0].apply_to(frozenset()))
-            assert tail == live[2:]
-            assert reborn.subscriptions.members(sub_id) == members
+            assert _windows(reborn) == live
         finally:
             reborn.close()
 
-    def test_writer_registration_leaves_replica_alone(self, tmp_path, monkeypatch):
-        """Subscriptions are per server: a writer's registration record
-        reaches the replica's stream between two batches and changes
-        nothing there — no stall, no resync, no subscription."""
+    def test_writer_registration_reaches_the_replica(self, tmp_path, monkeypatch):
+        """A writer's registration record reaches the replica's stream,
+        between two batches or at the replica's own version, and the
+        replica derives the writer's ids, heads and windows from it."""
         seen = []
         apply_record = ReplicaGateway._apply_record
 
@@ -466,7 +519,6 @@ class TestInProcessTier:
         try:
             first = ReplicaGateway(_url(writer), replica_dir, reconnect_backoff=0.05, port=0)
             first.start()
-            own = first.subscriptions.register(Subscription.new("A", k=2))
             service.apply_updates(UPDATES[:1])
             _wait_until(lambda: first.service.pg.version == 1, what="catch-up")
             first.close()
@@ -478,21 +530,80 @@ class TestInProcessTier:
             second = ReplicaGateway(_url(writer), replica_dir, reconnect_backoff=0.05, port=0)
             second.start()
             try:
-                target = service.pg.version
                 _wait_until(
-                    lambda: second.service.pg.version == target,
-                    what="the batch behind the registration record",
+                    lambda: _windows(second) == _windows(writer),
+                    what="the registration behind the batch",
                 )
-                assert (2, True) in seen  # the record was streamed, then dropped
+                assert (2, True) in seen
+                # A registration at the replica's own version, then a batch.
+                writer.subscriptions.register(Subscription.new("D", k=2))
+                _wait_until(
+                    lambda: _windows(second) == _windows(writer),
+                    what="the registration at the replica's version",
+                )
+                service.apply_updates(ADD_Z1)
+                _wait_until(
+                    lambda: _windows(second) == _windows(writer),
+                    what="the diffs of the batch after it",
+                )
+                assert all(len(window) == 2 for window, _ in _windows(writer).values())
                 with ServerClient(*second.address) as client:
                     assert client.healthz()["replication"]["resyncs"] == 0
-                assert [s.id for s in second.subscriptions.subscriptions()] == [
-                    own.subscription_id
-                ]
             finally:
                 second.close()
         finally:
             writer.close()
+
+    def test_registration_is_a_write(self, tmp_path):
+        """A replica redirects registration to the writer; the router
+        proxies it there. A poll the replica cannot answer yet (it sits at
+        the registration version without the record) goes to the writer."""
+        with replication_tier(tmp_path) as (writer, reps, router):
+            with ServerClient(*reps[0].address) as client:
+                with pytest.raises(ServerError) as err:
+                    client.subscribe("B", k=2)
+                assert err.value.status == 307
+                assert err.value.location == f"{_url(writer)}/subscribe"
+                with pytest.raises(ServerError) as err:
+                    client.unsubscribe("nope")
+                assert err.value.location == f"{_url(writer)}/unsubscribe"
+            assert len(writer.subscriptions) == 0
+            # The replica keeps the writer's version but never applies
+            # the registration record.
+            reps[0]._restore_logged = lambda entry: None
+            with ServerClient(*router.address) as client:
+                sub, head = client.subscribe("B", k=2)
+                assert head.event_id == 1 and head.reset
+                _wait_until(lambda: router.replicas[0].version >= head.graph_version,
+                            what="the router seeing the replica's version")
+                _, response, body = client._request(
+                    "POST", "/subscribe/poll", {"id": sub.id, "timeout": 0},
+                    extra_headers={"X-Repro-Min-Version": str(head.graph_version)},
+                )
+                assert [CommunityDiff.from_dict(e) for e in body["events"]] == [head]
+                assert response.getheader("X-Repro-Served-By") == _url(writer)
+                assert client.unsubscribe(sub.id) == {"unsubscribed": sub.id}
+            assert len(writer.subscriptions) == 0 == len(reps[0].subscriptions)
+            assert router.counters["writes_proxied"] == 2
+
+    def test_replica_close_leaves_no_traceback_on_the_writer(self, tmp_path, capfd):
+        """A replica hanging up its stream ends that response quietly."""
+        service = CommunityService(fig1_profiled_graph(), storage_dir=tmp_path / "writer")
+        writer = WriterGateway(service, heartbeat_interval=0.05, port=0).start()
+        try:
+            replica = ReplicaGateway(_url(writer), tmp_path / "replica", port=0).start()
+            _wait_until(
+                lambda: writer._health_extra()["replication"]["subscribers"] == 1,
+                what="the stream",
+            )
+            replica.close()
+            _wait_until(
+                lambda: writer._health_extra()["replication"]["subscribers"] == 0,
+                what="the stream's end",
+            )
+        finally:
+            writer.close()
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_writer_requires_durable_service(self, tmp_path):
         with CommunityService(fig1_profiled_graph()) as memory_only:
@@ -502,6 +613,92 @@ class TestInProcessTier:
     def test_router_requires_replicas(self):
         with pytest.raises(InvalidInputError):
             ReplicationRouter("http://127.0.0.1:9", [])
+
+
+def _random_batch(rng, pg, step):
+    """1–4 edits that are valid against ``pg`` (fig1's taxonomy labels)."""
+    vertices = sorted(pg.graph.vertices(), key=repr)
+    edges = sorted(pg.graph.edges(), key=repr)
+    ops = []
+    for i in range(rng.randint(1, 4)):
+        kind = rng.random()
+        if kind < 0.4:
+            u, v = rng.sample(vertices, 2)
+            ops.append({"op": "add_edge", "u": u, "v": v})
+        elif kind < 0.7 and edges:
+            u, v = rng.choice(edges)
+            ops.append({"op": "remove_edge", "u": u, "v": v})
+        elif kind < 0.85:
+            labels = rng.sample(["CM", "ML", "AI", "IS", "DMS", "HW"], 2)
+            ops.append({"op": "set_profile", "u": rng.choice(vertices), "labels": labels})
+        else:
+            new = f"N{step}_{i}"
+            ops.append({"op": "add_vertex", "u": new, "labels": ["ML", "AI"]})
+            ops.extend({"op": "add_edge", "u": new, "v": v} for v in rng.sample(vertices, 2))
+    return ops
+
+
+class TestClusterWalk:
+    def test_every_replica_derives_the_writers_windows(self, tmp_path):
+        """40 seeded steps of batches and router-side (un)registrations on
+        a writer, two replicas and a router. After every step each live
+        replica holds the writer's windows. A poll reader resumes through
+        the router across a replica crash, and a resync forced by a
+        checkpoint while that replica is down keeps the windows equal."""
+        rng = random.Random(43)
+        with replication_tier(tmp_path, replicas=2) as (writer, reps, router):
+            client = ServerClient(*router.address)
+            reader, head = client.subscribe("D", k=2)
+            seen = [head]
+            floor = head.graph_version
+            live = [reader.id]
+            down = None
+            for step in range(40):
+                if step == 12:
+                    down = reps[0]
+                    port = down.address[1]
+                    down.close(drain=False)  # a crash: no drain checkpoint
+                if step == 24:
+                    # Checkpoint while the replica is down and behind.
+                    assert down.service.pg.version < writer.service.pg.version
+                    writer.service.snapshot()
+                    reps[0] = ReplicaGateway(
+                        _url(writer), tmp_path / "replica-0",
+                        reconnect_backoff=0.05, port=port,
+                    ).start()
+                    down = None
+                action = rng.random()
+                if action < 0.15:
+                    sub, registered = client.subscribe(rng.choice("ABCDEFGH"), k=rng.choice((1, 2)))
+                    live.append(sub.id)
+                    floor = max(floor, registered.graph_version)
+                elif action < 0.25 and len(live) > 1:
+                    client.unsubscribe(live.pop(rng.randrange(1, len(live))))
+                else:
+                    receipt = client.update(_random_batch(rng, writer.service.pg, step))
+                    floor = max(floor, receipt["graph_version"])
+                expected = _windows(writer)
+                for rep in reps:
+                    if rep is not down:
+                        _wait_until(
+                            lambda rep=rep: _windows(rep) == expected,
+                            what=f"step {step}: {_url(rep)} holds the writer's windows",
+                        )
+                _, _, body = client._request(
+                    "POST", "/subscribe/poll",
+                    {"id": reader.id, "last_event_id": seen[-1].event_id, "timeout": 0},
+                    extra_headers={"X-Repro-Min-Version": str(floor)},
+                )
+                seen.extend(CommunityDiff.from_dict(e) for e in body["events"])
+            client.close()
+            assert reps[0]._health_extra()["replication"]["resyncs"] == 1
+            # The reader saw every event exactly once, in order.
+            assert [d.event_id for d in seen] == list(range(1, len(seen) + 1))
+            assert [
+                (d.event_id, d.graph_version, d.reset, frozenset(d.joined), frozenset(d.left))
+                for d in seen
+            ] == _windows(writer)[reader.id][0]
+            assert len(seen) > 3
 
 
 # ----------------------------------------------------------------------

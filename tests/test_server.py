@@ -257,6 +257,38 @@ class TestHandleRequest:
         assert decoded["returned"] == 2
         assert decoded["query"]["vertex"] == "D"
 
+    def test_rejected_batch_leaves_a_memory_only_graph_and_its_subscriptions(
+        self, gateway
+    ):
+        """A batch that fails mid-way is refused before its first edit, so
+        the graph and every subscription window see none of it."""
+        _, registered = self.call(gateway, "POST", "/subscribe", {"vertex": "B", "k": 2})
+        sub_id = registered["subscription"]["id"]
+        add_z1 = [
+            {"op": "add_vertex", "u": "Z1", "labels": ["ML", "AI"]},
+            {"op": "add_edge", "u": "Z1", "v": "B"},
+            {"op": "add_edge", "u": "Z1", "v": "C"},
+            {"op": "add_edge", "u": "Z1", "v": "D"},
+        ]
+        response, decoded = self.call(
+            gateway, "POST", "/update",
+            {"updates": [*add_z1, {"op": "remove_vertex", "u": "nope"}]},
+        )
+        assert response.status == 404
+        assert decoded["error"]["type"] == "vertex_not_found"
+        assert gateway.service.pg.version == 0 and "Z1" not in gateway.service.pg
+        _, polled = self.call(gateway, "POST", "/subscribe/poll",
+                              {"id": sub_id, "last_event_id": 1, "timeout": 0})
+        assert polled["count"] == 0
+        # The same edits without the bad one land, and the window follows.
+        response, _ = self.call(gateway, "POST", "/update", {"updates": add_z1})
+        assert response.status == 200 and gateway.service.pg.version == 4
+        _, polled = self.call(gateway, "POST", "/subscribe/poll",
+                              {"id": sub_id, "last_event_id": 1, "timeout": 0})
+        (diff,) = polled["events"]
+        assert diff["event_id"] == 2 and diff["graph_version"] == 4
+        assert diff["joined"] == ["Z1"]
+
     def test_unknown_path_404(self, gateway):
         response, decoded = self.call(gateway, "GET", "/nope")
         assert response.status == 404

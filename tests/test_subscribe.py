@@ -446,19 +446,22 @@ class TestManager:
         service.apply_updates(_ADD_Z)
         service.snapshot()
         # The checkpoint folded the WAL: the snapshot's subscription
-        # section holds one head per live subscription, nothing else.
+        # section holds one entry (head and window) per live subscription,
+        # nothing else.
         assert service.storage.wal.num_records == 0
         _, section = load_checkpoint(service.storage.snapshot_path)
         assert [entry["subscription"]["id"] for entry in section] == [sub.id]
         snap = CommunityDiff.from_dict(section[0]["head"])
         assert snap.reset and frozenset(snap.joined) == manager.members(sub.id)
         assert snap.event_id == 2
+        window = manager.events_since(sub.id)
+        assert [CommunityDiff.from_dict(d) for d in section[0]["events"]] == window
         service.close()
         # The compacted state boots a manager in the same state.
         reborn = _durable(tmp_path)
         assert [s.id for s in reborn.subscriptions.subscriptions()] == [sub.id]
         assert reborn.subscriptions.members(sub.id) == frozenset(snap.joined)
-        assert reborn.subscriptions.events_since(sub.id) == [snap]
+        assert reborn.subscriptions.events_since(sub.id) == window
         reborn.close()
 
     def test_disconnect_consumers_keeps_journal_live(self, tmp_path):

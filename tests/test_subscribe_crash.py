@@ -13,10 +13,9 @@ happened:
 * composing snapshot + received diffs equals a shadow
   :class:`~repro.api.CommunityService` replay at every acknowledged
   version;
-* a *clean* shutdown (SIGINT) checkpoints each subscription's head into
-  the snapshot and folds the WAL, so a stale cursor resumes as a single
-  ``reset`` re-baseline instead of a replayed tail — the documented gap
-  semantics, exercised end-to-end.
+* a *clean* shutdown (SIGINT) checkpoints each subscription's head and
+  retained window into the snapshot and folds the WAL, so a cursor from
+  before the restart still resumes with exactly the diffs it missed.
 """
 
 import pytest
@@ -150,7 +149,7 @@ def test_sigkill_then_resume_receives_exactly_missed_diffs(tmp_path):
 
 @pytest.mark.subscriptions
 @pytest.mark.durability
-def test_clean_shutdown_compacts_then_stale_cursor_resets(tmp_path):
+def test_clean_shutdown_compacts_and_keeps_the_window(tmp_path):
     data_dir = tmp_path / "data"
     proc, port = _start_server(data_dir)
     try:
@@ -164,7 +163,7 @@ def test_clean_shutdown_compacts_then_stale_cursor_resets(tmp_path):
         _shutdown_clean(proc)
 
     # The drain checkpointed: the WAL is empty and the snapshot's
-    # subscription section is one head entry for the one subscription.
+    # subscription section is one entry for the one subscription.
     # The server keeps no other file.
     assert sorted(p.name for p in data_dir.iterdir()) == ["snapshot.bin", "wal.log"]
     assert (data_dir / "wal.log").stat().st_size == 0
@@ -174,17 +173,19 @@ def test_clean_shutdown_compacts_then_stale_cursor_resets(tmp_path):
     proc, port = _start_server(data_dir)
     try:
         client = ServerClient("127.0.0.1", port)
-        # Cursor 1 predates the compacted window → a single reset
-        # re-baseline carrying the full current membership.
+        # The checkpoint kept the retained window: cursor 1 resumes with
+        # exactly the diffs the dead server assigned, no re-baseline.
         events = client.poll(sub.id, last_event_id=1, timeout=10)
-        assert len(events) == 1 and events[0].reset, events
+        assert [d.event_id for d in events] == list(range(2, 3 + len(MISSED_BATCHES)))
+        assert not any(d.reset for d in events)
         expected = _shadow_by_version([PRE_BATCH, *MISSED_BATCHES])
-        assert frozenset(events[0].joined) == expected[max(expected)]
-        # The compacted snapshot preserved event-id continuity: the reset
-        # sits at the last id the dead server assigned, so a *current*
-        # cursor still long-polls quietly instead of re-baselining.
-        assert events[0].event_id == 1 + 1 + len(MISSED_BATCHES)
-        assert client.poll(sub.id, last_event_id=events[0].event_id, timeout=0) == []
+        composed = snapshot.apply_to(frozenset())
+        for diff in events:
+            composed = diff.apply_to(composed)
+            assert composed == expected[diff.graph_version]
+        assert composed == expected[max(expected)]
+        # A current cursor long-polls quietly instead of re-baselining.
+        assert client.poll(sub.id, last_event_id=events[-1].event_id, timeout=0) == []
         client.close()
     finally:
         _kill_dash_nine(proc)

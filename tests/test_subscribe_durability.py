@@ -2,16 +2,17 @@
 
 A ``storage_dir=`` service keeps its subscriptions in the same two files
 as its graph: registrations are zero-advance WAL records, a checkpoint
-writes each subscription's head into the snapshot, and boot re-derives
-every diff by replaying the WAL's batches with the manager attached.
+writes each subscription's head and retained window into the snapshot,
+and boot re-derives every diff by replaying the WAL's batches with the
+manager attached.
 This module checks the properties that design promises:
 
 * one fsync per acknowledged update, however many diffs it causes;
 * replay equals live: after a crash (no checkpoint), every retained
   window — event ids, versions, joined, left — comes back as it was;
 * the crash between a checkpoint's snapshot rename and its WAL truncate
-  restores every subscription exactly once, and a reused id's stale
-  records cannot clobber its checkpointed head;
+  restores every subscription exactly once, with its window, and a
+  reused id's stale records cannot clobber its checkpointed head;
 * offline compaction (``repro snapshot --data-dir``) carries them;
 * a malformed subscription section fails closed with a
   :class:`~repro.storage.SnapshotError`, never anything else.
@@ -169,12 +170,10 @@ def test_checkpoint_crash_window_restores_each_subscription_once(tmp_path, monke
     assert reborn.boot_report.source == "snapshot"
     ids = [sub.id for sub in reborn.subscriptions.subscriptions()]
     assert sorted(ids) == sorted([before.id, after.id])
-    assert _windows(reborn)[after.id] == live[after.id]
-    # `before` resumes from its checkpointed head (event 2, the Z1 join);
-    # the batch after the checkpoint replays onto it.
-    head, *tail = reborn.subscriptions.events_since(before.id, last_event_id=1)
-    assert head.reset and head.event_id == 2 and "Z1" in head.joined
-    assert tail == [d for d in live[before.id] if d.event_id > 2] and tail
+    # `before` resumes from its checkpointed window (up to event 2, the Z1
+    # join); the batch after the checkpoint replays onto it.
+    assert [d.event_id for d in live[before.id]] == [1, 2, 3]
+    assert _windows(reborn) == live
     reborn.close()
 
 
@@ -194,6 +193,7 @@ def test_checkpoint_crash_window_ignores_a_reused_ids_stale_records(tmp_path, mo
     (head,) = manager.events_since(reused.id, last_event_id=1)
     assert head.event_id == 2 and head.left == ("Z1",)
     members = manager.members(reused.id)
+    live = manager.events_since(reused.id)
 
     def crash(self):
         raise OSError("power lost between the snapshot rename and the truncate")
@@ -208,9 +208,9 @@ def test_checkpoint_crash_window_ignores_a_reused_ids_stale_records(tmp_path, mo
     reborn = _durable(tmp_path)
     assert reborn.boot_report.source == "snapshot"
     assert reborn.subscriptions.get(reused.id) == reused
-    (restored,) = reborn.subscriptions.events_since(reused.id)
-    assert restored.reset and restored.event_id == 2
-    assert restored.graph_version == version
+    assert _windows(reborn) == {reused.id: live}
+    (head,) = reborn.subscriptions.events_since(reused.id, last_event_id=99)
+    assert head.reset and head.event_id == 2 and head.graph_version == version
     assert reborn.subscriptions.members(reused.id) == members
     reborn.close()
 
