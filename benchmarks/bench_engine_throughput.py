@@ -75,9 +75,8 @@ def measure_engine(
 ) -> dict:
     """Cold vs warm serving stats for one dataset (see module docstring).
 
-    Thin wrapper over :func:`repro.bench.measure_cold_warm` — the same
-    helper ``repro bench-engine`` uses, so the CLI and this acceptance
-    benchmark can never report differently computed speedups.
+    Thin wrapper over :func:`repro.bench.measure_cold_warm`, the one place
+    the cold-vs-warm speedup is computed.
     """
     report = measure_cold_warm(
         pg,

@@ -1,18 +1,15 @@
 #!/usr/bin/env python3
-"""Exploring a profiled graph end to end: stats → detection → summary → DOT.
+"""Exploring a profiled graph end to end: detection → summary → score.
 
-A downstream-user workflow stitched from the library's utility layers:
+A downstream-user workflow stitched from the library's analysis layer:
 
-1. generate a dataset analogue and describe its topology;
+1. generate a dataset analogue with its planted ground truth;
 2. detect the profiled community structure by sweeping PCS seeds;
 3. summarise the cover (overlaps, dominant taxonomy branches);
-4. score it against the planted ground truth;
-5. export a Graphviz rendering of the three largest communities.
+4. score it against the planted ground truth.
 
 Run:  python examples/explore_dataset.py
 """
-
-from pathlib import Path
 
 from repro.analysis import (
     average_jaccard_match,
@@ -22,23 +19,13 @@ from repro.analysis import (
 )
 from repro.core import detect_communities
 from repro.datasets import load_dataset
-from repro.graph.stats import summarize_graph
-from repro.viz import communities_to_dot
 
 K = 6
-OUT = Path("acmdl_communities.dot")
 
 
 def main() -> None:
     pg, ground_truth = load_dataset("acmdl", scale=0.01, seed=4, with_ground_truth=True)
     print(f"dataset: {pg}")
-
-    summary = summarize_graph(pg.graph)
-    print(
-        f"topology: d̂={summary.average_degree:.1f}, degeneracy="
-        f"{summary.degeneracy}, clustering={summary.average_clustering:.3f}, "
-        f"{summary.num_components} components (largest {summary.largest_component})"
-    )
 
     communities = detect_communities(pg, K, min_size=4)
     cover = summarize_cover(communities, pg.taxonomy)
@@ -55,9 +42,6 @@ def main() -> None:
         f"\nagainst planted ground truth: best-match Jaccard={jaccard:.3f}, "
         f"omega={omega:.3f}"
     )
-
-    OUT.write_text(communities_to_dot(pg, communities[:3]))
-    print(f"wrote DOT rendering of the 3 largest communities to {OUT}")
 
 
 if __name__ == "__main__":

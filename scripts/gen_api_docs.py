@@ -3,8 +3,8 @@
 
 Imports the public serving surface and walks it with :mod:`inspect`,
 emitting one markdown file per module into ``docs/api/`` plus an
-``index.md``. Documentation is pulled from the docstrings that
-``scripts/check_docstrings.py`` gates, so the reference can never be
+``index.md``. Documentation is pulled from the docstrings that the
+``docstring-coverage`` lint checker gates, so the reference can never be
 emptier than the gate allows.
 
 What is documented, in source order: the module docstring, public classes

@@ -7,7 +7,6 @@
 """
 
 from repro.baselines.acq import acq_query, acq_shared_keywords
-from repro.baselines.atc import atc_community, attribute_score
 from repro.baselines.global_search import (
     global_community,
     global_community_k,
@@ -19,8 +18,6 @@ from repro.baselines.truss_search import truss_community, truss_community_k
 __all__ = [
     "acq_query",
     "acq_shared_keywords",
-    "atc_community",
-    "attribute_score",
     "global_community",
     "global_community_k",
     "global_community_peel",

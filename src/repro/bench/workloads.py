@@ -576,13 +576,13 @@ def measure_cold_warm(
 ) -> ColdWarmReport:
     """The canonical cold-vs-warm engine measurement.
 
-    Shared by ``repro bench-engine`` and the acceptance benchmark so both
-    always report identically computed speedups. Cold times up to
-    ``cold_query_cap`` queries with a full index rebuild before each (the
-    no-reuse strawman; rebuilds dominate, a few queries suffice). Warm
-    clears the index, lets a fresh explorer build it once (charged to
-    ``warm_index_build_seconds``), then serves the workload via
-    :func:`run_throughput`.
+    Used by ``benchmarks/bench_engine_throughput.py`` (the engine's
+    acceptance benchmark), so its speedups are computed one way only.
+    Cold times up to ``cold_query_cap`` queries with a full index rebuild
+    before each (the no-reuse strawman; rebuilds dominate, a few queries
+    suffice). Warm clears the index, lets a fresh explorer build it once
+    (charged to ``warm_index_build_seconds``), then serves the workload
+    via :func:`run_throughput`.
     """
     from repro.core.search import pcs
     from repro.engine.explorer import CommunityExplorer

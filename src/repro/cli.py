@@ -23,9 +23,11 @@ Show a dataset's Table-2 statistics::
 
     python -m repro stats --dataset dblp --scale 0.005
 
-Export a generated dataset to JSON::
+Write a generated dataset to a snapshot file, then query the file (a
+path given as ``--dataset`` is read as a snapshot)::
 
-    python -m repro export --dataset acmdl --scale 0.01 --out acmdl.json
+    python -m repro snapshot --dataset acmdl --scale 0.01 --out acmdl.snap
+    python -m repro query --dataset acmdl.snap --k 6
 
 Serve a whole query file through the batched engine (JSON on stdout)::
 
@@ -40,10 +42,6 @@ Apply a graph-edit file through the mutation pipeline (incremental index
 maintenance + cache invalidation), then optionally re-query::
 
     python -m repro update --dataset fig1 --edits edits.txt --query D --k 2
-
-Measure cold- vs warm-index engine throughput::
-
-    python -m repro bench-engine --dataset acmdl --num-queries 10 --repeat 3
 
 Serve a dataset over HTTP (request coalescing on by default; port 0 binds
 an ephemeral port and prints it; Ctrl-C drains and exits)::
@@ -77,8 +75,6 @@ from repro.datasets import (
     dataset_names,
     fig1_profiled_graph,
     load_dataset,
-    load_profiled_graph,
-    save_profiled_graph,
 )
 from repro.engine import (
     coerce_query_vertices,
@@ -87,15 +83,24 @@ from repro.engine import (
     load_update_file,
     retype_vertex,
 )
+from repro.errors import InvalidInputError, ReproError
 from repro.graph.generators import random_queries
+from repro.storage import load_snapshot
 
 
 def _load(args: argparse.Namespace) -> ProfiledGraph:
+    """``--dataset``: ``fig1``, a generated dataset's name or a snapshot file."""
     if args.dataset == "fig1":
         return fig1_profiled_graph()
-    if args.dataset.endswith(".json"):
-        return load_profiled_graph(args.dataset)
-    return load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    if args.dataset.lower() in dataset_names():
+        return load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    try:
+        return load_snapshot(args.dataset)
+    except FileNotFoundError:
+        raise InvalidInputError(
+            f"--dataset {args.dataset!r} is neither fig1, a dataset "
+            f"({', '.join(dataset_names())}) nor a snapshot file"
+        ) from None
 
 
 def _method_arg(method: Optional[str]) -> Optional[str]:
@@ -154,14 +159,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"avg degree   : {stats.average_degree:.2f}")
     print(f"avg |P-tree| : {stats.average_ptree_size:.2f}")
     print(f"|GP-tree|    : {stats.gp_tree_size}")
-    return 0
-
-
-def cmd_export(args: argparse.Namespace) -> int:
-    """``repro export``: write a generated dataset to JSON."""
-    pg = _load(args)
-    save_profiled_graph(pg, args.out)
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -318,55 +315,6 @@ def cmd_subscribe(args: argparse.Namespace) -> int:
         return 1
     finally:
         client.close()
-
-
-def cmd_bench_engine(args: argparse.Namespace) -> int:
-    """``repro bench-engine``: cold vs warm engine throughput."""
-    from repro.bench import make_workload, measure_cold_warm, measure_facade_overhead
-
-    pg = _load(args)
-    workload = make_workload(
-        pg, args.dataset, num_queries=args.num_queries, k=args.k, seed=args.seed
-    )
-    if not len(workload):
-        print("no query vertices available", file=sys.stderr)
-        return 1
-
-    report = measure_cold_warm(
-        pg,
-        workload,
-        method=args.method,
-        cold_query_cap=args.cold_queries,
-        repeat_factor=args.repeat,
-    )
-    throughput = report.throughput
-    print(f"dataset            : {args.dataset}")
-    print(f"method             : {args.method}  k={workload.k}")
-    print(f"cold (rebuild/query): {report.cold_ms_per_query:.2f} ms/query "
-          f"over {report.cold_query_count} queries")
-    print(f"warm (engine)      : {report.warm_ms_per_query:.2f} ms/query "
-          f"over {throughput.queries} queries "
-          f"(+ one-time index build {report.warm_index_build_seconds * 1000:.2f} ms)")
-    print(f"throughput         : {throughput.queries_per_second:.1f} queries/sec")
-    print(f"cache hit rate     : {throughput.cache_hit_rate:.2%}")
-    print(f"speedup (cold/warm): {report.speedup:.1f}x")
-    facade = None
-    if args.facade:
-        facade = measure_facade_overhead(
-            pg, workload, method=args.method, repeat_factor=args.repeat
-        )
-        print(f"facade (service)   : {facade['service_ms_per_query']:.3f} ms/query "
-              f"vs engine {facade['engine_ms_per_query']:.3f} ms/query "
-              f"({facade['overhead_fraction']:+.1%} overhead)")
-    if args.out:
-        payload = {"dataset": args.dataset, **report.to_dict()}
-        if facade is not None:
-            payload["facade_overhead"] = facade
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    return 0
 
 
 def _build_serving_role(args: argparse.Namespace):
@@ -634,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--dataset",
             default="fig1",
-            help=f"fig1, a JSON file, or one of {', '.join(dataset_names())}",
+            help=f"fig1, a snapshot file, or one of {', '.join(dataset_names())}",
         )
         p.add_argument("--scale", type=float, default=0.01, help="generation scale")
         p.add_argument("--seed", type=int, default=20190116)
@@ -658,11 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("stats", help="show Table-2 statistics of a dataset")
     add_dataset_args(s)
     s.set_defaults(func=cmd_stats)
-
-    e = sub.add_parser("export", help="export a dataset to JSON")
-    add_dataset_args(e)
-    e.add_argument("--out", required=True, help="output path")
-    e.set_defaults(func=cmd_export)
 
     b = sub.add_parser("batch", help="serve a query file through the engine")
     add_dataset_args(b)
@@ -814,20 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "cold index on load)")
     sp.set_defaults(func=cmd_snapshot)
 
-    be = sub.add_parser("bench-engine", help="cold vs warm engine throughput")
-    add_dataset_args(be)
-    be.add_argument("--k", type=int, default=6)
-    be.add_argument("--method", default="adv-P", choices=ALL_METHODS)
-    be.add_argument("--num-queries", type=int, default=10)
-    be.add_argument("--cold-queries", type=int, default=3,
-                    help="queries timed with per-query index rebuild")
-    be.add_argument("--repeat", type=int, default=2,
-                    help="times the workload is replayed through the cache")
-    be.add_argument("--facade", action="store_true",
-                    help="also measure CommunityService overhead vs the bare engine")
-    be.add_argument("--out", help="write a JSON report here")
-    be.set_defaults(func=cmd_bench_engine)
-
     li = sub.add_parser(
         "lint",
         help="run the AST invariant checkers over src/repro (repro.lint)",
@@ -849,10 +778,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Bad input fails closed: a :class:`~repro.errors.ReproError` or an
+    ``OSError`` from a command prints one ``error: <message>`` line on
+    stderr and exits 2, the code argparse uses for a bad argument.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -1,12 +1,14 @@
 """Dataset suite: the paper's Fig. 1 example, Table 2 and Table 4 analogues.
 
 All datasets are generated deterministically from seeds (DESIGN.md §4
-documents the substitution of the paper's proprietary dumps).
+documents the substitution of the paper's proprietary dumps). A graph is
+written to and read from a file in one format, the snapshot image of
+:mod:`repro.storage` (``repro snapshot --out`` writes one; ``--dataset
+PATH`` reads it back).
 """
 
 from repro.datasets.ego import EGO_SPECS, EgoSpec, ego_names, load_ego_network
 from repro.datasets.fig1 import fig1_profiled_graph, fig1_taxonomy
-from repro.datasets.io import load_profiled_graph, save_profiled_graph
 from repro.datasets.registry import (
     DATASET_SPECS,
     DEFAULT_SCALE,
@@ -49,6 +51,4 @@ __all__ = [
     "EGO_SPECS",
     "ego_names",
     "load_ego_network",
-    "save_profiled_graph",
-    "load_profiled_graph",
 ]

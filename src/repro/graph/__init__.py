@@ -33,7 +33,6 @@ from repro.graph.generators import (
     ring_of_cliques,
 )
 from repro.graph.graph import Graph
-from repro.graph.io import read_edge_list, write_edge_list
 from repro.graph.truss import (
     connected_k_truss,
     edge_supports,
@@ -67,6 +66,4 @@ __all__ = [
     "planted_community_graph",
     "ring_of_cliques",
     "random_queries",
-    "read_edge_list",
-    "write_edge_list",
 ]

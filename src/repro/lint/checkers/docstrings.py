@@ -1,7 +1,6 @@
 """Docstring-coverage checker: the public surface stays documented.
 
-The same rules as the historical ``scripts/check_docstrings.py`` gate
-(which is now a thin wrapper over this checker):
+The rules:
 
 * every module has a docstring;
 * every public class has one;
@@ -11,9 +10,9 @@ The same rules as the historical ``scripts/check_docstrings.py`` gate
   *trivial override* (a body of at most one ``pass``/``return``/
   ``raise``) inside a class is tolerated.
 
-Unlike the percentage gate the wrapper script exposes, the checker is
-per-item: each undocumented public item is its own finding, so the lint
-baseline stays exactly at zero rather than drifting under a threshold.
+The checker is per-item, not a percentage: each undocumented public item
+is its own finding, so the lint baseline stays exactly at zero rather
+than drifting under a threshold.
 """
 
 from __future__ import annotations
@@ -43,16 +42,12 @@ def is_trivial_override(node: ast.FunctionDef) -> bool:
     )
 
 
-def iter_items(module: Module) -> Iterator[tuple]:
-    """Yield ``(qualname, documented, lineno)`` for the public surface.
-
-    The wrapper script ``scripts/check_docstrings.py`` consumes this to
-    compute its historical coverage percentage; the checker itself only
-    reports the undocumented subset.
-    """
+def iter_undocumented(module: Module) -> Iterator[tuple]:
+    """Yield ``(qualname, lineno)`` for each undocumented public item."""
     tree = module.tree
     prefix = module.name or module.relpath
-    yield prefix, ast.get_docstring(tree) is not None, 1
+    if ast.get_docstring(tree) is None:
+        yield prefix, 1
 
     def walk(nodes: List[ast.stmt], qual: str, in_class: bool) -> Iterator[tuple]:
         for node in nodes:
@@ -60,7 +55,8 @@ def iter_items(module: Module) -> Iterator[tuple]:
                 if not is_public(node.name):
                     continue
                 qualname = f"{qual}.{node.name}"
-                yield qualname, ast.get_docstring(node) is not None, node.lineno
+                if ast.get_docstring(node) is None:
+                    yield qualname, node.lineno
                 yield from walk(node.body, qualname, in_class=True)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if not is_public(node.name):
@@ -69,20 +65,14 @@ def iter_items(module: Module) -> Iterator[tuple]:
                     continue  # non-init dunders are protocol-documented
                 if node.name == "__init__" and in_class:
                     continue  # construction is documented on the class
-                documented = ast.get_docstring(node) is not None
-                if not documented and in_class and is_trivial_override(node):
+                if ast.get_docstring(node) is not None:
+                    continue
+                if in_class and is_trivial_override(node):
                     continue  # pass-through hook with no new contract
-                yield f"{qual}.{node.name}", documented, node.lineno
+                yield f"{qual}.{node.name}", node.lineno
                 # Nested defs are implementation detail: do not recurse.
 
     yield from walk(tree.body, prefix, in_class=False)
-
-
-def iter_undocumented(module: Module) -> Iterator[tuple]:
-    """Yield ``(qualname, lineno)`` for each undocumented public item."""
-    for qualname, documented, lineno in iter_items(module):
-        if not documented:
-            yield qualname, lineno
 
 
 @register

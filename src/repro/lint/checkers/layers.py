@@ -11,7 +11,7 @@ rank  packages (a package may eagerly import only lower ranks)
 2     ``index``
 3     ``core``
 4     ``analysis``, ``baselines``, ``datasets``, ``dynamic``,
-      ``metrics``, ``viz``
+      ``metrics``
 5     ``engine``
 6     ``storage``
 7     ``api``, ``parallel``
@@ -63,7 +63,6 @@ DEFAULT_LAYERS: Dict[str, int] = {
     "datasets": 4,
     "dynamic": 4,
     "metrics": 4,
-    "viz": 4,
     "engine": 5,
     "storage": 6,
     "api": 7,

@@ -4,11 +4,7 @@ from repro.metrics.cpf import average_cpf, community_ptree_frequency
 from repro.metrics.cps import community_pairwise_similarity
 from repro.metrics.f1 import average_f1, best_match_f1, f1_score
 from repro.metrics.ldr import average_ldr, level_diversity_ratio
-from repro.metrics.stats import (
-    CommunityStats,
-    average_community_count,
-    community_stats,
-)
+from repro.metrics.stats import average_community_count
 
 __all__ = [
     "community_pairwise_similarity",
@@ -19,7 +15,5 @@ __all__ = [
     "f1_score",
     "best_match_f1",
     "average_f1",
-    "CommunityStats",
-    "community_stats",
     "average_community_count",
 ]

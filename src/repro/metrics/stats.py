@@ -1,60 +1,8 @@
-"""Community-count and size statistics (paper Fig. 10(a))."""
+"""Community-count statistics (paper Fig. 10(a))."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Hashable, Iterable, List, Sequence
-
-Vertex = Hashable
-
-
-@dataclass(frozen=True)
-class CommunityStats:
-    """Aggregate statistics over one method's answers for a query workload."""
-
-    num_queries: int
-    total_communities: int
-    average_communities_per_query: float
-    average_community_size: float
-    median_community_size: float
-
-    def row(self) -> tuple:
-        return (
-            self.num_queries,
-            self.total_communities,
-            round(self.average_communities_per_query, 2),
-            round(self.average_community_size, 2),
-            round(self.median_community_size, 2),
-        )
-
-
-def community_stats(per_query: Sequence[Sequence[FrozenSet[Vertex]]]) -> CommunityStats:
-    """Summarise a workload's results: one inner sequence per query."""
-    num_queries = len(per_query)
-    sizes: List[int] = []
-    total = 0
-    for communities in per_query:
-        total += len(communities)
-        sizes.extend(len(c) for c in communities)
-    sizes.sort()
-    if sizes:
-        mid = len(sizes) // 2
-        median = (
-            float(sizes[mid])
-            if len(sizes) % 2
-            else (sizes[mid - 1] + sizes[mid]) / 2.0
-        )
-        avg_size = sum(sizes) / len(sizes)
-    else:
-        median = 0.0
-        avg_size = 0.0
-    return CommunityStats(
-        num_queries=num_queries,
-        total_communities=total,
-        average_communities_per_query=(total / num_queries) if num_queries else 0.0,
-        average_community_size=avg_size,
-        median_community_size=median,
-    )
+from typing import Iterable, Sequence
 
 
 def average_community_count(per_query: Iterable[Sequence]) -> float:

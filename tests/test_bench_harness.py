@@ -9,6 +9,8 @@ from repro.bench import (
     Timing,
     geometric_speedup,
     make_workload,
+    measure_cold_warm,
+    measure_facade_overhead,
     time_call,
 )
 from repro.datasets import fig1_profiled_graph
@@ -111,3 +113,23 @@ class TestWorkloads:
         a = make_workload(pg, "fig1", num_queries=4, k=2, seed=9)
         b = make_workload(pg, "fig1", num_queries=4, k=2, seed=9)
         assert a.queries == b.queries
+
+
+class TestEngineMeasurements:
+    """The helpers ``benchmarks/bench_engine_throughput.py`` reports with."""
+
+    def test_cold_warm_on_fig1(self):
+        pg = fig1_profiled_graph()
+        workload = make_workload(pg, "fig1", num_queries=3, k=2)
+        report = measure_cold_warm(pg, workload, repeat_factor=2)
+        payload = report.to_dict()
+        assert payload["throughput"]["queries"] == 2 * len(workload) == 6
+        assert payload["throughput"]["cache_hits"] > 0
+        assert report.speedup > 0
+
+    def test_facade_overhead_on_fig1(self):
+        pg = fig1_profiled_graph()
+        workload = make_workload(pg, "fig1", num_queries=3, k=2)
+        facade = measure_facade_overhead(pg, workload, repeat_factor=2)
+        assert facade["engine"]["queries"] == facade["service"]["queries"] == 6
+        assert facade["service_ms_per_query"] > 0

@@ -1,10 +1,25 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.api import CommunityService, Query
 from repro.cli import main
+from repro.datasets import simple_profiled_graph
+from repro.datasets.taxonomies import synthetic_taxonomy
+from repro.storage import save_snapshot
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _int_vertex_graph():
+    tax = synthetic_taxonomy(30, seed=1)
+    return simple_profiled_graph(tax, 20, seed=1, edge_probability=0.4)
 
 
 class TestQuery:
@@ -71,13 +86,8 @@ class TestQuery:
         assert payload["plan"]["planned"] is False
 
     def test_int_vertex_coercion(self, capsys, tmp_path):
-        from repro.datasets import save_profiled_graph, simple_profiled_graph
-        from repro.datasets.taxonomies import synthetic_taxonomy
-
-        tax = synthetic_taxonomy(30, seed=1)
-        pg = simple_profiled_graph(tax, 20, seed=1, edge_probability=0.4)
-        path = tmp_path / "g.json"
-        save_profiled_graph(pg, path)
+        path = tmp_path / "g.snap"
+        save_snapshot(_int_vertex_graph(), path)
         assert main(["query", "--dataset", str(path), "--query", "3", "--k", "1"]) == 0
 
 
@@ -91,8 +101,8 @@ class TestStats:
 
 class TestExport:
     def test_export_and_requery(self, capsys, tmp_path):
-        out_path = tmp_path / "fig1.json"
-        assert main(["export", "--dataset", "fig1", "--out", str(out_path)]) == 0
+        out_path = tmp_path / "fig1.snap"
+        assert main(["snapshot", "--dataset", "fig1", "--out", str(out_path)]) == 0
         assert out_path.exists()
         assert main(["query", "--dataset", str(out_path), "--query", "D", "--k", "2"]) == 0
         out = capsys.readouterr().out
@@ -143,10 +153,8 @@ class TestBatch:
 
     def test_batch_rejects_typo_keys(self, capsys, tmp_path):
         queries = self._write_queries(tmp_path, '{"vertex": "D", "methud": "basic"}\n')
-        from repro.errors import InvalidInputError
-
-        with pytest.raises(InvalidInputError, match="methud"):
-            main(["batch", "--dataset", "fig1", "--queries", queries])
+        assert main(["batch", "--dataset", "fig1", "--queries", queries]) == 2
+        assert "methud" in capsys.readouterr().err
 
     def test_batch_service_limit_flag(self, capsys, tmp_path):
         queries = self._write_queries(tmp_path, "D\n")
@@ -232,57 +240,20 @@ class TestUpdate:
             main(["update", "--dataset", "fig1"])
 
 
-class TestBenchEngine:
-    def test_bench_engine_fig1(self, capsys, tmp_path):
-        out = tmp_path / "bench.json"
-        assert main(
-            [
-                "bench-engine", "--dataset", "fig1", "--k", "2",
-                "--num-queries", "3", "--repeat", "2", "--out", str(out),
-            ]
-        ) == 0
-        text = capsys.readouterr().out
-        assert "speedup (cold/warm)" in text
-        payload = json.loads(out.read_text())
-        assert payload["throughput"]["queries"] == 6
-        assert payload["throughput"]["cache_hits"] > 0
-
-    def test_bench_engine_facade_overhead(self, capsys, tmp_path):
-        out = tmp_path / "bench.json"
-        assert main(
-            [
-                "bench-engine", "--dataset", "fig1", "--k", "2",
-                "--num-queries", "3", "--repeat", "2", "--facade",
-                "--out", str(out),
-            ]
-        ) == 0
-        text = capsys.readouterr().out
-        assert "facade (service)" in text
-        payload = json.loads(out.read_text())
-        facade = payload["facade_overhead"]
-        assert facade["engine"]["queries"] == facade["service"]["queries"] == 6
-        assert facade["service_ms_per_query"] > 0
-
-
 class TestServe:
     """`repro serve` end to end: a subprocess server, a real client, SIGINT."""
 
     def test_serve_answers_and_drains_on_sigint(self):
         import signal
-        import subprocess
-        import sys
-        from pathlib import Path
 
-        root = Path(__file__).resolve().parents[1]
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--dataset", "fig1",
              "--port", "0"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-            cwd=root,
-            env={**__import__("os").environ,
-                 "PYTHONPATH": str(root / "src")},
+            cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         )
         try:
             banner = proc.stdout.readline()
@@ -327,3 +298,91 @@ class TestParser:
     def test_batch_requires_query_file(self):
         with pytest.raises(SystemExit):
             main(["batch", "--dataset", "fig1"])
+
+
+class TestSnapshotDataset:
+    """``--dataset PATH`` reads a snapshot file, the one graph file format."""
+
+    @pytest.fixture
+    def snap(self, tmp_path):
+        pg = _int_vertex_graph()
+        path = tmp_path / "g.snap"
+        save_snapshot(pg, path)
+        return pg, str(path)
+
+    @staticmethod
+    def _answer(envelope):
+        return envelope["returned"], [c["vertices"] for c in envelope["communities"]]
+
+    def test_query_answers_as_the_in_memory_graph(self, capsys, snap):
+        pg, path = snap
+        assert main(["query", "--dataset", path, "--query", "3", "--k", "1",
+                     "--json"]) == 0
+        from_file = json.loads(capsys.readouterr().out)
+        in_memory = CommunityService(pg).query(Query(vertex=3, k=1)).to_dict()
+        assert from_file["returned"] > 0
+        assert self._answer(from_file) == self._answer(in_memory)
+
+    def test_stats_match_the_in_memory_graph(self, capsys, snap):
+        pg, path = snap
+        assert main(["stats", "--dataset", path]) == 0
+        out = capsys.readouterr().out
+        stats = pg.stats()
+        assert f"vertices     : {stats.num_vertices}\n" in out
+        assert f"edges        : {stats.num_edges}\n" in out
+        assert f"avg |P-tree| : {stats.average_ptree_size:.2f}\n" in out
+        assert f"|GP-tree|    : {stats.gp_tree_size}\n" in out
+
+    def test_batch_answers_as_the_in_memory_graph(self, capsys, snap, tmp_path):
+        pg, path = snap
+        queries = tmp_path / "queries.txt"
+        queries.write_text("3\n5\n3\n", encoding="utf-8")
+        assert main(["batch", "--dataset", path, "--queries", str(queries),
+                     "--k", "1"]) == 0
+        from_file = json.loads(capsys.readouterr().out)["results"]
+        expected = CommunityService(pg).batch(
+            [Query(vertex=v, k=1, method="adv-P") for v in (3, 5, 3)]
+        )
+        assert [self._answer(r) for r in from_file] == [
+            self._answer(r.to_dict()) for r in expected
+        ]
+
+    def test_json_graph_file_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({
+            "format": "repro-profiled-graph-v1",
+            "vertex_type": "str",
+            "taxonomy": {"names": ["r", "a", "b"], "parents": [-1, 0, 0]},
+            "edges": [["A", "B"], ["B", "C"], ["A", "C"]],
+            "profiles": {"A": [1], "B": [1, 2], "C": [2]},
+        }), encoding="utf-8")
+        assert main(["stats", "--dataset", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a repro snapshot" in err
+
+
+class TestFailsClosed:
+    """Bad input prints one ``error:`` line and exits 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--dataset", "nosuch"],
+        ["snapshot", "--verify", "/nonexistent/g.snap"],
+        ["query", "--dataset", "fig1", "--query", "ZZZ"],
+        ["update", "--dataset", "fig1", "--edits", "{edits}"],
+    ], ids=["unknown-dataset", "missing-snapshot", "missing-vertex", "bad-edit"])
+    def test_bad_input_exits_2_without_traceback(self, tmp_path, argv):
+        edits = tmp_path / "edits.txt"
+        edits.write_text("add_edge A\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro",
+             *(a.format(edits=edits) for a in argv)],
+            capture_output=True,
+            text=True,
+            cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1

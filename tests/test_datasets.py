@@ -1,4 +1,4 @@
-"""Tests for the dataset suite: fig1, taxonomies, synthetic, ego, registry, io."""
+"""Tests for the dataset suite: fig1, taxonomies, synthetic, ego, registry."""
 
 import pytest
 
@@ -15,9 +15,7 @@ from repro.datasets import (
     fig1_profiled_graph,
     load_dataset,
     load_ego_network,
-    load_profiled_graph,
     mesh_like_taxonomy,
-    save_profiled_graph,
     simple_profiled_graph,
     synthetic_profiled_graph,
     synthetic_taxonomy,
@@ -183,48 +181,3 @@ class TestEgo:
     def test_unknown(self):
         with pytest.raises(InvalidInputError):
             load_ego_network("fb9")
-
-
-class TestIO:
-    def test_roundtrip_fig1(self, tmp_path):
-        pg = fig1_profiled_graph()
-        path = tmp_path / "fig1.json"
-        save_profiled_graph(pg, path)
-        loaded = load_profiled_graph(path)
-        assert loaded.num_vertices == pg.num_vertices
-        assert loaded.num_edges == pg.num_edges
-        for v in pg.vertices():
-            assert loaded.labels(v) == pg.labels(v)
-            assert loaded.taxonomy.name(0) == pg.taxonomy.name(0)
-
-    def test_roundtrip_int_vertices(self, tmp_path):
-        tax = synthetic_taxonomy(40, seed=7)
-        pg = simple_profiled_graph(tax, 20, seed=7)
-        path = tmp_path / "g.json"
-        save_profiled_graph(pg, path)
-        loaded = load_profiled_graph(path)
-        assert set(loaded.vertices()) == set(pg.vertices())
-        assert all(isinstance(v, int) for v in loaded.vertices())
-
-    def test_reject_malformed(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "other"}')
-        with pytest.raises(InvalidInputError):
-            load_profiled_graph(path)
-
-    def test_pcs_equal_after_roundtrip(self, tmp_path):
-        from repro.core import as_vertex_subtree_map
-
-        pg = fig1_profiled_graph()
-        path = tmp_path / "fig1.json"
-        save_profiled_graph(pg, path)
-        loaded = load_profiled_graph(path)
-        before = as_vertex_subtree_map(pcs(pg, "D", 2))
-        after = {
-            frozenset(loaded.taxonomy.name(x) for x in t): v
-            for t, v in as_vertex_subtree_map(pcs(loaded, "D", 2)).items()
-        }
-        named_before = {
-            frozenset(pg.taxonomy.name(x) for x in t): v for t, v in before.items()
-        }
-        assert named_before == after

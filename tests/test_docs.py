@@ -1,9 +1,9 @@
 """Tier-1 enforcement of the documentation surface.
 
-Three contracts, so the docs cannot silently rot between PRs:
+Two contracts, so the docs cannot silently rot between PRs (docstring
+coverage is the ``docstring-coverage`` lint checker's, gated at zero
+findings by ``tests/test_lint.py``):
 
-* the docstring-coverage gate (``scripts/check_docstrings.py``) passes at
-  its pinned baseline;
 * the generated API reference under ``docs/api/`` matches a fresh render
   (``scripts/gen_api_docs.py --check``);
 * the hand-written guides exist, keep their load-bearing sections, and
@@ -26,17 +26,6 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
         text=True,
         cwd=ROOT,
     )
-
-
-class TestDocstringGate:
-    def test_coverage_meets_pinned_baseline(self):
-        result = run_script("check_docstrings.py")
-        assert result.returncode == 0, result.stdout + result.stderr
-
-    def test_measure_mode_always_passes(self):
-        result = run_script("check_docstrings.py", "--measure")
-        assert result.returncode == 0
-        assert "docstring coverage:" in result.stdout
 
 
 class TestGeneratedApiDocs:

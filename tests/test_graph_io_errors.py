@@ -1,47 +1,9 @@
-"""Tests for graph edge-list IO and the error hierarchy."""
+"""Tests for the error hierarchy of :mod:`repro.errors`."""
 
 import pytest
 
 from repro import errors
-from repro.graph import Graph, gnp_graph, read_edge_list, write_edge_list
-
-
-class TestEdgeListIO:
-    def test_roundtrip(self, tmp_path):
-        g = gnp_graph(25, 0.25, seed=1)
-        path = tmp_path / "g.edges"
-        write_edge_list(g, path)
-        loaded = read_edge_list(path)
-        assert loaded.vertex_set() == g.vertex_set()
-        assert sorted(map(sorted, loaded.edges())) == sorted(map(sorted, g.edges()))
-
-    def test_isolated_vertices_preserved(self, tmp_path):
-        g = Graph([(0, 1)])
-        g.add_vertex(7)
-        path = tmp_path / "g.edges"
-        write_edge_list(g, path)
-        loaded = read_edge_list(path)
-        assert 7 in loaded
-        assert loaded.degree(7) == 0
-
-    def test_string_vertices(self, tmp_path):
-        g = Graph([("a", "b")])
-        path = tmp_path / "g.edges"
-        write_edge_list(g, path)
-        loaded = read_edge_list(path, int_vertices=False)
-        assert loaded.has_edge("a", "b")
-
-    def test_comments_skipped(self, tmp_path):
-        path = tmp_path / "g.edges"
-        path.write_text("# header\n0 1\n\n# tail\n1 2\n")
-        loaded = read_edge_list(path)
-        assert loaded.num_edges == 2
-
-    def test_malformed_rejected(self, tmp_path):
-        path = tmp_path / "bad.edges"
-        path.write_text("0 1 2 3\n")
-        with pytest.raises(errors.InvalidInputError):
-            read_edge_list(path)
+from repro.graph import Graph
 
 
 class TestErrorHierarchy:

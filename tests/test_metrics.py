@@ -6,13 +6,11 @@ from repro.core import ProfiledGraph, pcs
 from repro.datasets import fig1_profiled_graph, fig1_taxonomy
 from repro.graph import Graph
 from repro.metrics import (
-    CommunityStats,
     average_community_count,
     average_f1,
     best_match_f1,
     community_pairwise_similarity,
     community_ptree_frequency,
-    community_stats,
     f1_score,
     level_diversity_ratio,
 )
@@ -124,24 +122,6 @@ class TestF1:
 
 
 class TestStats:
-    def test_counts_and_sizes(self):
-        per_query = [
-            [frozenset({1, 2}), frozenset({1, 2, 3})],
-            [frozenset({5})],
-        ]
-        stats = community_stats(per_query)
-        assert isinstance(stats, CommunityStats)
-        assert stats.num_queries == 2
-        assert stats.total_communities == 3
-        assert stats.average_communities_per_query == pytest.approx(1.5)
-        assert stats.average_community_size == pytest.approx(2.0)
-        assert stats.median_community_size == 2.0
-
-    def test_empty(self):
-        stats = community_stats([])
-        assert stats.total_communities == 0
-        assert stats.average_community_size == 0.0
-
     def test_average_count(self):
         assert average_community_count([[1, 2], [1]]) == pytest.approx(1.5)
         assert average_community_count([]) == 0.0
