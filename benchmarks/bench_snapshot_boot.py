@@ -21,6 +21,7 @@ Runs two ways, exactly like the engine-throughput benchmark::
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import tempfile
 import time
@@ -34,16 +35,29 @@ from repro.storage import load_snapshot, save_snapshot
 #: Acceptance floor: snapshot load vs cold graph + index build.
 MIN_BOOT_SPEEDUP = 5.0
 
-#: Timing repeats per mode (best-of, to shed scheduler noise).
+#: Fewest timed runs per mode (best-of, to shed scheduler noise).
 REPEATS = 3
 
+#: Each mode also keeps running until its timed runs add up to this many
+#: seconds: at smoke scale one load takes ~0.02 s, and three such runs can
+#: all land in one scheduler hiccup.
+MIN_TIMED_SECONDS = 1.0
 
-def _best_of(fn, repeats: int = REPEATS) -> float:
+
+def _best_of(fn, repeats: int = REPEATS, min_seconds: float = MIN_TIMED_SECONDS) -> float:
+    """Best wall time of ``fn`` over at least ``repeats`` runs and at least
+    ``min_seconds`` of runs, each started from a fresh garbage collection."""
     best = float("inf")
-    for _ in range(repeats):
+    runs = 0
+    spent = 0.0
+    while runs < repeats or spent < min_seconds:
+        gc.collect()
         start = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - start)
+        elapsed = time.perf_counter() - start
+        best = min(best, elapsed)
+        spent += elapsed
+        runs += 1
     return best
 
 

@@ -104,14 +104,13 @@ class _Receiver(threading.Thread):
         self.manager = manager
         self.sub_id = sub_id
         self.received = []  # (CommunityDiff, perf_counter at delivery)
+        self.done = threading.Event()
         self.start()
 
     def run(self) -> None:
         cursor = 1  # the registration snapshot
-        while True:
+        while not self.done.is_set():
             batch = self.manager.poll(self.sub_id, cursor, timeout=1.0)
-            if not batch and self.manager.draining:
-                return
             now = time.perf_counter()
             for diff in batch:
                 self.received.append((diff, now))
@@ -123,6 +122,7 @@ def measure(num_partitions: int, rounds: int) -> dict:
     service = CommunityService(pg, default_k=K, cache_size=None)
     manager = SubscriptionManager(service, event_log_size=rounds + 8)
     subs = []
+    receivers = []
     try:
         for i in range(num_partitions):
             sub = Subscription.new(f"v{i}_0", k=K)
@@ -206,7 +206,9 @@ def measure(num_partitions: int, rounds: int) -> dict:
             "max_push_ms": push_latencies[-1],
         }
     finally:
-        manager.close()
+        for receiver in receivers:
+            receiver.done.set()
+        manager.close()  # wakes every parked poll
         service.close()
 
 

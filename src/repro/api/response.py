@@ -23,7 +23,7 @@ service layer, so there is exactly one wire format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Hashable, Optional, Tuple
 
 from repro.api.planner import PlanDecision
@@ -214,10 +214,6 @@ class QueryResponse:
             plan=plan,
             result=result,
         )
-
-    def with_service_view(self, **changes) -> "QueryResponse":
-        """A copy with serving-metadata fields replaced (keeps ``result``)."""
-        return replace(self, **changes)
 
     def page(self):
         """The served page as live :class:`ProfiledCommunity` objects.

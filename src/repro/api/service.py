@@ -36,6 +36,11 @@ from repro.engine.updates import UpdateReceipt
 from repro.errors import InvalidInputError, VertexNotFoundError
 from repro.storage import BootReport, GraphStore, SnapshotInfo
 
+#: Method selection for queries with ``method=None``. Its decisions depend
+#: only on the query's method and cohesion and the serving state, so every
+#: session shares one memo.
+_PLANNER = QueryPlanner()
+
 
 class Middleware:
     """Base class for service middleware (both hooks optional).
@@ -123,9 +128,6 @@ class CommunityService:
         :class:`~repro.engine.explorer.CommunityExplorer` to adopt (its
         cache/index state is kept; the engine-construction knobs below are
         then ignored).
-    planner:
-        Method-selection strategy for queries with ``method=None``
-        (default: a shared :class:`~repro.api.planner.QueryPlanner`).
     middleware:
         Hook chain; default ``(ValidationMiddleware(),)``. Pass ``()`` to
         disable.
@@ -182,7 +184,6 @@ class CommunityService:
     def __init__(
         self,
         pg: Union[ProfiledGraph, CommunityExplorer, Callable[[], ProfiledGraph]],
-        planner: Optional[QueryPlanner] = None,
         middleware: Optional[Sequence[Middleware]] = None,
         max_limit: Optional[int] = None,
         one_shot: bool = False,
@@ -248,7 +249,6 @@ class CommunityService:
                 f"CommunityService needs a ProfiledGraph or CommunityExplorer, "
                 f"got {type(pg).__name__}"
             )
-        self.planner = planner or QueryPlanner()
         self.one_shot = one_shot
         chain = list(middleware) if middleware is not None else [ValidationMiddleware()]
         if max_limit is not None:
@@ -289,7 +289,7 @@ class CommunityService:
 
     def plan(self, query: QueryLike) -> PlanDecision:
         """The planner's verdict for ``query`` under current serving state."""
-        return self.planner.plan(
+        return _PLANNER.plan(
             self._resolve(Query.coerce(query)),
             index_ready=self._explorer.index_ready,
             one_shot=self.one_shot,
@@ -310,7 +310,7 @@ class CommunityService:
         tiny_floor = getattr(
             self._explorer, "tiny_graph_vertices", TINY_GRAPH_VERTICES
         )
-        return self.planner.plan_batch(
+        return _PLANNER.plan_batch(
             batch_size,
             processes=self.parallel_workers,
             min_batch=getattr(self._explorer, "min_batch", None),
@@ -325,7 +325,7 @@ class CommunityService:
             if replacement is not None:
                 query = replacement
         query = self._resolve(query)
-        plan = self.planner.plan(
+        plan = _PLANNER.plan(
             query, index_ready=self._explorer.index_ready, one_shot=self.one_shot
         )
         if query.method != plan.method:

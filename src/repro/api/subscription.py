@@ -30,10 +30,10 @@ inverses, mirroring :class:`~repro.api.query.Query`'s wire conventions
 from __future__ import annotations
 
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import FrozenSet, Hashable, Optional, Tuple
 
-from repro.core.search import normalize_method
+from repro.engine.query import Query
 from repro.errors import InvalidInputError
 
 __all__ = ["Subscription", "CommunityDiff"]
@@ -64,28 +64,15 @@ class Subscription:
     id: str = ""
 
     def __post_init__(self) -> None:
-        if self.vertex is None:
-            raise InvalidInputError("subscription needs a query vertex")
-        try:
-            hash(self.vertex)
-        except TypeError:
-            raise InvalidInputError(
-                f"vertex must be hashable, got {type(self.vertex).__name__}"
-            ) from None
-        if self.k is not None:
-            if not isinstance(self.k, int) or isinstance(self.k, bool):
-                raise InvalidInputError(f"k must be an int, got {self.k!r}")
-            if self.k < 0:
-                raise InvalidInputError(f"k must be non-negative, got {self.k}")
-        if self.method is not None:
-            if not isinstance(self.method, str):
-                raise InvalidInputError(f"method must be a string, got {self.method!r}")
-            # Normalise the spelling once, at the boundary.
-            object.__setattr__(self, "method", normalize_method(self.method))
         if self.cohesion is not None and not isinstance(self.cohesion, str):
             raise InvalidInputError(
                 f"cohesion must be a registered model name, got {self.cohesion!r}"
             )
+        # A subscription is a standing Query: validate and canonicalise
+        # through it, so the two cannot drift.
+        query = Query(self.vertex, self.k, self.method, self.cohesion)
+        object.__setattr__(self, "method", query.method)
+        object.__setattr__(self, "cohesion", query.cohesion)
         if not isinstance(self.id, str):
             raise InvalidInputError(f"subscription id must be a string, got {self.id!r}")
 
@@ -106,9 +93,6 @@ class Subscription:
             cohesion=cohesion,
             id=id or uuid.uuid4().hex,
         )
-
-    def with_id(self, id: str) -> "Subscription":
-        return replace(self, id=id)
 
     def to_dict(self) -> dict:
         """The wire payload (``None`` fields omitted, like ``Query``)."""
@@ -171,11 +155,6 @@ class CommunityDiff:
             raise InvalidInputError(f"event_id must be >= 1, got {self.event_id}")
         if self.reset and self.left:
             raise InvalidInputError("a reset diff must not carry 'left' vertices")
-
-    @property
-    def is_empty(self) -> bool:
-        """Whether applying this diff changes nothing (resets never are)."""
-        return not (self.reset or self.joined or self.left)
 
     def apply_to(self, members: FrozenSet[Vertex]) -> FrozenSet[Vertex]:
         """The membership after this diff (``members`` = the one before)."""

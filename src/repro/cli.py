@@ -262,10 +262,12 @@ def cmd_subscribe(args: argparse.Namespace) -> int:
     """``repro subscribe``: a standing query against a server, diffs on stdout.
 
     Registers the query (or resumes an existing subscription with
-    ``--id``/``--last-event-id``) and prints one JSON line per pushed
-    :class:`~repro.api.subscription.CommunityDiff` until interrupted or
-    ``--max-events`` is reached. The subscription itself stays registered
-    on exit — it is *standing*; drop it with ``--drop ID``.
+    ``--id``/``--last-event-id``) and prints one JSON line per
+    :class:`~repro.api.subscription.CommunityDiff` its long-polls return,
+    until interrupted or ``--max-events`` is reached. ``--url`` may name
+    any serving role, the replication router included. The subscription
+    itself stays registered on exit — it is *standing*; drop it with
+    ``--drop ID``.
     """
     from repro.replication.replica import parse_http_url
     from repro.server.client import ServerClient, ServerError
@@ -695,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="standing query against a running server; pushed diffs on stdout",
     )
     sb.add_argument("--url", default="http://127.0.0.1:8437",
-                    help="base URL of the serving gateway (any role but router)")
+                    help="base URL of a serving gateway or the replication router")
     sb.add_argument("--vertex", help="query vertex to watch (registers a new "
                                      "subscription)")
     sb.add_argument("--k", type=int, default=None, help="minimum degree bound")
@@ -715,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--max-events", dest="max_events", type=int, default=None,
                     metavar="N", help="exit after N pushed diffs")
     sb.add_argument("--retries", type=int, default=5,
-                    help="stream reconnect budget (default 5)")
+                    help="retry budget per poll (default 5)")
     sb.set_defaults(func=cmd_subscribe)
 
     cl = sub.add_parser(

@@ -1,9 +1,6 @@
 """The PCS problem and its query algorithms."""
 
 from repro.core.advanced import (
-    adv_d_query,
-    adv_i_query,
-    adv_p_query,
     advanced_query,
     expand_ptree,
     find_initial_cut_decre,
@@ -17,7 +14,6 @@ from repro.core.cohesion import (
     KCliqueCohesion,
     KCoreCohesion,
     KTrussCohesion,
-    available_cohesion_models,
     get_cohesion,
 )
 from repro.core.closed import closed_query
@@ -51,15 +47,11 @@ __all__ = [
     "KTrussCohesion",
     "KCliqueCohesion",
     "get_cohesion",
-    "available_cohesion_models",
     "apriori_traverse",
     "TraversalOutcome",
     "basic_query",
     "incre_query",
     "advanced_query",
-    "adv_i_query",
-    "adv_d_query",
-    "adv_p_query",
     "expand_ptree",
     "find_initial_cut_incre",
     "find_initial_cut_decre",

@@ -299,18 +299,3 @@ def advanced_query(
         num_verifications=oracle.verifications,
     )
     return result.sort()
-
-
-def adv_i_query(pg, q, k, index=None, cohesion=None) -> PCSResult:
-    """adv-I: advanced query seeded by find-I."""
-    return advanced_query(pg, q, k, find="I", index=index, cohesion=cohesion)
-
-
-def adv_d_query(pg, q, k, index=None, cohesion=None) -> PCSResult:
-    """adv-D: advanced query seeded by find-D."""
-    return advanced_query(pg, q, k, find="D", index=index, cohesion=cohesion)
-
-
-def adv_p_query(pg, q, k, index=None, cohesion=None) -> PCSResult:
-    """adv-P: advanced query seeded by find-P."""
-    return advanced_query(pg, q, k, find="P", index=index, cohesion=cohesion)

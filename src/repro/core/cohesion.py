@@ -109,8 +109,3 @@ def get_cohesion(name_or_model) -> CohesionModel:
                 f"available: {sorted(_REGISTRY)}"
             ) from None
     raise InvalidInputError(f"cannot interpret {name_or_model!r} as a cohesion model")
-
-
-def available_cohesion_models() -> tuple:
-    """Names of all registered models."""
-    return tuple(sorted(_REGISTRY))

@@ -260,7 +260,3 @@ class FeasibilityOracle:
             if self.is_feasible_from_parent(subtree | {x}, subtree, x):
                 return False
         return True
-
-    def cached_subtrees(self) -> int:
-        """Number of distinct subtrees whose community has been computed."""
-        return len(self._communities)

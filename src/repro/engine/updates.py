@@ -57,6 +57,8 @@ class GraphUpdate:
     labels: Optional[Sequence[object]] = None
 
     def __post_init__(self):
+        if not isinstance(self.op, str):
+            raise InvalidInputError(f"update op must be a string, got {self.op!r}")
         op = self.op.replace("-", "_").lower()
         if op not in UPDATE_OPS:
             raise InvalidInputError(
@@ -68,6 +70,17 @@ class GraphUpdate:
                 raise InvalidInputError(f"{op} takes a single vertex, got v={self.v!r}")
         elif self.v is None:
             raise InvalidInputError(f"{op} needs both endpoints (u, v)")
+        # Vertex names are the snapshot codec's domain, so every applied
+        # edit can be checkpointed.
+        for vertex in (self.u,) if self.v is None else (self.u, self.v):
+            if type(vertex) not in (int, str):
+                raise InvalidInputError(
+                    f"{op}: a vertex must be an int or a string, got {vertex!r}"
+                )
+        if self.labels is not None and not isinstance(self.labels, (list, tuple)):
+            raise InvalidInputError(
+                f"{op}: labels must be a list, got {type(self.labels).__name__}"
+            )
 
     @classmethod
     def coerce(cls, item: Union["GraphUpdate", Tuple, dict]) -> "GraphUpdate":

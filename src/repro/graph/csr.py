@@ -149,12 +149,6 @@ class CSRGraph:
         """Undirected edge count (each edge is stored twice)."""
         return len(self.indices) // 2
 
-    def memory_bytes(self) -> int:
-        """Bytes held by the two flat adjacency buffers."""
-        return len(memoryview(self.indptr).cast("B")) + len(
-            memoryview(self.indices).cast("B")
-        )
-
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ the query's own profile — better cohesiveness around q.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Iterable, List
+from typing import FrozenSet, Hashable, Iterable
 
 from repro.core.profiled_graph import ProfiledGraph
 
@@ -40,15 +40,3 @@ def community_ptree_frequency(
             frequency = sum(1 for v in community if node in labels[v])
             total += frequency / size
     return total / (len(community_list) * len(query_nodes))
-
-
-def average_cpf(
-    pg: ProfiledGraph, per_query: Iterable
-) -> float:
-    """Mean CPF over an iterable of (q, communities) pairs."""
-    values: List[float] = [
-        community_ptree_frequency(pg, q, communities) for q, communities in per_query
-    ]
-    if not values:
-        return 0.0
-    return sum(values) / len(values)

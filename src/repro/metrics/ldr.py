@@ -15,7 +15,7 @@ diversity per level.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Sequence
+from typing import Hashable, List, Sequence
 
 from repro.core.community import ProfiledCommunity
 from repro.core.profiled_graph import ProfiledGraph
@@ -61,17 +61,3 @@ def level_diversity_ratio(
     if not ratios:
         return 0.0
     return sum(ratios) / len(ratios)
-
-
-def average_ldr(
-    pg: ProfiledGraph,
-    per_query: Iterable,
-) -> float:
-    """Mean LDR over an iterable of (q, method_communities, pcs_communities)."""
-    values = [
-        level_diversity_ratio(pg, q, method_comms, pcs_comms)
-        for q, method_comms, pcs_comms in per_query
-    ]
-    if not values:
-        return 0.0
-    return sum(values) / len(values)

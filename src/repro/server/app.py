@@ -34,20 +34,13 @@ Routes
     the client sent none) plus the ``reset`` snapshot diff — event id 1,
     the baseline every later diff composes onto.
 ``POST /unsubscribe``
-    ``{"id": ...}``; drops the standing query, ending its streams.
+    ``{"id": ...}``; drops the standing query; a poll parked on it answers 404.
 ``POST /subscribe/poll``
     ``{"id", "last_event_id"?, "timeout"?}`` — long-poll for diffs after
     ``last_event_id``, blocking up to ``timeout`` seconds (bounded by
     :data:`MAX_POLL_TIMEOUT`). An id behind the retained window answers a
-    single ``reset`` re-baseline diff.
-``POST /subscribe/stream``
-    ``{"id", "last_event_id"?}`` — Server-Sent Events stream of diffs
-    (``id:``/``event: diff``/``data:`` frames, ``: keepalive`` comments
-    while idle). The resume cursor rides in the body (semantics match
-    SSE's ``Last-Event-ID``). The stream is a cursor over the
-    subscription's retained window, like the poll: a reader that fell
-    behind the window gets one ``reset`` diff, and the server buffers
-    nothing per reader.
+    single ``reset`` re-baseline diff. A draining server answers at once,
+    with an empty list when the reader is caught up.
 ``GET /healthz``, ``GET /stats``, ``GET /metrics``
     Liveness, JSON counters, Prometheus text.
 
@@ -91,8 +84,6 @@ __all__ = [
 _JSON = "application/json"
 #: Prometheus text exposition format.
 _METRICS_TEXT = "text/plain; version=0.0.4; charset=utf-8"
-#: Server-Sent Events.
-_SSE = "text/event-stream; charset=utf-8"
 
 #: Ceiling on a ``/subscribe/poll`` block — long enough to amortise the
 #: round trip, short enough that a vanished client frees its handler
@@ -238,7 +229,7 @@ def _require_object(payload, what: str) -> dict:
 
 
 def _subscription_ref(payload: dict) -> Tuple[str, Optional[int]]:
-    """``(id, last_event_id)`` out of a poll/stream/unsubscribe payload."""
+    """``(id, last_event_id)`` out of a poll or unsubscribe payload."""
     sub_id = payload.get("id")
     if not isinstance(sub_id, str) or not sub_id:
         raise InvalidInputError("'id' must be a non-empty subscription id string")
@@ -296,49 +287,6 @@ def _handle_subscribe_poll(gateway, body: bytes, headers) -> HttpResponse:
     )
 
 
-def _sse_frame(diff) -> bytes:
-    """One SSE event frame for a diff (``id`` carries the resume cursor)."""
-    return (
-        f"id: {diff.event_id}\n"
-        f"event: diff\n"
-        f"data: {json.dumps(diff.to_dict(), sort_keys=True)}\n\n"
-    ).encode("utf-8")
-
-
-def _handle_subscribe_stream(gateway, body: bytes, headers) -> HttpResponse:
-    """SSE diff stream; the resume cursor arrives in the POST body."""
-    payload = _require_object(_parse_json(body), "stream")
-    extra = set(payload) - {"id", "last_event_id"}
-    if extra:
-        raise InvalidInputError(f"unknown stream fields {sorted(extra)}")
-    sub_id, last_event_id = _subscription_ref(payload)
-    subscriptions = gateway.subscriptions
-    # Resolve before answering 200 so an unknown id is a clean 404, not a
-    # broken stream.
-    subscriptions.get(sub_id)
-    keepalive = gateway.sse_keepalive_seconds
-
-    def stream():
-        cursor = last_event_id
-        # The first frame pins the subscription id so a client
-        # multiplexing streams can label them without peeking at diffs.
-        yield f": stream {sub_id}\n\n".encode("ascii")
-        while True:
-            try:
-                events = subscriptions.poll(sub_id, cursor, timeout=keepalive)
-            except SubscriptionNotFoundError:
-                return  # unregistered mid-stream
-            for diff in events:
-                yield _sse_frame(diff)
-                cursor = diff.event_id
-            if not events:
-                if subscriptions.draining:
-                    return
-                yield b": keepalive\n\n"
-
-    return HttpResponse(status=200, body=b"", content_type=_SSE, stream=stream)
-
-
 def _handle_healthz(gateway, body: bytes, headers) -> HttpResponse:
     return _json_response(200, gateway.health())
 
@@ -365,7 +313,6 @@ ROUTES: Dict[Tuple[str, str], Callable] = {
     ("POST", "/subscribe"): _handle_subscribe,
     ("POST", "/unsubscribe"): _handle_unsubscribe,
     ("POST", "/subscribe/poll"): _handle_subscribe_poll,
-    ("POST", "/subscribe/stream"): _handle_subscribe_stream,
     ("GET", "/healthz"): _handle_healthz,
     ("GET", "/stats"): _handle_stats,
     ("GET", "/metrics"): _handle_metrics,

@@ -32,6 +32,7 @@ from repro.api.response import QueryResponse
 from repro.api.subscription import CommunityDiff, Subscription
 from repro.engine.updates import GraphUpdate
 from repro.errors import ReproError
+from repro.server.app import DEFAULT_POLL_TIMEOUT, MAX_POLL_TIMEOUT
 
 __all__ = ["ServerClient", "ServerError"]
 
@@ -347,121 +348,51 @@ class ServerClient:
     def subscribe_stream(
         self, sub_id: str, last_event_id: Optional[int] = None
     ) -> Iterator[CommunityDiff]:
-        """``POST /subscribe/stream`` — a resumable generator of diffs.
+        """Follow a subscription: a resumable generator of diffs.
 
-        Opens a dedicated connection (the server closes it when the stream
-        ends) and yields :class:`~repro.api.subscription.CommunityDiff`
-        events as they arrive. The generator reconnects through the same
-        retry budget as :meth:`_request` — carrying the last delivered
-        event id, so a torn stream resumes without gaps or duplicates
-        (a cursor behind the server's retained window yields a ``reset``
-        re-baseline diff instead). Two things end it: the subscription
-        disappearing (:class:`ServerError` 404 after the server drops it)
-        and an ``event: error`` frame, raised as a :class:`ServerError`
-        carrying the frame's error type — never a silent hang.
+        A loop of :meth:`poll` calls, each carrying the last delivered
+        event id, so diffs arrive in event order with no gap and no
+        duplicate; a cursor behind the server's retained window yields one
+        ``reset`` re-baseline diff instead. Each poll blocks for half this
+        client's socket timeout and retries through the same budget as
+        every other request, so the generator works through the
+        replication router as well as against one gateway. It ends with a
+        :class:`ServerError`, never a silent hang: 404 when the server
+        drops the subscription, and 503 ``stream_ended`` when the server
+        stays unreachable or keeps answering without blocking (it is
+        draining) past the retry budget.
         """
         cursor = 0 if last_event_id is None else int(last_event_id)
-        failures = 0
+        wait = (
+            DEFAULT_POLL_TIMEOUT if self.timeout is None
+            else min(self.timeout / 2, MAX_POLL_TIMEOUT)
+        )
+        idle = 0
         while True:
-            progressed = False
+            started = time.monotonic()
             try:
-                for diff in self._stream_once(sub_id, cursor):
-                    progressed = True
-                    failures = 0
-                    cursor = max(cursor, diff.event_id)
-                    yield diff
-            except (OSError, http.client.HTTPException):
-                failures += 1
-                if failures > self.retries + 1:
-                    raise
-                time.sleep(self._retry_delay(max(1, failures - 1)))
-                continue
-            # Clean EOF: the server ended the stream (drain or handler
-            # rotation). Resume from the cursor — but an EOF that delivered
-            # nothing spends retry budget, so a permanently-draining server
-            # becomes an error instead of a reconnect spin.
-            if not progressed:
-                failures += 1
-                if failures > self.retries + 1:
-                    raise ServerError(
-                        503,
-                        "stream_ended",
-                        f"subscription stream for {sub_id!r} keeps ending "
-                        f"without events; the server is likely draining",
-                    )
-                time.sleep(self._retry_delay(max(1, failures - 1)))
-
-    def _stream_once(self, sub_id: str, cursor: int) -> Iterator[CommunityDiff]:
-        """One SSE connection: attach at ``cursor``, yield until EOF."""
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            conn.request(
-                "POST",
-                "/subscribe/stream",
-                body=json.dumps({"id": sub_id, "last_event_id": cursor}),
-                headers={"Content-Type": "application/json"},
-            )
-            response = conn.getresponse()
-            if response.status != 200:
-                raw = response.read()
-                try:
-                    error = json.loads(raw.decode("utf-8")).get("error", {})
-                except (ValueError, AttributeError):
-                    error = {}
+                events = self.poll(sub_id, cursor, timeout=wait)
+            except (OSError, http.client.HTTPException) as exc:
+                self.close()
                 raise ServerError(
-                    response.status,
-                    error.get("type", "unknown"),
-                    error.get("message", raw.decode("utf-8", "replace")),
-                    retry_after=_parse_retry_after(response.getheader("Retry-After")),
-                    location=response.getheader("Location"),
+                    503, "stream_ended",
+                    f"subscription {sub_id!r}: the server is unreachable ({exc})",
+                ) from exc
+            for diff in events:
+                cursor = diff.event_id
+                yield diff
+            if events or time.monotonic() - started >= wait / 2:
+                idle = 0
+                continue
+            # An empty answer that did not block: the server is draining.
+            idle += 1
+            if idle > self.retries + 1:
+                raise ServerError(
+                    503, "stream_ended",
+                    f"subscription {sub_id!r}: polls keep returning without "
+                    f"events; the server is likely draining",
                 )
-            for event_type, data in self._sse_events(response):
-                if event_type == "error":
-                    try:
-                        error = json.loads(data).get("error", {})
-                    except ValueError:
-                        error = {}
-                    raise ServerError(
-                        500,
-                        error.get("type", "unknown"),
-                        error.get("message", data),
-                    )
-                if event_type == "diff":
-                    yield CommunityDiff.from_dict(json.loads(data))
-        finally:
-            conn.close()
-
-    @staticmethod
-    def _sse_events(response) -> Iterator[Tuple[str, str]]:
-        """Decode SSE frames off a response: ``(event_type, data)`` pairs.
-
-        ``http.client`` decodes the chunked transfer transparently, so
-        ``readline`` sees the raw event-stream text. Comment lines
-        (keepalives) are skipped; ``id:`` lines are redundant here because
-        every diff payload carries its own ``event_id``.
-        """
-        event_type = "message"
-        data_lines: List[str] = []
-        while True:
-            raw = response.readline()
-            if not raw:
-                return  # EOF: the server ended the stream
-            line = raw.decode("utf-8").rstrip("\r\n")
-            if not line:
-                if data_lines:
-                    yield event_type, "\n".join(data_lines)
-                event_type = "message"
-                data_lines = []
-                continue
-            if line.startswith(":"):
-                continue
-            field, _, value = line.partition(":")
-            if value.startswith(" "):
-                value = value[1:]
-            if field == "event":
-                event_type = value
-            elif field == "data":
-                data_lines.append(value)
+            time.sleep(self._retry_delay(idle))
 
     def healthz(self) -> dict:
         """``GET /healthz`` — liveness and serving vitals."""

@@ -62,7 +62,6 @@ __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "DEFAULT_MAX_BODY_BYTES",
-    "DEFAULT_SSE_KEEPALIVE_SECONDS",
     "IDEMPOTENCY_CACHE_SIZE",
 ]
 
@@ -70,11 +69,6 @@ DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8437
 #: Request bodies past this size answer 413 before any JSON parsing.
 DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
-
-#: Idle-stream comment interval on ``POST /subscribe/stream`` — keeps
-#: NAT/proxy timeouts from reaping quiet SSE connections, and bounds how
-#: long a drain waits for a stream handler to notice the shutdown.
-DEFAULT_SSE_KEEPALIVE_SECONDS = 15.0
 
 #: Receipts remembered for ``idempotency_key`` deduplication. A retrying
 #: client reuses its key within one connection's retry budget (seconds),
@@ -311,7 +305,6 @@ class CommunityGateway(_ServingRole):
         warm: bool = False,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         log_requests: bool = False,
-        sse_keepalive: float = DEFAULT_SSE_KEEPALIVE_SECONDS,
     ) -> None:
         super().__init__(host, port, {**ROUTES, **self.extra_routes()})
         if isinstance(service, CommunityService):
@@ -330,7 +323,6 @@ class CommunityGateway(_ServingRole):
         self._version_at_start = self.service.pg.version
         self._idempotency_lock = threading.Lock()
         self._idempotency_receipts: "OrderedDict[str, UpdateReceipt]" = OrderedDict()
-        self.sse_keepalive_seconds = sse_keepalive
         # Standing queries: a durable service booted its own (restored from
         # its snapshot and WAL); a memory-only one gets a fresh manager.
         self.subscriptions = self.service.subscriptions
@@ -369,10 +361,10 @@ class CommunityGateway(_ServingRole):
             return
         if self.coalescer is not None:
             self.coalescer.close(timeout=None if drain else 0.0)
-        # End SSE streams *before* joining handler threads (they block in
-        # consumer waits, not socket reads), but keep the update hook
-        # attached so writes still in flight produce their diffs before
-        # the checkpoint captures the heads.
+        # Wake parked long-polls *before* joining handler threads (they
+        # block in the manager's wait, not in socket reads), but keep the
+        # update hook attached so writes still in flight produce their
+        # diffs before the checkpoint captures the heads.
         self.subscriptions.disconnect_consumers()
         self._join_handlers()
         self._checkpoint_or_warn(drain)

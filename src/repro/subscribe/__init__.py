@@ -17,9 +17,9 @@ module for the soundness story and its over-approximation fallbacks).
 
 Layering: this package sits above :mod:`repro.api` (it evaluates through
 the engine behind :class:`~repro.api.service.CommunityService`) and below
-:mod:`repro.server`, which mounts the HTTP surface (``POST /subscribe``,
-long-poll and SSE streaming, both cursor reads with ``Last-Event-ID``
-resume) on every gateway role.
+:mod:`repro.server`, which mounts the HTTP surface (``POST /subscribe``
+and the ``POST /subscribe/poll`` long-poll, a cursor read with
+last-event-id resume) on every gateway role.
 """
 
 from repro.api.subscription import CommunityDiff, Subscription

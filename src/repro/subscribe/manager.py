@@ -26,9 +26,9 @@ differential stress test and the benchmark's correctness gate both lean
 on that guarantee.
 
 Delivery is one structure read one way: each subscription retains a
-bounded window of its latest diffs, and every transport (long-poll, SSE
-stream) is a :meth:`SubscriptionManager.poll` loop carrying its own
-cursor, the last event id it saw. The manager holds no per-reader state:
+bounded window of its latest diffs, and the one transport, the HTTP
+long-poll, is a :meth:`SubscriptionManager.poll` call carrying the
+reader's cursor, the last event id it saw. The manager holds no per-reader state:
 the write path never waits for or buffers per reader, and a reader any
 distance behind gets the diffs it missed or, once its cursor has fallen
 out of the window, one ``reset`` snapshot diff — a gap is never silent
@@ -168,7 +168,7 @@ class SubscriptionManager:
         """End every blocked read *without* stopping the manager.
 
         The first half of the gateway's drain: handler threads blocked in
-        :meth:`poll` (long-polls and streams alike) wake and return, so
+        :meth:`poll` wake and return, so
         the HTTP server can join them — while the update hook stays
         attached, so writes still in flight keep producing their diffs
         (and the drain's checkpoint captures them). Later reads return
@@ -177,12 +177,6 @@ class SubscriptionManager:
         with self._cond:
             self._draining = True
             self._cond.notify_all()
-
-    @property
-    def draining(self) -> bool:
-        """Whether reads have stopped blocking (streams end on an empty one)."""
-        with self._lock:
-            return self._draining
 
     def close(self) -> None:
         """Stop serving: wake every blocked reader, drop the hook, leave the service."""
@@ -423,8 +417,8 @@ class SubscriptionManager:
     ) -> List[CommunityDiff]:
         """Block up to ``timeout`` for diffs after ``last_event_id``.
 
-        The one read behind every transport. While draining it never
-        blocks; an unregistered subscription raises, even mid-wait.
+        The one read behind ``POST /subscribe/poll``. While draining it
+        never blocks; an unregistered subscription raises, even mid-wait.
         """
         with self._cond:
             self._waiting += 1

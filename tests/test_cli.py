@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -11,8 +13,11 @@ import pytest
 from repro.api import CommunityService, Query
 from repro.cli import main
 from repro.datasets import simple_profiled_graph
+from repro.datasets import fig1_profiled_graph
 from repro.datasets.taxonomies import synthetic_taxonomy
+from repro.server import CommunityGateway, ServerClient
 from repro.storage import save_snapshot
+from tests.test_replication import ADD_Z1, replication_tier
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -284,6 +289,48 @@ class TestServe:
     def test_serve_rejects_bad_parallel(self):
         with pytest.raises(SystemExit):
             main(["serve", "--parallel", "not-a-number"])
+
+
+class TestSubscribe:
+    """``repro subscribe`` prints the registration, the reset, then diffs."""
+
+    @staticmethod
+    def _follow_one_edit(capsys, server, registry):
+        """Run ``repro subscribe --max-events 1`` against ``server`` while a
+        thread posts one edit there once ``registry`` holds the subscription."""
+        host, port = server.address
+
+        def edit():
+            deadline = time.monotonic() + 10.0
+            while not len(registry) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with ServerClient(host, port) as client:
+                client.update(ADD_Z1)
+
+        editor = threading.Thread(target=edit)
+        editor.start()
+        code = main([
+            "subscribe", "--url", f"http://{host}:{port}",
+            "--vertex", "B", "--k", "2", "--max-events", "1",
+        ])
+        editor.join(timeout=10.0)
+        assert not editor.is_alive()
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        subscribed, snapshot, diff = map(json.loads, captured.out.splitlines())
+        assert subscribed["subscribed"]["vertex"] == "B"
+        assert snapshot["reset"] and snapshot["event_id"] == 1
+        assert sorted(snapshot["joined"]) == ["B", "C", "D"]
+        assert not diff["reset"] and diff["event_id"] == 2
+        assert diff["joined"] == ["Z1"]
+
+    def test_against_a_gateway(self, capsys):
+        with CommunityGateway(fig1_profiled_graph(), port=0, coalesce=False) as gateway:
+            self._follow_one_edit(capsys, gateway, gateway.subscriptions)
+
+    def test_through_the_router(self, capsys, tmp_path):
+        with replication_tier(tmp_path) as (writer, _reps, router):
+            self._follow_one_edit(capsys, router, writer.subscriptions)
 
 
 class TestParser:

@@ -586,6 +586,25 @@ class TestInProcessTier:
             assert len(writer.subscriptions) == 0 == len(reps[0].subscriptions)
             assert router.counters["writes_proxied"] == 2
 
+    def test_subscribe_stream_through_the_router(self, tmp_path):
+        """The client's stream is a loop of polls, which the router proxies:
+        a diff arrives through it, and dropping the subscription ends it
+        with a 404."""
+        with replication_tier(tmp_path) as (_writer, _reps, router):
+            with ServerClient(*router.address, timeout=4.0) as client:
+                sub, head = client.subscribe("B", k=2)
+                receipt = client.update(ADD_Z1)["receipt"]
+                stream = client.subscribe_stream(sub.id, last_event_id=head.event_id)
+                diff = next(stream)
+                assert (diff.event_id, diff.reset) == (2, False)
+                assert diff.graph_version == receipt["version"]
+                assert "Z1" in diff.joined
+                client.unsubscribe(sub.id)
+                with pytest.raises(ServerError) as err:
+                    next(stream)
+            assert err.value.status == 404
+            assert err.value.error_type == "subscription_not_found"
+
     def test_replica_close_leaves_no_traceback_on_the_writer(self, tmp_path, capfd):
         """A replica hanging up its stream ends that response quietly."""
         service = CommunityService(fig1_profiled_graph(), storage_dir=tmp_path / "writer")
@@ -780,6 +799,10 @@ def _raw_exchange(address, request: bytes):
 #: name -> (request, status, error.type, headers the answer must carry)
 ENVELOPE_CASES = {
     "unknown-path": (b"POST /nope HTTP/1.1\r\n\r\n", 404, "not_found", {}),
+    # Standing queries are followed by long-poll only.
+    "no-sse-route": (
+        b"POST /subscribe/stream HTTP/1.1\r\n\r\n", 404, "not_found", {}
+    ),
     "wrong-verb": (
         b"GET /query HTTP/1.1\r\n\r\n", 405, "method_not_allowed", {"Allow": "POST"}
     ),

@@ -368,6 +368,36 @@ class TestHandleRequest:
         assert response.status == 400
         assert "explode" in decoded["error"]["message"]
 
+    @pytest.mark.parametrize("edit", [
+        {"op": 5, "u": "A"},
+        {"op": "add_vertex", "u": "Z", "labels": 5},
+        ["add_vertex", "Z", 7],
+        ["add_edge", [1], 2],
+        ["add_vertex", {"x": 1}],
+        {"op": "remove_edge", "u": "A", "v": {"a": 1}},
+        {"op": "add_vertex", "u": None},
+    ], ids=repr)
+    def test_update_malformed_edit_400(self, gateway, edit):
+        """A malformed edit is refused and moves nothing; a null vertex
+        was once acknowledged and then broke every checkpoint."""
+        response, decoded = self.call(gateway, "POST", "/update", {"updates": [edit]})
+        assert response.status == 400
+        assert decoded["error"]["type"] == "invalid_input"
+        assert gateway.service.pg.version == 0
+
+    def test_rejected_null_vertex_leaves_the_session_checkpointable(self, tmp_path):
+        service = CommunityService(fig1_profiled_graph(), storage_dir=tmp_path)
+        gateway = CommunityGateway(service, coalesce=False)
+        try:
+            response, _ = self.call(
+                gateway, "POST", "/update", {"updates": [{"op": "add_vertex", "u": None}]}
+            )
+            assert response.status == 400
+            assert service.storage.wal.num_records == 0
+            service.snapshot()
+        finally:
+            gateway.close()
+
     def test_payload_too_large_413(self, gateway):
         gateway.max_body_bytes = 64
         response, decoded = self.call(gateway, "POST", "/query", raw=b"x" * 65)
@@ -604,12 +634,12 @@ class TestAdmissionControlAndDrain:
         # A normal answer (ServerClient raises on anything but a 200).
         assert outcome == [[]]
 
-    def test_close_ends_streams_while_in_flight_update_still_journals(
+    def test_close_answers_parked_poll_in_flight_write_logs(
         self, tmp_path, monkeypatch
     ):
-        """Streams end with a clean EOF as the drain begins; an update
-        acknowledged *during* the drain still reaches the WAL and its
-        diff still reaches the drain's checkpoint."""
+        """A parked long-poll answers 200, count 0, as the drain begins; an
+        update acknowledged *during* the drain still reaches the WAL and
+        its diff still reaches the drain's checkpoint."""
         service = CommunityService(
             fig1_profiled_graph(), default_k=2, storage_dir=tmp_path
         )
@@ -639,14 +669,23 @@ class TestAdmissionControlAndDrain:
             return apply_updates(updates)
 
         monkeypatch.setattr(gateway, "apply_updates", signalling_apply_updates)
+        in_poll = threading.Event()
+        poll = gateway.subscriptions.poll
 
-        stream = http.client.HTTPConnection(host, port, timeout=10.0)
-        stream.request(
-            "POST", "/subscribe/stream",
-            body=json.dumps({"id": sub.id, "last_event_id": snapshot.event_id}),
-        )
-        response = stream.getresponse()
-        assert response.status == 200
+        def signalling_poll(*args, **kwargs):
+            in_poll.set()
+            return poll(*args, **kwargs)
+
+        monkeypatch.setattr(gateway.subscriptions, "poll", signalling_poll)
+        polled = []
+
+        def park():
+            with ServerClient(host, port, timeout=30.0, retries=0) as c:
+                polled.append(c.poll(sub.id, snapshot.event_id, timeout=8.0))
+
+        parked = threading.Thread(target=park)
+        parked.start()
+        assert in_poll.wait(timeout=5.0)
         receipts = []
 
         def write():
@@ -665,14 +704,14 @@ class TestAdmissionControlAndDrain:
             assert in_handler.wait(timeout=5.0)
             started = time.monotonic()
             closer.start()
-            body = response.read()  # to EOF; a torn stream raises here
+            parked.join(timeout=5.0)
             ended_in = time.monotonic() - started
-            assert body == f": stream {sub.id}\n\n".encode()
-            assert ended_in < 1.0, f"stream outlived the drain by {ended_in:.2f}s"
+            assert not parked.is_alive()
+            assert polled == [[]]  # a normal answer: nothing new yet
+            assert ended_in < 1.0, f"the poll outlived the drain by {ended_in:.2f}s"
             assert closer.is_alive() and not receipts  # the write is mid-drain
         writer.join(timeout=10.0)
         closer.join(timeout=10.0)
-        stream.close()
         assert not writer.is_alive() and not closer.is_alive()
         (receipt,) = receipts
         ((records, window),) = before_checkpoint
@@ -877,6 +916,15 @@ class TestClientAndLifecycle:
         assert gateway.url.startswith("http://127.0.0.1:")
         gateway.close()
         gateway.close()  # idempotent
+
+    def test_subscribe_stream_ends_typed_when_the_server_is_gone(self):
+        gateway = CommunityGateway(fig1_profiled_graph(), port=0).start()
+        with ServerClient(*gateway.address, retries=1, backoff=0.01) as client:
+            sub, snapshot = client.subscribe("B", k=2)
+            gateway.close()
+            with pytest.raises(ServerError) as err:
+                next(client.subscribe_stream(sub.id, snapshot.event_id))
+        assert (err.value.status, err.value.error_type) == (503, "stream_ended")
 
     def test_gateway_rejects_non_service(self):
         from repro.errors import InvalidInputError

@@ -359,12 +359,13 @@ class TestManager:
         manager.close()
 
     def test_lagging_stream_reader_gets_one_reset(self):
-        """A stream that never reads costs nothing and resumes with a reset.
+        """A cursor that stops reading costs nothing and resumes with a reset.
 
         The successor of slow-consumer eviction: ``event_log_size + 5``
-        diffs are published while the stream's reader is not reading; its
-        next read is exactly one ``reset`` at the head, and the
-        subscription and a reader that kept up are unaffected.
+        diffs are published while one reader's cursor stands still; its
+        next ``POST /subscribe/poll`` answers exactly one ``reset`` at the
+        head, and the subscription and a reader that kept up are
+        unaffected.
         """
         from repro.server.app import ROUTES, handle_request
 
@@ -374,39 +375,36 @@ class TestManager:
         # handle_request's whole contract with a serving role.
         role = SimpleNamespace(
             subscriptions=manager,
-            sse_keepalive_seconds=0.2,
             max_body_bytes=1 << 20,
             routes=lambda: ROUTES,
         )
         sub_id = manager.register(Subscription.new("B", k=2)).subscription_id
-        response = handle_request(
-            role, "POST", "/subscribe/stream",
-            json.dumps({"id": sub_id, "last_event_id": 1}).encode(),
-        )
-        assert response.status == 200
-        stalled = response.stream()
-        assert next(stalled) == f": stream {sub_id}\n\n".encode()
+
+        def poll(cursor):
+            response = handle_request(
+                role, "POST", "/subscribe/poll",
+                json.dumps({"id": sub_id, "last_event_id": cursor, "timeout": 0}).encode(),
+            )
+            assert response.status == 200
+            return [CommunityDiff.from_dict(e) for e in json.loads(response.body)["events"]]
+
+        stalled = 1  # this reader reads none of the diffs below
         keeping_up = 1
-        for i in range(window + 5):  # the stalled stream reads none of these
+        for i in range(window + 5):
             service.apply_updates(_ADD_Z if i % 2 == 0 else _REMOVE_Z)
-            (diff,) = manager.poll(sub_id, keeping_up, timeout=0)
+            (diff,) = poll(keeping_up)
             assert not diff.reset and diff.event_id == keeping_up + 1
             keeping_up = diff.event_id
         assert manager.stats()["events_published"] == window + 5
-        frame = next(stalled).decode()
-        assert frame.startswith(f"id: {keeping_up}\nevent: diff\ndata: ")
-        reset = CommunityDiff.from_dict(json.loads(frame.split("data: ", 1)[1]))
-        assert reset.reset
+        (reset,) = poll(stalled)
+        assert reset.reset and reset.event_id == keeping_up
         assert reset.apply_to(frozenset()) == manager.members(sub_id)
         assert manager.members(sub_id) == _members(service, "B", k=2)
-        # Exactly one: re-baselined, the stream is a normal reader again.
+        # Exactly one: re-baselined, the reader is a normal reader again.
         service.apply_updates(_REMOVE_Z)
-        following = CommunityDiff.from_dict(
-            json.loads(next(stalled).decode().split("data: ", 1)[1])
-        )
+        (following,) = poll(reset.event_id)
         assert not following.reset and following.event_id == keeping_up + 1
         assert following.apply_to(reset.apply_to(frozenset())) == manager.members(sub_id)
-        stalled.close()
         manager.close()
 
     def test_durable_restart_replays_and_catches_up(self, tmp_path):
@@ -470,7 +468,6 @@ class TestManager:
         manager = service.subscriptions
         sub_id = manager.register(Subscription.new("B", k=2)).subscription_id
         manager.disconnect_consumers()
-        assert manager.draining
         started = time.monotonic()
         assert manager.poll(sub_id, last_event_id=1, timeout=5.0) == []
         assert time.monotonic() - started < 1.0  # reads no longer block
@@ -560,10 +557,20 @@ class TestRoutes:
         assert status == 400
 
     def test_stream_unknown_is_404(self, gateway):
-        status, _ = self._call(
+        """The client's stream of polls ends on an unknown id with a 404;
+        the server has no streaming route of its own."""
+        from repro.server import CommunityGateway, ServerClient
+        from repro.server.client import ServerError
+
+        status, decoded = self._call(
             gateway, "POST", "/subscribe/stream", {"id": "nope"}
         )
-        assert status == 404
+        assert (status, decoded["error"]["type"]) == (404, "not_found")
+        with CommunityGateway(_service(), port=0, coalesce=False) as live:
+            with ServerClient(*live.address) as client, pytest.raises(ServerError) as err:
+                next(client.subscribe_stream("nope"))
+        assert err.value.status == 404
+        assert err.value.error_type == "subscription_not_found"
 
     def test_health_and_stats_report_subscriptions(self, gateway):
         self._call(gateway, "POST", "/subscribe", {"vertex": "B", "k": 2})

@@ -1,8 +1,10 @@
-"""Differential stress: an edit stream racing concurrent SSE subscribers.
+"""Differential stress: an edit stream racing concurrent subscribers.
 
 One real :class:`~repro.server.gateway.CommunityGateway` (sockets, not
-``handle_request``), three subscribers streaming over SSE from separate
-threads — one per fig1 label partition (B's CM side, A's IS side, the
+``handle_request``), three subscribers following their standing queries
+with :meth:`ServerClient.subscribe_stream
+<repro.server.client.ServerClient.subscribe_stream>` (a long-poll loop)
+from separate threads — one per fig1 label partition (B's CM side, A's IS side, the
 F/G/H triangle) — while the main thread pushes edit batches through
 ``POST /update``. A shadow :class:`~repro.api.CommunityService` applies
 the identical batches in-process, recording the full-recompute watched
@@ -75,7 +77,7 @@ def _watched(service: CommunityService, vertex, k) -> frozenset:
 
 
 class _Subscriber(threading.Thread):
-    """One SSE consumer: subscribes, streams, records every diff."""
+    """One consumer: subscribes, follows by long-poll, records every diff."""
 
     def __init__(self, host: str, port: int, vertex, k: int) -> None:
         super().__init__(name=f"subscriber-{vertex}", daemon=True)
@@ -93,8 +95,8 @@ class _Subscriber(threading.Thread):
             ):
                 self.diffs.append(diff)
         except ServerError as exc:
-            # The drain at the end of the test ends the stream; the client
-            # surfaces the dead stream as a typed 503 once its reconnect
+            # The drain at the end of the test makes every poll answer at
+            # once; the client surfaces that as a typed 503 once its retry
             # budget is spent. Anything else is a real failure.
             if exc.error_type != "stream_ended":
                 self.error = exc
@@ -105,12 +107,11 @@ class _Subscriber(threading.Thread):
 
 
 @pytest.mark.subscriptions
-def test_concurrent_sse_subscribers_match_shadow_replay():
+def test_concurrent_stream_subscribers_match_shadow_replay():
     gateway = CommunityGateway(
         CommunityService(fig1_profiled_graph(), default_k=2),
         port=0,
         coalesce=False,
-        sse_keepalive=0.5,
     ).start()
     subscribers: list[_Subscriber] = []
     try:
