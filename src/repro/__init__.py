@@ -9,15 +9,16 @@ The package implements Profiled Community Search (PCS) end to end:
 * :mod:`repro.index` — the CL-tree and CP-tree indexes;
 * :mod:`repro.core` — the PCS problem, the ``basic`` / ``incre`` /
   ``adv-I`` / ``adv-D`` / ``adv-P`` query algorithms, and extensions;
-* :mod:`repro.baselines` — Global, Local, ACQ and k-truss community search;
-* :mod:`repro.metrics` — CPS, LDR, CPF, F1 and size statistics;
+* :mod:`repro.baselines` — the Global, Local and ACQ community searches the
+  paper compares against;
+* :mod:`repro.metrics` — CPS, LDR, CPF, F1 and the mean community count;
 * :mod:`repro.datasets` — seeded synthetic profiled graphs calibrated to the
-  paper's datasets, plus serialisation;
+  paper's datasets (a graph file is a :mod:`repro.storage` snapshot);
 * :mod:`repro.bench` — benchmark harness utilities;
 * :mod:`repro.engine` — the batched query engine (:class:`CommunityExplorer`)
-  with index reuse, a version-checked LRU result cache, thread-pool fan-out
-  and mutation-safe serving (:class:`GraphUpdate` batches with incremental
-  index maintenance);
+  with index reuse, a version-checked LRU result cache and mutation-safe
+  serving (:class:`GraphUpdate` batches with incremental index
+  maintenance);
 * :mod:`repro.api` — the unified public surface: :class:`Query` (fluent,
   validated, serialisable requests), :class:`QueryResponse` (the JSON wire
   envelope), :class:`QueryPlanner` (method selection) and

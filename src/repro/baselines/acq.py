@@ -18,7 +18,7 @@ module adapts profiled graphs to it and wraps results as
 from __future__ import annotations
 
 import time
-from typing import FrozenSet, Hashable, List, Tuple
+from typing import Hashable, List
 
 from repro.core.community import PCSResult, ProfiledCommunity
 from repro.core.keywords import keyword_communities
@@ -63,10 +63,3 @@ def acq_query(pg: ProfiledGraph, q: Vertex, k: int) -> PCSResult:
         communities=communities,
         elapsed_seconds=time.perf_counter() - start,
     ).sort()
-
-
-def acq_shared_keywords(
-    pg: ProfiledGraph, q: Vertex, k: int
-) -> List[Tuple[FrozenSet[int], FrozenSet[Vertex]]]:
-    """Raw ACQ output: (maximum shared keyword set, community) pairs."""
-    return keyword_communities(pg.graph, pg.all_labels(), q, k)

@@ -1,22 +1,18 @@
-"""Benchmark harness utilities: timing, tables, result persistence.
+"""Benchmark harness utilities: smoke mode, tables, result persistence.
 
 Every benchmark in ``benchmarks/`` regenerates one of the paper's tables or
 figures. The harness renders results as aligned text tables (printed to the
 terminal, mirroring the paper's rows/series) and persists them as JSON under
-``results/`` so EXPERIMENTS.md can reference concrete numbers.
+``results/`` so docs/experiments.md can reference concrete numbers.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import statistics
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
-
-Number = Union[int, float]
+from typing import Dict, List, Optional, Sequence
 
 #: Repository-level results directory (created on demand).
 RESULTS_DIR = Path(__file__).resolve().parents[3] / "results"
@@ -29,11 +25,6 @@ SMOKE_ENV = "REPRO_BENCH_SMOKE"
 def smoke_mode() -> bool:
     """True when the benchmark suite runs in the CI fast path."""
     return os.environ.get(SMOKE_ENV, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-def bench_repeats(default: int = 3) -> int:
-    """Per-measurement repeat count: 1 under smoke mode, ``default`` otherwise."""
-    return 1 if smoke_mode() else default
 
 
 @dataclass
@@ -109,52 +100,3 @@ def save_tables(name: str, tables: Sequence[Table], extra: Optional[Dict] = None
     if extra:
         payload.update(extra)
     return save_result(name, payload)
-
-
-@dataclass(frozen=True)
-class Timing:
-    """Repeated-call timing summary (milliseconds)."""
-
-    repeats: int
-    mean_ms: float
-    median_ms: float
-    min_ms: float
-    max_ms: float
-
-
-def time_call(fn: Callable[[], object], repeats: Optional[int] = None) -> Timing:
-    """Time ``fn()`` ``repeats`` times (perf_counter, milliseconds).
-
-    ``repeats=None`` (the default) resolves via :func:`bench_repeats`:
-    3 normally, 1 under smoke mode.
-    """
-    if repeats is None:
-        repeats = bench_repeats(3)
-    samples: List[float] = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append((time.perf_counter() - start) * 1000.0)
-    return Timing(
-        repeats=repeats,
-        mean_ms=statistics.fmean(samples),
-        median_ms=statistics.median(samples),
-        min_ms=min(samples),
-        max_ms=max(samples),
-    )
-
-
-def geometric_speedup(baseline_ms: Sequence[float], other_ms: Sequence[float]) -> float:
-    """Geometric-mean speedup of ``other`` relative to ``baseline``."""
-    if len(baseline_ms) != len(other_ms) or not baseline_ms:
-        raise ValueError("speedup needs two equal-length non-empty series")
-    import math
-
-    logs = [
-        math.log(b / o)
-        for b, o in zip(baseline_ms, other_ms)
-        if b > 0 and o > 0
-    ]
-    if not logs:
-        return 1.0
-    return math.exp(sum(logs) / len(logs))

@@ -18,7 +18,6 @@ from repro.core.cohesion import (
 )
 from repro.core.closed import closed_query
 from repro.core.community import PCSResult, ProfiledCommunity, as_vertex_subtree_map
-from repro.core.detection import coverage, detect_communities
 from repro.core.feasibility import FeasibilityOracle
 from repro.core.incre import incre_query
 from repro.core.keywords import keyword_communities, maximal_feasible_keyword_sets
@@ -62,8 +61,6 @@ __all__ = [
     "closed_query",
     "keyword_communities",
     "maximal_feasible_keyword_sets",
-    "detect_communities",
-    "coverage",
     "similarity_filtered_graph",
     "FractionalKCoreCohesion",
     "METRIC_VARIANTS",

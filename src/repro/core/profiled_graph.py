@@ -409,13 +409,6 @@ class ProfiledGraph:
             return 0.0
         return sum(len(s) for s in self._labels.values()) / len(self._labels)
 
-    def gp_tree(self) -> PTree:
-        """The unified P-tree of all vertices (⊆ the taxonomy)."""
-        union: set = set()
-        for s in self._labels.values():
-            union |= s
-        return PTree(self.taxonomy, frozenset(union), _validated=True)
-
     def stats(self) -> DatasetStats:
         """The Table 2 row of this dataset."""
         return DatasetStats(

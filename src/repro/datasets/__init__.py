@@ -7,7 +7,7 @@ written to and read from a file in one format, the snapshot image of
 PATH`` reads it back).
 """
 
-from repro.datasets.ego import EGO_SPECS, EgoSpec, ego_names, load_ego_network
+from repro.datasets.ego import EGO_SPECS, EgoSpec, load_ego_network
 from repro.datasets.fig1 import fig1_profiled_graph, fig1_taxonomy
 from repro.datasets.registry import (
     DATASET_SPECS,
@@ -49,6 +49,5 @@ __all__ = [
     "load_dataset",
     "EgoSpec",
     "EGO_SPECS",
-    "ego_names",
     "load_ego_network",
 ]

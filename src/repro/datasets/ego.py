@@ -106,11 +106,6 @@ EGO_SPECS: Dict[str, EgoSpec] = {
 }
 
 
-def ego_names() -> Tuple[str, ...]:
-    """The three Table 4 network names."""
-    return tuple(EGO_SPECS)
-
-
 def load_ego_network(
     name: str, seed: int = 20190116
 ) -> Tuple[ProfiledGraph, List[Set[int]]]:

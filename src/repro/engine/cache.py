@@ -6,18 +6,13 @@ first-class metric of the serving layer). A ``maxsize`` of ``None`` means
 unbounded; ``0`` disables caching entirely while keeping the accounting
 (every lookup is a miss).
 
-Two lookup families coexist:
-
-* :meth:`LRUCache.get` / :meth:`LRUCache.put` — the plain mapping API.
-  Callers that may cache falsy values must pass :data:`MISSING` as the
-  default and compare with ``is``; ``None`` is a legal cached value.
-* :meth:`LRUCache.get_versioned` / :meth:`LRUCache.put_versioned` — the
-  epoch-based API behind mutation-safe serving. Entries are stored with the
-  data version they were computed against; a lookup whose version no longer
-  matches drops the entry, counts an *invalidation* (and a miss — the
-  caller must recompute), and keeps hit-rate statistics honest. Mutators
-  stay O(1): they only bump a version counter, stale entries are evicted
-  lazily on their next lookup.
+Entries are stored by :meth:`LRUCache.put_versioned` with the data version
+they were computed against. A :meth:`LRUCache.get_versioned` lookup whose
+version no longer matches drops the entry, counts an *invalidation* (and a
+miss: the caller must recompute), and keeps hit-rate statistics honest.
+Mutators stay O(1): they only bump a version counter, and stale entries
+are evicted lazily on their next lookup. ``None`` is a legal cached
+value, so a lookup's default is :data:`MISSING`; compare with ``is``.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator, Optional, Tuple
+from typing import Any, Hashable, Optional
 
 #: Sentinel distinguishing "absent from cache" from any cached value
 #: (including falsy ones: ``None``, empty results, 0, ...).
@@ -71,8 +66,8 @@ class CacheStats:
 class LRUCache:
     """A bounded mapping with LRU eviction and hit/miss counters.
 
-    All operations take an internal lock, so one cache can be shared by the
-    thread-pool fan-out of :class:`~repro.engine.explorer.CommunityExplorer`.
+    All operations take an internal lock, so the request threads of one
+    :class:`~repro.engine.explorer.CommunityExplorer` can share the cache.
     """
 
     def __init__(self, maxsize: Optional[int] = 1024) -> None:
@@ -85,21 +80,6 @@ class LRUCache:
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
-
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """Look ``key`` up, counting a hit or a miss.
-
-        Pass :data:`MISSING` as ``default`` (and compare with ``is``) when
-        cached values may be falsy or ``None``.
-        """
-        with self._lock:
-            value = self._data.get(key, MISSING)
-            if value is MISSING:
-                self._misses += 1
-                return default
-            self._hits += 1
-            self._data.move_to_end(key)
-            return value
 
     def get_versioned(self, key: Hashable, version: Any, default: Any = MISSING) -> Any:
         """Look up an entry stored by :meth:`put_versioned`.
@@ -124,44 +104,20 @@ class LRUCache:
             return value
 
     def put_versioned(self, key: Hashable, version: Any, value: Any) -> None:
-        """Insert/refresh ``key`` tagged with the data ``version`` it reflects."""
-        self.put(key, (version, value))
+        """Insert/refresh ``key`` tagged with the data ``version`` it reflects.
 
-    def peek(self, key: Hashable, default: Any = None) -> Any:
-        """Look ``key`` up without touching counters or recency."""
-        with self._lock:
-            value = self._data.get(key, MISSING)
-            return default if value is MISSING else value
-
-    def peek_versioned(self, key: Hashable, version: Any) -> bool:
-        """Whether a :meth:`get_versioned` lookup would hit right now.
-
-        Purely observational: no counters, no recency update, and a stale
-        entry is left in place (its eviction stays charged to the lookup
-        that actually trips over it). Used for cache-provenance reporting.
+        Evicts the least recently used entry when full.
         """
-        with self._lock:
-            entry = self._data.get(key, MISSING)
-            return entry is not MISSING and entry[0] == version
-
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert/refresh ``key``, evicting the LRU entry when full."""
         if self.maxsize == 0:
             return
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)
-            self._data[key] = value
+            self._data[key] = (version, value)
             if self.maxsize is not None:
                 while len(self._data) > self.maxsize:
                     self._data.popitem(last=False)
                     self._evictions += 1
-
-    def pop(self, key: Hashable, default: Any = None) -> Any:
-        """Remove and return ``key`` without touching hit/miss counters."""
-        with self._lock:
-            value = self._data.pop(key, MISSING)
-            return default if value is MISSING else value
 
     def clear(self) -> None:
         """Drop all entries (counters are kept; see :meth:`reset_stats`)."""
@@ -189,15 +145,6 @@ class LRUCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._data
-
-    def items(self) -> Iterator[Tuple[Hashable, Any]]:
-        """Snapshot of the cache contents, LRU first."""
-        with self._lock:
-            return iter(list(self._data.items()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         s = self.stats()

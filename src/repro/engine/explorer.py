@@ -371,14 +371,6 @@ class CommunityExplorer:
         """Whether ``method``'s computation reads the CP-tree index."""
         return normalize_method(method) not in _INDEX_FREE_METHODS
 
-    def is_cached(self, item: QueryLike) -> bool:
-        """Whether ``item`` would be served from cache right now.
-
-        Purely observational (no hit/miss accounting, no recency update) —
-        a provenance probe.
-        """
-        return self._cache.peek_versioned(self.resolve_key(item), self.pg.version)
-
     def explore_query(self, query: QueryLike, plan=None):
         """Serve one :class:`~repro.engine.query.Query`, returning the full envelope.
 

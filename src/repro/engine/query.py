@@ -128,6 +128,9 @@ class Query:
     def __post_init__(self) -> None:
         if self.vertex is None:
             raise InvalidInputError("Query needs a query vertex (got None)")
+        if isinstance(self.vertex, bool):
+            # True == 1: it would serve (and share the cache entry of) vertex 1.
+            raise InvalidInputError(f"vertex must not be a boolean, got {self.vertex!r}")
         try:
             hash(self.vertex)
         except TypeError:

@@ -25,14 +25,6 @@ class VertexNotFoundError(InvalidInputError):
         self.vertex = vertex
 
 
-class EdgeNotFoundError(InvalidInputError):
-    """An edge was referenced that is not present in the graph."""
-
-    def __init__(self, u: object, v: object) -> None:
-        super().__init__(f"edge ({u!r}, {v!r}) is not in the graph")
-        self.edge = (u, v)
-
-
 class LabelNotFoundError(InvalidInputError):
     """A taxonomy label id or name was referenced that does not exist."""
 
@@ -47,7 +39,3 @@ class NotAncestorClosedError(InvalidInputError):
 
 class IntegrityError(ReproError, RuntimeError):
     """An internal data-structure invariant was violated."""
-
-
-class IndexNotBuiltError(ReproError, RuntimeError):
-    """An index-backed operation was requested before the index was built."""

@@ -20,7 +20,6 @@ from repro.graph.core import (
     connected_k_core,
     core_numbers,
     degeneracy,
-    k_core_subgraph,
     k_core_vertices,
     k_core_within,
     minimum_degree,
@@ -46,7 +45,6 @@ __all__ = [
     "Graph",
     "core_numbers",
     "k_core_vertices",
-    "k_core_subgraph",
     "connected_k_core",
     "k_core_within",
     "degeneracy",

@@ -116,11 +116,6 @@ def k_core_vertices(graph: Graph, k: int) -> FrozenSet[Vertex]:
     return frozenset(v for v, c in core.items() if c >= k)
 
 
-def k_core_subgraph(graph: Graph, k: int) -> Graph:
-    """The k-core of ``graph`` as an induced subgraph."""
-    return graph.subgraph(k_core_vertices(graph, k))
-
-
 def connected_k_core(graph: Graph, q: Vertex, k: int) -> FrozenSet[Vertex]:
     """The k-ĉore containing ``q``: the connected component of the k-core.
 

@@ -13,7 +13,7 @@ metrics (minimum degree, trusses) are defined on simple graphs.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.errors import InvalidInputError, VertexNotFoundError
 
@@ -256,47 +256,12 @@ class Graph:
                     queue.append(w)
         return frozenset(seen)
 
-    def connected_components(self) -> List[FrozenSet[Vertex]]:
-        """All connected components, largest first."""
-        remaining = set(self._adj)
-        components: List[FrozenSet[Vertex]] = []
-        while remaining:
-            source = next(iter(remaining))
-            component = self.component_of(source)
-            components.append(component)
-            remaining -= component
-        components.sort(key=len, reverse=True)
-        return components
-
     def is_connected(self) -> bool:
         """Whether the graph is connected (empty graphs count as connected)."""
         if not self._adj:
             return True
         source = next(iter(self._adj))
         return len(self.component_of(source)) == len(self._adj)
-
-    def bfs_order(self, source: Vertex) -> List[Vertex]:
-        """Vertices in BFS order from ``source``.
-
-        Raises
-        ------
-        VertexNotFoundError
-            If ``source`` is not in the graph (checked before any traversal
-            state is seeded).
-        """
-        if source not in self._adj:
-            raise VertexNotFoundError(source)
-        seen: Set[Vertex] = {source}
-        order: List[Vertex] = [source]
-        queue: deque = deque((source,))
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-                    queue.append(w)
-        return order
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph(n={self.num_vertices}, m={self.num_edges})"

@@ -10,8 +10,7 @@ rank  packages (a package may eagerly import only lower ranks)
 1     ``graph``, ``ptree``
 2     ``index``
 3     ``core``
-4     ``analysis``, ``baselines``, ``datasets``, ``dynamic``,
-      ``metrics``
+4     ``baselines``, ``datasets``, ``dynamic``, ``metrics``
 5     ``engine``
 6     ``storage``
 7     ``api``, ``parallel``
@@ -58,7 +57,6 @@ DEFAULT_LAYERS: Dict[str, int] = {
     "ptree": 1,
     "index": 2,
     "core": 3,
-    "analysis": 4,
     "baselines": 4,
     "datasets": 4,
     "dynamic": 4,

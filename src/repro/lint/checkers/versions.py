@@ -12,9 +12,9 @@ A ``pg``-rooted ``.version``/``.graph_version`` read is sanctioned when:
 * it happens inside ``_run_stable`` itself (the optimistic retry loop
   re-validates the read — that is its whole job);
 * it happens while holding a lock (inside ``with self.<lock>:``);
-* it flows into the versioned cache (argument to ``get_versioned`` /
-  ``peek_versioned``, directly or via a straight-line local) — the
-  cache's epoch check makes a stale read harmless;
+* it flows into the versioned cache (argument to ``get_versioned``,
+  directly or via a straight-line local) — the cache's epoch check
+  makes a stale read harmless;
 * it is a value in a dict literal — monitoring payloads (``/healthz``,
   ``/statz``, metrics) report a point-in-time observation and tag no
   result with it.
@@ -38,7 +38,7 @@ from repro.lint.checkers._util import attr_path, build_parents, with_guard_paths
 TARGET_ATTRS = frozenset({"version", "graph_version"})
 
 #: Callables whose arguments are version-safe (epoch-checked cache).
-VERSIONED_SINKS = frozenset({"get_versioned", "peek_versioned"})
+VERSIONED_SINKS = frozenset({"get_versioned"})
 
 #: Packages under scrutiny — where version tags label query results.
 SCOPED_PACKAGES = frozenset({"engine", "server"})

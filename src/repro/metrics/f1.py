@@ -10,7 +10,7 @@ over queries.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Iterable, List, Sequence
+from typing import FrozenSet, Hashable, Sequence
 
 Vertex = Hashable
 
@@ -45,16 +45,3 @@ def best_match_f1(
         for found in found_communities
         for truth in relevant
     )
-
-
-def average_f1(
-    per_query: Iterable,
-    ground_truth: Sequence[FrozenSet[Vertex]],
-) -> float:
-    """Mean best-match F1 over (q, found_communities) pairs."""
-    scores: List[float] = [
-        best_match_f1(q, found, ground_truth) for q, found in per_query
-    ]
-    if not scores:
-        return 0.0
-    return sum(scores) / len(scores)

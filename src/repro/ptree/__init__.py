@@ -13,11 +13,10 @@ from repro.ptree.lattice import (
     children_of,
     common_child,
     is_valid_subtree,
-    lattice_level,
     parents_of,
     subtree_leaves,
 )
-from repro.ptree.ptree import PTree, maximal_common_subtree
+from repro.ptree.ptree import PTree
 from repro.ptree.taxonomy import ROOT, Taxonomy
 from repro.ptree.ted import (
     OrderedTree,
@@ -30,7 +29,6 @@ __all__ = [
     "ROOT",
     "Taxonomy",
     "PTree",
-    "maximal_common_subtree",
     "addable_nodes",
     "rightmost_extensions",
     "generate_subtrees",
@@ -42,7 +40,6 @@ __all__ = [
     "parents_of",
     "subtree_leaves",
     "common_child",
-    "lattice_level",
     "is_valid_subtree",
     "OrderedTree",
     "ptree_to_ordered",

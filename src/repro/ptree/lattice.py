@@ -30,11 +30,6 @@ from repro.ptree.taxonomy import Taxonomy
 NodeSet = FrozenSet[int]
 
 
-def lattice_level(subtree: NodeSet) -> int:
-    """Level of a subtree in the lattice = its node count."""
-    return len(subtree)
-
-
 def children_of(taxonomy: Taxonomy, base: NodeSet, subtree: NodeSet) -> List[NodeSet]:
     """All lattice children of ``subtree`` within ``base`` (add one node)."""
     return [subtree | {x} for x in addable_nodes(taxonomy, base, subtree)]

@@ -18,7 +18,7 @@ All operations preserve ancestor-closure, which the constructor verifies.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Tuple
 
 from repro.errors import InvalidInputError, NotAncestorClosedError
 from repro.ptree.taxonomy import ROOT, Taxonomy
@@ -125,10 +125,6 @@ class PTree:
         self._check_compatible(other)
         return self.nodes < other.nodes
 
-    def is_subtree_of(self, other: "PTree") -> bool:
-        """Alias of ``self <= other`` (paper notation S ⊆ T)."""
-        return self <= other
-
     # ------------------------------------------------------------------
     # lattice operations
     # ------------------------------------------------------------------
@@ -141,30 +137,6 @@ class PTree:
         """Maximal common subtree of two P-trees (set intersection)."""
         self._check_compatible(other)
         return PTree(self.taxonomy, self.nodes & other.nodes, _validated=True)
-
-    def add_node(self, node: int) -> "PTree":
-        """A new P-tree with ``node`` (and, defensively, its ancestors) added."""
-        if node in self.nodes:
-            return self
-        parent = self.taxonomy.parent(node)
-        if parent == -1 or parent in self.nodes:
-            return PTree(self.taxonomy, self.nodes | {node}, _validated=True)
-        return PTree.from_nodes(self.taxonomy, self.nodes | {node})
-
-    def remove_leaf(self, node: int) -> "PTree":
-        """A new P-tree with subtree-leaf ``node`` removed.
-
-        Raises
-        ------
-        InvalidInputError
-            If ``node`` is absent or has children inside this P-tree
-            (removing it would break ancestor-closure).
-        """
-        if node not in self.nodes:
-            raise InvalidInputError(f"node {node} is not in this P-tree")
-        if any(c in self.nodes for c in self.taxonomy.children(node)):
-            raise InvalidInputError(f"node {node} is not a leaf of this P-tree")
-        return PTree(self.taxonomy, self.nodes - {node}, _validated=True)
 
     # ------------------------------------------------------------------
     # structure queries
@@ -201,10 +173,6 @@ class PTree:
         """The label names in this P-tree (ACQ's flat keyword view)."""
         return frozenset(self.taxonomy.name(n) for n in self.nodes)
 
-    def preorder_nodes(self) -> Tuple[int, ...]:
-        """Nodes sorted by taxonomy preorder (DFS order within the subtree)."""
-        return tuple(sorted(self.nodes, key=self.taxonomy.preorder))
-
     # ------------------------------------------------------------------
     # rendering
     # ------------------------------------------------------------------
@@ -237,15 +205,3 @@ class PTree:
             raise InvalidInputError(
                 "cannot combine P-trees anchored to different taxonomies"
             )
-
-
-def maximal_common_subtree(ptrees: Iterable[PTree]) -> Optional[PTree]:
-    """M(G): the maximal common subtree of a collection of P-trees (Def. 4).
-
-    Returns ``None`` for an empty collection (M is undefined), the
-    intersection otherwise.
-    """
-    result: Optional[PTree] = None
-    for t in ptrees:
-        result = t if result is None else (result & t)
-    return result

@@ -232,30 +232,6 @@ class Taxonomy:
             mapping[old] = new.add(self._names[old], parent=mapping[self._parent[old]])
         return new, mapping
 
-    def random_rooted_subtree(
-        self, rng: random.Random, size: int, start: int = ROOT
-    ) -> FrozenSet[int]:
-        """Sample a random connected rooted subtree node set of about ``size`` nodes.
-
-        Grows from the root by repeatedly attaching a random taxonomy child of
-        an already-selected node.
-        """
-        if size <= 0:
-            return frozenset()
-        selected = set(self.path_to_root(start))
-        frontier: List[int] = []
-        for node in selected:
-            frontier.extend(c for c in self._children[node] if c not in selected)
-        while len(selected) < size and frontier:
-            idx = rng.randrange(len(frontier))
-            frontier[idx], frontier[-1] = frontier[-1], frontier[idx]
-            chosen = frontier.pop()
-            if chosen in selected:
-                continue
-            selected.add(chosen)
-            frontier.extend(c for c in self._children[chosen] if c not in selected)
-        return frozenset(selected)
-
     def random_focused_subtree(
         self,
         rng: random.Random,
@@ -314,7 +290,8 @@ class Taxonomy:
     # internals
     # ------------------------------------------------------------------
     def _check(self, node: int) -> None:
-        if not isinstance(node, int) or not 0 <= node < len(self._names):
+        # `type() is int` also refuses bool: JSON `true` must not name label 1.
+        if type(node) is not int or not 0 <= node < len(self._names):
             raise LabelNotFoundError(node)
 
     def _compute_preorder(self) -> None:

@@ -575,12 +575,3 @@ class TestEngineIntegration:
         assert cold.index_used and cold.graph_version == fig1.version
         basic = explorer.explore_query(Query.vertex("D").k(2).method("basic"))
         assert not basic.index_used
-
-    def test_is_cached_does_not_perturb_stats(self, fig1):
-        explorer = CommunityExplorer(fig1, default_k=2)
-        assert explorer.is_cached(("D", 2)) is False
-        explorer.explore("D", 2)
-        before = explorer.stats().cache
-        assert explorer.is_cached(("D", 2)) is True
-        after = explorer.stats().cache
-        assert (before.hits, before.misses) == (after.hits, after.misses)

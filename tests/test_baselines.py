@@ -1,20 +1,18 @@
-"""Tests for the CS baselines: Global, Local, ACQ, truss search."""
+"""Tests for the CS baselines: Global, Local, ACQ."""
 
 import pytest
 
 from repro.baselines import (
     acq_query,
-    acq_shared_keywords,
     global_community,
     global_community_k,
     global_community_peel,
     local_community,
-    truss_community,
-    truss_community_k,
 )
+from repro.core import keyword_communities
 from repro.datasets import fig1_profiled_graph
 from repro.errors import VertexNotFoundError
-from repro.graph import Graph, gnp_graph, ring_of_cliques
+from repro.graph import Graph, gnp_graph
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +89,7 @@ class TestACQ:
         assert result[0].subtree.names() == {"r", "CM", "ML", "AI"}
 
     def test_shared_keywords_maximum_size(self, pg):
-        pairs = acq_shared_keywords(pg, "D", 2)
+        pairs = keyword_communities(pg.graph, pg.all_labels(), "D", 2)
         assert len(pairs) == 1
         keywords, members = pairs[0]
         assert members == frozenset("BCD")
@@ -108,26 +106,3 @@ class TestACQ:
         g = Graph([(0, 1), (1, 2), (2, 0)])
         pg2 = ProfiledGraph(g, tax, {})
         assert len(acq_query(pg2, 0, 2)) == 0
-
-
-class TestTrussSearch:
-    def test_triangle_community(self, pg):
-        assert truss_community_k(pg.graph, "F", 3) == frozenset("FGH")
-
-    def test_max_truss(self, pg):
-        vertices, k_star = truss_community(pg.graph, "D")
-        assert k_star == 4  # A, B, D, E form a K4
-        assert vertices == frozenset("ABDE")
-
-    def test_isolated_vertex(self):
-        g = Graph()
-        g.add_vertex(0)
-        vertices, k_star = truss_community(g, 0)
-        assert vertices == frozenset({0})
-        assert k_star == 0
-
-    def test_clique_ring(self):
-        g = ring_of_cliques(3, 5)
-        vertices, k_star = truss_community(g, 0)
-        assert k_star == 5
-        assert vertices == frozenset(range(5))

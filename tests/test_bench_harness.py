@@ -6,12 +6,9 @@ import pytest
 
 from repro.bench import (
     Table,
-    Timing,
-    geometric_speedup,
     make_workload,
     measure_cold_warm,
     measure_facade_overhead,
-    time_call,
 )
 from repro.datasets import fig1_profiled_graph
 
@@ -65,30 +62,6 @@ class TestPersistence:
         doc = json.loads(path.read_text())
         assert doc["k"] == 6
         assert doc["tables"][0]["title"] == "T"
-
-
-class TestTiming:
-    def test_time_call_smoke_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SMOKE", "1")
-        assert time_call(lambda: None).repeats == 1
-        monkeypatch.delenv("REPRO_BENCH_SMOKE")
-        assert time_call(lambda: None).repeats == 3
-
-    def test_time_call(self):
-        timing = time_call(lambda: sum(range(1000)), repeats=3)
-        assert isinstance(timing, Timing)
-        assert timing.repeats == 3
-        assert timing.min_ms <= timing.median_ms <= timing.max_ms
-
-    def test_geometric_speedup(self):
-        assert geometric_speedup([10.0, 10.0], [1.0, 1.0]) == pytest.approx(10.0)
-        assert geometric_speedup([2.0], [2.0]) == pytest.approx(1.0)
-
-    def test_geometric_speedup_validation(self):
-        with pytest.raises(ValueError):
-            geometric_speedup([], [])
-        with pytest.raises(ValueError):
-            geometric_speedup([1.0], [1.0, 2.0])
 
 
 class TestWorkloads:

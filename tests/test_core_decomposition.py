@@ -11,7 +11,6 @@ from repro.graph import (
     core_numbers,
     degeneracy,
     gnp_graph,
-    k_core_subgraph,
     k_core_vertices,
     k_core_within,
     minimum_degree,
@@ -76,7 +75,7 @@ class TestKCoreExtraction:
 
     def test_k_core_subgraph_min_degree(self):
         g = gnp_graph(60, 0.15, seed=11)
-        sub = k_core_subgraph(g, 3)
+        sub = g.subgraph(k_core_vertices(g, 3))
         if sub.num_vertices:
             assert minimum_degree(sub) >= 3
 

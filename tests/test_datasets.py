@@ -11,7 +11,6 @@ from repro.datasets import (
     ccs_like_taxonomy,
     dataset_names,
     dataset_taxonomy,
-    ego_names,
     fig1_profiled_graph,
     load_dataset,
     load_ego_network,
@@ -168,7 +167,7 @@ class TestRegistry:
 
 class TestEgo:
     def test_names(self):
-        assert set(ego_names()) == {"fb1", "fb2", "fb3"}
+        assert set(EGO_SPECS) == {"fb1", "fb2", "fb3"}
 
     def test_paper_rows(self):
         assert EGO_SPECS["fb1"].paper_row() == (1_233, 11_972, 19.41, 34.54)

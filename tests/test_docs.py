@@ -7,9 +7,11 @@ findings by ``tests/test_lint.py``):
 * the generated API reference under ``docs/api/`` matches a fresh render
   (``scripts/gen_api_docs.py --check``);
 * the hand-written guides exist, keep their load-bearing sections, and
-  ``docs/experiments.md`` maps **every** ``benchmarks/bench_*.py`` file.
+  ``docs/experiments.md`` maps **every** ``benchmarks/bench_*.py`` file
+  and names no other.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +75,11 @@ class TestGuides:
         unmapped = [name for name in bench_files if f"`{name}`" not in text]
         assert not unmapped, (
             f"benchmarks missing from docs/experiments.md: {unmapped}"
+        )
+        named = set(re.findall(r"bench_\w+\.py", text))
+        stale = sorted(named - set(bench_files))
+        assert not stale, (
+            f"docs/experiments.md names benchmarks that do not exist: {stale}"
         )
 
     def test_readme_names_the_three_entry_points(self):

@@ -8,6 +8,7 @@ from repro.datasets import fig1_profiled_graph, simple_profiled_graph
 from repro.datasets.taxonomies import synthetic_taxonomy
 from repro.engine import (
     CommunityExplorer,
+    MISSING,
     LRUCache,
     Query,
     coerce_query_vertices,
@@ -35,44 +36,39 @@ def synthetic_instance(seed=3, n=24):
 class TestLRUCache:
     def test_hit_miss_accounting(self):
         cache = LRUCache(maxsize=4)
-        assert cache.get("a") is None
-        cache.put("a", 1)
-        assert cache.get("a") == 1
+        assert cache.get_versioned("a", 0) is MISSING
+        cache.put_versioned("a", 0, 1)
+        assert cache.get_versioned("a", 0) == 1
         stats = cache.stats()
         assert (stats.hits, stats.misses, stats.size) == (1, 1, 1)
         assert stats.hit_rate == 0.5
 
     def test_lru_eviction_order(self):
         cache = LRUCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refreshes "a"; "b" is now LRU
-        cache.put("c", 3)
-        assert "b" not in cache and "a" in cache and "c" in cache
+        cache.put_versioned("a", 0, 1)
+        cache.put_versioned("b", 0, 2)
+        assert cache.get_versioned("a", 0) == 1  # refreshes "a"; "b" is now LRU
+        cache.put_versioned("c", 0, 3)
         assert cache.stats().evictions == 1
+        assert cache.get_versioned("b", 0) is MISSING
+        assert cache.get_versioned("a", 0) == 1
+        assert cache.get_versioned("c", 0) == 3
 
     def test_disabled_cache(self):
         cache = LRUCache(maxsize=0)
-        cache.put("a", 1)
-        assert cache.get("a") is None
+        cache.put_versioned("a", 0, 1)
+        assert cache.get_versioned("a", 0) is MISSING
         assert len(cache) == 0
 
     def test_unbounded(self):
         cache = LRUCache(maxsize=None)
         for i in range(3000):
-            cache.put(i, i)
+            cache.put_versioned(i, 0, i)
         assert len(cache) == 3000 and cache.stats().evictions == 0
 
     def test_negative_maxsize_rejected(self):
         with pytest.raises(ValueError):
             LRUCache(maxsize=-1)
-
-    def test_peek_leaves_counters_alone(self):
-        cache = LRUCache()
-        cache.put("a", 1)
-        assert cache.peek("a") == 1 and cache.peek("b") is None
-        stats = cache.stats()
-        assert stats.hits == 0 and stats.misses == 0
 
 
 class TestExplorerCacheAccounting:

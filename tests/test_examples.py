@@ -42,7 +42,6 @@ def test_seminar_planning_runs():
 
 def test_themed_exploration_runs():
     out = run_example("themed_exploration.py")
-    assert "Community detection" in out
     assert "β-similarity" in out
     assert "δ-relaxed" in out
     assert "k-truss" in out
@@ -57,16 +56,6 @@ def test_serving_client_runs():
     assert "gateway drained and closed" in out
 
 
-def test_explore_dataset_runs():
-    out = run_example("explore_dataset.py")
-    assert (
-        "detected cover: 67 communities covering 889 vertices; avg size 20.4, "
-        "avg theme 7.4 labels; max overlap 0.92; top branches: ccs23×11, "
-        "ccs59×10, ccs1×7"
-    ) in out
-    assert "best-match Jaccard=0.658, omega=0.278" in out
-
-
 def test_index_scaling_runs():
     out = run_example("index_scaling.py", timeout=420)
     assert "CP-tree construction scaling" in out
@@ -77,7 +66,7 @@ def test_index_scaling_runs():
     "name",
     ["quickstart.py", "seminar_planning.py", "social_circles.py",
      "index_scaling.py", "themed_exploration.py", "serving_client.py",
-     "explore_dataset.py", "dynamic_updates.py"],
+     "dynamic_updates.py"],
 )
 def test_examples_importable(name):
     spec = importlib.util.spec_from_file_location(name[:-3], EXAMPLES / name)

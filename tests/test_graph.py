@@ -142,25 +142,6 @@ class TestTraversal:
         with pytest.raises(VertexNotFoundError):
             g.component_of(9)
 
-    def test_connected_components_sorted_by_size(self):
-        g = Graph([(0, 1), (1, 2), (5, 6)])
-        comps = g.connected_components()
-        assert [len(c) for c in comps] == [3, 2]
-
     def test_is_connected(self):
         assert Graph([(0, 1), (1, 2)]).is_connected()
         assert not Graph([(0, 1), (2, 3)]).is_connected()
-
-    def test_bfs_order_starts_at_source(self):
-        g = Graph([(0, 1), (1, 2), (2, 3)])
-        order = g.bfs_order(2)
-        assert order[0] == 2
-        assert set(order) == {0, 1, 2, 3}
-
-    def test_bfs_order_unknown_source_raises(self):
-        # Regression: the membership check must run before any traversal
-        # state is seeded, so a bad source raises instead of returning a
-        # phantom [source] ordering.
-        g = Graph([(0, 1)])
-        with pytest.raises(VertexNotFoundError):
-            g.bfs_order(99)

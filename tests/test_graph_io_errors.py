@@ -11,11 +11,9 @@ class TestErrorHierarchy:
         for name in (
             "InvalidInputError",
             "VertexNotFoundError",
-            "EdgeNotFoundError",
             "LabelNotFoundError",
             "NotAncestorClosedError",
             "IntegrityError",
-            "IndexNotBuiltError",
         ):
             cls = getattr(errors, name)
             assert issubclass(cls, errors.ReproError)
@@ -27,8 +25,6 @@ class TestErrorHierarchy:
     def test_payloads(self):
         err = errors.VertexNotFoundError("x")
         assert err.vertex == "x"
-        err2 = errors.EdgeNotFoundError(1, 2)
-        assert err2.edge == (1, 2)
         err3 = errors.LabelNotFoundError(5)
         assert err3.label == 5
 

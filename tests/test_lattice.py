@@ -11,7 +11,6 @@ from repro.ptree import (
     children_of,
     common_child,
     is_valid_subtree,
-    lattice_level,
     parents_of,
     subtree_leaves,
 )
@@ -61,10 +60,6 @@ class TestChildrenParents:
         c = tax.add("c", parent=a)
         current = frozenset({ROOT, a, c})
         assert subtree_leaves(tax, current) == [c]
-
-    def test_level(self):
-        assert lattice_level(frozenset()) == 0
-        assert lattice_level(frozenset({1, 2, 3})) == 3
 
 
 class TestUpperDiamond:

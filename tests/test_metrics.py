@@ -7,7 +7,6 @@ from repro.datasets import fig1_profiled_graph, fig1_taxonomy
 from repro.graph import Graph
 from repro.metrics import (
     average_community_count,
-    average_f1,
     best_match_f1,
     community_pairwise_similarity,
     community_ptree_frequency,
@@ -111,14 +110,6 @@ class TestF1:
         truth = [frozenset({1, 2, 3})]
         found = [frozenset({1, 2})]
         assert best_match_f1(99, found, truth) == pytest.approx(0.8)
-
-    def test_average_f1(self):
-        truth = [frozenset({1, 2, 3})]
-        per_query = [(1, [frozenset({1, 2, 3})]), (2, [frozenset({4})])]
-        assert average_f1(per_query, truth) == pytest.approx(0.5)
-
-    def test_average_f1_empty(self):
-        assert average_f1([], []) == 0.0
 
 
 class TestStats:

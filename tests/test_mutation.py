@@ -460,7 +460,7 @@ class TestVersionedCache:
         cache.put_versioned("a", 0, "value")
         assert cache.get_versioned("a", 0) == "value"
         assert cache.get_versioned("a", 1) is MISSING  # stale: dropped
-        assert "a" not in cache
+        assert len(cache) == 0
         stats = cache.stats()
         assert stats.hits == 1 and stats.misses == 2
         assert stats.invalidations == 1
@@ -471,12 +471,10 @@ class TestVersionedCache:
         cache.put_versioned("none", 7, None)
         assert cache.get_versioned("empty", 7) == []
         assert cache.get_versioned("none", 7) is None
-        assert cache.get("absent", MISSING) is MISSING
+        assert cache.get_versioned("absent", 7) is MISSING
 
-    def test_pop_and_reset(self):
+    def test_reset_stats(self):
         cache = LRUCache()
-        cache.put("a", 1)
-        assert cache.pop("a") == 1 and cache.pop("a") is None
         cache.put_versioned("b", 0, 2)
         cache.get_versioned("b", 9)
         cache.reset_stats()

@@ -82,13 +82,6 @@ class TestStats:
             sum(len(pg.labels(v)) for v in pg.vertices()) / 8
         )
 
-    def test_gp_tree_is_union(self, pg):
-        gp = pg.gp_tree()
-        union = frozenset()
-        for v in pg.vertices():
-            union |= pg.labels(v)
-        assert gp.nodes == union
-
 
 class TestSampling:
     def test_sample_vertices(self, pg):

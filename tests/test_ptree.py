@@ -1,9 +1,12 @@
 """Tests for PTree (ancestor-closed label sets with tree semantics)."""
 
+import functools
+import operator
+
 import pytest
 
 from repro.errors import InvalidInputError, NotAncestorClosedError
-from repro.ptree import PTree, ROOT, Taxonomy, maximal_common_subtree
+from repro.ptree import PTree, ROOT, Taxonomy
 
 
 @pytest.fixture
@@ -55,7 +58,6 @@ class TestOrderAndEquality:
         assert small <= large
         assert small < large
         assert not (large <= small)
-        assert small.is_subtree_of(large)
 
     def test_equality_and_hash(self, tax):
         t1 = PTree.from_names(tax, ["c"])
@@ -90,36 +92,8 @@ class TestLatticeOps:
             PTree.from_names(tax, ["c", "d"]),
             PTree.from_names(tax, ["c"]),
         ]
-        m = maximal_common_subtree(trees)
+        m = functools.reduce(operator.and_, trees)
         assert m.names() == {"r", "a", "c"}
-
-    def test_maximal_common_subtree_empty_collection(self):
-        assert maximal_common_subtree([]) is None
-
-    def test_add_node(self, tax):
-        t = PTree.from_names(tax, ["a"])
-        bigger = t.add_node(tax.id_of("c"))
-        assert tax.id_of("c") in bigger
-        assert t.add_node(tax.id_of("a")) is t  # already present
-
-    def test_add_node_closes_when_needed(self, tax):
-        t = PTree.root_only(tax)
-        bigger = t.add_node(tax.id_of("c"))
-        assert tax.id_of("a") in bigger
-
-    def test_remove_leaf(self, tax):
-        t = PTree.from_names(tax, ["c"])
-        smaller = t.remove_leaf(tax.id_of("c"))
-        assert smaller.names() == {"r", "a"}
-
-    def test_remove_non_leaf_rejected(self, tax):
-        t = PTree.from_names(tax, ["c"])
-        with pytest.raises(InvalidInputError):
-            t.remove_leaf(tax.id_of("a"))
-
-    def test_remove_absent_rejected(self, tax):
-        with pytest.raises(InvalidInputError):
-            PTree.root_only(tax).remove_leaf(tax.id_of("a"))
 
 
 class TestStructure:
@@ -139,11 +113,6 @@ class TestStructure:
         levels = t.levels()
         assert [len(level) for level in levels] == [1, 1, 1]
         assert t.level_nodes(1) == frozenset({tax.id_of("a")})
-
-    def test_preorder_nodes(self, tax):
-        t = PTree.from_names(tax, ["c", "e"])
-        names = [tax.name(x) for x in t.preorder_nodes()]
-        assert names == ["r", "a", "c", "b", "e"]
 
     def test_pretty_renders_all_labels(self, tax):
         t = PTree.from_names(tax, ["c", "e"])

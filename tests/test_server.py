@@ -22,7 +22,8 @@ import pytest
 
 from repro.api import CommunityService, Middleware, Query
 from repro.core import ALL_METHODS
-from repro.datasets import fig1_profiled_graph
+from repro.datasets import fig1_profiled_graph, simple_profiled_graph
+from repro.datasets.taxonomies import synthetic_taxonomy
 from repro.engine.updates import GraphUpdate
 from repro.errors import VertexNotFoundError
 from repro.server.client import _parse_retry_after
@@ -397,6 +398,27 @@ class TestHandleRequest:
             service.snapshot()
         finally:
             gateway.close()
+
+    @pytest.mark.parametrize("path, payload", [
+        ("/update", {"updates": [{"op": "set_profile", "u": 2, "labels": [True]}]}),
+        ("/update", {"updates": [{"op": "add_vertex", "u": 99, "labels": [0, True]}]}),
+        ("/query", {"vertex": True, "k": 1}),
+        ("/batch", {"queries": [{"vertex": True, "k": 1}]}),
+        ("/subscribe", {"vertex": True, "k": 1}),
+    ], ids=repr)
+    def test_boolean_ids_400(self, path, payload):
+        """JSON ``true`` names neither vertex 1 nor label 1: it was once
+        served as vertex 1 and stored in T(v) as ``True``, which a
+        snapshot round trip turned into 1."""
+        tax = synthetic_taxonomy(20, seed=1)
+        gateway = CommunityGateway(
+            simple_profiled_graph(tax, 12, seed=1, edge_probability=0.5), coalesce=False
+        )
+        response, decoded = self.call(gateway, "POST", path, payload)
+        assert response.status == 400
+        assert decoded["error"]["type"] == "invalid_input"
+        assert gateway.service.pg.version == 0
+        assert len(gateway.subscriptions) == 0
 
     def test_payload_too_large_413(self, gateway):
         gateway.max_body_bytes = 64

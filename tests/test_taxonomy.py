@@ -159,14 +159,6 @@ class TestRestrict:
 
 
 class TestRandomSubtrees:
-    def test_rooted_subtree_is_closed(self):
-        tax = small_taxonomy()
-        rng = random.Random(0)
-        for size in (1, 2, 4, 6):
-            nodes = tax.random_rooted_subtree(rng, size)
-            assert tax.is_ancestor_closed(nodes)
-            assert ROOT in nodes
-
     def test_focused_subtree_is_closed_and_focused(self):
         from repro.datasets import ccs_like_taxonomy
 
@@ -182,5 +174,4 @@ class TestRandomSubtrees:
 
     def test_zero_size(self):
         tax = small_taxonomy()
-        assert tax.random_rooted_subtree(random.Random(0), 0) == frozenset()
         assert tax.random_focused_subtree(random.Random(0), 0) == frozenset()
