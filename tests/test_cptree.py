@@ -1,14 +1,17 @@
 """Tests for the CP-tree index."""
 
+import hashlib
 import random
 
 import pytest
 
-from repro.datasets import fig1_profiled_graph, simple_profiled_graph
+from repro.datasets import fig1_profiled_graph, load_dataset, simple_profiled_graph
 from repro.datasets.taxonomies import synthetic_taxonomy
 from repro.errors import InvalidInputError, LabelNotFoundError
 from repro.graph import connected_k_core
+from repro.graph.csr import backend_override
 from repro.index import CPTree
+from repro.storage import encode_payload
 
 
 @pytest.fixture
@@ -132,6 +135,63 @@ class TestGet:
                 connected_k_core(sub, q, k) if q in sub else frozenset()
             )
             assert index.get(k, q, label) == expected
+
+
+def naive_core_numbers(graph, members):
+    """Core numbers of ``G[members]`` by the definition: repeatedly remove a
+    vertex of minimum remaining degree; a vertex's core number is the
+    largest minimum degree seen up to its removal."""
+    alive = set(members)
+    core = {}
+    level = 0
+    while alive:
+        degree = {v: sum(1 for u in graph.neighbors(v) if u in alive) for v in alive}
+        v = min(alive, key=lambda x: (degree[x], x))
+        level = max(level, degree[v])
+        core[v] = level
+        alive.remove(v)
+    return core
+
+
+class TestBuildIsDefinitional:
+    """The whole build, checked exhaustively on small graphs."""
+
+    def test_acmdl_index_bytes_are_pinned(self):
+        # The snapshot bytes of the acmdl 0.01 index, as the dict-based
+        # build produced them; any rewrite of the build must keep them.
+        pg = load_dataset("acmdl", scale=0.01, seed=20190116)
+        digest = hashlib.sha256(encode_payload(pg, pg.index())).hexdigest()
+        assert digest == (
+            "545d1c01444eccc4d193e780eb9f4dc82906c6fe9d6eeb3ae049b14b4cff005a"
+        )
+
+    @pytest.mark.parametrize("backend", ["object", "csr"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_get_is_the_label_k_core(self, backend, seed):
+        rng = random.Random(seed)
+        tax = synthetic_taxonomy(12, seed=seed)
+        n = rng.randint(20, 40)
+        pg = simple_profiled_graph(
+            tax, n, seed=seed, edge_probability=rng.choice([0.1, 0.2, 0.3]),
+            labels_per_vertex=rng.randint(1, 4),
+        )
+        with backend_override(backend):
+            index = CPTree(pg.graph, pg.all_labels(), tax)
+        with backend_override("object"):
+            for label in range(tax.num_nodes):
+                members = [v for v in pg.vertices() if label in pg.labels(v)]
+                sub = pg.graph.subgraph(members)
+                if members:
+                    tree = index.node(label).cltree
+                    assert {v: tree.core_number(v) for v in members} == (
+                        naive_core_numbers(pg.graph, members)
+                    )
+                for q in pg.vertices():
+                    for k in range(6):
+                        expected = (
+                            connected_k_core(sub, q, k) if q in sub else frozenset()
+                        )
+                        assert index.get(k, q, label) == expected
 
 
 class TestProfiledGraphIntegration:
