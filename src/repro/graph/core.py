@@ -14,7 +14,7 @@ from collections import deque
 from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.errors import InvalidInputError
-from repro.graph.csr import csr_view
+from repro.graph.csr import csr_view, peel
 from repro.graph.graph import Graph
 
 Vertex = Hashable
@@ -74,14 +74,19 @@ def core_numbers(graph: Graph) -> Dict[Vertex, int]:
 def core_numbers_within(graph: Graph, vertices: Iterable[Vertex]) -> Dict[Vertex, int]:
     """Core numbers of the subgraph induced on ``vertices``.
 
-    Used by the per-label CL-trees inside the CP-tree index, where the
-    subgraph is "vertices whose P-tree contains label ℓ". Runs the same
-    bucket peel as :func:`core_numbers` but with degrees restricted to the
-    selection; vertices absent from the graph are ignored.
+    The subgraph of a CP-tree label is "vertices whose P-tree contains
+    label ℓ". Vertices absent from the graph are ignored. Under the
+    ``csr`` backend the selection's rows are restricted once and peeled
+    by the array kernel the CL-tree build uses
+    (:meth:`~repro.graph.csr.CSRGraph.induced_rows` and
+    :func:`~repro.graph.csr.peel`); the ``object`` path below is the
+    bucket peel of :func:`core_numbers` with degrees restricted to the
+    selection, kept as the reference.
     """
     view = csr_view(graph)
     if view is not None:
-        return view.core_numbers_within(vertices)
+        members, offsets, rows = view.induced_rows(vertices)
+        return dict(zip(members, peel(offsets, rows)[0]))
     adj = graph.adjacency()
     selection: Set[Vertex] = {v for v in vertices if v in adj}
     degree = {v: sum(1 for u in adj[v] if u in selection) for v in selection}

@@ -47,6 +47,7 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    Tuple,
 )
 
 from repro.errors import InvalidInputError, VertexNotFoundError
@@ -62,6 +63,7 @@ __all__ = [
     "active_backend",
     "backend_override",
     "csr_view",
+    "peel",
 ]
 
 #: The reference backend and the serving backend.
@@ -208,100 +210,47 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # kernels
     # ------------------------------------------------------------------
-    def _degrees(self) -> List[int]:
-        """Whole-graph degree list (``indptr`` diffs)."""
-        indptr = self.indptr
-        return [indptr[i + 1] - indptr[i] for i in range(self.n)]
-
     def core_numbers(self) -> Dict[Vertex, int]:
-        """Whole-graph core numbers via the array form of Batagelj–Zaveršnik.
+        """Whole-graph core numbers: :func:`peel` over the CSR rows themselves."""
+        return dict(zip(self.ids, peel(self.indptr, self.indices)[0]))
 
-        The bin-sorted vertex permutation replaces the bucket-of-sets peel:
-        one flat pass over ``indices`` with O(1) swaps per degree decrement.
+    def induced_rows(
+        self, vertices: Iterable[Vertex], mark: Optional[List[int]] = None
+    ) -> Tuple[List[Vertex], array, array]:
+        """The subgraph induced on ``vertices``, as CSR rows of its own.
+
+        Returns ``(members, offsets, rows)``: ``members`` are the selected
+        vertices, each once, in first-seen order, and their position is
+        their local id; local vertex ``i``'s neighbours inside the
+        selection are ``rows[offsets[i]:offsets[i + 1]]``, as local ids.
+        Vertices the graph lacks are dropped. ``mark`` is a list of ``n``
+        times ``-1``, scratch that a caller restricting many selections
+        allocates once; it is all ``-1`` again on return.
         """
-        n = self.n
-        if n == 0:
-            return {}
-        indptr, indices, ids = self.indptr, self.indices, self.ids
-        core = self._degrees()  # peeled down in place; ends as core numbers
-        max_degree = max(core)
-        counts = [0] * (max_degree + 1)
-        for d in core:
-            counts[d] += 1
-        bin_start = [0] * (max_degree + 1)
-        total = 0
-        for d in range(max_degree + 1):
-            bin_start[d] = total
-            total += counts[d]
-        fill = bin_start[:]
-        pos = [0] * n
-        vert = [0] * n
-        for v in range(n):
-            p = fill[core[v]]
-            pos[v] = p
-            vert[p] = v
-            fill[core[v]] = p + 1
-        for i in range(n):
-            v = vert[i]
-            cv = core[v]
-            for u in indices[indptr[v] : indptr[v + 1]]:
-                cu = core[u]
-                if cu > cv:
-                    # swap u to the front of its bin, then shrink the bin
-                    pu = pos[u]
-                    pw = bin_start[cu]
-                    w = vert[pw]
-                    if u != w:
-                        vert[pu] = w
-                        pos[w] = pu
-                        vert[pw] = u
-                        pos[u] = pw
-                    bin_start[cu] = pw + 1
-                    core[u] = cu - 1
-        return dict(zip(ids, core))
-
-    def core_numbers_within(self, vertices: Iterable[Vertex]) -> Dict[Vertex, int]:
-        """Core numbers of the subgraph induced on ``vertices``.
-
-        Sparse by design: state is keyed on the interned selection only,
-        so the per-label CL-tree builds inside a CP-tree never allocate
-        O(n) scratch per label.
-        """
+        if mark is None:
+            mark = [-1] * self.n
         index_of = self.index_of
-        selection: Set[int] = set()
+        members: List[Vertex] = []
+        interned: List[int] = []
         for v in vertices:
             i = index_of.get(v)
-            if i is not None:
-                selection.add(i)
-        if not selection:
-            return {}
-        indptr, indices, ids = self.indptr, self.indices, self.ids
-        degree: Dict[int, int] = {}
-        for v in selection:
-            d = 0
-            for u in indices[indptr[v] : indptr[v + 1]]:
-                if u in selection:
-                    d += 1
-            degree[v] = d
-        max_degree = max(degree.values())
-        buckets: List[Set[int]] = [set() for _ in range(max_degree + 1)]
-        for v, d in degree.items():
-            buckets[d].add(v)
-        core: Dict[int, int] = {}
-        current = 0
-        for _ in range(len(degree)):
-            while not buckets[current]:
-                current += 1
-            v = buckets[current].pop()
-            core[v] = current
-            for u in indices[indptr[v] : indptr[v + 1]]:
-                if u in selection and u not in core:
-                    du = degree[u]
-                    if du > current:
-                        buckets[du].discard(u)
-                        degree[u] = du - 1
-                        buckets[du - 1].add(u)
-        return {ids[v]: c for v, c in core.items()}
+            if i is not None and mark[i] < 0:
+                mark[i] = len(interned)
+                interned.append(i)
+                members.append(v)
+        indptr, indices = self.indptr, self.indices
+        local = mark.__getitem__
+        # A list takes the filtered ids faster than an array does; the
+        # array it becomes holds them in half the memory.
+        rows: List[int] = []
+        offsets = array("i", [0])
+        close = offsets.append
+        for i in interned:
+            rows += filter(_NON_NEGATIVE, map(local, indices[indptr[i] : indptr[i + 1]]))
+            close(len(rows))
+        for i in interned:
+            mark[i] = -1
+        return members, offsets, array("i", rows)
 
     def k_core_within(
         self,
@@ -346,7 +295,7 @@ class CSRGraph:
         for v in cand:
             alive[v] = 1
         if len(cand) == n:
-            degree = self._degrees()
+            degree = [indptr[i + 1] - indptr[i] for i in range(n)]
         else:
             degree = [0] * n
             for v in cand:
@@ -477,6 +426,61 @@ class CSRGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CSRGraph(n={self.n}, m={self.num_edges})"
+
+
+#: ``_NON_NEGATIVE(x)`` is ``0 <= x``: keeps the marked ids of a row.
+_NON_NEGATIVE = (0).__le__
+
+
+def peel(offsets: Sequence[int], rows: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Core decomposition of a graph given as CSR rows (Batagelj–Zaveršnik).
+
+    Vertex ``i``'s neighbours are ``rows[offsets[i]:offsets[i + 1]]``.
+    Returns ``(core, order)``: ``core[i]`` is vertex ``i``'s core number
+    and ``order`` lists the vertices in the order the peel removed them,
+    so core numbers never decrease along it. The bin-sorted permutation
+    replaces a bucket-of-sets peel: one flat pass over ``rows`` with O(1)
+    swaps per degree decrement.
+    """
+    n = len(offsets) - 1
+    if n <= 0:
+        return [], []
+    core = [offsets[i + 1] - offsets[i] for i in range(n)]  # peeled down in place
+    max_degree = max(core)
+    counts = [0] * (max_degree + 1)
+    for d in core:
+        counts[d] += 1
+    bin_start = [0] * (max_degree + 1)
+    total = 0
+    for d in range(max_degree + 1):
+        bin_start[d] = total
+        total += counts[d]
+    fill = bin_start[:]
+    pos = [0] * n
+    vert = [0] * n
+    for v in range(n):
+        p = fill[core[v]]
+        pos[v] = p
+        vert[p] = v
+        fill[core[v]] = p + 1
+    for i in range(n):
+        v = vert[i]
+        cv = core[v]
+        for u in rows[offsets[v] : offsets[v + 1]]:
+            cu = core[u]
+            if cu > cv:
+                # swap u to the front of its bin, then shrink the bin
+                pu = pos[u]
+                pw = bin_start[cu]
+                w = vert[pw]
+                if u != w:
+                    vert[pu] = w
+                    pos[w] = pu
+                    vert[pw] = u
+                    pos[u] = pw
+                bin_start[cu] = pw + 1
+                core[u] = cu - 1
+    return core, vert
 
 
 def csr_view(graph: "Graph", build: bool = True) -> Optional[CSRGraph]:

@@ -30,15 +30,21 @@ edge operations decide on the live tree whether anything changes at all.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set
-
-from repro.graph.core import (
-    Adjacency,
-    core_numbers,
-    core_numbers_within,
-    insertion_risers,
-    removal_fallers,
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
 )
+
+from repro.graph.core import Adjacency, insertion_risers, removal_fallers
+from repro.graph.csr import CSRGraph, csr_view, peel
 from repro.graph.graph import Graph
 
 Vertex = Hashable
@@ -156,6 +162,115 @@ def _split_off(
     return pieces
 
 
+def build_records(
+    members: List[Vertex], offsets: Sequence[int], rows: Sequence[int]
+) -> List[Tuple[int, Optional[int], List[Vertex]]]:
+    """The CL-tree of a graph given as CSR rows, as :meth:`CLTree.from_arrays` rows.
+
+    ``members[i]`` is local vertex ``i`` and its neighbours are
+    ``rows[offsets[i]:offsets[i + 1]]`` (:meth:`CSRGraph.induced_rows`).
+    One :func:`~repro.graph.csr.peel` gives the core numbers and the peel
+    order. The union–find then runs on flat ``parent``/``size`` lists, in
+    reverse peel order, so core levels arrive highest first: each vertex
+    merges with the neighbours already merged, which are exactly those
+    whose core is at least its own. When a level ends, each component
+    holding one of its vertices becomes a node, and the nodes of the
+    components it swallowed at that level become its children. Nodes
+    are made children before parents, so the rows list them in reverse.
+    """
+    n = len(members)
+    if not n:
+        return []
+    core, order = peel(offsets, rows)
+    parent = list(range(n))
+    size = [1] * n
+    top = [-1] * n  # component root -> its topmost node, once it has one
+    done = bytearray(n)
+    merged = done.__getitem__
+    node_core: List[int] = []
+    node_parent: List[int] = []
+    anchored: List[List[int]] = []
+    swallowed: List[Tuple[int, int]] = []  # (node, a root of its new component)
+    end = n
+    while end:
+        level = core[order[end - 1]]
+        start = end - 1
+        while start and core[order[start - 1]] == level:
+            start -= 1
+        block = order[start:end]
+        for v in block:
+            rv = v
+            for u in filter(merged, rows[offsets[v] : offsets[v + 1]]):
+                ru = u
+                while parent[ru] != ru:  # find, halving the path
+                    parent[ru] = parent[parent[ru]]
+                    ru = parent[ru]
+                if ru == rv:
+                    continue
+                if top[ru] >= 0:
+                    swallowed.append((top[ru], ru))
+                    top[ru] = -1
+                if size[ru] > size[rv]:
+                    ru, rv = rv, ru
+                parent[ru] = rv
+                size[rv] += size[ru]
+            done[v] = 1
+        for v in block:
+            r = v
+            while parent[r] != r:
+                r = parent[r]
+            node = top[r]
+            if node < 0:
+                top[r] = len(node_core)
+                node_core.append(level)
+                node_parent.append(-1)
+                anchored.append([v])
+            else:
+                anchored[node].append(v)
+        for node, r in swallowed:
+            while parent[r] != r:
+                r = parent[r]
+            node_parent[node] = top[r]
+        swallowed.clear()
+        end = start
+    last = len(node_core) - 1
+    virtual = node_parent.count(-1) > 1
+    records: List[Tuple[int, Optional[int], List[Vertex]]] = (
+        [(_VIRTUAL_CORE, None, [])] if virtual else []
+    )
+    shift = last + virtual
+    top_row = 0 if virtual else None
+    vertex = members.__getitem__
+    for node in range(last, -1, -1):
+        up = node_parent[node]
+        records.append((
+            node_core[node],
+            top_row if up < 0 else shift - up,
+            list(map(vertex, anchored[node])),
+        ))
+    return records
+
+
+def _arrays(graph: Graph) -> CSRGraph:
+    return csr_view(graph) or CSRGraph.from_graph(graph)
+
+
+def induced_cltrees(
+    graph: Graph, selections: Iterable[Iterable[Vertex]]
+) -> Iterator["CLTree"]:
+    """One CL-tree per selection, of the subgraph it induces, in order.
+
+    The per-label loop of the CP-tree build: each selection's rows are
+    restricted once, over one shared scratch buffer, and handed to
+    :func:`build_records`. The build always runs on arrays; under the
+    ``object`` backend it lays out a private, uncached CSR first.
+    """
+    view = _arrays(graph)
+    mark = [-1] * view.n
+    for vertices in selections:
+        yield CLTree.from_arrays(build_records(*view.induced_rows(vertices, mark)))
+
+
 class CLTree:
     """Index of all k-ĉores of (an induced subgraph of) a graph.
 
@@ -175,83 +290,44 @@ class CLTree:
         graph: Graph,
         vertices: Optional[Iterable[Vertex]] = None,
     ):
-        # The whole-graph build takes the unrestricted peel — it skips
-        # the selection bookkeeping and is the form the CSR backend
-        # accelerates hardest.
-        if vertices is None:
-            core = core_numbers(graph)
-        else:
-            core = core_numbers_within(graph, vertices)
-        self._core_of: Dict[Vertex, int] = core
-        self._node_of: Dict[Vertex, CLNode] = {}
-        self._root = self._build(graph, core)
-        self._order: List[Vertex] = []
+        selection = graph.vertices() if vertices is None else vertices
+        self._assemble(build_records(*_arrays(graph).induced_rows(selection)))
+
+    @classmethod
+    def from_arrays(cls, records: Iterable[tuple]) -> "CLTree":
+        """Reassemble a CL-tree from ``(core, parent_index, vertices)`` rows.
+
+        ``records`` lists every CL-node, each parent before its children
+        (snapshots store them in preorder), where ``parent_index`` is the
+        row index of the node's parent (``None`` for the root, row 0) and
+        ``vertices`` are the vertices anchored at that node. The one
+        constructor of a tree: a build feeds it :func:`build_records`, and
+        :mod:`repro.storage.snapshot` restores an index from disk through
+        it without re-running a core decomposition — core numbers are
+        implied by the anchoring node's level, and the Euler intervals
+        are reassigned here. An empty iterable yields the empty index.
+        """
+        self = cls.__new__(cls)
+        self._assemble(records)
+        return self
+
+    def _assemble(self, records: Iterable[tuple]) -> None:
+        self._core_of = core_of = {}
+        self._node_of = node_of = {}
+        nodes: List[CLNode] = []
+        for core, parent_index, vertices in records:
+            node = CLNode(core, list(vertices))
+            if parent_index is not None:
+                parent = nodes[parent_index]
+                node.parent = parent
+                parent.children.append(node)
+            nodes.append(node)
+            if core != _VIRTUAL_CORE:
+                core_of.update(dict.fromkeys(node.vertices, core))
+                node_of.update(dict.fromkeys(node.vertices, node))
+        self._root = nodes[0] if nodes else CLNode(_VIRTUAL_CORE, [])
+        self._order = []
         self._assign_euler_intervals()
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    def _build(self, graph: Graph, core: Dict[Vertex, int]) -> CLNode:
-        if not core:
-            return CLNode(_VIRTUAL_CORE, [])
-        adj = graph.adjacency()
-        levels: Dict[int, List[Vertex]] = {}
-        for v, c in core.items():
-            levels.setdefault(c, []).append(v)
-
-        parent: Dict[Vertex, Vertex] = {}
-        size: Dict[Vertex, int] = {}
-        crowns: Dict[Vertex, List[CLNode]] = {}
-
-        def find(x: Vertex) -> Vertex:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:  # path compression
-                parent[x], x = root, parent[x]
-            return root
-
-        def union(x: Vertex, y: Vertex) -> None:
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                return
-            if size[rx] < size[ry]:
-                rx, ry = ry, rx
-            parent[ry] = rx
-            size[rx] += size[ry]
-            merged = crowns.pop(ry, [])
-            if merged:
-                crowns.setdefault(rx, []).extend(merged)
-
-        for k in sorted(levels, reverse=True):
-            members = levels[k]
-            for v in members:
-                parent[v] = v
-                size[v] = 1
-            for v in members:
-                for u in adj[v]:
-                    if core.get(u, -1) >= k:
-                        union(v, u)
-            groups: Dict[Vertex, List[Vertex]] = {}
-            for v in members:
-                groups.setdefault(find(v), []).append(v)
-            for root, anchored in groups.items():
-                node = CLNode(k, anchored)
-                for child in crowns.get(root, ()):
-                    child.parent = node
-                    node.children.append(child)
-                crowns[root] = [node]
-                for v in anchored:
-                    self._node_of[v] = node
-
-        roots = [node for nodes in crowns.values() for node in nodes]
-        if len(roots) == 1:
-            return roots[0]
-        virtual = CLNode(_VIRTUAL_CORE, [])
-        for node in roots:
-            node.parent = virtual
-            virtual.children.append(node)
-        return virtual
 
     def _assign_euler_intervals(self) -> None:
         order = self._order
@@ -266,42 +342,6 @@ class CLTree:
             stack.append((node, True))
             for child in node.children:
                 stack.append((child, False))
-
-    @classmethod
-    def from_arrays(
-        cls, records: Iterable[tuple]
-    ) -> "CLTree":
-        """Reassemble a CL-tree from ``(core, parent_index, vertices)`` rows.
-
-        The inverse of walking :meth:`nodes`: ``records`` lists every
-        CL-node in preorder (each parent before its children), where
-        ``parent_index`` is the row index of the node's parent (``None``
-        for the root) and ``vertices`` are the vertices anchored at that
-        node. Used by :mod:`repro.storage.snapshot` to restore an index
-        from disk without re-running the O(m) core decomposition — core
-        numbers are implied by the anchoring node's level, and the Euler
-        intervals are reassigned on load. An empty iterable yields the
-        empty index.
-        """
-        self = cls.__new__(cls)
-        self._core_of = {}
-        self._node_of = {}
-        nodes: List[CLNode] = []
-        for core, parent_index, vertices in records:
-            node = CLNode(core, list(vertices))
-            if parent_index is not None:
-                parent = nodes[parent_index]
-                node.parent = parent
-                parent.children.append(node)
-            nodes.append(node)
-            if core != _VIRTUAL_CORE:
-                for v in node.vertices:
-                    self._core_of[v] = core
-                    self._node_of[v] = node
-        self._root = nodes[0] if nodes else CLNode(_VIRTUAL_CORE, [])
-        self._order = []
-        self._assign_euler_intervals()
-        return self
 
     # ------------------------------------------------------------------
     # insertion (copy on write; the traversal algorithm on the tree)

@@ -26,7 +26,7 @@ from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional,
 
 from repro.errors import InvalidInputError, LabelNotFoundError
 from repro.graph.graph import Graph
-from repro.index.cltree import CLTree
+from repro.index.cltree import CLTree, induced_cltrees
 from repro.ptree.taxonomy import Taxonomy
 
 Vertex = Hashable
@@ -39,17 +39,12 @@ def ptree_leaves(labels: NodeSet, taxonomy: Taxonomy) -> Tuple[int, ...]:
     """The headMap entry of a label set: its leaves, sorted.
 
     A label is a leaf of the (ancestor-closed) set when none of its
-    taxonomy children is in the set. Shared by construction and by
-    incremental maintenance (:mod:`repro.index.maintenance`) so the two
-    can never diverge on headMap semantics.
+    taxonomy children is in the set, that is, when it is no member's
+    parent. Shared by construction and by incremental maintenance
+    (:mod:`repro.index.maintenance`) so the two can never diverge on
+    headMap semantics.
     """
-    return tuple(
-        sorted(
-            x
-            for x in labels
-            if not any(c in labels for c in taxonomy.children(x))
-        )
-    )
+    return tuple(sorted(labels.difference(map(taxonomy.parent, labels))))
 
 
 class CPNode:
@@ -109,9 +104,10 @@ class CPTree:
         buckets = self._bucket(vertex_labels, taxonomy)
         # --- Algorithm 2, lines 8-10: one CL-tree per label, CP-nodes
         # linked following the GP-tree.
+        trees = induced_cltrees(graph, buckets.values())
         self._link(
-            CPNode(label, frozenset(members), CLTree(graph, vertices=members))
-            for label, members in buckets.items()
+            CPNode(label, frozenset(members), tree)
+            for (label, members), tree in zip(buckets.items(), trees)
         )
 
     @classmethod

@@ -522,15 +522,15 @@ def test_reader_holding_the_old_tree_keeps_its_answers_across_a_removal():
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def peel_counter(monkeypatch):
+    """Counts CL-tree builds: every build peels its rows in ``build_records``."""
     calls = []
-    for name in ("core_numbers", "core_numbers_within"):
-        real = getattr(cltree_module, name)
+    real = cltree_module.build_records
 
-        def counting(*args, real=real):
-            calls.append(1)
-            return real(*args)
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
 
-        monkeypatch.setattr(cltree_module, name, counting)
+    monkeypatch.setattr(cltree_module, "build_records", counting)
     return calls
 
 
