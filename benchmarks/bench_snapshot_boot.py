@@ -21,10 +21,8 @@ Runs two ways, exactly like the engine-throughput benchmark::
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import pytest
@@ -35,34 +33,15 @@ from repro.storage import load_snapshot, save_snapshot
 #: Acceptance floor: snapshot load vs cold graph + index build.
 MIN_BOOT_SPEEDUP = 5.0
 
-#: Fewest timed runs per mode (best-of, to shed scheduler noise).
-REPEATS = 3
-
-#: Each mode also keeps running until its timed runs add up to this many
-#: seconds: at smoke scale one load takes ~0.02 s, and three such runs can
-#: all land in one scheduler hiccup.
-MIN_TIMED_SECONDS = 1.0
-
-
-def _best_of(fn, repeats: int = REPEATS, min_seconds: float = MIN_TIMED_SECONDS) -> float:
-    """Best wall time of ``fn`` over at least ``repeats`` runs and at least
-    ``min_seconds`` of runs, each started from a fresh garbage collection."""
-    best = float("inf")
-    runs = 0
-    spent = 0.0
-    while runs < repeats or spent < min_seconds:
-        gc.collect()
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        spent += elapsed
-        runs += 1
-    return best
-
 
 def measure_boot(name: str, scale: float) -> dict:
-    """Cold-build vs snapshot-load timings for one dataset."""
+    """Cold-build vs snapshot-load timings for one dataset.
+
+    Each mode is timed by ``conftest.best_of`` (at smoke scale one load
+    takes ~0.02 s).
+    """
+    from conftest import best_of
+
     from repro.datasets import load_dataset
 
     def cold_boot():
@@ -70,14 +49,14 @@ def measure_boot(name: str, scale: float) -> dict:
         pg.index()
         return pg
 
-    cold_seconds = _best_of(cold_boot)
+    cold_seconds = best_of(cold_boot)
     reference = cold_boot()
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "snapshot.bin"
         save_snapshot(reference, path)
         snapshot_bytes = path.stat().st_size
-        load_seconds = _best_of(lambda: load_snapshot(path))
+        load_seconds = best_of(lambda: load_snapshot(path))
         loaded = load_snapshot(path)
 
     # Equivalence first, timings second: a snapshot that boots into a

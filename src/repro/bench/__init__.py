@@ -19,7 +19,6 @@ from repro.bench.workloads import (
     make_edit_stream,
     make_workload,
     measure_cold_warm,
-    measure_facade_overhead,
     measure_parallel_scaling,
     measure_update_throughput,
     run_service_throughput,
@@ -38,7 +37,6 @@ __all__ = [
     "ThroughputReport",
     "run_throughput",
     "run_service_throughput",
-    "measure_facade_overhead",
     "measure_parallel_scaling",
     "ColdWarmReport",
     "measure_cold_warm",

@@ -228,53 +228,6 @@ def run_service_throughput(
     )
 
 
-def measure_facade_overhead(
-    pg: ProfiledGraph,
-    workload: Workload,
-    method: str = "adv-P",
-    repeat_factor: int = 1,
-) -> dict:
-    """Service-vs-engine serving rate on one workload (facade overhead).
-
-    Runs the identical workload twice against separately warmed sessions —
-    once through bare :meth:`CommunityExplorer.explore_many`, once through
-    :meth:`CommunityService.batch` — and reports the relative per-query
-    overhead of the facade (envelope construction, planner, middleware).
-    Each pass replays the workload ``repeat_factor`` times, so cache-hit
-    serving (the steady state the facade must not slow down) dominates.
-    """
-    from repro.api.service import CommunityService
-    from repro.engine.explorer import CommunityExplorer
-
-    explorer = CommunityExplorer(pg)
-    explorer.warm()
-    engine_report = run_throughput(
-        explorer, workload, method=method, repeat_factor=repeat_factor
-    )
-
-    service = CommunityService(pg)
-    service.warm()
-    service_report = run_service_throughput(
-        service, workload, method=method, repeat_factor=repeat_factor
-    )
-
-    engine_s = engine_report.elapsed_seconds / max(1, engine_report.queries)
-    service_s = service_report.elapsed_seconds / max(1, service_report.queries)
-    overhead = (service_s - engine_s) / engine_s if engine_s > 0 else 0.0
-    return {
-        "dataset": workload.dataset,
-        "method": method,
-        "k": workload.k,
-        "engine_ms_per_query": engine_s * 1000.0,
-        "service_ms_per_query": service_s * 1000.0,
-        "engine_queries_per_second": engine_report.queries_per_second,
-        "service_queries_per_second": service_report.queries_per_second,
-        "overhead_fraction": overhead,
-        "engine": engine_report.to_dict(),
-        "service": service_report.to_dict(),
-    }
-
-
 # ----------------------------------------------------------------------
 # process-parallel throughput (sharded batch execution)
 # ----------------------------------------------------------------------

@@ -142,10 +142,6 @@ class LRUCache:
                 invalidations=self._invalidations,
             )
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         s = self.stats()
         return (

@@ -19,7 +19,6 @@ from repro.graph.clique import (
 from repro.graph.core import (
     connected_k_core,
     core_numbers,
-    degeneracy,
     k_core_vertices,
     k_core_within,
     minimum_degree,
@@ -47,7 +46,6 @@ __all__ = [
     "k_core_vertices",
     "connected_k_core",
     "k_core_within",
-    "degeneracy",
     "minimum_degree",
     "truss_numbers",
     "edge_supports",

@@ -321,12 +321,6 @@ def removal_fallers(
     return level, fallen
 
 
-def degeneracy(graph: Graph) -> int:
-    """The degeneracy of the graph: the largest k with a non-empty k-core."""
-    core = core_numbers(graph)
-    return max(core.values(), default=0)
-
-
 def minimum_degree(graph: Graph, vertices: Optional[Iterable[Vertex]] = None) -> int:
     """Minimum degree of ``graph`` restricted to ``vertices`` (or all of it).
 

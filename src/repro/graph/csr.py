@@ -5,11 +5,12 @@ The object :class:`~repro.graph.graph.Graph` keeps adjacency as
 vertex ids, but every peel or BFS then pays a hash lookup per edge visit.
 This module adds a second substrate: vertex ids are *interned* to dense
 integers once, adjacency is laid out in compressed-sparse-row form inside
-:mod:`array` buffers (``indptr``/``indices``), and the four dominant
-kernels — whole-graph core decomposition, selection-restricted core
-decomposition, the ``Gk[T]`` peel+BFS feasibility primitive and candidate
-component extraction — run over flat integer arrays, converting back to
-the caller's vertex objects only at the boundary. Answers are therefore
+:mod:`array` buffers (``indptr``/``indices``), and the dominant kernels
+— core decomposition (:func:`peel`, over the whole graph or over the rows
+of an induced subgraph, :meth:`CSRGraph.induced_rows`), the ``Gk[T]``
+peel+BFS feasibility primitive and candidate component extraction — run
+over flat integer arrays, converting back to the caller's vertex objects
+only at the boundary. Answers are therefore
 *identical* to the object kernels (the differential suite asserts it);
 only the walk underneath changes.
 
@@ -18,10 +19,11 @@ There is one serving backend and one reference:
 ``csr`` (always, unless overridden)
     Pure-stdlib CSR: ``array``/``bytearray``/``memoryview`` only.
 ``object`` (only inside :func:`backend_override`)
-    Never build CSR views; every kernel takes the historical dict/set
-    path. This is the reference the differential tests, the end-to-end
-    oracle and the CSR speed-up benchmark compare against — not a
-    deployment option.
+    Never build cached CSR views; every query kernel takes the
+    historical dict/set path. This is the reference the differential
+    tests, the end-to-end oracle and the CSR speed-up benchmark compare
+    against — not a deployment option. (The CL-tree build has no dict
+    path: under this backend it lays out a private, uncached CSR.)
 
 A :class:`CSRGraph` is an immutable *snapshot* of one graph revision and
 carries that revision as a tag. :func:`csr_view` caches it on

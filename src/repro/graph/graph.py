@@ -256,12 +256,5 @@ class Graph:
                     queue.append(w)
         return frozenset(seen)
 
-    def is_connected(self) -> bool:
-        """Whether the graph is connected (empty graphs count as connected)."""
-        if not self._adj:
-            return True
-        source = next(iter(self._adj))
-        return len(self.component_of(source)) == len(self._adj)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph(n={self.num_vertices}, m={self.num_edges})"

@@ -8,10 +8,20 @@ anchored vertices of the node plus those of all its descendants. The
 structure comes from ACQ [11]; as in the paper we skip ACQ's per-node
 keyword lists.
 
-Construction is bottom-up with union–find: process core levels in decreasing
-order, adding the vertices anchored at each level and merging components
-through their edges, creating one CL-tree node per component that gained
-vertices. Complexity O(m · α(n)) after the O(m) core decomposition.
+Construction is one pass over flat arrays per vertex selection (one
+selection per label in the CP-tree). The selection's neighbour rows are
+restricted out of the graph's CSR layout once, into local ids
+(:meth:`~repro.graph.csr.CSRGraph.induced_rows`). The Batagelj–Zaveršnik
+bin peel over those rows (:func:`~repro.graph.csr.peel`) gives every core
+number and the peel order. A union–find on flat ``parent``/``size`` lists
+then walks the peel order backwards, so core levels arrive highest first:
+each vertex merges with its neighbours merged before it, and every
+component that gained vertices at a level becomes one node of that level
+(:func:`build_records`). The nodes leave as ``(core, parent, vertices)``
+rows, parents first, through :meth:`CLTree.from_arrays`, the constructor
+snapshot decode uses too. Time O(m · α(n)); scratch, for one selection at
+a time, is the restricted rows at 4 bytes per entry plus a few lists of
+length n.
 
 A ``vertexNodeMap`` gives each vertex its anchoring node; answering "the
 k-ĉore containing q" is a walk up the ancestor chain (cores strictly
@@ -323,8 +333,9 @@ class CLTree:
                 parent.children.append(node)
             nodes.append(node)
             if core != _VIRTUAL_CORE:
-                core_of.update(dict.fromkeys(node.vertices, core))
-                node_of.update(dict.fromkeys(node.vertices, node))
+                for v in node.vertices:
+                    core_of[v] = core
+                    node_of[v] = node
         self._root = nodes[0] if nodes else CLNode(_VIRTUAL_CORE, [])
         self._order = []
         self._assign_euler_intervals()

@@ -22,6 +22,7 @@ average profile size.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import InvalidInputError, LabelNotFoundError
@@ -149,14 +150,14 @@ class CPTree:
     ) -> Dict[int, List[Vertex]]:
         """Fill the headMap; return each label's carriers."""
         self.taxonomy = taxonomy
-        buckets: Dict[int, List[Vertex]] = {}
+        buckets: Dict[int, List[Vertex]] = defaultdict(list)
         head_map: Dict[Vertex, Tuple[int, ...]] = {}
         # Label sets repeat heavily (snapshot decode interns them), so
         # leaves are computed once per distinct set, not once per vertex.
         leaf_cache: Dict[NodeSet, Tuple[int, ...]] = {}
         for v, labels in vertex_labels.items():
             for x in labels:
-                buckets.setdefault(x, []).append(v)
+                buckets[x].append(v)
             leaves = leaf_cache.get(labels)
             if leaves is None:
                 leaves = leaf_cache[labels] = ptree_leaves(labels, taxonomy)

@@ -81,6 +81,8 @@ FLAG_HAS_SUBSCRIPTIONS = 2
 _HEADER = struct.Struct("<8sHH32sQ")
 #: Sentinel parent index marking a CL-tree root in the index section.
 _NO_PARENT = 0xFFFFFFFF
+#: The head of one CL-tree row: core, parent index, anchored-id count.
+_CLNODE_ROW = struct.Struct("<iII")
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -221,8 +223,13 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise SnapshotCorruptError(f"string is not UTF-8: {exc}") from None
 
-    def u32_array(self) -> array:
-        length = self.u32()
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack(self._take(fmt.size))
+
+    def u32_array(self, length: Optional[int] = None) -> array:
+        """``length`` u32s; by default the length is read first."""
+        if length is None:
+            length = self.u32()
         arr = array("I")
         arr.frombytes(self._take(4 * length))
         if _BIG_ENDIAN:  # pragma: no cover - non-LE platforms
@@ -439,18 +446,24 @@ def decode_payload(
     flat = r.u32_array()
     if len(flat) != 2 * num_edges:
         raise SnapshotCorruptError("edge array length disagrees with header")
-    # Build adjacency sets directly: the format guarantees sorted unique
-    # intern pairs, so the per-edge membership checks of Graph.add_edge
-    # are redundant here. A popcount check still catches self-loops and
-    # duplicate pairs in a corrupt payload.
-    adjacency: Dict[Vertex, set] = {v: set() for v in order}
+    # The snapshot's intern table and sorted edge array are exactly the
+    # inputs the CSR backend wants, so the flat view is laid out first and
+    # the adjacency sets are read off its rows, one C-level pass per
+    # vertex. Booting from disk pre-attaches the view instead of
+    # re-interning on the first hot query. The format guarantees sorted
+    # unique intern pairs, so the per-edge membership checks of
+    # Graph.add_edge are redundant here; a popcount check still catches
+    # self-loops and duplicate pairs in a corrupt payload.
     try:
-        for pos in range(0, len(flat), 2):
-            u, v = order[flat[pos]], order[flat[pos + 1]]
-            adjacency[u].add(v)
-            adjacency[v].add(u)
+        csr = CSRGraph.from_sorted_edges(order, flat)
     except IndexError as exc:
         raise SnapshotCorruptError("edge endpoint outside the vertex table") from exc
+    indptr, indices = csr.indptr, csr.indices
+    vertex = order.__getitem__
+    adjacency: Dict[Vertex, set] = {
+        v: set(map(vertex, indices[indptr[i] : indptr[i + 1]]))
+        for i, v in enumerate(order)
+    }
     if (sum(len(neighbours) for neighbours in adjacency.values())
             != 2 * num_edges):
         raise SnapshotCorruptError("edge array holds duplicate or loop edges")
@@ -458,14 +471,7 @@ def decode_payload(
     graph._adj = adjacency
     graph._num_edges = num_edges
     graph._rev = 0
-    # The snapshot's intern table and sorted edge array are exactly the
-    # inputs the CSR backend wants, so booting from disk pre-attaches the
-    # flat view instead of re-interning on the first hot query.
-    graph._csr = (
-        CSRGraph.from_sorted_edges(order, flat)
-        if active_backend() != "object"
-        else None
-    )
+    graph._csr = csr if active_backend() != "object" else None
     # labels
     counts = r.u32_array()
     labels_flat = r.u32_array()
@@ -504,15 +510,14 @@ def decode_payload(
             num_nodes = r.u32()
             rows = []
             for _ in range(num_nodes):
-                core = r.i32()
-                parent_raw = r.u32()
-                ids = r.u32_array()
+                core, parent_raw, length = r.unpack(_CLNODE_ROW)
+                ids = r.u32_array(length)
                 # Row 0 is the root; every other row names an earlier one.
                 if ((parent_raw == _NO_PARENT) != (not rows)
                         or rows and parent_raw >= len(rows)
                         or ids and max(ids) >= num_vertices):
                     raise SnapshotCorruptError("CL-tree row out of range")
-                anchored = [order[i] for i in ids]
+                anchored = list(map(order.__getitem__, ids))
                 rows.append(
                     (core, None if parent_raw == _NO_PARENT else parent_raw, anchored)
                 )

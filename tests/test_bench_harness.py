@@ -4,13 +4,16 @@ import json
 
 import pytest
 
+from repro.api import CommunityService
 from repro.bench import (
     Table,
     make_workload,
     measure_cold_warm,
-    measure_facade_overhead,
+    run_service_throughput,
+    run_throughput,
 )
 from repro.datasets import fig1_profiled_graph
+from repro.engine import CommunityExplorer
 
 
 class TestTable:
@@ -103,6 +106,10 @@ class TestEngineMeasurements:
     def test_facade_overhead_on_fig1(self):
         pg = fig1_profiled_graph()
         workload = make_workload(pg, "fig1", num_queries=3, k=2)
-        facade = measure_facade_overhead(pg, workload, repeat_factor=2)
-        assert facade["engine"]["queries"] == facade["service"]["queries"] == 6
-        assert facade["service_ms_per_query"] > 0
+        explorer = CommunityExplorer(pg)
+        service = CommunityService(pg)
+        engine = run_throughput(explorer, workload, repeat_factor=2)
+        facade = run_service_throughput(service, workload, repeat_factor=2)
+        assert engine.queries == facade.queries == 6
+        assert facade.cache_hits == engine.cache_hits > 0
+        assert facade.elapsed_seconds > 0

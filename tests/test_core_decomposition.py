@@ -9,7 +9,6 @@ from repro.graph import (
     Graph,
     connected_k_core,
     core_numbers,
-    degeneracy,
     gnp_graph,
     k_core_vertices,
     k_core_within,
@@ -87,10 +86,6 @@ class TestKCoreExtraction:
     def test_connected_k_core_empty_when_peeled(self):
         g = Graph([(0, 1)])
         assert connected_k_core(g, 0, 2) == frozenset()
-
-    def test_degeneracy(self):
-        assert degeneracy(ring_of_cliques(3, 4)) == 3
-        assert degeneracy(Graph()) == 0
 
 
 class TestKCoreWithin:

@@ -145,9 +145,8 @@ def naive_core_numbers(graph, members):
     core = {}
     level = 0
     while alive:
-        degree = {v: sum(1 for u in graph.neighbors(v) if u in alive) for v in alive}
-        v = min(alive, key=lambda x: (degree[x], x))
-        level = max(level, degree[v])
+        d, v = min((sum(1 for u in graph.neighbors(x) if u in alive), x) for x in alive)
+        level = max(level, d)
         core[v] = level
         alive.remove(v)
     return core

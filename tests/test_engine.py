@@ -58,13 +58,13 @@ class TestLRUCache:
         cache = LRUCache(maxsize=0)
         cache.put_versioned("a", 0, 1)
         assert cache.get_versioned("a", 0) is MISSING
-        assert len(cache) == 0
+        assert cache.stats().size == 0
 
     def test_unbounded(self):
         cache = LRUCache(maxsize=None)
         for i in range(3000):
             cache.put_versioned(i, 0, i)
-        assert len(cache) == 3000 and cache.stats().evictions == 0
+        assert cache.stats().size == 3000 and cache.stats().evictions == 0
 
     def test_negative_maxsize_rejected(self):
         with pytest.raises(ValueError):

@@ -46,7 +46,7 @@ class TestPreferentialAttachment:
     def test_connected_and_sized(self):
         g = preferential_attachment_graph(100, 3, seed=2)
         assert g.num_vertices == 100
-        assert g.is_connected()
+        assert g.component_of(0) == g.vertex_set()
         assert g.num_edges >= 3 * 96
 
     def test_heavy_tail(self):

@@ -12,7 +12,6 @@ class TestConstruction:
         assert g.num_vertices == 0
         assert g.num_edges == 0
         assert list(g.edges()) == []
-        assert g.is_connected()  # by convention
 
     def test_edges_in_constructor(self):
         g = Graph([(0, 1), (1, 2)])
@@ -141,7 +140,3 @@ class TestTraversal:
         g = Graph([(0, 1)])
         with pytest.raises(VertexNotFoundError):
             g.component_of(9)
-
-    def test_is_connected(self):
-        assert Graph([(0, 1), (1, 2)]).is_connected()
-        assert not Graph([(0, 1), (2, 3)]).is_connected()

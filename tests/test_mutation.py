@@ -301,7 +301,7 @@ class TestEngineMutationSafety:
         assert after.batches == 0
         assert after.cache.lookups == 0  # validation precedes cache traffic
         # The batch left nothing half-cached behind.
-        assert len(ex._cache) == 0
+        assert ex._cache.stats().size == 0
 
     def test_batch_with_unknown_method_fails_before_any_work(self, fig1):
         ex = CommunityExplorer(fig1, default_k=2)
@@ -460,7 +460,7 @@ class TestVersionedCache:
         cache.put_versioned("a", 0, "value")
         assert cache.get_versioned("a", 0) == "value"
         assert cache.get_versioned("a", 1) is MISSING  # stale: dropped
-        assert len(cache) == 0
+        assert cache.stats().size == 0
         stats = cache.stats()
         assert stats.hits == 1 and stats.misses == 2
         assert stats.invalidations == 1
