@@ -221,25 +221,24 @@ class CSRGraph:
     ) -> Tuple[List[Vertex], array, array]:
         """The subgraph induced on ``vertices``, as CSR rows of its own.
 
-        Returns ``(members, offsets, rows)``: ``members`` are the selected
-        vertices, each once, in first-seen order, and their position is
-        their local id; local vertex ``i``'s neighbours inside the
-        selection are ``rows[offsets[i]:offsets[i + 1]]``, as local ids.
-        Vertices the graph lacks are dropped. ``mark`` is a list of ``n``
-        times ``-1``, scratch that a caller restricting many selections
-        allocates once; it is all ``-1`` again on return.
+        Returns ``(members, offsets, rows)``: ``members`` are the graph's
+        selected vertices, each once, in first-seen order, and their
+        position is their local id; local vertex ``i``'s neighbours inside
+        the selection are ``rows[offsets[i]:offsets[i + 1]]``, as local
+        ids. Vertices the graph lacks are dropped. ``mark`` is a list of
+        ``n`` times ``-1``, scratch that a caller restricting many
+        selections allocates once; it is all ``-1`` again on return.
         """
         if mark is None:
             mark = [-1] * self.n
         index_of = self.index_of
-        members: List[Vertex] = []
         interned: List[int] = []
         for v in vertices:
             i = index_of.get(v)
             if i is not None and mark[i] < 0:
                 mark[i] = len(interned)
                 interned.append(i)
-                members.append(v)
+        members = list(map(self.ids.__getitem__, interned))
         indptr, indices = self.indptr, self.indices
         local = mark.__getitem__
         # A list takes the filtered ids faster than an array does; the
@@ -440,9 +439,9 @@ def peel(offsets: Sequence[int], rows: Sequence[int]) -> Tuple[List[int], List[i
     Vertex ``i``'s neighbours are ``rows[offsets[i]:offsets[i + 1]]``.
     Returns ``(core, order)``: ``core[i]`` is vertex ``i``'s core number
     and ``order`` lists the vertices in the order the peel removed them,
-    so core numbers never decrease along it. The bin-sorted permutation
-    replaces a bucket-of-sets peel: one flat pass over ``rows`` with O(1)
-    swaps per degree decrement.
+    so core numbers never decrease along it. Vertices sit in one
+    permutation sorted into degree bins: one flat pass over ``rows``, with
+    an O(1) swap per degree decrement.
     """
     n = len(offsets) - 1
     if n <= 0:

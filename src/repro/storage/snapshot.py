@@ -446,24 +446,18 @@ def decode_payload(
     flat = r.u32_array()
     if len(flat) != 2 * num_edges:
         raise SnapshotCorruptError("edge array length disagrees with header")
-    # The snapshot's intern table and sorted edge array are exactly the
-    # inputs the CSR backend wants, so the flat view is laid out first and
-    # the adjacency sets are read off its rows, one C-level pass per
-    # vertex. Booting from disk pre-attaches the view instead of
-    # re-interning on the first hot query. The format guarantees sorted
-    # unique intern pairs, so the per-edge membership checks of
-    # Graph.add_edge are redundant here; a popcount check still catches
-    # self-loops and duplicate pairs in a corrupt payload.
+    # Build adjacency sets directly: the format guarantees sorted unique
+    # intern pairs, so the per-edge membership checks of Graph.add_edge
+    # are redundant here. A popcount check still catches self-loops and
+    # duplicate pairs in a corrupt payload.
+    adjacency: Dict[Vertex, set] = {v: set() for v in order}
     try:
-        csr = CSRGraph.from_sorted_edges(order, flat)
+        for pos in range(0, len(flat), 2):
+            u, v = order[flat[pos]], order[flat[pos + 1]]
+            adjacency[u].add(v)
+            adjacency[v].add(u)
     except IndexError as exc:
         raise SnapshotCorruptError("edge endpoint outside the vertex table") from exc
-    indptr, indices = csr.indptr, csr.indices
-    vertex = order.__getitem__
-    adjacency: Dict[Vertex, set] = {
-        v: set(map(vertex, indices[indptr[i] : indptr[i + 1]]))
-        for i, v in enumerate(order)
-    }
     if (sum(len(neighbours) for neighbours in adjacency.values())
             != 2 * num_edges):
         raise SnapshotCorruptError("edge array holds duplicate or loop edges")
@@ -471,7 +465,14 @@ def decode_payload(
     graph._adj = adjacency
     graph._num_edges = num_edges
     graph._rev = 0
-    graph._csr = csr if active_backend() != "object" else None
+    # The snapshot's intern table and sorted edge array are exactly the
+    # inputs the CSR backend wants, so booting from disk pre-attaches the
+    # flat view instead of re-interning on the first hot query.
+    graph._csr = (
+        CSRGraph.from_sorted_edges(order, flat)
+        if active_backend() != "object"
+        else None
+    )
     # labels
     counts = r.u32_array()
     labels_flat = r.u32_array()
