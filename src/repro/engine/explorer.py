@@ -10,17 +10,18 @@ embodiment of that claim:
   query;
 * it memoises complete :class:`~repro.core.community.PCSResult` objects in
   an LRU cache keyed on :meth:`repro.engine.query.Query.cache_key` —
-  ``(vertex, k, method, cohesion)`` with this session's defaults filled
-  in — so repeated exploration of the same vertex — the common
+  ``(vertex, k, method, cohesion)`` with this session's ``default_k``
+  filled in — so repeated exploration of the same vertex — the common
   interactive pattern — is a dictionary lookup;
 * it has **one serve path**: every request shape is coerced to a
   :class:`~repro.engine.query.Query`, keyed once, and answered by
   :meth:`CommunityExplorer._serve` (validate → version-checked cache
   probe → version-stable compute → cache put), which reports
-  ``(result, cache_hit, graph_version)`` per request. ``explore``,
-  ``explore_query``, ``explore_many``, ``serve_batch`` and ``serve`` are
-  thin adapters over it, so batches get intra-batch deduplication and
-  single queries are batches of one;
+  ``(result, cache_hit, graph_version)`` per request. :meth:`serve` is
+  the batch entry point (the one :class:`repro.api.CommunityService`
+  uses for every request); ``explore``, ``explore_query`` and
+  ``explore_many`` are thin adapters over the same path, so batches get
+  intra-batch deduplication and single queries are batches of one;
 * it is **mutation-safe**: cached results are tagged with the graph
   :attr:`~repro.core.profiled_graph.ProfiledGraph.version` they were
   computed against, so edits applied through
@@ -51,13 +52,7 @@ from repro.core.community import PCSResult
 from repro.core.profiled_graph import ProfiledGraph
 from repro.core.search import normalize_method, pcs
 from repro.engine.cache import MISSING, CacheStats, LRUCache
-from repro.engine.query import (
-    DEFAULT_K,
-    DEFAULT_METHOD,
-    Query,
-    QueryBuilder,
-    canonical_cohesion,
-)
+from repro.engine.query import DEFAULT_K, Query, QueryBuilder
 from repro.engine.updates import GraphUpdate, UpdateReceipt, apply_update, preview_updates
 from repro.errors import IntegrityError, InvalidInputError, VertexNotFoundError
 from repro.graph.csr import active_backend
@@ -141,9 +136,11 @@ class CommunityExplorer:
         The profiled graph to serve queries against.
     cache_size:
         LRU result-cache capacity (``None`` = unbounded, ``0`` = disabled).
-    default_k, default_method, default_cohesion:
-        The session defaults a request's ``None`` fields resolve to (see
-        :meth:`Query.resolve <repro.engine.query.Query.resolve>`).
+    default_k:
+        The ``k`` a request with ``k=None`` resolves to (a ``None`` method
+        resolves to :data:`~repro.engine.query.DEFAULT_METHOD`, a ``None``
+        cohesion to k-core; see :meth:`Query.cache_key
+        <repro.engine.query.Query.cache_key>`).
 
     Examples
     --------
@@ -162,17 +159,11 @@ class CommunityExplorer:
         pg: ProfiledGraph,
         cache_size: Optional[int] = 1024,
         default_k: int = DEFAULT_K,
-        default_method: str = DEFAULT_METHOD,
-        default_cohesion: Optional[str] = None,
     ) -> None:
         if default_k < 0:
             raise InvalidInputError(f"default_k must be non-negative, got {default_k}")
         self.pg = pg
         self.default_k = default_k
-        self.default_method = normalize_method(default_method)
-        self.default_cohesion = (
-            None if default_cohesion is None else canonical_cohesion(default_cohesion)
-        )
         self._cache = LRUCache(maxsize=cache_size)
         self._counters = _Counters()
         # Reentrant: the version-stable fallback computes while holding it,
@@ -260,13 +251,11 @@ class CommunityExplorer:
         """The fully-resolved ``(vertex, k, method, cohesion)`` cache key.
 
         :meth:`Query.cache_key <repro.engine.query.Query.cache_key>` under
-        this session's defaults — the canonical request key of the serving
-        session. Two requests that map to the same tuple share one cache
-        entry and one execution.
+        this session's ``default_k`` — the canonical request key of the
+        serving session. Two requests that map to the same tuple share one
+        cache entry and one execution.
         """
-        return Query.coerce(item).cache_key(
-            self.default_k, self.default_method, self.default_cohesion
-        )
+        return Query.coerce(item).cache_key(self.default_k)
 
     def _run(self, q: Vertex, k: int, method: str, cohesion: object) -> PCSResult:
         """Execute one resolved key (also the worker-process entry point)."""
@@ -379,15 +368,14 @@ class CommunityExplorer:
         cache/index provenance, the graph version the answer reflects, and
         ``plan`` (a :class:`repro.api.PlanDecision`) when a planner chose
         the method. The envelope's ``query`` is the *resolved* request —
-        this session's defaults filled in — so what it reports is what was
+        ``k`` and ``method`` filled in — so what it reports is what was
         keyed and executed. The raw :class:`~repro.core.community.PCSResult`
-        rides along in ``response.result`` for in-process callers.
+        rides along in ``response.result`` for in-process callers (the
+        service answers every request through :meth:`serve` instead).
         """
         from repro.api.response import QueryResponse
 
-        query = Query.coerce(query).resolve(
-            self.default_k, self.default_method, self.default_cohesion
-        )
+        query = Query.coerce(query).resolve(self.default_k)
         result, cache_hit, version = self._serve([self.resolve_key(query)])[0]
         return QueryResponse.from_result(
             result,
@@ -414,13 +402,6 @@ class CommunityExplorer:
         with self._counters.lock:
             self._counters.batches += 1
         return served
-
-    def serve_batch(
-        self, specs: Iterable[QueryLike]
-    ) -> Tuple[List[PCSResult], List[bool]]:
-        """:meth:`serve` as ``(results, cache_hits)`` lists."""
-        served = self.serve(specs)
-        return [result for result, _, _ in served], [hit for _, hit, _ in served]
 
     def explore_many(self, specs: Iterable[QueryLike]) -> List[PCSResult]:
         """:meth:`serve`, results only; aligned with the input order."""

@@ -17,8 +17,8 @@ as the public import path. It is
   or cohesion model, a bad ``limit`` raise
   :class:`~repro.errors.InvalidInputError` *before* any graph work starts;
 * **canonically keyed** — :meth:`Query.cache_key` fills in the serving
-  session's defaults, so ``method=None`` and the explicit default method
-  key identically (``limit``/``min_size`` are excluded: they are
+  defaults, so ``method=None`` and the explicit default method key
+  identically (``limit``/``min_size`` are excluded: they are
   post-filters over the same computed result and must share its cache
   entry); :meth:`Query.resolve` is the same defaulting as a ``Query``;
 * **wire-serialisable** — :meth:`Query.to_dict` / :meth:`Query.from_dict`
@@ -27,9 +27,9 @@ as the public import path. It is
   default).
 
 ``method=None`` means *let the planner decide* (see
-:class:`repro.api.planner.QueryPlanner`) or, below the planner, the
-session's default method; ``k=None`` / ``cohesion=None`` inherit the
-session's defaults.
+:class:`repro.api.planner.QueryPlanner`) or, below the planner,
+:data:`DEFAULT_METHOD`; ``k=None`` inherits the session's ``default_k``
+and ``cohesion=None`` is the paper's k-core.
 """
 
 from __future__ import annotations
@@ -211,59 +211,45 @@ class Query:
         self,
         default_k: int = DEFAULT_K,
         default_method: Optional[str] = DEFAULT_METHOD,
-        default_cohesion: Optional[object] = None,
     ) -> "Query":
-        """This request with a serving session's defaults filled in.
+        """This request with ``k`` and ``method`` defaults filled in.
 
-        Every ``None`` among ``k``/``method``/``cohesion`` takes the given
-        default (a ``None`` default leaves the field open — the service
-        passes ``default_method=None`` because there the planner picks the
-        method). Returns ``self`` when nothing was missing, so resolving an
-        already-resolved request is free.
+        A ``None`` ``k``/``method`` takes the given default (a ``None``
+        ``default_method`` leaves the method open for the planner, as the
+        batch-file parser does). ``cohesion`` is never filled: ``None``
+        already means the paper's k-core. Returns ``self`` when nothing was
+        missing, so resolving an already-resolved request is free.
         """
         k = default_k if self.k is None else self.k
         method = default_method if self.method is None else self.method
-        cohesion = default_cohesion if self.cohesion is None else self.cohesion
-        if k is self.k and method is self.method and cohesion is self.cohesion:
+        if k is self.k and method is self.method:
             return self
-        return Query(self.vertex, k, method, cohesion, self.limit, self.min_size)
+        return Query(self.vertex, k, method, self.cohesion, self.limit, self.min_size)
 
     def cache_key(
-        self,
-        default_k: int = DEFAULT_K,
-        default_method: str = DEFAULT_METHOD,
-        default_cohesion: Optional[object] = None,
+        self, default_k: int = DEFAULT_K, default_method: str = DEFAULT_METHOD
     ) -> Tuple:
         """The canonical request key ``(vertex, k, method, cohesion)``.
 
         *The* definition of "same request" for the whole stack:
         :meth:`repro.engine.explorer.CommunityExplorer.resolve_key` and
         :meth:`repro.api.CommunityService.cache_key` return exactly this
-        tuple (with their session's defaults), and the engine caches,
+        tuple (with their session's ``default_k``), and the engine caches,
         dedups and executes on it. Two queries that must be answered by the
         same computation produce equal keys — ``None`` fields key like the
-        defaults they resolve to (see :meth:`resolve`), cohesion is its
-        registry name (an unregistered model instance is kept as the key
-        component *itself*: its repr ignores instance state, so two
-        differently-parametrised models must never collapse to one key),
-        and the ``limit`` / ``min_size`` post-filters are excluded so every
-        pagination of one result shares its entry.
-
-        The defaults matter: pass the serving session's values — the paper
-        defaults used here only match a session running its stock
-        configuration.
+        defaults they resolve to (see :meth:`resolve`; a ``None`` cohesion
+        keys as ``"k-core"``), cohesion is its registry name (an
+        unregistered model instance is kept as the key component *itself*:
+        its repr ignores instance state, so two differently-parametrised
+        models must never collapse to one key), and the ``limit`` /
+        ``min_size`` post-filters are excluded so every pagination of one
+        result shares its entry.
         """
-        cohesion = self.cohesion
-        if cohesion is None:
-            cohesion = (
-                "k-core" if default_cohesion is None
-                else canonical_cohesion(default_cohesion)
-            )
         return (
             self.vertex,
             default_k if self.k is None else self.k,
             self.method if self.method is not None else normalize_method(default_method),
-            cohesion,
+            "k-core" if self.cohesion is None else self.cohesion,
         )
 
     # ------------------------------------------------------------------

@@ -4,8 +4,8 @@
 — same cache, same validation, same provenance, same mutation pipeline,
 same :meth:`~repro.engine.explorer.CommunityExplorer.warm`. It overrides
 exactly one thing, **batch execution**: the deduplicated cache misses of
-``explore_many``/``serve_batch`` are sharded across a
-:class:`~repro.parallel.pool.WorkerPool` when
+a :meth:`~repro.engine.explorer.CommunityExplorer.serve` batch are
+sharded across a :class:`~repro.parallel.pool.WorkerPool` when
 :func:`~repro.parallel.pool.decide_batch_mode` says the batch is worth it
 (enough misses, non-tiny graph, more than one worker). Everything else —
 single queries, small batches, tiny graphs, ``parallel=1`` — runs

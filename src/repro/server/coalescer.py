@@ -226,8 +226,8 @@ class RequestCoalescer:
         Unknown vertices are therefore failed individually *before*
         dispatch (keeping the batch, and its dedup, for the rest); any
         residual batch failure (e.g. a vertex deleted by a racing update
-        mid-dispatch) falls back to per-request execution so good requests
-        still get answers and bad ones get their own error.
+        mid-dispatch) falls back to batches of one so good requests still
+        get answers and bad ones get their own error.
         """
         pg = self.service.pg
         valid: List[_Pending] = []
@@ -244,7 +244,7 @@ class RequestCoalescer:
         except Exception:
             for pending in valid:
                 try:
-                    pending.response = self.service.query(pending.query)
+                    pending.response = self.service.batch([pending.query])[0]
                 except BaseException as exc:  # noqa: BLE001 - relayed to caller
                     pending.error = exc
                 finally:

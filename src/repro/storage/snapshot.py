@@ -566,20 +566,14 @@ def _split_file(raw: bytes, path: PathLike) -> Tuple[int, int, bytes, bytes]:
     return version, flags, digest, payload
 
 
-def _info(version: int, flags: int, digest: bytes, payload: bytes) -> SnapshotInfo:
+def _info(
+    version: int, flags: int, digest: bytes, payload: bytes, index_labels: int
+) -> SnapshotInfo:
     r = _Reader(payload)
     graph_version = r.u64()
     num_vertices = r.u32()
     num_edges = r.u32()
     num_tax = r.u32()
-    has_index = bool(flags & FLAG_HAS_INDEX)
-    index_labels = 0
-    if has_index:
-        # The label count is the first u32 of the index section; locating
-        # it needs a full skip of the graph section, so decode lazily only
-        # here (info/verify paths, not the hot load path).
-        pg, _ = _decode_file(flags, payload)
-        index_labels = pg.index().num_labels if pg.has_index() else 0
     return SnapshotInfo(
         format_version=version,
         digest=digest.hex(),
@@ -588,9 +582,26 @@ def _info(version: int, flags: int, digest: bytes, payload: bytes) -> SnapshotIn
         num_edges=num_edges,
         taxonomy_nodes=num_tax,
         index_labels=index_labels,
-        has_index=has_index,
+        has_index=bool(flags & FLAG_HAS_INDEX),
         payload_bytes=len(payload),
     )
+
+
+def _stored_index_labels(flags: int, payload: bytes) -> int:
+    """The index section's label count, found by hopping over the graph
+    section: nothing is rebuilt."""
+    if not flags & FLAG_HAS_INDEX:
+        return 0
+    r = _Reader(payload)
+    r._take(16)  # graph version, vertex and edge counts
+    for _ in range(r.u32()):  # taxonomy names
+        r.text()
+    r._take(4 * r.u32())  # taxonomy parents
+    for _ in range(r.u32()):  # vertex table
+        r.i64() if r.u8() == 0 else r.text()
+    for _ in range(3):  # edges, per-vertex label counts, labels
+        r._take(4 * r.u32())
+    return r.u32()
 
 
 def _fsync_directory(path: Path) -> None:
@@ -615,10 +626,12 @@ def save_snapshot(
     With ``include_index`` (default) and a built CP-tree, the index is
     persisted too (every edit was patched into it as it landed, so it is
     current); non-empty ``subscriptions`` become the subscription
-    section. Written by :func:`write_snapshot_bytes`.
+    section. Written like :func:`write_snapshot_bytes`; the info's label
+    count comes from the index that was encoded.
     """
+    index_labels = pg.index().num_labels if include_index and pg.has_index() else 0
     raw = snapshot_bytes(pg, include_index=include_index, subscriptions=subscriptions)
-    return write_snapshot_bytes(raw, path)
+    return _info(FORMAT_VERSION, *_write_file(raw, path), index_labels)
 
 
 def write_snapshot_bytes(raw: bytes, path: PathLike) -> SnapshotInfo:
@@ -630,6 +643,14 @@ def write_snapshot_bytes(raw: bytes, path: PathLike) -> SnapshotInfo:
     are fsync'd and are renamed over ``path``, so a crash mid-write
     leaves the previous snapshot intact.
     """
+    flags, digest, payload = _write_file(raw, path)
+    return _info(
+        FORMAT_VERSION, flags, digest, payload, _stored_index_labels(flags, payload)
+    )
+
+
+def _write_file(raw: bytes, path: PathLike) -> Tuple[int, bytes, bytes]:
+    """:func:`write_snapshot_bytes` without the info: ``(flags, digest, payload)``."""
     target = Path(path)
     _, flags, digest, payload = _split_file(raw, target)
     if hashlib.sha256(payload).digest() != digest:
@@ -642,7 +663,7 @@ def write_snapshot_bytes(raw: bytes, path: PathLike) -> SnapshotInfo:
         os.fsync(fh.fileno())
     os.replace(tmp, target)
     _fsync_directory(target.parent)
-    return _info(FORMAT_VERSION, flags, digest, payload)
+    return flags, digest, payload
 
 
 def snapshot_bytes(
@@ -725,4 +746,8 @@ def verify_digest(path: PathLike) -> SnapshotInfo:
     version, flags, digest, payload = _split_file(raw, path)
     if hashlib.sha256(payload).digest() != digest:
         raise SnapshotCorruptError(f"{path}: payload does not match its digest")
-    return _info(version, flags, digest, payload)
+    index_labels = 0
+    if flags & FLAG_HAS_INDEX:
+        pg, _ = _decode_file(flags, payload)  # the decode is the index check
+        index_labels = pg.index().num_labels
+    return _info(version, flags, digest, payload, index_labels)

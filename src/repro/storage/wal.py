@@ -257,8 +257,7 @@ class WriteAheadLog:
         #: generation must restart from the beginning of the new log.
         self._generation = 0
         records, valid_end = self._read_from(0)
-        self._num_records = len(records)
-        self._last_version: Optional[int] = records[-1].version if records else None
+        self._reset(records)
         size = self._path.stat().st_size if self._path.exists() else 0
         if valid_end < size:
             self._dropped_bytes = size - valid_end
@@ -337,8 +336,7 @@ class WriteAheadLog:
         The replication floor: a subscriber whose version is below this
         cannot be caught up from the log alone and needs a fresh snapshot.
         """
-        records = self.records()
-        return records[0].base if records else None
+        return self._first_base
 
     # -- writing -------------------------------------------------------
     def append(
@@ -371,11 +369,34 @@ class WriteAheadLog:
         self._fh.write(pack_frame(record.to_payload()))
         self._fh.flush()
         os.fsync(self._fh.fileno())
-        self._num_records += 1
-        self._last_version = record.version
+        self._track(record)
         with self._change:
             self._change.notify_all()
         return record
+
+    def _reset(self, records: List[WalRecord]) -> None:
+        """Summarise ``records``, the file's whole content, in memory."""
+        self._num_records = 0
+        self._last_version: Optional[int] = None
+        self._first_base: Optional[int] = None  # the replication floor
+        #: The trailing zero-advance records at the newest version: what
+        #: :meth:`truncate` keeps.
+        self._tail: List[WalRecord] = []
+        for record in records:
+            self._track(record)
+
+    def _track(self, record: WalRecord) -> None:
+        """Fold a record just written to the file into the summary."""
+        if self._first_base is None:
+            self._first_base = record.base
+        if record.subscription is None:
+            self._tail = []
+        elif self._tail and self._tail[-1].version == record.version:
+            self._tail.append(record)
+        else:
+            self._tail = [record]
+        self._num_records += 1
+        self._last_version = record.version
 
     def truncate(self) -> None:
         """Drop the records whose effects a snapshot now holds.
@@ -387,17 +408,12 @@ class WriteAheadLog:
         """
         if self._fh.closed:
             raise WalError(f"{self._path}: log is closed")
-        kept: List[WalRecord] = []
-        for record in reversed(self.records()):
-            if record.subscription is None or record.version != self._last_version:
-                break
-            kept.insert(0, record)
+        kept = self._tail
         self._fh.truncate(0)
         self._fh.write(b"".join(pack_frame(r.to_payload()) for r in kept))
         self._fh.flush()
         os.fsync(self._fh.fileno())
-        self._num_records = len(kept)
-        self._last_version = kept[-1].version if kept else None
+        self._reset(kept)
         with self._change:
             self._generation += 1
             self._change.notify_all()

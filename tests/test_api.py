@@ -209,24 +209,29 @@ class TestQueryCoercionAndWire:
         key = service.cache_key(Query(vertex="D"))
         assert key == service.explorer.resolve_key(("D",))
         assert key[1] == 2  # the session default, not the paper default
-        assert Query(vertex="D").cache_key(default_k=2, default_method="adv-P") == key
+        assert Query(vertex="D").cache_key(default_k=2) == key
 
     def test_session_defaults_resolve_before_planning(self, fig1):
         """Planner, envelope and cache key all see the *resolved* request."""
-        service = CommunityService(fig1, default_k=2, default_cohesion="k-truss")
-        explicit_query = Query.vertex("D").cohesion("k-truss")
-        assert service.plan("D") == service.plan(explicit_query)
-        implicit = service.query("D")
+        service = CommunityService(fig1, default_k=2)
+        open_query = Query.vertex("D").cohesion("k-truss")
+        explicit_query = open_query.k(2)
+        assert service.plan(open_query) == service.plan(explicit_query)
+        implicit = service.query(open_query)
         explicit = service.query(explicit_query)
         assert implicit.cohesion == explicit.cohesion == "k-truss"
         assert (implicit.method, implicit.plan) == (explicit.method, explicit.plan)
         assert implicit.plan.method != "adv-P"  # not planned "as k-core"
         assert (implicit.k, implicit.query) == (2, explicit.query)
         assert implicit.cache_hit is False and explicit.cache_hit is True
-        batched = service.batch(["D", explicit_query])
+        batched = service.batch([open_query, explicit_query])
         assert [r.cohesion for r in batched] == ["k-truss", "k-truss"]
         assert [r.cache_hit for r in batched] == [True, True]
         assert service.stats().cache.size == 1  # one entry, not two
+        # A None cohesion is the paper's k-core, in the key and the envelope.
+        core = service.query("D")
+        assert core.cohesion == "k-core" and core.query.cohesion is None
+        assert service.cache_key("D")[3] == "k-core"
 
     def test_cache_key_canonicalisation(self):
         default = Query(vertex="D")
@@ -546,12 +551,12 @@ class TestEngineIntegration:
             *service.batch([shape, shape]),
         ]
         (many,) = explorer.explore_many([shape])
-        results, hits = explorer.serve_batch([shape])
+        ((served, hit, _),) = explorer.serve([shape])
 
         expected = as_vertex_subtree_map(first)
-        for result in [many, results[0], *(e.result for e in envelopes)]:
+        for result in [many, served, *(e.result for e in envelopes)]:
             assert as_vertex_subtree_map(result) == expected
-        assert [e.cache_hit for e in envelopes] + hits == [True] * 5
+        assert [e.cache_hit for e in envelopes] + [hit] == [True] * 5
         assert {e.graph_version for e in envelopes} == {fig1.version}
         cache = explorer.stats().cache
         assert (cache.misses, cache.hits, cache.size) == (1, 6, 1)

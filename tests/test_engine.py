@@ -152,8 +152,8 @@ class TestBatchEqualsPerQuery:
         pg = synthetic_instance()
         queries = sorted(pg.vertices())[:6]
         expected = [as_vertex_subtree_map(pcs(pg, q, 2, method=method)) for q in queries]
-        ex = CommunityExplorer(pg, default_k=2, default_method=method)
-        batch = ex.explore_many(queries)
+        ex = CommunityExplorer(pg, default_k=2)
+        batch = ex.explore_many([(q, None, method) for q in queries])
         assert [as_vertex_subtree_map(r) for r in batch] == expected
 
     def test_engine_aware_pcs_dispatch(self, fig1):

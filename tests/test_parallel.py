@@ -171,22 +171,22 @@ class TestDifferential:
             assert ex.pool_stats()["restarts"] == 2
             assert ex.stats().index_builds == 1
 
-    def test_serve_batch_provenance_matches_sequential(self, synthetic):
+    def test_serve_provenance_matches_sequential(self, synthetic):
         k = 6
         queries = _probe_vertices(synthetic, k, count=4)
         specs = [(q, k, "adv-P") for q in queries]
         seq = CommunityExplorer(synthetic, default_k=k)
         with make_parallel(synthetic, default_k=k) as par:
-            seq_results, seq_hits = seq.serve_batch(specs)
-            par_results, par_hits = par.serve_batch(specs)
-            assert [canonical(r) for r in par_results] == [
-                canonical(r) for r in seq_results
+            seq_served = seq.serve(specs)
+            par_served = par.serve(specs)
+            assert [canonical(r) for r, _, _ in par_served] == [
+                canonical(r) for r, _, _ in seq_served
             ]
-            assert par_hits == seq_hits == [False] * len(specs)
+            assert [hit for _, hit, _ in par_served] == [False] * len(specs)
+            assert [hit for _, hit, _ in seq_served] == [False] * len(specs)
             # replay: both serve from their caches
-            _, seq_again = seq.serve_batch(specs)
-            _, par_again = par.serve_batch(specs)
-            assert par_again == seq_again == [True] * len(specs)
+            for explorer in (seq, par):
+                assert [hit for _, hit, _ in explorer.serve(specs)] == [True] * len(specs)
 
     def test_mixed_methods_one_batch(self, fig1):
         specs = [(q, 2, m) for m in ALL_METHODS for q in ("D", "E")]
@@ -225,8 +225,7 @@ class TestBatchSemantics:
                 canonical(r) for r in seq_results
             ]
             # falsy results must be cached, not recomputed (MISSING sentinel)
-            _, hits = ex.serve_batch(specs)
-            assert hits == [True, True, True]
+            assert [hit for _, hit, _ in ex.serve(specs)] == [True, True, True]
             assert ex.stats().queries_served == 2
 
     def test_results_merge_into_shared_cache(self, fig1):

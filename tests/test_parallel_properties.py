@@ -85,7 +85,7 @@ class TestQueryProperties:
         assert resolved.resolve() is resolved  # idempotent, and free
         assert resolved.cache_key() == query.cache_key()
         # and against arbitrary session defaults, not just the paper's
-        session = dict(default_k=9, default_method="basic", default_cohesion="k-truss")
+        session = dict(default_k=9, default_method="basic")
         assert query.cache_key(**session) == query.resolve(**session).cache_key()
 
     @SETTINGS

@@ -344,11 +344,18 @@ class TestHandleRequest:
         assert len(gateway.subscriptions) == 0
 
     def test_unknown_vertex_404(self, gateway):
-        response, decoded = self.call(
-            gateway, "POST", "/query", {"vertex": "missing", "k": 2}
-        )
-        assert response.status == 404
-        assert decoded["error"]["type"] == "vertex_not_found"
+        missing = {"vertex": "missing", "k": 2}
+        for path, payload in (
+            ("/query", missing),
+            ("/batch", {"queries": [{"vertex": "D", "k": 2}, missing]}),
+        ):
+            response, decoded = self.call(gateway, "POST", path, payload)
+            assert response.status == 404, path
+            assert decoded["error"]["type"] == "vertex_not_found"
+        # Refused before any engine work: nothing served, nothing cached.
+        stats = gateway.service.stats()
+        assert stats.queries_served == 0 and stats.batches == 0
+        assert stats.cache.hits == stats.cache.misses == 0
 
     def test_batch_payload_shapes(self, gateway):
         ok, decoded = self.call(
@@ -507,6 +514,27 @@ class TestEndpointEquivalence:
             envelope(r, "plan") for r in direct
         ]
         assert [r.method for r in served] == [r.method for r in direct]
+
+    def test_every_request_path_is_one_engine_batch(self):
+        """A coalesced ``/query``, an uncoalesced ``/query``, a one-item
+        ``/batch`` and an in-process ``service.query`` answer with one
+        envelope, and each reaches the engine as exactly one batch."""
+        service = CommunityService(fig1_profiled_graph())
+        query = Query(vertex="D", k=2, method="adv-P")
+        answers = []
+
+        def count(way):
+            before = service.stats().batches
+            answers.append(envelope(way(), "cache_hit"))
+            assert service.stats().batches == before + 1
+
+        count(lambda: service.query(query))
+        with serving(service, coalesce=True) as (_, client):
+            count(lambda: client.query(query))
+        with serving(service, coalesce=False) as (_, client):
+            count(lambda: client.query(query))
+            count(lambda: client.batch([query])[0])
+        assert answers[1:] == answers[:1] * 3
 
     def test_update_applies_through_mutation_path(self):
         with serving(fig1_profiled_graph()) as (gateway, client):

@@ -46,6 +46,7 @@ from repro.storage import (
     save_snapshot,
     snapshot_bytes,
     verify_digest,
+    write_snapshot_bytes,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "snapshot_v1.bin"
@@ -196,6 +197,31 @@ class TestSnapshotVerification:
         assert info == written
         assert info.num_vertices == fig1.num_vertices
         assert info.graph_version == fig1.version
+
+    @pytest.mark.parametrize("dataset", ["fig1", "acmdl"])
+    def test_writing_a_snapshot_never_decodes_it(self, dataset, tmp_path, monkeypatch):
+        """Checkpoints and shipped images report their info without a
+        decode; verify_digest decodes, and agrees field by field."""
+        import repro.storage.snapshot as snapshot_module
+
+        pg = fig1_profiled_graph() if dataset == "fig1" else load_dataset("acmdl", scale=0.005)
+        pg.index()
+        heads = [{"id": "s1", "vertex": 1, "k": 2}]
+        decodes = []
+        decode = snapshot_module.decode_payload
+        monkeypatch.setattr(
+            snapshot_module, "decode_payload",
+            lambda *args, **kwargs: decodes.append(args) or decode(*args, **kwargs),
+        )
+        with GraphStore(tmp_path / "store") as store:
+            written = [(store.snapshot(pg, subscriptions=heads), store.snapshot_path)]
+        shipped = tmp_path / "shipped.bin"
+        written.append((write_snapshot_bytes(snapshot_bytes(pg, subscriptions=heads), shipped), shipped))
+        assert decodes == []
+        for info, path in written:
+            assert info.to_dict() == verify_digest(path).to_dict()
+            assert info.index_labels == pg.index().num_labels > 0
+        assert len(decodes) == 2
 
     def test_flipped_payload_byte_detected(self, fig1, tmp_path):
         path = tmp_path / "snap.bin"
@@ -372,6 +398,55 @@ class TestWriteAheadLog:
         replayed = wal.replay_into(shadow)
         assert replayed == 2
         assert_graphs_equal(fig1, shadow)
+        wal.close()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_floor_and_kept_tail_are_tracked_not_reread(self, seed, tmp_path, monkeypatch):
+        """``first_base`` and ``truncate`` answer from memory, and match
+        what a re-read of the file says, across appends, truncates and a
+        reopen."""
+        rng = random.Random(seed)
+        path = tmp_path / "wal.log"
+        wal = WriteAheadLog(path)
+        version = 0
+        reads = []
+        read_from = WriteAheadLog._read_from
+
+        def check(log):
+            records = log.records()  # the reference: a full re-read
+            reads.clear()
+            assert log.first_base == (records[0].base if records else None)
+            assert log.num_records == len(records)
+            expected = []
+            for record in reversed(records):
+                if record.subscription is None or record.version != records[-1].version:
+                    break
+                expected.insert(0, record.to_payload())
+            log.truncate()
+            assert reads == []
+            assert [r.to_payload() for r in log.records()] == expected
+
+        monkeypatch.setattr(
+            WriteAheadLog, "_read_from",
+            lambda self, offset: reads.append(offset) or read_from(self, offset),
+        )
+        for step in range(60):
+            roll = rng.random()
+            if roll < 0.45:
+                advance = rng.randrange(3)
+                wal.append(version, version + advance, [GraphUpdate("add_edge", "A", f"Z{step}")])
+                version += advance
+            elif roll < 0.85:
+                wal.append_subscription(version, {"id": f"s{step}"})
+            elif roll < 0.95:
+                check(wal)
+            else:
+                wal.close()
+                wal = WriteAheadLog(path)
+                reads.clear()
+                records = wal.records()
+                assert wal.first_base == (records[0].base if records else None)
+        check(wal)
         wal.close()
 
     def test_replay_skips_records_covered_by_snapshot(self, fig1, tmp_path):
